@@ -16,6 +16,9 @@ from .hierarchy import Hierarchy
 from .instance import ClientRegistry, Instance, InstanceError, derive_parameters, \
     largest_power_of_five_at_most
 
+# Hierarchies cached per engine: two cover a count oscillating across a power of 5.
+HIERARCHY_CACHE_SIZE = 2
+
 
 @dataclass(slots=True)
 class NodeAnnotation:
@@ -136,24 +139,21 @@ class Engine:
     locking.
     """
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, clients=()):
         self.instance = instance
         self.registry = ClientRegistry()
-        self.n = 0
-        self._chains: dict = {}
+        for cid, point in dict(clients).items():
+            self.registry.add(cid, point)
+        self.n = largest_power_of_five_at_most(len(self.registry))
         self.last_update = UpdateStats()
+        self._hierarchies: dict[tuple[int, int], Hierarchy] = {}
         self._rebuild()
 
     @classmethod
     def from_clients(cls, instance: Instance, clients) -> "Engine":
         """From-scratch construction for a given live client set (the state
         any update sequence reaching this set must match)."""
-        engine = cls(instance)
-        for cid, point in dict(clients).items():
-            engine.registry.add(cid, point)
-        engine.n = largest_power_of_five_at_most(len(engine.registry))
-        engine._rebuild()
-        return engine
+        return cls(instance, clients)
 
     # -- queries -------------------------------------------------------------
 
@@ -172,7 +172,7 @@ class Engine:
             raise ValueError(f"unknown client id: {cid!r}")
         anns = self.annotations
         nodes = self.hierarchy.nodes
-        chain = self._chains[cid]
+        chain = self.hierarchy.area_chain(self.registry.point_of(cid))
         area_idx = next((i for i in chain if anns[i].is_enabled), None)
         if area_idx is None:
             raise RuntimeError("no enabled area on a live client's chain")
@@ -227,17 +227,15 @@ class Engine:
             raise InstanceError(f"point index out of range: {point}")
         if cid in self.registry:
             raise ValueError(f"client id already live: {cid!r}")
-        chain = tuple(self.hierarchy.area_chain(point))
+        chain = self.hierarchy.area_chain(point)
         self.registry.add(cid, point)
-        self._chains[cid] = chain
         self._apply(chain, +1)
         self._after_mutation()
 
     def delete_client(self, cid) -> None:
         if cid not in self.registry:
             raise ValueError(f"unknown client id: {cid!r}")
-        chain = self._chains.pop(cid)
-        self.registry.remove(cid)
+        chain = self.hierarchy.area_chain(self.registry.remove(cid))
         self._apply(chain, -1)
         self._after_mutation()
 
@@ -245,7 +243,6 @@ class Engine:
         affected = self.find_affected_triplets(chain)
         flipped = self.update_status(affected, delta)
         self.update_cost(chain, flipped, delta)
-        self.last_update.affected = len(affected)
 
     def find_affected_triplets(self, chain) -> list[int]:
         """Triplets whose near neighborhood contains the client's point: the
@@ -310,7 +307,7 @@ class Engine:
             enabled = a.open_below >= 1 or a.is_open
             if enabled != a.is_enabled:
                 flipped.append((idx, enabled))
-        self.last_update = UpdateStats(heap_pulls=pulls, flips=flips)
+        self.last_update = UpdateStats(len(affected), pulls, flips)
         return flipped
 
     def update_cost(self, chain, flipped, delta: int) -> None:
@@ -363,9 +360,9 @@ class Engine:
             self.adjust_levels()
 
     def adjust_levels(self) -> None:
-        """React to a shift of the client-count scale: rebuild the hierarchy
-        and all dynamic state when the bottom logradius moves, else keep the
-        structure untouched."""
+        """React to a shift of the client-count scale: switch hierarchies and
+        rebuild all dynamic state when the bottom logradius moves, else keep
+        the structure untouched."""
         params = derive_parameters(self.instance, self.n)
         if (params.rho_min, params.rho_max) == (self.params.rho_min, self.params.rho_max):
             self.params = params
@@ -373,26 +370,35 @@ class Engine:
         self._rebuild()
 
     def _rebuild(self) -> None:
-        """From-scratch construction of the hierarchy and every annotation for
-        the current live client set."""
-        self.params = derive_parameters(self.instance, self.n)
-        self.hierarchy = Hierarchy(self.instance, self.params)
-        rho_min = self.params.rho_min
+        """Switch to the hierarchy of the current scale and build every
+        annotation from scratch for the current live client set.
+
+        The last HIERARCHY_CACHE_SIZE hierarchies are kept by (rho_min,
+        rho_max); a hierarchy depends on nothing else, so a cached one equals
+        a fresh build.  The least recently used one is evicted.
+        """
+        self.params = params = derive_parameters(self.instance, self.n)
+        key = (params.rho_min, params.rho_max)
+        cache = self._hierarchies
+        hierarchy = cache.pop(key, None)
+        if hierarchy is None:
+            hierarchy = Hierarchy(self.instance, params)
+            if len(cache) >= HIERARCHY_CACHE_SIZE:
+                del cache[next(iter(cache))]
+        self.hierarchy = cache[key] = hierarchy
+        rho_min = params.rho_min
         self._unit_scale = 5 ** rho_min if rho_min >= 0 else 5.0 ** rho_min
-        nodes = self.hierarchy.nodes
+        nodes = hierarchy.nodes
         anns = [NodeAnnotation() for _ in nodes]
         self.annotations = anns
         self.open_nodes: set[int] = set()
         self.facility_registry = OpenFacilityRegistry()
 
-        for cid, point in self.registry.items():
-            chain = tuple(self.hierarchy.area_chain(point))
-            self._chains[cid] = chain
-            for idx in chain:
+        for _, point in self.registry.items():
+            for idx in hierarchy.area_chain(point):
                 anns[idx].n_area += 1
 
-        for idx, node in enumerate(nodes):
-            a = anns[idx]
+        for node, a in zip(nodes, anns):
             a.n_x = sum(anns[m].n_area for m in node.x_areas)
             a.is_abundant = a.n_x >= node.abundance_threshold
 
@@ -408,19 +414,15 @@ class Engine:
                 for up in nodes[idx].neighbors_above:
                     anns[up].open_below += 1
 
-        for idx, node in enumerate(nodes):
-            a = anns[idx]
+        # Node ids ascend with logradius, so every child comes before its
+        # parent and one pass settles enabled bits, counts and costs.
+        for node, a in zip(nodes, anns):
             a.is_enabled = a.is_open or a.open_below >= 1
-        for idx, node in enumerate(nodes):
-            a = anns[idx]
-            a.n_enabled_below = sum(
-                anns[c].n_area for c in node.children if anns[c].is_enabled)
-        for idx in range(len(nodes)):
-            node = nodes[idx]
-            a = anns[idx]
-            cost = a.y
+            a.cost = a.y
             if a.is_enabled:
-                cost += (a.n_area - a.n_enabled_below) * node.unit_weight
-            a.cost = cost
+                a.cost += (a.n_area - a.n_enabled_below) * node.unit_weight
             if node.parent is not None:
-                anns[node.parent].y += cost
+                up = anns[node.parent]
+                up.y += a.cost
+                if a.is_enabled:
+                    up.n_enabled_below += a.n_area

@@ -362,6 +362,6 @@ def main(argv=None) -> int:
         for line in exc.details:
             print(f"event {exc.event_index}: {line}", file=sys.stderr)
         return 1
-    except (InstanceError, TraceError, FileNotFoundError, ValueError) as exc:
+    except (InstanceError, TraceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,9 @@
 tree over (facility, logradius) pairs, laminar areas, x/y neighborhood lists,
 coloring, and designated facilities.
 
-Everything here is immutable once built; the engine rebuilds the whole
-hierarchy when the bottom level shifts.
+Everything here is immutable once built, so a point's area chain is
+computed once per hierarchy and memoised.  The engine keeps the hierarchies
+of its last few scales and reuses one when its (rho_min, rho_max) comes back.
 """
 
 from __future__ import annotations
@@ -142,11 +143,11 @@ class Hierarchy:
             node.children.sort(key=lambda i: self.nodes[i].facility)
         self.root = self.by_level[params.rho_max][0]
 
-        # Facility area chains are static; client chains are computed at
-        # insertion time by the engine.
-        self._fac_chains: list[tuple[int, list[int]]] = [
-            self._chain_record(f.point) for f in instance.facilities
-        ]
+        # Point -> area chain, filled on first use.  The facility points are
+        # filled here, since designations need them.
+        self._chains: dict[int, tuple[int, ...]] = {}
+        for f in instance.facilities:
+            self.area_chain(f.point)
 
         self._color_pairs()
         self._build_xy_and_designations()
@@ -209,30 +210,26 @@ class Hierarchy:
         return min(frontier, key=lambda i: (dist(p, fp[nodes[i].facility]),
                                             nodes[i].facility))
 
-    def area_chain(self, p: int) -> list[int]:
-        """Node ids from the bottom-most area containing p up to the root."""
-        chain = [self.find_area(p)]
-        while True:
-            parent = self.nodes[chain[-1]].parent
-            if parent is None:
-                return chain
-            chain.append(parent)
+    def area_chain(self, p: int) -> tuple[int, ...]:
+        """Node ids from the bottom-most area containing p up to the root.
 
-    def _chain_record(self, p: int) -> tuple[int, list[int]]:
-        chain = self.area_chain(p)
-        return (self.nodes[chain[0]].r, chain)
+        Memoised per point; every call for p returns the same tuple.
+        """
+        chain = self._chains.get(p)
+        if chain is None:
+            nodes = self.nodes
+            ids = [self.find_area(p)]
+            while (parent := nodes[ids[-1]].parent) is not None:
+                ids.append(parent)
+            chain = self._chains[p] = tuple(ids)
+        return chain
 
     def facility_chain_at(self, fid: int, r: int) -> int | None:
         """The level-r entry of a facility's area chain, if the chain reaches
         down to level r."""
-        bottom, chain = self._fac_chains[fid]
-        off = r - bottom
-        if off < 0:
-            return None
-        return chain[off]
-
-    def facility_chain(self, fid: int) -> list[int]:
-        return self._fac_chains[fid][1]
+        chain = self._chains[self._fac_point[fid]]
+        off = r - self.nodes[chain[0]].r
+        return chain[off] if off >= 0 else None
 
     # -- build stages ------------------------------------------------------
 
@@ -274,7 +271,7 @@ class Hierarchy:
         # Facilities bucketed by the area chain entry holding their point.
         bucket: dict[int, list[int]] = {}
         for fac in self.instance.facilities:
-            for idx in self._fac_chains[fac.id][1]:
+            for idx in self._chains[fac.point]:
                 bucket.setdefault(idx, []).append(fac.id)
 
         facs = self.instance.facilities

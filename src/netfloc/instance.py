@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,14 @@ METRIC_KINDS = ("explicit-matrix", "euclidean-L2", "euclidean-Linf")
 # Relative slack for the triangle check on float matrices; integer-valued
 # matrices stay exact.
 _TRIANGLE_SLACK = 1e-12
+
+
+def _is_finite_number(x) -> bool:
+    """True for a finite real number; bools and strings are not numbers."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 class NetflocError(Exception):
@@ -100,8 +109,8 @@ class Instance:
             raise InstanceError(f"unknown metric kind {kind!r}")
         self.kind = kind
         self.kappa = kappa
-        if kappa is not None and not kappa > 0:
-            raise InstanceError("kappa must be positive when declared")
+        if kappa is not None and not (_is_finite_number(kappa) and kappa > 0):
+            raise InstanceError(f"kappa must be a positive number when declared, got {kappa!r}")
         if kind == "explicit-matrix":
             if points is not None or matrix is None:
                 raise InstanceError("explicit-matrix instances take a matrix, not points")
@@ -127,24 +136,25 @@ class Instance:
                 point, cost = fac.point, fac.opening_cost
             else:
                 point, cost = fac
-            if not 0 <= point < self.n_points:
-                raise InstanceError(f"facility {fid} references unknown point {point}")
-            cost = float(cost)
-            if not math.isfinite(cost) or cost <= 0:
-                raise InstanceError(f"facility {fid} needs a positive opening cost, got {cost}")
-            self.facilities.append(Facility(fid, point, cost))
+            if isinstance(point, bool) or not isinstance(point, numbers.Integral) \
+                    or not 0 <= point < self.n_points:
+                raise InstanceError(f"facility {fid} references unknown point {point!r}")
+            if not _is_finite_number(cost) or cost <= 0:
+                raise InstanceError(f"facility {fid} needs a positive opening cost, got {cost!r}")
+            self.facilities.append(Facility(fid, int(point), float(cost)))
         if not self.facilities:
             raise InstanceError("instance needs at least one facility")
         self._diameter = None
 
     @staticmethod
     def _coerce_point(p):
-        if isinstance(p, (int, float)):
-            return (float(p),)
-        coords = tuple(float(x) for x in p)
-        if not coords or not all(math.isfinite(x) for x in coords):
+        try:
+            coords = tuple(p)
+        except TypeError:  # a bare number is a one-dimensional point
+            coords = (p,)
+        if not coords or not all(_is_finite_number(x) for x in coords):
             raise InstanceError(f"bad point coordinates {p!r}")
-        return coords
+        return tuple(float(x) for x in coords)
 
     def _validate_matrix(self):
         m = self._matrix
@@ -157,8 +167,8 @@ class Instance:
             for q in range(p + 1, n):
                 if m[p][q] != m[q][p]:
                     raise InstanceError(f"asymmetric distances for pair ({p}, {q})")
-                if m[p][q] < 0:
-                    raise InstanceError(f"negative distance for pair ({p}, {q})")
+                if not 0 <= m[p][q] < math.inf:
+                    raise InstanceError(f"negative or infinite distance for pair ({p}, {q})")
         for x in range(n):
             col = m[x]
             for p in range(n):

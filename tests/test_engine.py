@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from netfloc import (ASSIGN_RADIUS_FACTOR, DirtyHeap, Engine, NodeAnnotation,
-                     OpenFacilityRegistry, OracleView, radius,
+from netfloc import (ASSIGN_RADIUS_FACTOR, DirtyHeap, Engine, Hierarchy,
+                     NodeAnnotation, OpenFacilityRegistry, OracleView,
+                     compare_states, engine_snapshot, radius,
                      random_instance, random_trace)
+from netfloc.engine import HIERARCHY_CACHE_SIZE
 
 
 def node_id(engine, j, r):
@@ -36,6 +38,17 @@ def test_update_status_reports_enabled_flips(line5):
     eng.update_cost(chain, flipped, +1)
     # costs counted in bottom-scale units: 25 real = 5 * 5**rho_min
     assert [ann(eng, 0, r).cost for r in (1, 2, 3)] == [0, 5, 5]
+
+
+def test_update_status_records_all_work_counters(line5):
+    eng = Engine(line5)
+    affected = eng.find_affected_triplets(eng.hierarchy.area_chain(3))
+    eng.update_status(affected, +1)
+    stats = eng.last_update
+    assert (stats.affected, stats.heap_pulls, stats.flips) == (len(affected), 2, 1)
+    eng.insert_client("c1", 4)
+    assert eng.last_update.affected == len(
+        eng.find_affected_triplets(eng.hierarchy.area_chain(4)))
 
 
 def test_no_status_flips_gives_empty_set(line5):
@@ -229,6 +242,55 @@ def test_n_change_without_scale_shift_keeps_structure(line5):
     eng.insert_client("c4", 4)   # n: 1 -> 5, divisor still |J|-dominated
     assert eng.n == 5
     assert eng.hierarchy is h
+
+
+def test_hierarchy_cache_across_power_of_five(monkeypatch):
+    # Three facilities and a live count moving 24 <-> 25: the divisor of
+    # rho_min goes 5 -> 25, so every crossing changes the bottom level.
+    builds = []
+    real_init = Hierarchy.__init__
+
+    def counting_init(self, instance, params):
+        builds.append((params.rho_min, params.rho_max))
+        real_init(self, instance, params)
+
+    monkeypatch.setattr(Hierarchy, "__init__", counting_init)
+    rng = random.Random(61)
+    inst = random_instance(rng, n_facilities=3, n_pool_points=30)
+    eng = Engine(inst)
+    engine_builds = 0
+    scales = {(eng.params.rho_min, eng.params.rho_max)}
+    below = above = None
+    serial = 0
+
+    def mutate(op, *args):
+        nonlocal engine_builds
+        before = len(builds)
+        op(*args)
+        engine_builds += len(builds) - before
+        scales.add((eng.params.rho_min, eng.params.rho_max))
+        live = dict(eng.registry.items())
+        assert eng.state_hash() == Engine.from_clients(inst, live).state_hash()
+        view = OracleView(inst, eng.hierarchy)
+        assert compare_states(engine_snapshot(eng), view.recompute_state(live)) == []
+
+    while len(eng.registry) < 24:
+        serial += 1
+        mutate(eng.insert_client, f"c{serial}", rng.randrange(inst.n_points))
+    for _ in range(4):
+        level = eng.hierarchy
+        assert below is None or level is below
+        below = level
+        serial += 1
+        mutate(eng.insert_client, f"c{serial}", rng.randrange(inst.n_points))
+        assert eng.hierarchy is not below
+        assert above is None or eng.hierarchy is above
+        above = eng.hierarchy
+        live = list(eng.registry.items())
+        mutate(eng.delete_client, live[rng.randrange(len(live))][0])
+    assert eng.hierarchy is below
+    assert len(eng._hierarchies) <= HIERARCHY_CACHE_SIZE
+    assert engine_builds <= len(scales)
 
 
 def test_realized_cost(line5):

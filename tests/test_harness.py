@@ -227,3 +227,25 @@ def test_cli_input_errors(data_dir, tmp_path, capsys):
     assert main(["run", inst, str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_cli_rejects_non_finite_scalar_point(tmp_path, capsys, bad):
+    inst = tmp_path / "bad.json"
+    inst.write_text('{"metric": {"kind": "euclidean-L2", "points": [%s, 0, 5]},'
+                    ' "facilities": [{"point": 0, "cost": 3},'
+                    ' {"point": 2, "cost": 3}]}' % bad)
+    trace = tmp_path / "t.trace"
+    trace.write_text("+ c1 1\n? cost\n")
+    assert main(["run", str(inst), str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad point coordinates") and err.count("\n") == 1
+
+
+def test_cli_directory_path_is_input_error(data_dir, tmp_path, capsys):
+    inst = str(data_dir / "line5.json")
+    trace = str(data_dir / "line5.trace")
+    assert main(["run", str(tmp_path), trace]) == 2
+    assert main(["run", inst, str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error:") for line in err)

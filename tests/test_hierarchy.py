@@ -154,7 +154,7 @@ def test_find_area_tie_breaks_to_lower_id():
 
 def test_area_chain_line5(line5):
     h = helpers.build(line5)
-    assert h.area_chain(3) == [h.node_of[(0, r)] for r in (1, 2, 3)]
+    assert h.area_chain(3) == tuple(h.node_of[(0, r)] for r in (1, 2, 3))
 
 
 def test_area_chain_length_property():
@@ -165,6 +165,19 @@ def test_area_chain_length_property():
         chain = h.area_chain(p)
         assert len(chain) == h.params.rho_max - h.nodes[chain[0]].r + 1
         assert chain[-1] == h.root
+
+
+def test_area_chain_memo_matches_recomputation():
+    rng = random.Random(29)
+    inst = random_instance(rng, n_facilities=8, n_pool_points=30)
+    h = helpers.build(inst)
+    for p in range(inst.n_points):
+        chain = h.area_chain(p)
+        expected = [h.find_area(p)]
+        while h.nodes[expected[-1]].parent is not None:
+            expected.append(h.nodes[expected[-1]].parent)
+        assert chain == tuple(expected)
+        assert h.area_chain(p) is chain
 
 
 def test_coloring_line5_all_zero(line5):

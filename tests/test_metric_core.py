@@ -116,6 +116,23 @@ def test_rejects_bad_facility_point():
         Instance("euclidean-L2", points=[[0]], facilities=[(4, 1)])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"points": [0, float("nan")]}, "bad point coordinates"),
+    ({"points": [float("inf"), 0]}, "bad point coordinates"),
+    ({"points": [[0], [True]]}, "bad point coordinates"),
+    ({"points": [[0], ["1"]]}, "bad point coordinates"),
+    ({"points": [0, 1], "facilities": [(0, True)]}, "positive opening cost"),
+    ({"points": [0, 1], "facilities": [(1.0, 2)]}, "unknown point"),
+    ({"points": [0, 1], "kappa": "two"}, "kappa must be a positive number"),
+    ({"matrix": [[0, float("inf")], [float("inf"), 0]]}, r"infinite distance for pair \(0, 1\)"),
+])
+def test_rejects_non_numeric_and_non_finite_values(kwargs, message):
+    kind = "explicit-matrix" if "matrix" in kwargs else "euclidean-L2"
+    kwargs.setdefault("facilities", [(0, 1)])
+    with pytest.raises(InstanceError, match=message):
+        Instance(kind, **kwargs)
+
+
 def test_largest_power_of_five():
     assert [largest_power_of_five_at_most(c) for c in (0, 1, 4, 5, 24, 25, 26, 125)] \
         == [0, 1, 1, 5, 5, 25, 25, 125]
