@@ -3,34 +3,28 @@ decomposition maintained under client insertions and deletions, with
 constant-time cost queries, a from-scratch reference oracle, and an exact
 small-instance optimum for differential testing."""
 
-from .engine import Assignment, DirtyHeap, Engine, NodeAnnotation, \
-    OpenFacilityRegistry, UpdateStats
+from .engine import DirtyHeap, Engine, NodeAnnotation
 from .hierarchy import C1, C2, C3, C4, CX, CY, APPROX_FACTOR, \
-    ASSIGN_RADIUS_FACTOR, PAYMENT_BOUND_FACTOR, Hierarchy, TripletNode, \
+    ASSIGN_RADIUS_FACTOR, PAYMENT_BOUND_FACTOR, Hierarchy, \
     build_separated_sets, build_tree, radius
-from .instance import ClientRegistry, Facility, Instance, InstanceError, \
-    NetflocError, Params, cround, derive_parameters, \
-    largest_power_of_five_at_most
-from .oracle import HierarchyMismatch, OptResult, OracleView, StateSnapshot, \
-    brute_force_opt, compare_states, engine_snapshot, logical_violations, \
-    recompute_state
-from .harness import RunReport, TraceError, TraceEvent, VerificationError, \
-    bench_trace, opt_command, parse_instance, parse_trace, parse_trace_text, \
-    random_instance, random_trace, run_trace, verify_trace
+from .instance import Instance, InstanceError, NetflocError, cround, \
+    derive_parameters, largest_power_of_five_at_most
+from .oracle import HierarchyMismatch, OracleView, brute_force_opt, \
+    compare_states, engine_snapshot, logical_violations
+from .harness import TraceError, TraceEvent, bench_trace, opt_command, \
+    parse_trace, parse_trace_text, random_instance, random_trace, run_trace, \
+    verify_trace
 
 __all__ = [
-    "Assignment", "DirtyHeap", "Engine", "NodeAnnotation",
-    "OpenFacilityRegistry", "UpdateStats",
+    "DirtyHeap", "Engine", "NodeAnnotation",
     "C1", "C2", "C3", "C4", "CX", "CY", "APPROX_FACTOR",
     "ASSIGN_RADIUS_FACTOR", "PAYMENT_BOUND_FACTOR", "Hierarchy",
-    "TripletNode", "build_separated_sets", "build_tree", "radius",
-    "ClientRegistry", "Facility", "Instance", "InstanceError", "NetflocError",
-    "Params", "cround", "derive_parameters", "largest_power_of_five_at_most",
-    "HierarchyMismatch", "OptResult", "OracleView", "StateSnapshot",
-    "brute_force_opt", "compare_states", "engine_snapshot",
-    "logical_violations", "recompute_state",
-    "RunReport", "TraceError", "TraceEvent", "VerificationError",
-    "bench_trace", "opt_command", "parse_instance", "parse_trace",
+    "build_separated_sets", "build_tree", "radius",
+    "Instance", "InstanceError", "NetflocError", "cround",
+    "derive_parameters", "largest_power_of_five_at_most",
+    "HierarchyMismatch", "OracleView", "brute_force_opt", "compare_states",
+    "engine_snapshot", "logical_violations",
+    "TraceError", "TraceEvent", "bench_trace", "opt_command", "parse_trace",
     "parse_trace_text", "random_instance", "random_trace", "run_trace",
     "verify_trace",
 ]

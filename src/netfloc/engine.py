@@ -9,11 +9,12 @@ when the bottom scale is fractional.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .hierarchy import Hierarchy
-from .instance import ClientRegistry, Instance, InstanceError, derive_parameters, \
+from .instance import Instance, InstanceError, derive_parameters, \
     largest_power_of_five_at_most
 
 # Hierarchies cached per engine: two cover a count oscillating across a power of 5.
@@ -96,41 +97,6 @@ class DirtyHeap:
         return bool(self._heap)
 
 
-class OpenFacilityRegistry:
-    """Facilities designated by at least one open triplet, reference counted.
-
-    Dict ordering stands in for the linked list: constant-time add/remove and
-    output linear in the number of open facilities.
-    """
-
-    __slots__ = ("_counts",)
-
-    def __init__(self):
-        self._counts: dict[int, int] = {}
-
-    def incref(self, fid: int) -> None:
-        self._counts[fid] = self._counts.get(fid, 0) + 1
-
-    def decref(self, fid: int) -> None:
-        left = self._counts[fid] - 1
-        if left:
-            self._counts[fid] = left
-        else:
-            del self._counts[fid]
-
-    def facilities(self) -> list[int]:
-        return list(self._counts)
-
-    def items(self):
-        return self._counts.items()
-
-    def __contains__(self, fid: int) -> bool:
-        return fid in self._counts
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-
 class Engine:
     """Dynamic facility location engine over one instance.
 
@@ -141,9 +107,7 @@ class Engine:
 
     def __init__(self, instance: Instance, clients=()):
         self.instance = instance
-        self.registry = ClientRegistry()
-        for cid, point in dict(clients).items():
-            self.registry.add(cid, point)
+        self.registry: dict = dict(clients)  # live client id -> point index
         self.n = largest_power_of_five_at_most(len(self.registry))
         self.last_update = UpdateStats()
         self._hierarchies: dict[tuple[int, int], Hierarchy] = {}
@@ -163,8 +127,10 @@ class Engine:
         return float(units * self._unit_scale)
 
     def solution_query(self) -> list[int]:
-        """Designated facilities of the currently open triplets."""
-        return self.facility_registry.facilities()
+        """Designated facilities of the currently open triplets, sorted;
+        linear in the number of open triplets."""
+        nodes = self.hierarchy.nodes
+        return sorted({nodes[i].designated_facility for i in self.open_nodes})
 
     def assign_client(self, cid) -> Assignment:
         """Resolve a live client to its lowest enabled area and open facility."""
@@ -172,7 +138,7 @@ class Engine:
             raise ValueError(f"unknown client id: {cid!r}")
         anns = self.annotations
         nodes = self.hierarchy.nodes
-        chain = self.hierarchy.area_chain(self.registry.point_of(cid))
+        chain = self.hierarchy.area_chain(self.registry[cid])
         area_idx = next((i for i in chain if anns[i].is_enabled), None)
         if area_idx is None:
             raise RuntimeError("no enabled area on a live client's chain")
@@ -201,7 +167,7 @@ class Engine:
         distances under the current assignment."""
         dist = self.instance.distance
         facs = self.instance.facilities
-        total = sum(facs[f].opening_cost for f in self.facility_registry.facilities())
+        total = sum(facs[f].opening_cost for f in self.solution_query())
         for cid, point in self.registry.items():
             assignment = self.assign_client(cid)
             total += dist(point, facs[assignment.open_facility].point)
@@ -211,12 +177,15 @@ class Engine:
         """Digest of the full dynamic state (structure, annotations, clients)."""
         h = hashlib.sha256()
         p = self.params
+        nodes = self.hierarchy.nodes
         h.update(repr((p.rho_min, p.rho_max, self.n)).encode())
-        for node, a in zip(self.hierarchy.nodes, self.annotations):
+        for node, a in zip(nodes, self.annotations):
             h.update(repr((node.facility, node.r, node.color, a.is_open,
                            a.is_enabled, a.is_abundant, a.n_area, a.n_x,
                            a.open_below, a.n_enabled_below, a.cost, a.y)).encode())
-        h.update(repr(sorted(self.facility_registry.items())).encode())
+        # Open triplets per designated facility.
+        designations = Counter(nodes[i].designated_facility for i in self.open_nodes)
+        h.update(repr(sorted(designations.items())).encode())
         h.update(repr(sorted((str(c), pt) for c, pt in self.registry.items())).encode())
         return h.hexdigest()
 
@@ -228,14 +197,14 @@ class Engine:
         if cid in self.registry:
             raise ValueError(f"client id already live: {cid!r}")
         chain = self.hierarchy.area_chain(point)
-        self.registry.add(cid, point)
+        self.registry[cid] = point
         self._apply(chain, +1)
         self._after_mutation()
 
     def delete_client(self, cid) -> None:
         if cid not in self.registry:
             raise ValueError(f"unknown client id: {cid!r}")
-        chain = self.hierarchy.area_chain(self.registry.remove(cid))
+        chain = self.hierarchy.area_chain(self.registry.pop(cid))
         self._apply(chain, -1)
         self._after_mutation()
 
@@ -252,11 +221,6 @@ class Engine:
         for idx in chain:
             out.extend(nodes[idx].x_areas)
         return out
-
-    def check_status(self, idx: int) -> tuple[bool, bool]:
-        """Proposed open bit for a triplet plus whether it differs."""
-        proposal = self._proposed_open(idx)
-        return proposal, proposal != self.annotations[idx].is_open
 
     def _proposed_open(self, idx: int) -> bool:
         a = self.annotations[idx]
@@ -289,16 +253,13 @@ class Engine:
             if proposal != a.is_open:
                 flips += 1
                 a.is_open = proposal
-                node = nodes[idx]
                 if proposal:
                     self.open_nodes.add(idx)
-                    self.facility_registry.incref(node.designated_facility)
                     step = 1
                 else:
                     self.open_nodes.discard(idx)
-                    self.facility_registry.decref(node.designated_facility)
                     step = -1
-                for up in node.neighbors_above:
+                for up in nodes[idx].neighbors_above:
                     anns[up].open_below += step
                     heap.push(nodes[up].key(), up)
         flipped: list[tuple[int, bool]] = []
@@ -392,7 +353,6 @@ class Engine:
         anns = [NodeAnnotation() for _ in nodes]
         self.annotations = anns
         self.open_nodes: set[int] = set()
-        self.facility_registry = OpenFacilityRegistry()
 
         for _, point in self.registry.items():
             for idx in hierarchy.area_chain(point):
@@ -410,7 +370,6 @@ class Engine:
             if a.is_abundant and a.open_below == 0:
                 a.is_open = True
                 self.open_nodes.add(idx)
-                self.facility_registry.incref(nodes[idx].designated_facility)
                 for up in nodes[idx].neighbors_above:
                     anns[up].open_below += 1
 

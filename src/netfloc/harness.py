@@ -1,6 +1,6 @@
-"""Command-line driver: parse instances and update traces, run the dynamic
-engine (optionally verified against the from-scratch oracle), benchmark, and
-report exact optima for small instances.
+"""Command-line driver: parse update traces, run the dynamic engine, verify
+it against the from-scratch oracle after every mutation (``verify``, alias
+``run --verified``), benchmark, and report exact optima for small instances.
 
 Trace format (UTF-8, line based):
     + <cid> <point-index>     insert a client ("P3" is accepted for "3")
@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .engine import Engine
+from .engine import HIERARCHY_CACHE_SIZE, Engine
 from .hierarchy import PAYMENT_BOUND_FACTOR
 from .instance import Instance, InstanceError, NetflocError
 from .oracle import OracleView, compare_states, engine_snapshot, \
@@ -31,15 +31,6 @@ PAYMENT_SLACK = 1e-9  # relative slack for float distance sums
 
 class TraceError(NetflocError):
     """Malformed trace file."""
-
-
-class VerificationError(NetflocError):
-    """Engine state diverged from the from-scratch recomputation."""
-
-    def __init__(self, event_index: int, details: list[str]):
-        super().__init__(f"event {event_index}: {details[0]}")
-        self.event_index = event_index
-        self.details = details
 
 
 @dataclass(frozen=True)
@@ -116,11 +107,6 @@ def parse_trace(path) -> list[TraceEvent]:
         return parse_trace_text(fh.read())
 
 
-def parse_instance(path) -> Instance:
-    """Load and validate an instance file."""
-    return Instance.load(path)
-
-
 def _apply_event(engine: Engine, event: TraceEvent, outputs: list[str]) -> None:
     if event.kind == "insert":
         engine.insert_client(event.cid, event.point)
@@ -132,30 +118,19 @@ def _apply_event(engine: Engine, event: TraceEvent, outputs: list[str]) -> None:
         outputs.append(" ".join(f"F{fid}" for fid in sorted(engine.solution_query())))
 
 
-def run_trace(instance: Instance, trace, mode: str = "fast") -> RunReport:
-    """Replay a trace; in "verified" mode every mutation is cross-checked
-    against the from-scratch recomputation and a mismatch aborts the run."""
-    if mode not in ("fast", "verified"):
-        raise ValueError(f"unknown mode {mode!r}")
+def run_trace(instance: Instance, trace) -> RunReport:
+    """Replay a trace, collecting query outputs and work counters."""
     engine = Engine(instance)
-    view: OracleView | None = None
     outputs: list[str] = []
     affected = pulls = flips = mutations = 0
     started = time.perf_counter()
-    for index, event in enumerate(trace):
+    for event in trace:
         _apply_event(engine, event, outputs)
         if event.kind in ("insert", "delete"):
             mutations += 1
             affected += engine.last_update.affected
             pulls += engine.last_update.heap_pulls
             flips += engine.last_update.flips
-            if mode == "verified":
-                if view is None or view.hierarchy is not engine.hierarchy:
-                    view = OracleView(instance, engine.hierarchy)
-                expected = view.recompute_state(dict(engine.registry.items()))
-                mismatches = compare_states(engine_snapshot(engine), expected)
-                if mismatches:
-                    raise VerificationError(index, mismatches)
     elapsed = time.perf_counter() - started
     return RunReport(outputs, len(outputs), mutations, affected, pulls, flips, elapsed)
 
@@ -168,7 +143,9 @@ def verify_trace(instance: Instance, trace, corruption=None) -> tuple[int, list[
     hook called as corruption(engine, event_index) after each event.
     """
     engine = Engine(instance)
-    view: OracleView | None = None
+    # One OracleView per hierarchy the engine still caches, evicted in the
+    # engine's least-recently-used order so the two sets stay equal.
+    views = {}
     outputs: list[str] = []
     for index, event in enumerate(trace):
         try:
@@ -179,9 +156,13 @@ def verify_trace(instance: Instance, trace, corruption=None) -> tuple[int, list[
             corruption(engine, index)
         if event.kind not in ("insert", "delete"):
             continue
-        if view is None or view.hierarchy is not engine.hierarchy:
+        view = views.pop(engine.hierarchy, None)
+        if view is None:
             view = OracleView(instance, engine.hierarchy)
-        expected = view.recompute_state(dict(engine.registry.items()))
+            if len(views) >= HIERARCHY_CACHE_SIZE:
+                del views[next(iter(views))]
+        views[engine.hierarchy] = view
+        expected = view.recompute_state(engine.registry)
         mismatches = compare_states(engine_snapshot(engine), expected)
         if mismatches:
             return 1, [f"event {index}: {m}" for m in mismatches]
@@ -236,7 +217,7 @@ def opt_command(instance: Instance, trace) -> str:
     for event in trace:
         if event.kind in ("insert", "delete"):
             _apply_event(engine, event, sink)
-    opt = brute_force_opt(instance, dict(engine.registry.items()))
+    opt = brute_force_opt(instance, engine.registry)
     cost = engine.cost_query()
     realized = engine.realized_cost()
     if opt.cost > 0:
@@ -313,7 +294,7 @@ def main(argv=None) -> int:
     p_run.add_argument("instance")
     p_run.add_argument("trace")
     p_run.add_argument("--verified", action="store_true",
-                       help="cross-check every mutation against the oracle")
+                       help="same as the verify command")
 
     p_verify = sub.add_parser("verify", help="verified replay plus invariant suite")
     p_verify.add_argument("instance")
@@ -333,18 +314,17 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        instance = parse_instance(args.instance)
+        instance = Instance.load(args.instance)
         if args.command == "dump-tree":
             print(Engine(instance).hierarchy.dump())
             return 0
         trace = parse_trace(args.trace)
-        if args.command == "run":
-            report = run_trace(instance, trace,
-                               mode="verified" if args.verified else "fast")
+        if args.command == "run" and not args.verified:
+            report = run_trace(instance, trace)
             if report.outputs:
                 print(report.render())
             return 0
-        if args.command == "verify":
+        if args.command in ("run", "verify"):
             code, lines = verify_trace(instance, trace)
             if code == 0:
                 if lines:
@@ -358,10 +338,6 @@ def main(argv=None) -> int:
             return 0
         print(opt_command(instance, trace))
         return 0
-    except VerificationError as exc:
-        for line in exc.details:
-            print(f"event {exc.event_index}: {line}", file=sys.stderr)
-        return 1
     except (InstanceError, TraceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

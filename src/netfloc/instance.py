@@ -28,6 +28,14 @@ def _is_finite_number(x) -> bool:
         return False
 
 
+def _as_list(value, what: str) -> list:
+    """The items of an iterable input field; a scalar is an input error."""
+    try:
+        return list(value)
+    except TypeError:
+        raise InstanceError(f"{what} must be a list, got {value!r}") from None
+
+
 class NetflocError(Exception):
     """Base class for package errors."""
 
@@ -114,14 +122,20 @@ class Instance:
         if kind == "explicit-matrix":
             if points is not None or matrix is None:
                 raise InstanceError("explicit-matrix instances take a matrix, not points")
-            self._matrix = [tuple(float(x) for x in row) for row in matrix]
+            rows = [_as_list(row, "matrix row") for row in _as_list(matrix, "matrix")]
+            for p, row in enumerate(rows):
+                for q, x in enumerate(row):
+                    if not _is_finite_number(x):
+                        raise InstanceError(f"non-numeric, NaN or infinite distance "
+                                            f"for pair ({p}, {q}): {x!r}")
+            self._matrix = [tuple(float(x) for x in row) for row in rows]
             self._points = None
             self._validate_matrix()
             self.n_points = len(self._matrix)
         else:
             if matrix is not None or points is None:
                 raise InstanceError("euclidean instances take points, not a matrix")
-            self._points = [self._coerce_point(p) for p in points]
+            self._points = [self._coerce_point(p) for p in _as_list(points, "points")]
             self._matrix = None
             self.n_points = len(self._points)
             dims = {len(p) for p in self._points}
@@ -167,8 +181,8 @@ class Instance:
             for q in range(p + 1, n):
                 if m[p][q] != m[q][p]:
                     raise InstanceError(f"asymmetric distances for pair ({p}, {q})")
-                if not 0 <= m[p][q] < math.inf:
-                    raise InstanceError(f"negative or infinite distance for pair ({p}, {q})")
+                if m[p][q] < 0:
+                    raise InstanceError(f"negative distance for pair ({p}, {q})")
         for x in range(n):
             col = m[x]
             for p in range(n):
@@ -192,26 +206,26 @@ class Instance:
 
     @property
     def diameter(self) -> float:
-        """Maximum pairwise distance over the declared point universe."""
+        """Maximum pairwise distance over the declared point universe; an
+        input error when it overflows to infinity."""
         if self._diameter is None:
             if self._matrix is not None:
-                self._diameter = max(max(row) for row in self._matrix)
+                diameter = max(max(row) for row in self._matrix)
             else:
                 arr = np.asarray(self._points, dtype=float)
-                if self.kind == "euclidean-L2":
-                    best = 0.0
+                best = 0.0
+                with np.errstate(over="ignore"):  # overflow is reported below
                     for i in range(len(arr)):
-                        d2 = ((arr[i] - arr) ** 2).sum(axis=1).max()
-                        if d2 > best:
-                            best = d2
-                    self._diameter = float(math.sqrt(best))
-                else:
-                    best = 0.0
-                    for i in range(len(arr)):
-                        d = np.abs(arr[i] - arr).max()
+                        if self.kind == "euclidean-L2":
+                            d = ((arr[i] - arr) ** 2).sum(axis=1).max()
+                        else:
+                            d = np.abs(arr[i] - arr).max()
                         if d > best:
                             best = d
-                    self._diameter = float(best)
+                diameter = float(math.sqrt(best) if self.kind == "euclidean-L2" else best)
+            if not math.isfinite(diameter):
+                raise InstanceError("points too far apart: the diameter overflows to inf")
+            self._diameter = diameter
         return self._diameter
 
     def facility_point(self, fid: int) -> int:
@@ -268,32 +282,3 @@ def derive_parameters(instance: Instance, n: int) -> Params:
         rho_max=rho_max,
         delta=rho_max - rho_min + 1,
     )
-
-
-class ClientRegistry:
-    """Live clients: unique ids mapped to points of the instance."""
-
-    def __init__(self):
-        self._points: dict = {}
-
-    def add(self, cid, point: int) -> None:
-        if cid in self._points:
-            raise ValueError(f"client id already live: {cid!r}")
-        self._points[cid] = point
-
-    def remove(self, cid) -> int:
-        if cid not in self._points:
-            raise ValueError(f"unknown client id: {cid!r}")
-        return self._points.pop(cid)
-
-    def point_of(self, cid) -> int:
-        return self._points[cid]
-
-    def items(self):
-        return self._points.items()
-
-    def __contains__(self, cid) -> bool:
-        return cid in self._points
-
-    def __len__(self) -> int:
-        return len(self._points)

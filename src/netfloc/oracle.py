@@ -50,7 +50,7 @@ def engine_snapshot(engine: Engine) -> StateSnapshot:
     return StateSnapshot(
         structure=structure_signature(engine.hierarchy),
         annotations=[a.clone() for a in engine.annotations],
-        open_facilities=frozenset(engine.facility_registry.facilities()),
+        open_facilities=frozenset(engine.solution_query()),
         assignments={cid: engine.assign_client(cid)
                      for cid, _ in engine.registry.items()},
     )
@@ -243,11 +243,6 @@ class OracleView:
         open_facs = frozenset(nodes[idx].designated_facility for idx in open_list)
         return StateSnapshot(structure_signature(hierarchy), annotations,
                              open_facs, assignments)
-
-
-def recompute_state(instance: Instance, hierarchy: Hierarchy, clients) -> StateSnapshot:
-    """One-shot from-scratch evaluation (builds a throwaway view)."""
-    return OracleView(instance, hierarchy).recompute_state(clients)
 
 
 _ANNOTATION_FIELDS = ("is_open", "is_enabled", "is_abundant", "n_area", "n_x",

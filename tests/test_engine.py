@@ -3,7 +3,7 @@ import random
 import pytest
 
 from netfloc import (ASSIGN_RADIUS_FACTOR, DirtyHeap, Engine, Hierarchy,
-                     NodeAnnotation, OpenFacilityRegistry, OracleView,
+                     NodeAnnotation, OracleView,
                      compare_states, engine_snapshot, radius,
                      random_instance, random_trace)
 from netfloc.engine import HIERARCHY_CACHE_SIZE
@@ -120,16 +120,16 @@ def test_check_status_branch_table(line5):
     a = eng.annotations[idx]
 
     a.is_open, a.is_abundant, a.open_below = False, True, 0
-    assert eng.check_status(idx) == (True, True)
+    assert eng._proposed_open(idx) is True
 
     a.is_open, a.is_abundant, a.open_below = True, True, 2
-    assert eng.check_status(idx) == (False, True)
+    assert eng._proposed_open(idx) is False
 
     a.is_open, a.is_abundant, a.open_below = False, False, 0
-    assert eng.check_status(idx) == (False, False)
+    assert eng._proposed_open(idx) is False
 
     a.is_open, a.is_abundant, a.open_below = True, True, 0
-    assert eng.check_status(idx) == (True, False)
+    assert eng._proposed_open(idx) is True
 
 
 def test_find_affected_equals_membership_scan():
@@ -307,18 +307,6 @@ def test_dirty_heap_guards():
     assert heap.pop() == 7 and not heap
     with pytest.raises(RuntimeError, match="cleaned twice"):
         heap.push((1, 0, 0), 7)
-
-
-def test_open_facility_registry_refcounts():
-    reg = OpenFacilityRegistry()
-    reg.incref(3)
-    reg.incref(3)
-    reg.incref(5)
-    assert sorted(reg.facilities()) == [3, 5]
-    reg.decref(3)
-    assert 3 in reg and len(reg) == 2
-    reg.decref(3)
-    assert 3 not in reg and reg.facilities() == [5]
 
 
 def test_annotation_clone_is_detached():

@@ -1,17 +1,18 @@
 import json
 import random
+import weakref
 
 import pytest
 
-from netfloc import (Instance, InstanceError, TraceError, TraceEvent,
-                     VerificationError, bench_trace, opt_command,
-                     parse_instance, parse_trace, parse_trace_text,
+from netfloc import (Instance, InstanceError, OracleView, TraceError, TraceEvent,
+                     bench_trace, opt_command, parse_trace, parse_trace_text,
                      random_instance, random_trace, run_trace, verify_trace)
+from netfloc.engine import HIERARCHY_CACHE_SIZE
 from netfloc.harness import default_seed, main
 
 
 def test_parse_instance_line5(data_dir):
-    inst = parse_instance(data_dir / "line5.json")
+    inst = Instance.load(data_dir / "line5.json")
     assert inst.n_points == 5 and len(inst.facilities) == 2
     assert inst.kappa == 2
 
@@ -23,7 +24,7 @@ def test_parse_instance_rejects_negative_cost(tmp_path):
         "facilities": [{"point": 0, "cost": -1}],
     }))
     with pytest.raises(InstanceError, match="positive opening cost"):
-        parse_instance(path)
+        Instance.load(path)
 
 
 def test_parse_instance_rejects_asymmetric_matrix(tmp_path):
@@ -33,14 +34,14 @@ def test_parse_instance_rejects_asymmetric_matrix(tmp_path):
         "facilities": [{"point": 0, "cost": 1}],
     }))
     with pytest.raises(InstanceError, match=r"pair \(0, 1\)"):
-        parse_instance(path)
+        Instance.load(path)
 
 
 def test_parse_instance_reports_json_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"metric": }')
     with pytest.raises(InstanceError, match="line 1 column"):
-        parse_instance(path)
+        Instance.load(path)
 
 
 def test_parse_trace_accepts_p_prefix_and_comments():
@@ -75,8 +76,7 @@ def test_run_trace_golden_line5(line5, data_dir):
     report = run_trace(line5, trace)
     assert report.outputs == ["25", "F0", "15", "F0"]
     assert report.queries == 4 and report.mutations == 3
-    verified = run_trace(line5, trace, mode="verified")
-    assert verified.outputs == report.outputs
+    assert verify_trace(line5, trace) == (0, report.outputs)
 
 
 def test_run_trace_insert_delete_costs_zero(line5):
@@ -130,6 +130,48 @@ def test_verify_random_trace(line5):
     rng = random.Random(13)
     code, _ = verify_trace(line5, random_trace(rng, line5, 60))
     assert code == 0
+
+
+def _view_counts(monkeypatch, instance, trace):
+    """Run verify_trace; return (views built, distinct hierarchies viewed,
+    most views alive at once)."""
+    built, alive, peak = [], weakref.WeakSet(), [0]
+    real_init = OracleView.__init__
+
+    def counting_init(self, instance, hierarchy):
+        built.append(hierarchy)
+        alive.add(self)
+        real_init(self, instance, hierarchy)
+
+    def watch(engine, index):
+        peak[0] = max(peak[0], len(alive))
+
+    monkeypatch.setattr(OracleView, "__init__", counting_init)
+    assert verify_trace(instance, trace, corruption=watch)[0] == 0
+    return len(built), len({id(h) for h in built}), peak[0]
+
+
+def test_verify_trace_builds_one_view_per_hierarchy(monkeypatch, line5):
+    # Three facilities and a live count moving 24 <-> 25: every crossing
+    # switches the engine between the same two cached hierarchies.
+    rng = random.Random(61)
+    inst = random_instance(rng, n_facilities=3, n_pool_points=30)
+    trace = [TraceEvent("insert", f"c{i}", rng.randrange(inst.n_points))
+             for i in range(24)]
+    for i in range(24, 28):
+        trace.append(TraceEvent("insert", f"c{i}", rng.randrange(inst.n_points)))
+        trace.append(TraceEvent("delete", f"c{i}"))
+    assert _view_counts(monkeypatch, inst, trace) == (2, 2, 2)
+
+    # Three climbs from 0 to 130 clients and back visit four scales each, so
+    # the engine evicts and rebuilds hierarchies; the views follow it.
+    trace = []
+    for start in range(0, 390, 130):
+        cids = [f"c{start + i}" for i in range(130)]
+        trace += [TraceEvent("insert", cid, i % 5) for i, cid in enumerate(cids)]
+        trace += [TraceEvent("delete", cid) for cid in cids]
+    built, distinct, peak = _view_counts(monkeypatch, line5, trace)
+    assert built == distinct and peak <= HIERARCHY_CACHE_SIZE
 
 
 def test_bench_csv_shape(line5, data_dir):
@@ -202,7 +244,7 @@ def test_cli_run_and_verify(data_dir, capsys):
     assert main(["run", inst, trace]) == 0
     assert capsys.readouterr().out.splitlines() == ["25", "F0", "15", "F0"]
     assert main(["run", inst, trace, "--verified"]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out.splitlines() == ["25", "F0", "15", "F0"]
     assert main(["verify", inst, trace]) == 0
     assert capsys.readouterr().out.splitlines() == ["25", "F0", "15", "F0"]
 
@@ -240,6 +282,20 @@ def test_cli_rejects_non_finite_scalar_point(tmp_path, capsys, bad):
     assert main(["run", str(inst), str(trace)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad point coordinates") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["euclidean-L2", "euclidean-Linf"])
+def test_cli_rejects_infinite_diameter(tmp_path, capsys, kind):
+    inst = tmp_path / "far.json"
+    inst.write_text(json.dumps({
+        "metric": {"kind": kind, "points": [[-1e308], [1e308]]},
+        "facilities": [{"point": 0, "cost": 3}, {"point": 1, "cost": 3}],
+    }))
+    trace = tmp_path / "t.trace"
+    trace.write_text("+ c1 1\n? cost\n")
+    assert main(["run", str(inst), str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: points too far apart") and err.count("\n") == 1
 
 
 def test_cli_directory_path_is_input_error(data_dir, tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from netfloc import (ClientRegistry, Instance, InstanceError, cround,
+from netfloc import (Instance, InstanceError, cround,
                      derive_parameters, largest_power_of_five_at_most,
                      random_instance)
 
@@ -125,6 +125,11 @@ def test_rejects_bad_facility_point():
     ({"points": [0, 1], "facilities": [(1.0, 2)]}, "unknown point"),
     ({"points": [0, 1], "kappa": "two"}, "kappa must be a positive number"),
     ({"matrix": [[0, float("inf")], [float("inf"), 0]]}, r"infinite distance for pair \(0, 1\)"),
+    ({"points": 5}, "points must be a list"),
+    ({"matrix": [1, 2]}, "matrix row must be a list"),
+    ({"matrix": 5}, "matrix must be a list"),
+    ({"matrix": [[0, True], [True, 0]]}, r"non-numeric, NaN or infinite distance for pair \(0, 1\)"),
+    ({"matrix": [[0, "1"], ["1", 0]]}, r"non-numeric, NaN or infinite distance for pair \(0, 1\)"),
 ])
 def test_rejects_non_numeric_and_non_finite_values(kwargs, message):
     kind = "explicit-matrix" if "matrix" in kwargs else "euclidean-L2"
@@ -136,15 +141,3 @@ def test_rejects_non_numeric_and_non_finite_values(kwargs, message):
 def test_largest_power_of_five():
     assert [largest_power_of_five_at_most(c) for c in (0, 1, 4, 5, 24, 25, 26, 125)] \
         == [0, 1, 1, 5, 5, 25, 25, 125]
-
-
-def test_client_registry_basics():
-    reg = ClientRegistry()
-    reg.add("a", 3)
-    assert "a" in reg and len(reg) == 1 and reg.point_of("a") == 3
-    with pytest.raises(ValueError, match="already live"):
-        reg.add("a", 4)
-    assert reg.remove("a") == 3
-    with pytest.raises(ValueError, match="unknown client"):
-        reg.remove("a")
-    assert len(reg) == 0

@@ -6,19 +6,19 @@ import pytest
 import helpers
 from netfloc import (Engine, HierarchyMismatch, Instance, OracleView,
                      brute_force_opt, compare_states, engine_snapshot,
-                     random_instance, recompute_state)
+                     random_instance)
 
 
 def test_recompute_empty_clients(line5):
     h = helpers.build(line5)
-    snap = recompute_state(line5, h, {})
+    snap = OracleView(line5, h).recompute_state({})
     assert all(a == type(a)() for a in snap.annotations)
     assert snap.open_facilities == frozenset() and snap.assignments == {}
 
 
 def test_recompute_one_client(line5):
     h = helpers.build(line5)
-    snap = recompute_state(line5, h, {"c1": 3})
+    snap = OracleView(line5, h).recompute_state({"c1": 3})
     by_pair = {(h.nodes[i].facility, h.nodes[i].r): snap.annotations[i]
                for i in range(len(h.nodes))}
     assert [by_pair[(0, r)].is_open for r in (1, 2, 3)] == [False, True, False]
