@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .hierarchy import Hierarchy
-from .instance import Instance, InstanceError, derive_parameters, \
+from .instance import Instance, derive_parameters, \
     largest_power_of_five_at_most
 
 # Hierarchies cached per engine: two cover a count oscillating across a power of 5.
@@ -107,7 +107,9 @@ class Engine:
 
     def __init__(self, instance: Instance, clients=()):
         self.instance = instance
-        self.registry: dict = dict(clients)  # live client id -> point index
+        # live client id -> point index
+        self.registry: dict = {cid: instance.point_index(point)
+                               for cid, point in dict(clients).items()}
         self.n = largest_power_of_five_at_most(len(self.registry))
         self.last_update = UpdateStats()
         self._hierarchies: dict[tuple[int, int], Hierarchy] = {}
@@ -192,8 +194,7 @@ class Engine:
     # -- updates ---------------------------------------------------------------
 
     def insert_client(self, cid, point: int) -> None:
-        if not 0 <= point < self.instance.n_points:
-            raise InstanceError(f"point index out of range: {point}")
+        point = self.instance.point_index(point)
         if cid in self.registry:
             raise ValueError(f"client id already live: {cid!r}")
         chain = self.hierarchy.area_chain(point)

@@ -2,6 +2,15 @@
 tree over (facility, logradius) pairs, laminar areas, x/y neighborhood lists,
 coloring, and designated facilities.
 
+The build reads the instance's facility distance table
+(``Instance.facility_distances``): separated sets, parents, colors, x/y
+lists, designations and ``neighbors_above`` are boolean-mask and argmin
+passes over it.  Each threshold ``c * 5**r`` is compared as ``threshold``,
+the largest float not above it, so every decision equals the exact test of
+a scalar distance against the exact threshold.  Area chains, of facility
+and client points alike, come from the ``find_area`` walk over the tree
+with scalar distances.
+
 Everything here is immutable once built, so a point's area chain is
 computed once per hierarchy and memoised.  The engine keeps the hierarchies
 of its last few scales and reuses one when its (rho_min, rho_max) comes back.
@@ -11,6 +20,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .instance import Instance, Params
 
@@ -72,22 +83,36 @@ class TripletNode:
         return (self.r, self.color, self.facility)
 
 
+def threshold(c: int, r: int) -> float:
+    """``radius(c, r)`` as the largest float not above it (inf beyond the
+    float range), so that for a float distance d, ``d <= threshold(c, r)``
+    decides ``d <= radius(c, r)`` exactly."""
+    t = radius(c, r)
+    if isinstance(t, float):
+        return t
+    try:
+        f = float(t)
+    except OverflowError:
+        return math.inf
+    return f if f <= t else math.nextafter(f, -math.inf)
+
+
 def build_separated_sets(instance: Instance, params: Params) -> dict[int, list[int]]:
     """Greedy maximal separated facility subset per logradius, in id order.
 
     Any two chosen facilities at level r are strictly more than C1*5**r
     apart, and every facility is within that radius of a chosen one.
     """
-    dist = instance.distance
-    facs = instance.facilities
+    table = instance.facility_distances
     sets: dict[int, list[int]] = {}
     for r in range(params.rho_min, params.rho_max + 1):
-        thr = radius(C1, r)
+        thr = threshold(C1, r)
+        covered = np.zeros(len(table), dtype=bool)
         chosen: list[int] = []
-        for fac in facs:
-            p = fac.point
-            if all(dist(p, facs[c].point) > thr for c in chosen):
-                chosen.append(fac.id)
+        for fid in range(len(table)):
+            if not covered[fid]:
+                chosen.append(fid)
+                covered |= table[:, fid] <= thr
         sets[r] = chosen
     return sets
 
@@ -96,15 +121,14 @@ def build_tree(instance: Instance, params: Params,
                sets: dict[int, list[int]]) -> dict[tuple[int, int], tuple[int, int]]:
     """Parent map: each (facility, r) pair points at the closest level-(r+1)
     facility, ties broken by ascending facility id."""
-    dist = instance.distance
-    fp = instance.facility_point
+    table = instance.facility_distances
     parents: dict[tuple[int, int], tuple[int, int]] = {}
     for r in range(params.rho_min, params.rho_max):
-        uppers = sets[r + 1]
-        for j in sets[r]:
-            p = fp(j)
-            best = min(uppers, key=lambda u: (dist(p, fp(u)), u))
-            parents[(j, r)] = (best, r + 1)
+        uppers = np.array(sets[r + 1])
+        # argmin keeps the first of equal distances: the lowest upper id.
+        best = uppers[table[np.ix_(sets[r], uppers)].argmin(axis=1)]
+        for j, u in zip(sets[r], best.tolist()):
+            parents[(j, r)] = (u, r + 1)
     return parents
 
 
@@ -133,14 +157,14 @@ class Hierarchy:
                 ids.append(idx)
             self.by_level[r] = ids
 
+        # build_tree lists each level's pairs in ascending facility id, so
+        # every children list comes out in facility order.
         parents = build_tree(instance, params, self.level_sets)
         for (j, r), (pj, pr) in parents.items():
             idx = self.node_of[(j, r)]
             pidx = self.node_of[(pj, pr)]
             self.nodes[idx].parent = pidx
             self.nodes[pidx].children.append(idx)
-        for node in self.nodes:
-            node.children.sort(key=lambda i: self.nodes[i].facility)
         self.root = self.by_level[params.rho_max][0]
 
         # Point -> area chain, filled on first use.  The facility points are
@@ -148,9 +172,7 @@ class Hierarchy:
         self._chains: dict[int, tuple[int, ...]] = {}
         for f in instance.facilities:
             self.area_chain(f.point)
-
-        self._color_pairs()
-        self._build_xy_and_designations()
+        self._build_levels()
 
     # -- point lookups ----------------------------------------------------
 
@@ -233,82 +255,91 @@ class Hierarchy:
 
     # -- build stages ------------------------------------------------------
 
-    def _color_pairs(self) -> None:
-        """Greedy per-level coloring: same-level nodes within C4*5**r get
-        distinct colors; lower facility ids are colored first."""
-        nodes = self.nodes
-        fp = self._fac_point
+    def _build_levels(self) -> None:
+        """Colors, x/y lists, designations and ``neighbors_above``, one level
+        at a time from the bottom, each from one block of the level's
+        distances."""
+        nodes, params = self.nodes, self.params
+        facs = self.instance.facilities
+        table = self.instance.facility_distances
+        n_fac, n_nodes = len(facs), len(nodes)
+        costs = np.array([f.opening_cost for f in facs])
+        # Facility ids in (cost, id) order: the designation order.
+        by_cost = np.lexsort((np.arange(n_fac), costs))
+        # Facility x level tables of chain entries, of node ids and of
+        # (level, color) keys; a level's keys are filled once it is colored,
+        # and absent or not yet colored nodes keep a key above every real one.
+        # A level has at most n_fac nodes, so colors stay below n_fac.
+        entries = np.full((n_fac, params.delta), -1, dtype=np.int64)
+        for fid, f in enumerate(facs):
+            chain = self._chains[f.point]
+            entries[fid, nodes[chain[0]].r - params.rho_min:] = chain
+        node_ids = np.full(entries.shape, -1, dtype=np.int64)
+        keys = np.full(entries.shape, params.delta * n_fac, dtype=np.int64)
+        for node in nodes:
+            node_ids[node.facility, node.r - params.rho_min] = node.idx
+
+        # One int object per node id, shared by every id list (as appending
+        # node.idx would), instead of a fresh int per list entry.
+        id_objs = np.array([node.idx for node in nodes], dtype=object)
+        pairs = []  # below * n_nodes + above, one per neighbors_above entry
         for r, ids in self.by_level.items():
-            for idx in ids:
-                node = nodes[idx]
-                taken = set()
-                for cand in self.find_balls(fp[node.facility], C4):
-                    other = nodes[cand]
-                    if other.r == r and other.facility < node.facility:
-                        taken.add(other.color)
+            off = r - params.rho_min
+            start = ids[0]
+            members = self.level_sets[r]
+            block = table[np.ix_(members, members)]
+
+            # Greedy coloring: same-level nodes within C4*5**r get distinct
+            # colors; lower facility ids are colored first.
+            clash = block <= threshold(C4, r)
+            colors: list[int] = []
+            for pos, idx in enumerate(ids):
+                taken = {colors[k] for k in np.flatnonzero(clash[pos, :pos]).tolist()}
                 color = 0
                 while color in taken:
                     color += 1
-                node.color = color
+                colors.append(color)
+                nodes[idx].color = color
+            keys[members, off] = up_keys = off * n_fac + np.array(colors)
 
-    def _build_xy_and_designations(self) -> None:
-        nodes = self.nodes
-        fp = self._fac_point
-        dist = self.instance.distance
+            near = block <= threshold(CX, r)
+            far = block <= threshold(CY, r)
+            del block
+            for pos, idx in enumerate(ids):
+                nodes[idx].x_areas = id_objs[start + np.flatnonzero(near[pos])].tolist()
+                nodes[idx].y_areas = id_objs[start + np.flatnonzero(far[pos])].tolist()
 
-        for node in nodes:
-            x_areas, y_areas = [], []
-            for cand in self.find_balls(fp[node.facility], CY):
-                other = nodes[cand]
-                if other.r != node.r:
-                    continue
-                y_areas.append(cand)
-                if dist(fp[node.facility], fp[other.facility]) <= radius(CX, node.r):
-                    x_areas.append(cand)
-            node.x_areas = sorted(x_areas)
-            node.y_areas = sorted(y_areas)
-
-        # Facilities bucketed by the area chain entry holding their point.
-        bucket: dict[int, list[int]] = {}
-        for fac in self.instance.facilities:
-            for idx in self._chains[fac.point]:
-                bucket.setdefault(idx, []).append(fac.id)
-
-        facs = self.instance.facilities
-        for node in nodes:
-            best_cost = math.inf
-            best_id = -1
-            for area in node.x_areas:
-                for fid in bucket.get(area, ()):
-                    cost = facs[fid].opening_cost
-                    if cost < best_cost or (cost == best_cost and fid < best_id):
-                        best_cost, best_id = cost, fid
-            if best_id < 0:
+            # Designation: the first facility in (cost, id) order whose
+            # level-r chain entry is one of the node's x areas.
+            order = by_cost[entries[by_cost, off] >= 0]
+            hits = near[:, entries[order, off] - start]
+            if not hits.any(axis=1).all():
                 raise AssertionError("area lost its own facility")
-            node.designated_facility = best_id
-            node.designated_cost = best_cost
-            # Smallest client count in the near neighborhood that pays the
-            # designated cost at this scale, as an exact integer.
-            node.abundance_threshold = math.ceil(
-                Fraction(best_cost) / Fraction(5) ** node.r)
+            for idx, fid in zip(ids, order[hits.argmax(axis=1)].tolist()):
+                node = nodes[idx]
+                node.designated_facility = fid
+                node.designated_cost = cost = facs[fid].opening_cost
+                # Smallest client count in the near neighborhood that pays
+                # the designated cost at this scale, as an exact integer.
+                node.abundance_threshold = math.ceil(Fraction(cost) / Fraction(5) ** r)
 
-        for upper in nodes:
-            ukey = (upper.r, upper.color)
-            seen: set[int] = set()
-            for area in upper.y_areas:
-                for fid in bucket.get(area, ()):
-                    if fid in seen:
-                        continue
-                    seen.add(fid)
-                    for r in range(self.params.rho_min, upper.r + 1):
-                        vidx = self.node_of.get((fid, r))
-                        if vidx is None:
-                            continue
-                        v = nodes[vidx]
-                        if (v.r, v.color) < ukey:
-                            v.neighbors_above.append(upper.idx)
+            # neighbors_above: each node v of a facility whose level-r chain
+            # entry is a y area of an upper node u gets u when key(v) < key(u).
+            # Only levels up to r decide that, and those are colored by now.
+            reached = np.flatnonzero(entries[:, off] >= 0)
+            ups, fids = np.nonzero(far[:, entries[reached, off] - start])
+            fids = reached[fids]
+            rows, offs = np.nonzero(keys[fids] < up_keys[ups][:, None])
+            pairs.append(node_ids[fids[rows], offs] * n_nodes + start + ups[rows])
+
+        pairs = np.concatenate(pairs)
+        pairs.sort()
+        bounds = np.searchsorted(pairs, np.arange(n_nodes + 1) * n_nodes).tolist()
+        pairs %= n_nodes
+        above = id_objs[pairs].tolist()
+        del pairs
         for node in nodes:
-            node.neighbors_above.sort()
+            node.neighbors_above = above[bounds[node.idx]:bounds[node.idx + 1]]
 
     # -- debug output -------------------------------------------------------
 

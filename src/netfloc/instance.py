@@ -1,6 +1,13 @@
 """Problem instances: a finite metric point universe, facilities with positive
 opening costs, live clients, and the derived scale parameters that size the
-net hierarchy."""
+net hierarchy.
+
+An instance computes, once and on first use, the F x F table of distances
+between its facility points; the hierarchy build reads nothing else of the
+metric.  Its entries are the floats ``Instance.distance`` returns, never a
+vectorised re-derivation (numpy's ``sqrt`` of a sum of squares differs from
+``math.dist`` in the last bit on many float points).
+"""
 
 from __future__ import annotations
 
@@ -10,6 +17,7 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -18,6 +26,10 @@ METRIC_KINDS = ("explicit-matrix", "euclidean-L2", "euclidean-Linf")
 # Relative slack for the triangle check on float matrices; integer-valued
 # matrices stay exact.
 _TRIANGLE_SLACK = 1e-12
+
+# Coordinates are multiplied by this power of two when the squared L2
+# diameter overflows; it keeps squares of the largest floats finite.
+_L2_SCALE = 2.0 ** -600
 
 
 def _is_finite_number(x) -> bool:
@@ -34,6 +46,19 @@ def _as_list(value, what: str) -> list:
         return list(value)
     except TypeError:
         raise InstanceError(f"{what} must be a list, got {value!r}") from None
+
+
+def _max_pair_extent(arr: np.ndarray, squared: bool) -> float:
+    """Largest squared L2 (``squared``) or L-infinity distance over all
+    pairs of rows of ``arr``."""
+    best = 0.0
+    with np.errstate(over="ignore"):  # the caller handles an infinite result
+        for row in arr:
+            diff = row - arr
+            ext = (diff ** 2).sum(axis=1).max() if squared else np.abs(diff).max()
+            if ext > best:
+                best = ext
+    return float(best)
 
 
 class NetflocError(Exception):
@@ -150,15 +175,29 @@ class Instance:
                 point, cost = fac.point, fac.opening_cost
             else:
                 point, cost = fac
-            if isinstance(point, bool) or not isinstance(point, numbers.Integral) \
-                    or not 0 <= point < self.n_points:
-                raise InstanceError(f"facility {fid} references unknown point {point!r}")
+            try:
+                point = self.point_index(point)
+            except InstanceError:
+                raise InstanceError(
+                    f"facility {fid} references unknown point {point!r}") from None
             if not _is_finite_number(cost) or cost <= 0:
                 raise InstanceError(f"facility {fid} needs a positive opening cost, got {cost!r}")
-            self.facilities.append(Facility(fid, int(point), float(cost)))
+            self.facilities.append(Facility(fid, point, float(cost)))
         if not self.facilities:
             raise InstanceError("instance needs at least one facility")
         self._diameter = None
+        self._facility_distances = None
+
+    def point_index(self, point) -> int:
+        """``point`` as an index into the point universe; an input error
+        unless it is an integer (not a bool) in range."""
+        if type(point) is not int:  # bools and numpy integers land here
+            if isinstance(point, bool) or not isinstance(point, numbers.Integral):
+                raise InstanceError(f"point index must be an integer, got {point!r}")
+            point = int(point)
+        if not 0 <= point < self.n_points:
+            raise InstanceError(f"point index out of range: {point!r}")
+        return point
 
     @staticmethod
     def _coerce_point(p):
@@ -171,27 +210,32 @@ class Instance:
         return tuple(float(x) for x in coords)
 
     def _validate_matrix(self):
+        """Metric axioms, each checked one pivot row at a time with the
+        scalar scan's float operations and order, so the first failure found
+        is the one a pair-by-pair scan would report."""
         m = self._matrix
         n = len(m)
         if any(len(row) != n for row in m):
             raise InstanceError("distance matrix must be square")
+        arr = np.array(m, dtype=float).reshape(n, n)
         for p in range(n):
-            if m[p][p] != 0:
+            if arr[p, p] != 0:
                 raise InstanceError(f"nonzero self-distance at point {p}")
-            for q in range(p + 1, n):
-                if m[p][q] != m[q][p]:
+            row = arr[p, p + 1:]
+            bad = (row != arr[p + 1:, p]) | (row < 0)
+            if bad.any():
+                q = p + 1 + int(bad.argmax())
+                if arr[p, q] != arr[q, p]:
                     raise InstanceError(f"asymmetric distances for pair ({p}, {q})")
-                if m[p][q] < 0:
-                    raise InstanceError(f"negative distance for pair ({p}, {q})")
-        for x in range(n):
-            col = m[x]
-            for p in range(n):
-                row_p = m[p]
-                lim = row_p[x]
-                for q in range(n):
-                    if row_p[q] > lim + col[q] + _TRIANGLE_SLACK * (lim + col[q]):
-                        raise InstanceError(
-                            f"triangle inequality fails for ({p}, {q}) via {x}")
+                raise InstanceError(f"negative distance for pair ({p}, {q})")
+        with np.errstate(over="ignore"):  # an infinite sum never fails the test
+            for x in range(n):
+                via = arr[:, x, None] + arr[x]     # via[p, q] = m[p][x] + m[x][q]
+                bad = arr > via + _TRIANGLE_SLACK * via
+                if bad.any():
+                    p, q = divmod(int(bad.argmax()), n)
+                    raise InstanceError(
+                        f"triangle inequality fails for ({p}, {q}) via {x}")
 
     def distance(self, p: int, q: int) -> float:
         """Metric distance between two point indices."""
@@ -211,22 +255,47 @@ class Instance:
         if self._diameter is None:
             if self._matrix is not None:
                 diameter = max(max(row) for row in self._matrix)
-            else:
+            elif self.kind == "euclidean-L2":
                 arr = np.asarray(self._points, dtype=float)
-                best = 0.0
-                with np.errstate(over="ignore"):  # overflow is reported below
-                    for i in range(len(arr)):
-                        if self.kind == "euclidean-L2":
-                            d = ((arr[i] - arr) ** 2).sum(axis=1).max()
-                        else:
-                            d = np.abs(arr[i] - arr).max()
-                        if d > best:
-                            best = d
-                diameter = float(math.sqrt(best) if self.kind == "euclidean-L2" else best)
+                best = _max_pair_extent(arr, squared=True)
+                if math.isinf(best):
+                    # The squares overflow: redo the scan on coordinates
+                    # scaled by an exact power of two.
+                    best = _max_pair_extent(arr * _L2_SCALE, squared=True)
+                    diameter = math.sqrt(best) / _L2_SCALE
+                else:
+                    diameter = math.sqrt(best)
+            else:
+                diameter = _max_pair_extent(np.asarray(self._points, dtype=float),
+                                            squared=False)
             if not math.isfinite(diameter):
                 raise InstanceError("points too far apart: the diameter overflows to inf")
             self._diameter = diameter
         return self._diameter
+
+    @property
+    def facility_distances(self) -> np.ndarray:
+        """Read-only F x F table of distances between facility points, by
+        facility id, computed on first use.
+
+        Every entry is the float ``distance`` returns for that pair (the
+        matrix entry, ``math.dist`` for L2, the largest absolute coordinate
+        difference for L-infinity), so a threshold test on the table decides
+        exactly as the scalar metric does.
+        """
+        if self._facility_distances is None:
+            fps = [f.point for f in self.facilities]
+            if self._matrix is not None:
+                table = np.array([[self._matrix[p][q] for q in fps] for p in fps])
+            elif self.kind == "euclidean-L2":
+                pts = [self._points[p] for p in fps]
+                table = np.array([list(map(math.dist, repeat(a), pts)) for a in pts])
+            else:
+                arr = np.asarray([self._points[p] for p in fps], dtype=float)
+                table = np.array([np.abs(arr - a).max(axis=1) for a in arr])
+            table.flags.writeable = False
+            self._facility_distances = table
+        return self._facility_distances
 
     def facility_point(self, fid: int) -> int:
         return self.facilities[fid].point

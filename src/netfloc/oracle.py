@@ -318,27 +318,29 @@ def brute_force_opt(instance: Instance, clients) -> OptResult:
     memo_ok = n_masks * len(cids) <= 4_000_000
     minvec: list = [None] * n_masks if memo_ok else []
     open_cost = [0.0] * n_masks if memo_ok else None
-    for mask in range(1, n_masks):
-        low = mask & -mask
-        j = low.bit_length() - 1
-        rest = mask ^ low
-        if memo_ok:
-            if rest:
-                vec = np.minimum(minvec[rest], dmat[:, j])
-                fsum = float(open_cost[rest] + fcost[j])
+    # A subset whose cost overflows to inf is never the optimum.
+    with np.errstate(over="ignore"):
+        for mask in range(1, n_masks):
+            low = mask & -mask
+            j = low.bit_length() - 1
+            rest = mask ^ low
+            if memo_ok:
+                if rest:
+                    vec = np.minimum(minvec[rest], dmat[:, j])
+                    fsum = float(open_cost[rest] + fcost[j])
+                else:
+                    vec = dmat[:, j]
+                    fsum = float(fcost[j])
+                minvec[mask] = vec
+                open_cost[mask] = fsum
             else:
-                vec = dmat[:, j]
-                fsum = float(fcost[j])
-            minvec[mask] = vec
-            open_cost[mask] = fsum
-        else:
-            cols = [b for b in range(k) if mask >> b & 1]
-            vec = dmat[:, cols].min(axis=1)
-            fsum = float(fcost[cols].sum())
-        total = fsum + float(vec.sum())
-        if total < best_cost:
-            best_cost = total
-            best_mask = mask
+                cols = [b for b in range(k) if mask >> b & 1]
+                vec = dmat[:, cols].min(axis=1)
+                fsum = float(fcost[cols].sum())
+            total = fsum + float(vec.sum())
+            if total < best_cost or best_mask == 0:
+                best_cost = total
+                best_mask = mask
     cols = [b for b in range(k) if best_mask >> b & 1]
     sub = dmat[:, cols]
     picks = sub.argmin(axis=1)

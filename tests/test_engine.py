@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from netfloc import (ASSIGN_RADIUS_FACTOR, DirtyHeap, Engine, Hierarchy,
+from netfloc import (ASSIGN_RADIUS_FACTOR, DirtyHeap, Engine, Hierarchy, InstanceError,
                      NodeAnnotation, OracleView,
                      compare_states, engine_snapshot, radius,
                      random_instance, random_trace)
@@ -314,3 +314,22 @@ def test_annotation_clone_is_detached():
     b = a.clone()
     b.n_area = 9
     assert a.n_area == 3 and a == NodeAnnotation(n_area=3, cost=7)
+
+
+@pytest.mark.parametrize("point, message", [
+    (1.5, "must be an integer"),
+    (True, "must be an integer"),
+    ("1", "must be an integer"),
+    (None, "must be an integer"),
+    (-1, r"out of range: -1$"),
+    (5, r"out of range: 5$"),
+])
+def test_client_points_are_validated(line5, point, message):
+    for build in (Engine, Engine.from_clients):
+        with pytest.raises(InstanceError, match=message):
+            build(line5, {"c1": 0, "c2": point})
+    eng = Engine(line5, {"c1": 0})
+    before = eng.state_hash()
+    with pytest.raises(InstanceError, match=message):
+        eng.insert_client("c2", point)
+    assert eng.state_hash() == before and "c2" not in eng.registry

@@ -1,10 +1,13 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from netfloc import (C1, C2, C3, C4, CX, CY, Instance, build_separated_sets,
                      build_tree, derive_parameters, radius, random_instance)
+from netfloc.hierarchy import threshold
 
 
 def test_constant_relations():
@@ -288,3 +291,35 @@ def test_dump_format(line5):
     assert lines[1] == "  r=2 s=0 j=0 parent=0 f*=10 j*=0"
     assert lines[2] == "    r=1 s=0 j=0 parent=0 f*=10 j*=0"
     assert len(lines) == len(h.nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["euclidean-L2", "euclidean-Linf"]),
+       st.integers(1, 3).flatmap(lambda dims: st.lists(
+           st.lists(st.floats(-1e9, 1e9), min_size=dims, max_size=dims),
+           min_size=1, max_size=12)))
+def test_facility_table_equals_scalar_distance(kind, points):
+    inst = Instance(kind, points=points, facilities=[(p, 1) for p in range(len(points))])
+    table = inst.facility_distances
+    for a in range(len(points)):
+        for b in range(len(points)):
+            assert table[a, b] == inst.distance(a, b)
+
+
+def test_threshold_rounds_down_to_a_float():
+    exact = C1 * 5 ** 24
+    assert float(exact) > exact                   # round-to-nearest goes up here
+    assert threshold(C1, 24) == math.nextafter(float(exact), 0)
+    assert threshold(C1, 3) == 2500.0
+    assert threshold(C1, -2) == radius(C1, -2)
+    assert threshold(C4, 500) == math.inf
+
+
+def test_separation_at_a_threshold_float_rounds_above():
+    # float(20 * 5**24) is above 20 * 5**24, so the two facilities are
+    # strictly farther apart than the level-24 radius and both stay.
+    inst = Instance("euclidean-L2", points=[[0], [float(C1 * 5 ** 24)]],
+                    facilities=[(0, 1), (1, 1)])
+    h = helpers.build(inst)
+    assert h.level_sets[24] == [0, 1]
+    assert h.level_sets[25] == [0]

@@ -141,3 +141,20 @@ def test_rejects_non_numeric_and_non_finite_values(kwargs, message):
 def test_largest_power_of_five():
     assert [largest_power_of_five_at_most(c) for c in (0, 1, 4, 5, 24, 25, 26, 125)] \
         == [0, 1, 1, 5, 5, 25, 25, 125]
+
+
+def test_matrix_reports_the_first_triangle_violation_of_the_scan():
+    # Two violations: (0, 1) fails only via 2 or 3, (2, 3) already via 0.
+    # Pivots are scanned first, so (2, 3) via 0 is reported.
+    matrix = [[0, 3, 1, 1],
+              [3, 0, 1, 1],
+              [1, 1, 0, 3],
+              [1, 1, 3, 0]]
+    with pytest.raises(InstanceError, match=r"^triangle inequality fails for \(2, 3\) via 0$"):
+        Instance("explicit-matrix", matrix=matrix, facilities=[(0, 1)])
+
+
+def test_l2_diameter_beyond_squared_float_range():
+    inst = Instance("euclidean-L2", points=[[0], [1e200]], facilities=[(0, 1), (1, 1)])
+    assert inst.diameter == 1e200
+    assert derive_parameters(inst, 0).w == 1e200

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import warnings
 
 import pytest
 
@@ -80,6 +82,16 @@ def test_brute_force_opt_line5(line5):
     assert one.assignment == {"c1": 1}
     three = brute_force_opt(line5, {"c1": 3, "c2": 4, "c3": 3})
     assert three.cost == 11.0 and three.open_set == frozenset({1})
+
+
+def test_brute_force_opt_when_every_subset_cost_overflows():
+    # Points 1e308 apart are a valid instance; two clients there cost more
+    # than the float range under every opening set.
+    inst = Instance("euclidean-L2", points=[[0], [1e308]], facilities=[(0, 10)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = brute_force_opt(inst, {"a": 1, "b": 1})
+    assert result.cost == math.inf and result.open_set == frozenset({0})
 
 
 def test_brute_force_opt_empty(line5):
