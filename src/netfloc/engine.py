@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .hierarchy import Hierarchy
-from .instance import Instance, derive_parameters, \
+from .instance import Instance, Params, derive_parameters, \
     largest_power_of_five_at_most
 
 # Hierarchies cached per engine: two cover a count oscillating across a power of 5.
@@ -113,7 +113,7 @@ class Engine:
         self.n = largest_power_of_five_at_most(len(self.registry))
         self.last_update = UpdateStats()
         self._hierarchies: dict[tuple[int, int], Hierarchy] = {}
-        self._rebuild()
+        self._rebuild(derive_parameters(instance, self.n))
 
     @classmethod
     def from_clients(cls, instance: Instance, clients) -> "Engine":
@@ -329,17 +329,17 @@ class Engine:
         if (params.rho_min, params.rho_max) == (self.params.rho_min, self.params.rho_max):
             self.params = params
             return
-        self._rebuild()
+        self._rebuild(params)
 
-    def _rebuild(self) -> None:
-        """Switch to the hierarchy of the current scale and build every
-        annotation from scratch for the current live client set.
+    def _rebuild(self, params: Params) -> None:
+        """Switch to the hierarchy of ``params`` and build every annotation
+        from scratch for the current live client set.
 
         The last HIERARCHY_CACHE_SIZE hierarchies are kept by (rho_min,
         rho_max); a hierarchy depends on nothing else, so a cached one equals
         a fresh build.  The least recently used one is evicted.
         """
-        self.params = params = derive_parameters(self.instance, self.n)
+        self.params = params
         key = (params.rho_min, params.rho_max)
         cache = self._hierarchies
         hierarchy = cache.pop(key, None)
@@ -366,7 +366,7 @@ class Engine:
         # Resolve open bits in ascending (logradius, color, facility) order;
         # the openness of a triplet depends only on lexicographically smaller
         # ones, so one ordered pass reaches the fixed point.
-        for idx in sorted(range(len(nodes)), key=lambda i: nodes[i].key()):
+        for idx in hierarchy.order:
             a = anns[idx]
             if a.is_abundant and a.open_below == 0:
                 a.is_open = True

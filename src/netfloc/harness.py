@@ -13,6 +13,7 @@ Trace format (UTF-8, line based):
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import statistics
@@ -220,18 +221,21 @@ def opt_command(instance: Instance, trace) -> str:
     opt = brute_force_opt(instance, engine.registry)
     cost = engine.cost_query()
     realized = engine.realized_cost()
-    if opt.cost > 0:
-        ratio_realized = realized / opt.cost
-        ratio_cost = cost / opt.cost
+    if math.isinf(opt.cost):
+        # Every opening set's cost overflows: no ratio to OPT has a value.
+        ratio_realized = ratio_cost = "undefined"
+    elif opt.cost > 0:
+        ratio_realized = fmt_number(realized / opt.cost)
+        ratio_cost = fmt_number(cost / opt.cost)
     else:
-        ratio_realized = ratio_cost = 1.0
+        ratio_realized = ratio_cost = fmt_number(1)
     return "\n".join([
         f"OPT={fmt_number(opt.cost)}",
         f"opt_open={' '.join(f'F{f}' for f in sorted(opt.open_set))}",
         f"cost_query={fmt_number(cost)}",
         f"realized={fmt_number(realized)}",
-        f"ratio_realized={fmt_number(ratio_realized)}",
-        f"ratio_cost={fmt_number(ratio_cost)}",
+        f"ratio_realized={ratio_realized}",
+        f"ratio_cost={ratio_cost}",
     ])
 
 

@@ -8,8 +8,9 @@ lists, designations and ``neighbors_above`` are boolean-mask and argmin
 passes over it.  Each threshold ``c * 5**r`` is compared as ``threshold``,
 the largest float not above it, so every decision equals the exact test of
 a scalar distance against the exact threshold.  Area chains, of facility
-and client points alike, come from the ``find_area`` walk over the tree
-with scalar distances.
+and client points alike, come from the ``find_balls`` descent over the tree
+with scalar distances: a point's bottom area is the closest node of the
+lowest level of its C2 ball.
 
 Everything here is immutable once built, so a point's area chain is
 computed once per hierarchy and memoised.  The engine keeps the hierarchies
@@ -173,6 +174,9 @@ class Hierarchy:
         for f in instance.facilities:
             self.area_chain(f.point)
         self._build_levels()
+        # Node ids in (logradius, color, facility) order, the order in which
+        # open bits resolve.
+        self.order = sorted(range(len(self.nodes)), key=lambda i: self.nodes[i].key())
 
     # -- point lookups ----------------------------------------------------
 
@@ -209,28 +213,18 @@ class Hierarchy:
     def find_area(self, p: int) -> int:
         """Node id of the smallest-logradius area containing p.
 
-        Minimal level first, then minimal distance, then minimal facility id.
+        Minimal level first, then minimal distance, then minimal facility id:
+        the closest node of the bottom level of ``find_balls(p, C2)``.  The
+        root is always in that ball, since every distance is at most the
+        diameter, which is at most 5**rho_max.
         """
         dist = self.instance.distance
         fp = self._fac_point
         nodes = self.nodes
-        params = self.params
-        frontier = [self.root]
-        r = params.rho_max
-        while r > params.rho_min:
-            thr = radius(C2, r - 1)
-            nxt = [
-                c
-                for idx in frontier
-                for c in nodes[idx].children
-                if dist(p, fp[nodes[c].facility]) <= thr
-            ]
-            if not nxt:
-                break
-            frontier = nxt
-            r -= 1
-        return min(frontier, key=lambda i: (dist(p, fp[nodes[i].facility]),
-                                            nodes[i].facility))
+        balls = self.find_balls(p, C2)
+        bottom = nodes[balls[-1]].r
+        return min((i for i in balls if nodes[i].r == bottom),
+                   key=lambda i: (dist(p, fp[nodes[i].facility]), nodes[i].facility))
 
     def area_chain(self, p: int) -> tuple[int, ...]:
         """Node ids from the bottom-most area containing p up to the root.

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -336,12 +335,9 @@ def derive_parameters(instance: Instance, n: int) -> Params:
         raise InstanceError("all opening costs must be positive")
     divisor = max(len(instance.facilities), n)
     rho_min = cround(Fraction(f_min) / divisor)
+    # f_min / divisor <= f_max <= max(diameter, f_max) and cround is
+    # monotone, so rho_min <= rho_max.
     rho_max = cround(max(instance.diameter, f_max))
-    if rho_max < rho_min:
-        # Unreachable while costs are positive (f_min/divisor <= f_max), kept
-        # as a guard so a degenerate instance still yields one usable level.
-        warnings.warn("degenerate scale range; clamping to a single level")
-        rho_min = rho_max
     return Params(
         w=instance.diameter,
         f_max=f_max,

@@ -312,31 +312,27 @@ def brute_force_opt(instance: Instance, clients) -> OptResult:
 
     best_cost = math.inf
     best_mask = 0
-    n_masks = 1 << k
-    # Per-mask nearest-distance vectors memoized over submasks when small
-    # enough; otherwise recomputed per mask.
-    memo_ok = n_masks * len(cids) <= 4_000_000
-    minvec: list = [None] * n_masks if memo_ok else []
-    open_cost = [0.0] * n_masks if memo_ok else None
+    # A mask is ``rest`` (the mask minus its lowest bit j) plus facility j.
+    # Slot b holds the distance vector and opening cost of the last mask
+    # whose lowest bit is b; no mask between rest and mask has rest's lowest
+    # bit, so rest is still in its slot and k slots replace a per-mask table.
+    vecs: list = [None] * k
+    open_cost = [0.0] * k
     # A subset whose cost overflows to inf is never the optimum.
     with np.errstate(over="ignore"):
-        for mask in range(1, n_masks):
+        for mask in range(1, 1 << k):
             low = mask & -mask
             j = low.bit_length() - 1
             rest = mask ^ low
-            if memo_ok:
-                if rest:
-                    vec = np.minimum(minvec[rest], dmat[:, j])
-                    fsum = float(open_cost[rest] + fcost[j])
-                else:
-                    vec = dmat[:, j]
-                    fsum = float(fcost[j])
-                minvec[mask] = vec
-                open_cost[mask] = fsum
+            if rest:
+                b = (rest & -rest).bit_length() - 1
+                vec = np.minimum(vecs[b], dmat[:, j])
+                fsum = float(open_cost[b] + fcost[j])
             else:
-                cols = [b for b in range(k) if mask >> b & 1]
-                vec = dmat[:, cols].min(axis=1)
-                fsum = float(fcost[cols].sum())
+                vec = dmat[:, j]
+                fsum = float(fcost[j])
+            vecs[j] = vec
+            open_cost[j] = fsum
             total = fsum + float(vec.sum())
             if total < best_cost or best_mask == 0:
                 best_cost = total

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import netfloc.engine as engine_mod
 from netfloc import (ASSIGN_RADIUS_FACTOR, DirtyHeap, Engine, Hierarchy, InstanceError,
                      NodeAnnotation, OracleView,
                      compare_states, engine_snapshot, radius,
@@ -232,6 +233,26 @@ def test_level_shift_line5_push_and_pop(line5):
     assert eng.params.rho_min == 1
     assert eng.state_hash() == Engine.from_clients(
         line5, dict(eng.registry.items())).state_hash()
+
+
+def test_level_shift_derives_parameters_once(line5, monkeypatch):
+    eng = Engine(line5)
+    for i in range(24):
+        eng.insert_client(f"c{i}", i % 5)
+    calls = []
+    real = engine_mod.derive_parameters
+
+    def counting(instance, n):
+        calls.append(n)
+        return real(instance, n)
+
+    monkeypatch.setattr(engine_mod, "derive_parameters", counting)
+    eng.insert_client("c24", 4)   # 24 -> 25 moves rho_min from 1 to 0
+    assert eng.params.rho_min == 0
+    assert calls == [25]
+    eng.delete_client("c24")
+    assert eng.params.rho_min == 1
+    assert calls == [25, 5]
 
 
 def test_n_change_without_scale_shift_keeps_structure(line5):

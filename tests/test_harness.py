@@ -261,6 +261,21 @@ def test_cli_bench_opt_dump(data_dir, capsys):
     assert out.splitlines()[0] == "r=3 s=0 j=0 parent=- f*=10 j*=0"
 
 
+def test_cli_opt_with_infinite_optimum(tmp_path, capsys):
+    # Three clients 1e308 from the only facility: every opening set's cost
+    # overflows, so the ratios have no value.
+    inst = tmp_path / "far.json"
+    inst.write_text('{"metric": {"kind": "euclidean-L2", "points": [[0], [1e308]]},'
+                    ' "facilities": [{"point": 0, "cost": 10}]}')
+    trace = tmp_path / "far.trace"
+    trace.write_text("+ a 1\n+ b 1\n+ c 1\n")
+    assert main(["opt", str(inst), str(trace)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "OPT=inf"
+    assert lines[-2:] == ["ratio_realized=undefined", "ratio_cost=undefined"]
+    assert all(line.count("=") == 1 for line in lines)
+
+
 def test_cli_input_errors(data_dir, tmp_path, capsys):
     inst = str(data_dir / "line5.json")
     assert main(["run", str(tmp_path / "missing.json"), "x"]) == 2

@@ -155,6 +155,32 @@ def test_find_area_tie_breaks_to_lower_id():
     assert h.nodes[h.find_area(2)].facility == 0
 
 
+def test_find_area_is_the_closest_node_of_the_lowest_ball_level():
+    rng = random.Random(37)
+    for _ in range(4):
+        inst = random_instance(rng, n_facilities=rng.randint(1, 20),
+                               n_pool_points=20)
+        for n in (0, 125):
+            h = helpers.build(inst, n)
+            fp = inst.facility_point
+            for p in range(inst.n_points):
+                expected = min(helpers.brute_balls(inst, h, p, C2),
+                               key=lambda i: (h.nodes[i].r,
+                                              inst.distance(p, fp(h.nodes[i].facility)),
+                                              h.nodes[i].facility))
+                assert h.find_area(p) == expected
+
+
+def test_order_is_node_key_order(line5):
+    rng = random.Random(41)
+    instances = [line5] + [random_instance(rng, n_facilities=rng.randint(1, 30),
+                                           n_pool_points=5) for _ in range(6)]
+    for inst in instances:
+        for n in (0, 25):
+            h = helpers.build(inst, n)
+            assert h.order == sorted(range(len(h.nodes)), key=lambda i: h.nodes[i].key())
+
+
 def test_area_chain_line5(line5):
     h = helpers.build(line5)
     assert h.area_chain(3) == tuple(h.node_of[(0, r)] for r in (1, 2, 3))

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netfloc import (Instance, InstanceError, cround,
                      derive_parameters, largest_power_of_five_at_most,
@@ -86,6 +87,16 @@ def test_delta_growth_bound():
                      + math.log(max(p.f_max / p.f_min, 1), 5)
                      + math.log(max(len(inst.facilities), n, 1), 5) + 4)
             assert p.delta <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(1e-300, 1e308), min_size=1, max_size=5),
+       st.floats(0, 1e308), st.integers(0, 5 ** 40))
+def test_scale_range_is_never_empty(costs, diameter, n):
+    inst = Instance("euclidean-L2", points=[[0], [diameter]],
+                    facilities=[(0, c) for c in costs])
+    p = derive_parameters(inst, n)
+    assert p.rho_min <= p.rho_max and p.delta >= 1
 
 
 def test_matrix_rejects_asymmetry():
