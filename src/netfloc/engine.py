@@ -102,7 +102,10 @@ class Engine:
 
     Single mutating actor: updates must be serialized, queries may run
     concurrently with each other but not with an update.  No internal
-    locking.
+    locking.  An exception escaping an update once the annotations may have
+    changed leaves the engine refusing every later update with a
+    ``RuntimeError`` that names the first failure; input errors raised
+    before any change (an unknown or duplicate id, a bad point) do not.
     """
 
     def __init__(self, instance: Instance, clients=()):
@@ -200,19 +203,33 @@ class Engine:
         chain = self.hierarchy.area_chain(point)
         self.registry[cid] = point
         self._apply(chain, +1)
-        self._after_mutation()
 
     def delete_client(self, cid) -> None:
         if cid not in self.registry:
             raise ValueError(f"unknown client id: {cid!r}")
         chain = self.hierarchy.area_chain(self.registry.pop(cid))
         self._apply(chain, -1)
-        self._after_mutation()
 
     def _apply(self, chain, delta: int) -> None:
-        affected = self.find_affected_triplets(chain)
-        flipped = self.update_status(affected, delta)
-        self.update_cost(chain, flipped, delta)
+        try:
+            affected = self.find_affected_triplets(chain)
+            flipped = self.update_status(affected, delta)
+            self.update_cost(chain, flipped, delta)
+            self._after_mutation()
+        except BaseException as exc:
+            self._poison(exc)
+            raise
+
+    def _poison(self, exc: BaseException) -> None:
+        """Refuse every later update: the failed one may have left the
+        annotations half applied.  Instance attributes shadow the methods, so
+        a healthy engine pays no check; replacing ``_apply`` also stops update
+        methods bound before the failure."""
+        message = f"engine unusable after a failed update: {exc!r}"
+
+        def refuse(*_args):
+            raise RuntimeError(message)
+        self.insert_client = self.delete_client = self._apply = refuse
 
     def find_affected_triplets(self, chain) -> list[int]:
         """Triplets whose near neighborhood contains the client's point: the

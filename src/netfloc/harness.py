@@ -8,6 +8,8 @@ Trace format (UTF-8, line based):
     ? cost                    print the current cost estimate
     ? solution                print the open facilities, sorted
     # ...                     comment
+
+Each event parses to a ``TraceEvent`` named tuple (kind, client id, point).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import HIERARCHY_CACHE_SIZE, Engine
 from .hierarchy import PAYMENT_BOUND_FACTOR
@@ -34,11 +37,15 @@ class TraceError(NetflocError):
     """Malformed trace file."""
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     kind: str            # "insert" | "delete" | "cost" | "solution"
     cid: str | None = None
     point: int | None = None
+
+
+# Query events carry no data, so every "? cost" (or "? solution") line parses
+# to the same event.
+_QUERY_EVENTS = {kind: TraceEvent(kind) for kind in ("cost", "solution")}
 
 
 @dataclass
@@ -80,10 +87,9 @@ def parse_trace_text(text: str) -> list[TraceEvent]:
     events: list[TraceEvent] = []
     live: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if parts[0] == "+" and len(parts) == 3:
             cid = parts[1]
             if cid in live:
@@ -96,10 +102,10 @@ def parse_trace_text(text: str) -> list[TraceEvent]:
                 raise TraceError(f"line {line_no}: delete of non-live client {cid!r}")
             live.remove(cid)
             events.append(TraceEvent("delete", cid))
-        elif parts[0] == "?" and len(parts) == 2 and parts[1] in ("cost", "solution"):
-            events.append(TraceEvent(parts[1]))
+        elif parts[0] == "?" and len(parts) == 2 and parts[1] in _QUERY_EVENTS:
+            events.append(_QUERY_EVENTS[parts[1]])
         else:
-            raise TraceError(f"line {line_no}: unrecognized event {line!r}")
+            raise TraceError(f"line {line_no}: unrecognized event {raw.strip()!r}")
     return events
 
 

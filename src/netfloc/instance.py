@@ -7,6 +7,10 @@ between its facility points; the hierarchy build reads nothing else of the
 metric.  Its entries are the floats ``Instance.distance`` returns, never a
 vectorised re-derivation (numpy's ``sqrt`` of a sum of squares differs from
 ``math.dist`` in the last bit on many float points).
+
+The L2 diameter is a blocked filter-then-verify scan whose value equals the
+exact row scan's bit for bit; the L-infinity one is the largest coordinate
+range.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ _TRIANGLE_SLACK = 1e-12
 # diameter overflows; it keeps squares of the largest floats finite.
 _L2_SCALE = 2.0 ** -600
 
+# Elements per buffer of the blocked L2 diameter pass (two 256 KiB buffers).
+_BLOCK_ELEMENTS = 2 ** 15
+_EPS = float(np.finfo(float).eps)
+
 
 def _is_finite_number(x) -> bool:
     """True for a finite real number; bools and strings are not numbers."""
@@ -47,14 +55,42 @@ def _as_list(value, what: str) -> list:
         raise InstanceError(f"{what} must be a list, got {value!r}") from None
 
 
-def _max_pair_extent(arr: np.ndarray, squared: bool) -> float:
-    """Largest squared L2 (``squared``) or L-infinity distance over all
-    pairs of rows of ``arr``."""
-    best = 0.0
+def _max_squared_distance(arr: np.ndarray) -> float:
+    """Largest squared L2 distance over all pairs of rows of ``arr``: bit for
+    bit the row scan's ``max_i ((arr[i] - arr)**2).sum(axis=1).max()``.
+
+    A blocked pass sums each row's squared differences one dimension at a
+    time: the row scan's terms in another order (numpy sums 8 or more terms
+    pairwise).  Either order's sum of d nonnegative terms is within a
+    relative (d-1)·eps/2 of the exact sum, so a row whose approximate
+    maximum lies more than 4·d·eps below the largest cannot hold the exact
+    maximum.  Only the other rows (usually the diameter's two ends) are
+    rescanned exactly; every row is when the approximate pass overflows.
+    """
+    n, d = arr.shape
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    cols = np.ascontiguousarray(arr.T)
+    approx = np.empty(n)
+    acc, tmp = np.empty((rows, n)), np.empty((rows, n))
     with np.errstate(over="ignore"):  # the caller handles an infinite result
-        for row in arr:
-            diff = row - arr
-            ext = (diff ** 2).sum(axis=1).max() if squared else np.abs(diff).max()
+        for start in range(0, n, rows):
+            block = arr[start:start + rows, :, None]
+            a, t = acc[:len(block)], tmp[:len(block)]
+            np.subtract(block[:, 0], cols[0], out=a)
+            np.multiply(a, a, out=a)
+            for k in range(1, d):
+                np.subtract(block[:, k], cols[k], out=t)
+                np.multiply(t, t, out=t)
+                np.add(a, t, out=a)
+            a.max(axis=1, out=approx[start:start + len(block)])
+        top = approx.max()
+        if math.isinf(top):
+            candidates = range(n)
+        else:
+            candidates = np.flatnonzero(approx >= top * (1 - 4 * d * _EPS))
+        best = 0.0
+        for i in candidates:
+            ext = ((arr[i] - arr) ** 2).sum(axis=1).max()
             if ext > best:
                 best = ext
     return float(best)
@@ -256,17 +292,20 @@ class Instance:
                 diameter = max(max(row) for row in self._matrix)
             elif self.kind == "euclidean-L2":
                 arr = np.asarray(self._points, dtype=float)
-                best = _max_pair_extent(arr, squared=True)
+                best = _max_squared_distance(arr)
                 if math.isinf(best):
                     # The squares overflow: redo the scan on coordinates
                     # scaled by an exact power of two.
-                    best = _max_pair_extent(arr * _L2_SCALE, squared=True)
+                    best = _max_squared_distance(arr * _L2_SCALE)
                     diameter = math.sqrt(best) / _L2_SCALE
                 else:
                     diameter = math.sqrt(best)
             else:
-                diameter = _max_pair_extent(np.asarray(self._points, dtype=float),
-                                            squared=False)
+                # Float subtraction is monotone in each operand, so the
+                # largest |p_k - q_k| over all pairs is fl(max_k - min_k).
+                arr = np.asarray(self._points, dtype=float)
+                with np.errstate(over="ignore"):
+                    diameter = float((arr.max(axis=0) - arr.min(axis=0)).max())
             if not math.isfinite(diameter):
                 raise InstanceError("points too far apart: the diameter overflows to inf")
             self._diameter = diameter

@@ -1,7 +1,28 @@
 """Brute-force reference routines shared by the structural tests: everything
-here scans all pairs directly instead of using the tree traversals."""
+here scans all pairs directly instead of using the tree traversals.  Also the
+benchmark's seeded input generator, for tests that run on its inputs."""
+
+import importlib.util
+import sys
+from functools import cache
+from pathlib import Path
 
 from netfloc import C1, C2, C3, C4, CX, Engine, Hierarchy, derive_parameters, radius
+
+
+@cache
+def benchmark_inputs(workload: str, seed: int):
+    """The instance and trace texts of one benchmark workload and seed, from
+    ``perfbench/inputs.py`` (standard library only)."""
+    name = "perfbench_inputs"
+    module = sys.modules.get(name)
+    if module is None:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module   # dataclasses resolve their module by name
+        spec.loader.exec_module(module)
+    return module.GENERATORS[workload](seed)
 
 
 def build(instance, n=0) -> Hierarchy:

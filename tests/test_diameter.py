@@ -1,0 +1,123 @@
+"""Instance.diameter against the exact pairwise row scan it replaces, kept here
+as the reference: every value must be equal bit for bit."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from netfloc import Instance, InstanceError
+
+from helpers import benchmark_inputs
+
+KINDS = ("euclidean-L2", "euclidean-Linf")
+DIMS = (1, 2, 3, 7, 8, 9, 16)
+
+
+def _row_scan(arr: np.ndarray, squared: bool) -> float:
+    """Largest squared L2 (``squared``) or L-infinity distance over all
+    pairs of rows, one numpy row at a time."""
+    best = 0.0
+    with np.errstate(over="ignore"):
+        for row in arr:
+            diff = row - arr
+            ext = (diff ** 2).sum(axis=1).max() if squared else np.abs(diff).max()
+            if ext > best:
+                best = ext
+    return float(best)
+
+
+def reference_diameter(points, kind) -> float:
+    """The diameter by the row scan, with the 2**-600 rescale when the
+    squared L2 scan overflows; inf when the diameter itself overflows."""
+    arr = np.asarray(points, dtype=float)
+    if kind == "euclidean-Linf":
+        return _row_scan(arr, squared=False)
+    best = _row_scan(arr, squared=True)
+    if math.isinf(best):
+        scale = 2.0 ** -600
+        return math.sqrt(_row_scan(arr * scale, squared=True)) / scale
+    return math.sqrt(best)
+
+
+def assert_matches_reference(points, kind) -> None:
+    expected = reference_diameter(points, kind)
+    inst = Instance(kind, points=points, facilities=[(0, 1)])
+    if math.isinf(expected):
+        with pytest.raises(InstanceError, match="diameter overflows"):
+            inst.diameter
+    else:
+        assert inst.diameter == expected
+
+
+def _points(case: str, d: int, rng: np.random.Generator) -> np.ndarray:
+    n = 200
+    if case == "random":
+        return rng.random((n, d)) * 1000
+    if case == "duplicates":
+        return np.repeat(rng.random((n // 8, d)), 8, axis=0)
+    if case == "single":
+        return rng.random((1, d))
+    if case == "collinear":
+        return rng.random((n, 1)) * rng.normal(size=(1, d)) + rng.random(d)
+    if case == "mixed-magnitudes":
+        return rng.normal(size=(n, d)) * 10.0 ** rng.integers(-150, 150, size=(1, d))
+    if case == "antipodal":
+        # Every pair x, -x is within rounding of the diameter: many rows tie
+        # in the approximate pass and only the exact rescan separates them.
+        x = rng.normal(size=(n // 2, d))
+        x /= np.sqrt((x ** 2).sum(axis=1, keepdims=True))
+        return np.concatenate([x, -x])
+    if case == "near-1e200":
+        return (rng.random((n, d)) - 0.5) * 2e200
+    raise ValueError(case)
+
+
+CASES = ("random", "duplicates", "single", "collinear", "mixed-magnitudes",
+         "antipodal", "near-1e200")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("case", CASES)
+def test_diameter_equals_row_scan(case, d, kind):
+    rng = np.random.default_rng(1000 * d + CASES.index(case))
+    assert_matches_reference(_points(case, d, rng).tolist(), kind)
+
+
+@pytest.mark.parametrize("d", (2, 9))
+def test_diameter_equals_row_scan_across_many_blocks(d):
+    # 1,500 points span several row blocks, the last one partial.
+    rng = np.random.default_rng(d)
+    points = np.round(rng.random((1500, d)) * 1000).tolist()
+    for kind in KINDS:
+        assert_matches_reference(points, kind)
+
+
+@pytest.mark.parametrize("workload", ("churn-l2", "flap-625"))
+def test_diameter_of_benchmark_instances_equals_row_scan(workload):
+    data = json.loads(benchmark_inputs(workload, 1).instance_text)
+    for kind in KINDS:
+        assert_matches_reference(data["metric"]["points"], kind)
+
+
+def test_linf_overflow_is_an_input_error():
+    inst = Instance("euclidean-Linf", points=[[-1e308, 0], [1e308, 0]],
+                    facilities=[(0, 1)])
+    with pytest.raises(InstanceError, match="diameter overflows"):
+        inst.diameter
+
+
+_coordinate = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False) | \
+    st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda d: st.lists(st.lists(_coordinate, min_size=d, max_size=d),
+                       min_size=1, max_size=25)),
+       st.sampled_from(KINDS))
+def test_diameter_property_equals_row_scan(points, kind):
+    assert_matches_reference(points, kind)

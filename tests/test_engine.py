@@ -354,3 +354,40 @@ def test_client_points_are_validated(line5, point, message):
     with pytest.raises(InstanceError, match=message):
         eng.insert_client("c2", point)
     assert eng.state_hash() == before and "c2" not in eng.registry
+
+
+@pytest.mark.parametrize("method, clients", [
+    ("update_cost", {"c1": 0}),
+    ("adjust_levels", {"c1": 0, "c2": 1, "c3": 2, "c4": 3}),   # the next insert reaches 5
+])
+def test_failed_update_poisons_the_engine(line5, monkeypatch, method, clients):
+    eng = Engine(line5, clients)
+    insert, delete = eng.insert_client, eng.delete_client   # bound before the failure
+    original = getattr(Engine, method)
+
+    def fail(self, *args):
+        raise RuntimeError("triplet 3 cleaned twice in one update")
+    monkeypatch.setattr(Engine, method, fail)
+    with pytest.raises(RuntimeError, match="cleaned twice"):
+        eng.insert_client("new", 4)
+    monkeypatch.setattr(Engine, method, original)
+
+    first = r"unusable after a failed update: RuntimeError\('triplet 3 cleaned twice"
+    for update in (lambda: eng.insert_client("c9", 1), lambda: eng.delete_client("c1"),
+                   lambda: eng.delete_client("nope"), lambda: insert("c8", 2),
+                   lambda: delete("c1")):
+        with pytest.raises(RuntimeError, match=first):
+            update()
+
+
+def test_input_errors_do_not_poison_the_engine(line5):
+    eng = Engine(line5, {"c1": 0})
+    with pytest.raises(ValueError, match="already live"):
+        eng.insert_client("c1", 2)
+    with pytest.raises(ValueError, match="unknown client"):
+        eng.delete_client("nope")
+    with pytest.raises(InstanceError, match="out of range"):
+        eng.insert_client("c2", 9)
+    eng.insert_client("c2", 3)
+    eng.delete_client("c1")
+    assert eng.state_hash() == Engine.from_clients(line5, {"c2": 3}).state_hash()

@@ -10,6 +10,8 @@ from netfloc import (Instance, InstanceError, OracleView, TraceError, TraceEvent
 from netfloc.engine import HIERARCHY_CACHE_SIZE
 from netfloc.harness import default_seed, main
 
+from helpers import benchmark_inputs
+
 
 def test_parse_instance_line5(data_dir):
     inst = Instance.load(data_dir / "line5.json")
@@ -69,6 +71,99 @@ def test_parse_trace_rejects_garbage():
         parse_trace_text("+ c1 0\n- c1\n* boom\n")
     with pytest.raises(TraceError, match="bad point index"):
         parse_trace_text("+ c1 Px\n")
+
+
+def reference_parse(text: str) -> list[tuple]:
+    """The line-by-line parser that ``parse_trace_text`` must match: each
+    event as a (kind, cid, point) tuple, the same errors with the same
+    messages."""
+    events, live = [], set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "+" and len(parts) == 3:
+            cid = parts[1]
+            if cid in live:
+                raise TraceError(f"line {line_no}: client {cid!r} already live")
+            live.add(cid)
+            token = parts[2]
+            raw_point = token[1:] if token[:1] in ("P", "p") else token
+            try:
+                point = int(raw_point)
+            except ValueError:
+                raise TraceError(f"line {line_no}: bad point index {token!r}") from None
+            if point < 0:
+                raise TraceError(f"line {line_no}: bad point index {token!r}")
+            events.append(("insert", cid, point))
+        elif parts[0] == "-" and len(parts) == 2:
+            cid = parts[1]
+            if cid not in live:
+                raise TraceError(f"line {line_no}: delete of non-live client {cid!r}")
+            live.remove(cid)
+            events.append(("delete", cid, None))
+        elif parts[0] == "?" and len(parts) == 2 and parts[1] in ("cost", "solution"):
+            events.append((parts[1], None, None))
+        else:
+            raise TraceError(f"line {line_no}: unrecognized event {line!r}")
+    return events
+
+
+@pytest.mark.parametrize("workload", ("churn-l2", "flap-625", "verify-matrix"))
+def test_parse_trace_equals_reference_on_benchmark_traces(workload):
+    text = benchmark_inputs(workload, 1).trace_text
+    assert [tuple(e) for e in parse_trace_text(text)] == reference_parse(text)
+
+
+def test_parse_trace_equals_reference_on_line5(data_dir):
+    text = (data_dir / "line5.trace").read_text(encoding="utf-8")
+    events = parse_trace(data_dir / "line5.trace")
+    assert [tuple(e) for e in events] == reference_parse(text)
+    assert [e.kind for e in events][:3] == ["insert", "cost", "solution"]
+
+
+def test_parse_trace_comments_and_blanks_equal_reference():
+    text = "#x\n   # y z\n\t\n+ c1 p4\r\n#\n ? cost \n\x0c\n-  c1\n? solution"
+    assert [tuple(e) for e in parse_trace_text(text)] == reference_parse(text) == [
+        ("insert", "c1", 4), ("cost", None, None), ("delete", "c1", None),
+        ("solution", None, None)]
+
+
+@pytest.mark.parametrize("text", [
+    "+ c1 0\n+ c1 1\n",
+    "- c9\n",
+    "+ c1 0\n- c1\n- c1\n",
+    "# ok\n\n+ c1 Px\n",
+    "+ c1 -3\n",
+    "+ c1 P\n",
+    "+ c1\n",
+    "+ c1 0 7\n",
+    "-\n",
+    "  * boom  \t\n",
+    "*   boom\tnow \n",
+    "? costs\n",
+    "? cost now\n",
+    "?cost\n",
+    "+ c1 0\r\n\x0b- c2\n",
+    "+ c1 0\n - c2\n",
+])
+def test_parse_trace_errors_equal_reference(text):
+    with pytest.raises(TraceError) as expected:
+        reference_parse(text)
+    with pytest.raises(TraceError) as got:
+        parse_trace_text(text)
+    assert str(got.value) == str(expected.value)
+
+
+def test_trace_events_are_immutable():
+    event = parse_trace_text("+ c1 3\n")[0]
+    assert event == TraceEvent("insert", "c1", 3)
+    assert (event.kind, event.cid, event.point) == ("insert", "c1", 3)
+    with pytest.raises(AttributeError):
+        event.point = 4
+    with pytest.raises(AttributeError):
+        TraceEvent("cost").kind = "solution"
 
 
 def test_run_trace_golden_line5(line5, data_dir):
