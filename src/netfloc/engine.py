@@ -4,6 +4,13 @@ client insertions and deletions, with constant-time cost queries.
 Costs are kept internally as integers counting multiples of 5**rho_min, so
 incremental updates and from-scratch recomputations agree bit for bit even
 when the bottom scale is fractional.
+
+A steady update does only the work that can change state.  The dirty heap
+is created on the first abundance flip, so an update that flips none skips
+it; without enabled-bit flips the touched root paths are exactly the
+client's chain, settled in one bottom-up pass; and the scale is re-derived
+only when the live count leaves the window [n, 5n) of its current power of
+five.
 """
 
 from __future__ import annotations
@@ -58,11 +65,13 @@ class Assignment:
 
 @dataclass
 class UpdateStats:
-    """Per-update work counters (affected triplets, heap pulls, status flips)."""
+    """Per-update work counters (affected triplets, heap pulls, status
+    flips), and whether the update's scale shift rebuilt the annotations."""
 
     affected: int = 0
     heap_pulls: int = 0
     flips: int = 0
+    rebuilt: bool = False
 
 
 class DirtyHeap:
@@ -113,7 +122,7 @@ class Engine:
         # live client id -> point index
         self.registry: dict = {cid: instance.point_index(point)
                                for cid, point in dict(clients).items()}
-        self.n = largest_power_of_five_at_most(len(self.registry))
+        self._set_scale(largest_power_of_five_at_most(len(self.registry)))
         self.last_update = UpdateStats()
         self._hierarchies: dict[tuple[int, int], Hierarchy] = {}
         self._rebuild(derive_parameters(instance, self.n))
@@ -215,7 +224,8 @@ class Engine:
             affected = self.find_affected_triplets(chain)
             flipped = self.update_status(affected, delta)
             self.update_cost(chain, flipped, delta)
-            self._after_mutation()
+            if not self.n <= len(self.registry) < self._n_next:
+                self._after_mutation()
         except BaseException as exc:
             self._poison(exc)
             raise
@@ -250,17 +260,24 @@ class Engine:
 
     def update_status(self, affected, delta: int) -> list[tuple[int, bool]]:
         """Adjust near-neighborhood counters, propagate open/closed flips
-        through the dirty heap, and report enabled-bit changes."""
+        through the dirty heap, and report enabled-bit changes.
+
+        The heap is created on the first abundance flip; an update that flips
+        no abundance bit pulls nothing and returns no enabled flips."""
         anns = self.annotations
         nodes = self.hierarchy.nodes
-        heap = DirtyHeap()
+        heap = None
         for idx in affected:
             a = anns[idx]
-            a.n_x += delta
-            abundant = a.n_x >= nodes[idx].abundance_threshold
-            if abundant != a.is_abundant:
-                a.is_abundant = abundant
+            a.n_x = n_x = a.n_x + delta
+            if (n_x >= nodes[idx].abundance_threshold) != a.is_abundant:
+                a.is_abundant = not a.is_abundant
+                if heap is None:
+                    heap = DirtyHeap()
                 heap.push(nodes[idx].key(), idx)
+        if heap is None:
+            self.last_update = UpdateStats(len(affected), 0, 0)
+            return []
         pulls = 0
         flips = 0
         while heap:
@@ -291,9 +308,30 @@ class Engine:
 
     def update_cost(self, chain, flipped, delta: int) -> None:
         """Re-establish counters and the cost recursion along the client's
-        chain and every root path touched by an enabled-bit flip."""
+        chain and every root path touched by an enabled-bit flip.
+
+        Without flips the touched paths are exactly the chain, a parent path
+        in ascending id order, so one bottom-up pass applies the client's
+        counts and the cost recursion: each node's child on the chain is
+        settled just before it."""
         anns = self.annotations
         nodes = self.hierarchy.nodes
+        if not flipped:
+            for idx in chain:
+                a = anns[idx]
+                a.n_area += delta
+                node = nodes[idx]
+                cost = a.y
+                if a.is_enabled:
+                    cost += (a.n_area - a.n_enabled_below) * node.unit_weight
+                parent = node.parent
+                if parent is not None:
+                    up = anns[parent]
+                    if a.is_enabled:
+                        up.n_enabled_below += delta
+                    up.y += cost - a.cost
+                a.cost = cost
+            return
 
         # Enabled flips first, weighted by the pre-update area counts.
         for idx, enabled in flipped:
@@ -332,21 +370,27 @@ class Engine:
 
     # -- level maintenance ------------------------------------------------------
 
+    def _set_scale(self, n: int) -> None:
+        """Set the scale n and the window [n, 5n) of live counts that keep
+        it ([0, 1) for n = 0)."""
+        self.n = n
+        self._n_next = 5 * n or 1
+
     def _after_mutation(self) -> None:
-        n = largest_power_of_five_at_most(len(self.registry))
-        if n != self.n:
-            self.n = n
-            self.adjust_levels()
+        """Called once the live count has left the current scale's window."""
+        self._set_scale(largest_power_of_five_at_most(len(self.registry)))
+        self.adjust_levels()
 
     def adjust_levels(self) -> None:
         """React to a shift of the client-count scale: switch hierarchies and
-        rebuild all dynamic state when the bottom logradius moves, else keep
-        the structure untouched."""
+        rebuild all dynamic state when the bottom logradius moves, marking
+        ``last_update.rebuilt``; else keep the structure untouched."""
         params = derive_parameters(self.instance, self.n)
         if (params.rho_min, params.rho_max) == (self.params.rho_min, self.params.rho_max):
             self.params = params
             return
         self._rebuild(params)
+        self.last_update.rebuilt = True
 
     def _rebuild(self, params: Params) -> None:
         """Switch to the hierarchy of ``params`` and build every annotation

@@ -1,13 +1,17 @@
 """Brute-force reference routines shared by the structural tests: everything
 here scans all pairs directly instead of using the tree traversals.  Also the
-benchmark's seeded input generator, for tests that run on its inputs."""
+benchmark's seeded input generator, for tests that run on its inputs, and the
+engine's general update path kept as a reference for its steady-update
+shortcuts."""
 
 import importlib.util
 import sys
 from functools import cache
 from pathlib import Path
 
-from netfloc import C1, C2, C3, C4, CX, Engine, Hierarchy, derive_parameters, radius
+from netfloc import C1, C2, C3, C4, CX, DirtyHeap, Engine, Hierarchy, derive_parameters, radius
+from netfloc.engine import UpdateStats
+from netfloc.instance import largest_power_of_five_at_most
 
 
 @cache
@@ -23,6 +27,93 @@ def benchmark_inputs(workload: str, seed: int):
         sys.modules[name] = module   # dataclasses resolve their module by name
         spec.loader.exec_module(module)
     return module.GENERATORS[workload](seed)
+
+
+class ReferenceEngine(Engine):
+    """The engine with its general update path on every update: a dirty heap
+    per update, the client's counts and the cost recursion in two passes over
+    the sorted union of touched root paths, and the scale re-derived after
+    every mutation."""
+
+    def _apply(self, chain, delta: int) -> None:
+        affected = self.find_affected_triplets(chain)
+        flipped = self.update_status(affected, delta)
+        self.update_cost(chain, flipped, delta)
+        n = largest_power_of_five_at_most(len(self.registry))
+        if n != self.n:
+            self.n = n
+            self.adjust_levels()
+
+    def update_status(self, affected, delta: int) -> list[tuple[int, bool]]:
+        anns = self.annotations
+        nodes = self.hierarchy.nodes
+        heap = DirtyHeap()
+        for idx in affected:
+            a = anns[idx]
+            a.n_x += delta
+            abundant = a.n_x >= nodes[idx].abundance_threshold
+            if abundant != a.is_abundant:
+                a.is_abundant = abundant
+                heap.push(nodes[idx].key(), idx)
+        pulls = 0
+        flips = 0
+        while heap:
+            idx = heap.pop()
+            pulls += 1
+            proposal = self._proposed_open(idx)
+            a = anns[idx]
+            if proposal != a.is_open:
+                flips += 1
+                a.is_open = proposal
+                if proposal:
+                    self.open_nodes.add(idx)
+                    step = 1
+                else:
+                    self.open_nodes.discard(idx)
+                    step = -1
+                for up in nodes[idx].neighbors_above:
+                    anns[up].open_below += step
+                    heap.push(nodes[up].key(), up)
+        flipped: list[tuple[int, bool]] = []
+        for idx in heap.cleaned:
+            a = anns[idx]
+            enabled = a.open_below >= 1 or a.is_open
+            if enabled != a.is_enabled:
+                flipped.append((idx, enabled))
+        self.last_update = UpdateStats(len(affected), pulls, flips)
+        return flipped
+
+    def update_cost(self, chain, flipped, delta: int) -> None:
+        anns = self.annotations
+        nodes = self.hierarchy.nodes
+        for idx, enabled in flipped:
+            a = anns[idx]
+            parent = nodes[idx].parent
+            if parent is not None:
+                anns[parent].n_enabled_below += a.n_area * (enabled - a.is_enabled)
+            a.is_enabled = enabled
+        for idx in chain:
+            a = anns[idx]
+            a.n_area += delta
+            parent = nodes[idx].parent
+            if parent is not None and a.is_enabled:
+                anns[parent].n_enabled_below += delta
+        affected_paths = set(chain)
+        for idx, _ in flipped:
+            walk = idx
+            while walk is not None and walk not in affected_paths:
+                affected_paths.add(walk)
+                walk = nodes[walk].parent
+        for idx in sorted(affected_paths):
+            node = nodes[idx]
+            a = anns[idx]
+            cost = a.y
+            if a.is_enabled:
+                cost += (a.n_area - a.n_enabled_below) * node.unit_weight
+            if cost != a.cost:
+                if node.parent is not None:
+                    anns[node.parent].y += cost - a.cost
+                a.cost = cost
 
 
 def build(instance, n=0) -> Hierarchy:

@@ -1,0 +1,200 @@
+"""The steady-update shortcuts against the engine's general update path.
+
+``Engine`` skips the dirty heap when no abundance bit flips, settles the
+client's chain in one pass when no enabled bit flips, and re-derives the
+scale only when the live count leaves [n, 5n).  ``helpers.ReferenceEngine``
+runs the general path on every update; both must agree field for field after
+every mutation, and the window must trigger exactly the level shifts the
+per-mutation check did."""
+
+import json
+import random
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import netfloc.engine as engine_mod
+from helpers import ReferenceEngine, benchmark_inputs
+from netfloc import Engine, Instance, random_instance, random_trace
+from netfloc.harness import parse_trace_text
+from netfloc.instance import largest_power_of_five_at_most
+
+
+class RecordingEngine(Engine):
+    """Counts the updates that pass enabled-bit flips to ``update_cost``."""
+
+    def __init__(self, instance, clients=()):
+        self.enabled_flip_updates = 0
+        super().__init__(instance, clients)
+
+    def update_cost(self, chain, flipped, delta):
+        self.enabled_flip_updates += bool(flipped)
+        super().update_cost(chain, flipped, delta)
+
+
+def assert_same_state(eng, ref, where):
+    assert (eng.params, eng.n) == (ref.params, ref.n), where
+    assert eng.annotations == ref.annotations, where
+    assert eng.open_nodes == ref.open_nodes, where
+    assert eng.last_update == ref.last_update, where
+
+
+def run_side_by_side(instance, prefill, mutations) -> Counter:
+    """Apply ``(kind, cid, point)`` mutations to both engines, comparing after
+    each; counts the updates, and those with heap pulls, with enabled flips
+    and with a rebuild."""
+    eng = RecordingEngine(instance, prefill)
+    ref = ReferenceEngine(instance, prefill)
+    assert_same_state(eng, ref, "construction")
+    tally = Counter()
+    for step, (kind, cid, point) in enumerate(mutations):
+        for engine in (eng, ref):
+            if kind == "insert":
+                engine.insert_client(cid, point)
+            else:
+                engine.delete_client(cid)
+        assert_same_state(eng, ref, f"mutation {step}: {kind} {cid}")
+        tally["updates"] += 1
+        tally["pulls"] += eng.last_update.heap_pulls > 0
+        tally["rebuilt"] += eng.last_update.rebuilt
+    tally["flips"] = eng.enabled_flip_updates
+    return tally
+
+
+def benchmark_case(workload, count):
+    inputs = benchmark_inputs(workload, 1)
+    instance = Instance.from_dict(json.loads(inputs.instance_text))
+    events = parse_trace_text(inputs.trace_text)
+    prefill = {e.cid: e.point for e in events[:inputs.prefill]}
+    mutations = [tuple(e) for e in events[inputs.prefill:]
+                 if e.kind in ("insert", "delete")][:count]
+    return instance, prefill, mutations
+
+
+def seeded_case(kind, seed, events=300):
+    rng = random.Random(seed)
+    if kind == "L2":
+        instance = random_instance(rng, n_facilities=6, n_pool_points=30)
+    else:
+        pts = [(rng.randint(0, 500), rng.randint(0, 500)) for _ in range(30)]
+        facilities = [(i, rng.randint(1, 100)) for i in range(6)]
+        if kind == "Linf":
+            instance = Instance("euclidean-Linf", points=pts, facilities=facilities)
+        else:
+            matrix = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in pts] for a in pts]
+            instance = Instance("explicit-matrix", matrix=matrix, facilities=facilities)
+    return instance, {}, [tuple(e) for e in random_trace(rng, instance, events)]
+
+
+def test_line5_matches_general_path(line5):
+    mutations = [("insert", "c1", 3), ("insert", "c2", 4), ("insert", "c3", 3),
+                 ("delete", "c2", None), ("insert", "c4", 0), ("insert", "c5", 1),
+                 ("insert", "c6", 2), ("delete", "c1", None), ("delete", "c4", None),
+                 ("delete", "c3", None), ("delete", "c5", None), ("delete", "c6", None)]
+    tally = run_side_by_side(line5, {}, mutations)
+    assert tally["pulls"] and tally["flips"] and tally["flips"] < tally["updates"]
+
+
+@pytest.mark.parametrize("kind, seed", [(k, s) for k in ("L2", "Linf", "matrix")
+                                        for s in (1, 2, 3)])
+def test_seeded_instances_match_general_path(kind, seed):
+    tally = run_side_by_side(*seeded_case(kind, seed))
+    # Both branches run: updates that pull and flip, and many that do neither.
+    assert tally["pulls"] >= 1 and tally["flips"] >= 1
+    assert tally["updates"] - tally["pulls"] >= tally["updates"] // 4
+
+
+def test_churn_matches_general_path():
+    tally = run_side_by_side(*benchmark_case("churn-l2", 2000))
+    assert tally["updates"] == 2000 and tally["rebuilt"] == 0
+    assert tally["pulls"] >= 1 and tally["updates"] - tally["pulls"] >= 1900
+
+
+def test_flap_matches_general_path():
+    tally = run_side_by_side(*benchmark_case("flap-625", 40))
+    assert tally["updates"] == tally["rebuilt"] == 40
+
+
+# -- the scale window ----------------------------------------------------------
+
+def shift_instances():
+    rng = random.Random(61)
+    line = Instance.load(Path(__file__).parent / "data" / "line5.json")
+    pts = [(rng.randint(0, 300), rng.randint(0, 300)) for _ in range(12)]
+    linf = Instance("euclidean-Linf", points=pts,
+                    facilities=[(0, 3), (1, 40), (2, 9)])
+    return {"line": line, "L2": random_instance(rng, n_facilities=3, n_pool_points=30),
+            "Linf": linf}
+
+
+def count_walk():
+    """Live counts 0 -> 1 -> 0, then up to 4 -> 5 -> 4, 24 -> 25 -> 24 and
+    124 -> 125 -> 124: +1 is an insert, -1 a delete."""
+    steps = [+1, -1]
+    count = 0
+    for boundary in (5, 25, 125):
+        steps += [+1] * (boundary - count) + [-1, +1, -1]
+        count = boundary - 1
+    return steps
+
+
+@pytest.mark.parametrize("name", ["line", "L2", "Linf"])
+def test_scale_window_shifts_exactly_at_powers_of_five(name, monkeypatch):
+    instance = shift_instances()[name]
+    calls = {"adjust": 0, "scale": 0}
+    real_adjust = Engine.adjust_levels
+    real_scale = engine_mod.largest_power_of_five_at_most
+
+    def counting_adjust(self):
+        calls["adjust"] += 1
+        real_adjust(self)
+
+    def counting_scale(count):
+        calls["scale"] += 1
+        return real_scale(count)
+
+    monkeypatch.setattr(Engine, "adjust_levels", counting_adjust)
+    monkeypatch.setattr(engine_mod, "largest_power_of_five_at_most", counting_scale)
+    eng = Engine(instance)
+    rng = random.Random(name)
+    serial = 0
+    rebuilds = 0
+    for step, move in enumerate(count_walk()):
+        before_n = largest_power_of_five_at_most(len(eng.registry))
+        before_anns = eng.annotations
+        before_scale = (eng.params.rho_min, eng.params.rho_max)
+        calls.update(adjust=0, scale=0)
+        if move > 0:
+            serial += 1
+            eng.insert_client(f"c{serial}", rng.randrange(instance.n_points))
+        else:
+            eng.delete_client(rng.choice(sorted(eng.registry)))
+        count = len(eng.registry)
+        n = largest_power_of_five_at_most(count)
+        where = f"step {step}: count {count}"
+        assert eng.n == n, where
+        assert calls["adjust"] == int(n != before_n), where
+        assert calls["scale"] == calls["adjust"], where   # no scale derivation in the window
+        rebuilt = eng.annotations is not before_anns
+        assert eng.last_update.rebuilt == rebuilt, where
+        assert rebuilt == (before_scale != (eng.params.rho_min, eng.params.rho_max)), where
+        rebuilds += rebuilt
+        assert eng.state_hash() == Engine.from_clients(instance, eng.registry).state_hash(), where
+    assert rebuilds >= 2
+
+
+def test_poisoned_engine_refuses_updates_inside_the_window(line5, monkeypatch):
+    eng = Engine(line5, {f"c{i}": i for i in range(4)})
+
+    def fail(self):
+        raise RuntimeError("level shift failed")
+    monkeypatch.setattr(Engine, "adjust_levels", fail)
+    with pytest.raises(RuntimeError, match="level shift failed"):
+        eng.insert_client("c4", 4)                  # 4 -> 5 leaves [1, 5)
+    monkeypatch.undo()
+    for update in (lambda: eng.delete_client("c4"),   # back inside [1, 5)
+                   lambda: eng.delete_client("c0"),
+                   lambda: eng.insert_client("c9", 2)):
+        with pytest.raises(RuntimeError, match="unusable after a failed update"):
+            update()
