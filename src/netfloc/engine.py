@@ -7,10 +7,10 @@ when the bottom scale is fractional.
 
 A steady update does only the work that can change state.  The dirty heap
 is created on the first abundance flip, so an update that flips none skips
-it; without enabled-bit flips the touched root paths are exactly the
-client's chain, settled in one bottom-up pass; and the scale is re-derived
-only when the live count leaves the window [n, 5n) of its current power of
-five.
+it; the cost recursion settles the client's chain in one bottom-up pass and,
+only when enabled bits flip, corrects the flipped nodes' root paths with a
+second pass of the same loop; and the scale is re-derived only when the live
+count leaves the window [n, 5n) of its current power of five.
 """
 
 from __future__ import annotations
@@ -225,7 +225,8 @@ class Engine:
             flipped = self.update_status(affected, delta)
             self.update_cost(chain, flipped, delta)
             if not self.n <= len(self.registry) < self._n_next:
-                self._after_mutation()
+                self._set_scale(largest_power_of_five_at_most(len(self.registry)))
+                self.adjust_levels()
         except BaseException as exc:
             self._poison(exc)
             raise
@@ -252,11 +253,7 @@ class Engine:
 
     def _proposed_open(self, idx: int) -> bool:
         a = self.annotations[idx]
-        if not a.is_open and a.is_abundant and a.open_below == 0:
-            return True
-        if (a.is_open and a.open_below >= 1) or not a.is_abundant:
-            return False
-        return a.is_open
+        return a.is_abundant and a.open_below == 0
 
     def update_status(self, affected, delta: int) -> list[tuple[int, bool]]:
         """Adjust near-neighborhood counters, propagate open/closed flips
@@ -306,67 +303,54 @@ class Engine:
         self.last_update = UpdateStats(len(affected), pulls, flips)
         return flipped
 
+    def _settle(self, order, delta: int) -> None:
+        """Add ``delta`` clients to ``n_area`` and recompute ``cost`` at every
+        node of ``order``, pushing the changes into the parent's
+        ``n_enabled_below`` and ``y``.  ``order`` must list node ids in
+        ascending order: ids ascend with logradius, so each node's children
+        in ``order`` are settled before it."""
+        anns = self.annotations
+        nodes = self.hierarchy.nodes
+        for idx in order:
+            a = anns[idx]
+            a.n_area += delta
+            node = nodes[idx]
+            cost = a.y
+            if a.is_enabled:
+                cost += (a.n_area - a.n_enabled_below) * node.unit_weight
+            parent = node.parent
+            if parent is not None:
+                up = anns[parent]
+                if a.is_enabled:
+                    up.n_enabled_below += delta
+                up.y += cost - a.cost
+            a.cost = cost
+
     def update_cost(self, chain, flipped, delta: int) -> None:
         """Re-establish counters and the cost recursion along the client's
         chain and every root path touched by an enabled-bit flip.
 
-        Without flips the touched paths are exactly the chain, a parent path
-        in ascending id order, so one bottom-up pass applies the client's
-        counts and the cost recursion: each node's child on the chain is
-        settled just before it."""
+        The chain, a parent path in ascending id order, is settled first at
+        the old enabled bits.  Each flip then moves its node's post-update
+        count into or out of its parent's ``n_enabled_below``; a chain node
+        the flip affects lies on the flip's root path, so one more settle
+        pass over the flips' root paths (delta 0) finishes the update."""
+        self._settle(chain, delta)
+        if not flipped:
+            return
         anns = self.annotations
         nodes = self.hierarchy.nodes
-        if not flipped:
-            for idx in chain:
-                a = anns[idx]
-                a.n_area += delta
-                node = nodes[idx]
-                cost = a.y
-                if a.is_enabled:
-                    cost += (a.n_area - a.n_enabled_below) * node.unit_weight
-                parent = node.parent
-                if parent is not None:
-                    up = anns[parent]
-                    if a.is_enabled:
-                        up.n_enabled_below += delta
-                    up.y += cost - a.cost
-                a.cost = cost
-            return
-
-        # Enabled flips first, weighted by the pre-update area counts.
+        paths: set[int] = set()
         for idx, enabled in flipped:
             a = anns[idx]
             parent = nodes[idx].parent
             if parent is not None:
                 anns[parent].n_enabled_below += a.n_area * (enabled - a.is_enabled)
             a.is_enabled = enabled
-
-        # Client chain counts, propagated to parents at the new enabled bits.
-        for idx in chain:
-            a = anns[idx]
-            a.n_area += delta
-            parent = nodes[idx].parent
-            if parent is not None and a.is_enabled:
-                anns[parent].n_enabled_below += delta
-
-        affected_paths = set(chain)
-        for idx, _ in flipped:
-            walk = idx
-            while walk is not None and walk not in affected_paths:
-                affected_paths.add(walk)
-                walk = nodes[walk].parent
-        # Node ids ascend with (logradius, facility), so sorting gives the
-        # bottom-up order the cost recursion needs.
-        for idx in sorted(affected_paths):
-            node = nodes[idx]
-            a = anns[idx]
-            cost = a.y
-            if a.is_enabled:
-                cost += (a.n_area - a.n_enabled_below) * node.unit_weight
-            if cost != a.cost:
-                if node.parent is not None:
-                    anns[node.parent].y += cost - a.cost
-                a.cost = cost
+            while idx is not None and idx not in paths:
+                paths.add(idx)
+                idx = nodes[idx].parent
+        self._settle(sorted(paths), 0)
 
     # -- level maintenance ------------------------------------------------------
 
@@ -375,11 +359,6 @@ class Engine:
         it ([0, 1) for n = 0)."""
         self.n = n
         self._n_next = 5 * n or 1
-
-    def _after_mutation(self) -> None:
-        """Called once the live count has left the current scale's window."""
-        self._set_scale(largest_power_of_five_at_most(len(self.registry)))
-        self.adjust_levels()
 
     def adjust_levels(self) -> None:
         """React to a shift of the client-count scale: switch hierarchies and

@@ -362,6 +362,8 @@ class Instance:
             except json.JSONDecodeError as exc:
                 raise InstanceError(
                     f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+            except RecursionError:
+                raise InstanceError(f"{path}: JSON nested too deeply") from None
         return cls.from_dict(data)
 
 

@@ -119,18 +119,14 @@ def test_check_status_branch_table(line5):
     eng = Engine(line5)
     idx = node_id(eng, 0, 2)
     a = eng.annotations[idx]
-
-    a.is_open, a.is_abundant, a.open_below = False, True, 0
-    assert eng._proposed_open(idx) is True
-
-    a.is_open, a.is_abundant, a.open_below = True, True, 2
-    assert eng._proposed_open(idx) is False
-
-    a.is_open, a.is_abundant, a.open_below = False, False, 0
-    assert eng._proposed_open(idx) is False
-
-    a.is_open, a.is_abundant, a.open_below = True, True, 0
-    assert eng._proposed_open(idx) is True
+    # (is_open, is_abundant, open_below) -> proposed open bit, every state.
+    table = [((False, False, 0), False), ((False, False, 1), False),
+             ((False, True, 0), True), ((False, True, 2), False),
+             ((True, False, 0), False), ((True, False, 1), False),
+             ((True, True, 0), True), ((True, True, 2), False)]
+    for state, expected in table:
+        a.is_open, a.is_abundant, a.open_below = state
+        assert eng._proposed_open(idx) is expected, state
 
 
 def test_find_affected_equals_membership_scan():

@@ -408,6 +408,14 @@ def test_cli_rejects_infinite_diameter(tmp_path, capsys, kind):
     assert err.startswith("error: points too far apart") and err.count("\n") == 1
 
 
+def test_cli_deeply_nested_json_is_input_error(data_dir, tmp_path, capsys):
+    inst = tmp_path / "deep.json"
+    inst.write_text("[" * 100000)
+    assert main(["run", str(inst), str(data_dir / "line5.trace")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {inst}: JSON nested too deeply\n"
+
+
 def test_cli_directory_path_is_input_error(data_dir, tmp_path, capsys):
     inst = str(data_dir / "line5.json")
     trace = str(data_dir / "line5.trace")

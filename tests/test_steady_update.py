@@ -1,12 +1,16 @@
-"""The steady-update shortcuts against the engine's general update path.
+"""The engine's update path against the general update path.
 
 ``Engine`` skips the dirty heap when no abundance bit flips, settles the
-client's chain in one pass when no enabled bit flips, and re-derives the
-scale only when the live count leaves [n, 5n).  ``helpers.ReferenceEngine``
-runs the general path on every update; both must agree field for field after
-every mutation, and the window must trigger exactly the level shifts the
-per-mutation check did."""
+client's chain in one bottom-up pass at the old enabled bits, and, when
+enabled bits flip, corrects the flipped nodes' counts in their parents and
+re-settles only their root paths; it re-derives the scale only when the live
+count leaves [n, 5n).  ``helpers.ReferenceEngine`` runs the general path on
+every update (flips first, then the client's counts along the chain, then one
+cost pass over the sorted union of the chain and the flips' root paths); both
+must agree field for field after every mutation, and the window must trigger
+exactly the level shifts the per-mutation check did."""
 
+import functools
 import json
 import random
 from collections import Counter
@@ -22,14 +26,18 @@ from netfloc.instance import largest_power_of_five_at_most
 
 
 class RecordingEngine(Engine):
-    """Counts the updates that pass enabled-bit flips to ``update_cost``."""
+    """Counts the updates that pass enabled-bit flips to ``update_cost``, and
+    those with a flip off the client's chain, whose root path joins the chain
+    from the side."""
 
     def __init__(self, instance, clients=()):
         self.enabled_flip_updates = 0
+        self.off_chain_flip_updates = 0
         super().__init__(instance, clients)
 
     def update_cost(self, chain, flipped, delta):
         self.enabled_flip_updates += bool(flipped)
+        self.off_chain_flip_updates += any(idx not in chain for idx, _ in flipped)
         super().update_cost(chain, flipped, delta)
 
 
@@ -59,6 +67,7 @@ def run_side_by_side(instance, prefill, mutations) -> Counter:
         tally["pulls"] += eng.last_update.heap_pulls > 0
         tally["rebuilt"] += eng.last_update.rebuilt
     tally["flips"] = eng.enabled_flip_updates
+    tally["off_chain_flips"] = eng.off_chain_flip_updates
     return tally
 
 
@@ -96,13 +105,27 @@ def test_line5_matches_general_path(line5):
     assert tally["pulls"] and tally["flips"] and tally["flips"] < tally["updates"]
 
 
-@pytest.mark.parametrize("kind, seed", [(k, s) for k in ("L2", "Linf", "matrix")
-                                        for s in (1, 2, 3)])
+SEEDED = [(kind, seed) for kind in ("L2", "Linf", "matrix") for seed in (1, 2, 3)]
+
+
+@functools.cache
+def seeded_tally(kind, seed) -> Counter:
+    return run_side_by_side(*seeded_case(kind, seed))
+
+
+@pytest.mark.parametrize("kind, seed", SEEDED)
 def test_seeded_instances_match_general_path(kind, seed):
-    tally = run_side_by_side(*seeded_case(kind, seed))
+    tally = seeded_tally(kind, seed)
     # Both branches run: updates that pull and flip, and many that do neither.
     assert tally["pulls"] >= 1 and tally["flips"] >= 1
     assert tally["updates"] - tally["pulls"] >= tally["updates"] // 4
+
+
+def test_seeded_comparisons_cover_flips_off_the_chain():
+    """A flip off the client's chain has a root path that joins the chain
+    from the side: the comparison must cover updates whose correction pass
+    settles nodes the chain pass did not touch."""
+    assert sum(seeded_tally(*case)["off_chain_flips"] for case in SEEDED) > 0
 
 
 def test_churn_matches_general_path():
