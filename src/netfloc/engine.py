@@ -150,12 +150,35 @@ class Engine:
         """Resolve a live client to its lowest enabled area and open facility."""
         if cid not in self.registry:
             raise ValueError(f"unknown client id: {cid!r}")
+        return self._route(self._lowest_enabled(self.registry[cid]))
+
+    def assignments(self) -> dict:
+        """Every live client's ``assign_client`` result, in one pass over the
+        registry: an assignment depends only on the client's lowest enabled
+        area, so each distinct area is routed once."""
+        routed: dict[int, Assignment] = {}
+        out = {}
+        for cid, point in self.registry.items():
+            area_idx = self._lowest_enabled(point)
+            assignment = routed.get(area_idx)
+            if assignment is None:
+                assignment = routed[area_idx] = self._route(area_idx)
+            out[cid] = assignment
+        return out
+
+    def _lowest_enabled(self, point: int) -> int:
         anns = self.annotations
+        for idx in self.hierarchy.area_chain(point):
+            if anns[idx].is_enabled:
+                return idx
+        raise RuntimeError(f"no enabled area on the chain of point {point}")
+
+    def _route(self, area_idx: int) -> Assignment:
+        """The assignment of a client whose lowest enabled area is
+        ``area_idx``: the smallest-key open triplet at or below the area's
+        (logradius, color) whose facility lies in the area's far
+        neighborhood."""
         nodes = self.hierarchy.nodes
-        chain = self.hierarchy.area_chain(self.registry[cid])
-        area_idx = next((i for i in chain if anns[i].is_enabled), None)
-        if area_idx is None:
-            raise RuntimeError("no enabled area on a live client's chain")
         area = nodes[area_idx]
         area_key = (area.r, area.color)
         members = set(area.y_areas)
@@ -172,19 +195,20 @@ class Engine:
             if best is None or key < best_key:
                 best, best_key = oidx, key
         if best is None:
-            raise RuntimeError("live client without a reachable open triplet")
+            raise RuntimeError("no open triplet reachable from area "
+                               f"(j={area.facility},r={area.r},s={area.color})")
         return Assignment(area.r, area_idx, best,
                           nodes[best].designated_facility)
 
-    def realized_cost(self) -> float:
+    def realized_cost(self, assignments) -> float:
         """Opening costs of the open facilities plus client-to-facility
-        distances under the current assignment."""
+        distances under ``assignments``, the result of ``assignments()``
+        for the current state."""
         dist = self.instance.distance
         facs = self.instance.facilities
         total = sum(facs[f].opening_cost for f in self.solution_query())
         for cid, point in self.registry.items():
-            assignment = self.assign_client(cid)
-            total += dist(point, facs[assignment.open_facility].point)
+            total += dist(point, facs[assignments[cid].open_facility].point)
         return total
 
     def state_hash(self) -> str:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .engine import HIERARCHY_CACHE_SIZE, Engine
 from .hierarchy import PAYMENT_BOUND_FACTOR
-from .instance import Instance, InstanceError, NetflocError
+from .instance import Instance, InstanceError, NetflocError, echo
 from .oracle import OracleView, compare_states, engine_snapshot, \
     brute_force_opt, logical_violations
 
@@ -76,9 +76,9 @@ def _parse_point(token: str, line_no: int) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise TraceError(f"line {line_no}: bad point index {token!r}") from None
+        raise TraceError(f"line {line_no}: bad point index {echo(token)}") from None
     if value < 0:
-        raise TraceError(f"line {line_no}: bad point index {token!r}")
+        raise TraceError(f"line {line_no}: bad point index {echo(token)}")
     return value
 
 
@@ -93,19 +93,19 @@ def parse_trace_text(text: str) -> list[TraceEvent]:
         if parts[0] == "+" and len(parts) == 3:
             cid = parts[1]
             if cid in live:
-                raise TraceError(f"line {line_no}: client {cid!r} already live")
+                raise TraceError(f"line {line_no}: client {echo(cid)} already live")
             live.add(cid)
             events.append(TraceEvent("insert", cid, _parse_point(parts[2], line_no)))
         elif parts[0] == "-" and len(parts) == 2:
             cid = parts[1]
             if cid not in live:
-                raise TraceError(f"line {line_no}: delete of non-live client {cid!r}")
+                raise TraceError(f"line {line_no}: delete of non-live client {echo(cid)}")
             live.remove(cid)
             events.append(TraceEvent("delete", cid))
         elif parts[0] == "?" and len(parts) == 2 and parts[1] in _QUERY_EVENTS:
             events.append(_QUERY_EVENTS[parts[1]])
         else:
-            raise TraceError(f"line {line_no}: unrecognized event {raw.strip()!r}")
+            raise TraceError(f"line {line_no}: unrecognized event {echo(raw.strip())}")
     return events
 
 
@@ -170,13 +170,17 @@ def verify_trace(instance: Instance, trace, corruption=None) -> tuple[int, list[
                 del views[next(iter(views))]
         views[engine.hierarchy] = view
         expected = view.recompute_state(engine.registry)
-        mismatches = compare_states(engine_snapshot(engine), expected)
+        try:
+            snapshot = engine_snapshot(engine)
+        except RuntimeError as exc:  # a live client's assignment does not resolve
+            return 1, [f"event {index}: assignment: {exc}"]
+        mismatches = compare_states(snapshot, expected)
         if mismatches:
             return 1, [f"event {index}: {m}" for m in mismatches]
-        problems = logical_violations(view, engine)
+        problems = logical_violations(view, engine, snapshot.assignments)
         if problems:
             return 1, [f"event {index}: {p}" for p in problems]
-        realized = engine.realized_cost()
+        realized = engine.realized_cost(snapshot.assignments)
         bound = PAYMENT_BOUND_FACTOR * engine.cost_query()
         if realized > bound * (1 + PAYMENT_SLACK):
             return 1, [f"event {index}: realized cost {realized} above {bound}"]
@@ -226,7 +230,7 @@ def opt_command(instance: Instance, trace) -> str:
             _apply_event(engine, event, sink)
     opt = brute_force_opt(instance, engine.registry)
     cost = engine.cost_query()
-    realized = engine.realized_cost()
+    realized = engine.realized_cost(engine.assignments())
     if math.isinf(opt.cost):
         # Every opening set's cost overflows: no ratio to OPT has a value.
         ratio_realized = ratio_cost = "undefined"

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -38,6 +39,25 @@ _L2_SCALE = 2.0 ** -600
 _BLOCK_ELEMENTS = 2 ** 15
 _EPS = float(np.finfo(float).eps)
 
+# Input values echoed in error messages.  repr's work and length are bounded
+# by eliding past 4 levels of nesting, 12 items per container and 60
+# characters per string or number, and the echo is cut at _ECHO_LIMIT
+# characters; a value within those limits prints as repr prints it (with a
+# dict's keys sorted).
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 4
+_ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxdict = _ECHO.maxset = 12
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 60
+_ECHO_LIMIT = 100
+
+
+def echo(value) -> str:
+    """``repr(value)`` for an error message, at most _ECHO_LIMIT characters."""
+    text = _ECHO.repr(value)
+    if len(text) > _ECHO_LIMIT:
+        text = text[:_ECHO_LIMIT - 3] + "..."
+    return text
+
 
 def _is_finite_number(x) -> bool:
     """True for a finite real number; bools and strings are not numbers."""
@@ -52,7 +72,7 @@ def _as_list(value, what: str) -> list:
     try:
         return list(value)
     except TypeError:
-        raise InstanceError(f"{what} must be a list, got {value!r}") from None
+        raise InstanceError(f"{what} must be a list, got {echo(value)}") from None
 
 
 def _max_squared_distance(arr: np.ndarray) -> float:
@@ -174,11 +194,11 @@ class Instance:
 
     def __init__(self, kind, points=None, matrix=None, facilities=(), kappa=None):
         if kind not in METRIC_KINDS:
-            raise InstanceError(f"unknown metric kind {kind!r}")
+            raise InstanceError(f"unknown metric kind {echo(kind)}")
         self.kind = kind
         self.kappa = kappa
         if kappa is not None and not (_is_finite_number(kappa) and kappa > 0):
-            raise InstanceError(f"kappa must be a positive number when declared, got {kappa!r}")
+            raise InstanceError(f"kappa must be a positive number when declared, got {echo(kappa)}")
         if kind == "explicit-matrix":
             if points is not None or matrix is None:
                 raise InstanceError("explicit-matrix instances take a matrix, not points")
@@ -187,7 +207,7 @@ class Instance:
                 for q, x in enumerate(row):
                     if not _is_finite_number(x):
                         raise InstanceError(f"non-numeric, NaN or infinite distance "
-                                            f"for pair ({p}, {q}): {x!r}")
+                                            f"for pair ({p}, {q}): {echo(x)}")
             self._matrix = [tuple(float(x) for x in row) for row in rows]
             self._points = None
             self._validate_matrix()
@@ -214,9 +234,9 @@ class Instance:
                 point = self.point_index(point)
             except InstanceError:
                 raise InstanceError(
-                    f"facility {fid} references unknown point {point!r}") from None
+                    f"facility {fid} references unknown point {echo(point)}") from None
             if not _is_finite_number(cost) or cost <= 0:
-                raise InstanceError(f"facility {fid} needs a positive opening cost, got {cost!r}")
+                raise InstanceError(f"facility {fid} needs a positive opening cost, got {echo(cost)}")
             self.facilities.append(Facility(fid, point, float(cost)))
         if not self.facilities:
             raise InstanceError("instance needs at least one facility")
@@ -228,10 +248,10 @@ class Instance:
         unless it is an integer (not a bool) in range."""
         if type(point) is not int:  # bools and numpy integers land here
             if isinstance(point, bool) or not isinstance(point, numbers.Integral):
-                raise InstanceError(f"point index must be an integer, got {point!r}")
+                raise InstanceError(f"point index must be an integer, got {echo(point)}")
             point = int(point)
         if not 0 <= point < self.n_points:
-            raise InstanceError(f"point index out of range: {point!r}")
+            raise InstanceError(f"point index out of range: {echo(point)}")
         return point
 
     @staticmethod
@@ -241,7 +261,7 @@ class Instance:
         except TypeError:  # a bare number is a one-dimensional point
             coords = (p,)
         if not coords or not all(_is_finite_number(x) for x in coords):
-            raise InstanceError(f"bad point coordinates {p!r}")
+            raise InstanceError(f"bad point coordinates {echo(p)}")
         return tuple(float(x) for x in coords)
 
     def _validate_matrix(self):

@@ -51,8 +51,7 @@ def engine_snapshot(engine: Engine) -> StateSnapshot:
         structure=structure_signature(engine.hierarchy),
         annotations=[a.clone() for a in engine.annotations],
         open_facilities=frozenset(engine.solution_query()),
-        assignments={cid: engine.assign_client(cid)
-                     for cid, _ in engine.registry.items()},
+        assignments=engine.assignments(),
     )
 
 
@@ -206,25 +205,23 @@ class OracleView:
             if node.parent is not None:
                 y[node.parent] += cost[idx]
 
+        # open_list ascends in key, so an area's first reachable entry is the
+        # smallest-key one; an assignment depends only on the area.
         open_list = [idx for idx in self._order if open_bits[idx]]
+        routed = {}
         assignments = {}
-        for cid, chain in chains.items():
-            area_idx = payments[cid]
-            area = nodes[area_idx]
-            area_key = (area.r, area.color)
-            best = None
-            best_key = None
-            for oidx in open_list:
-                onode = nodes[oidx]
-                key = (onode.r, onode.color, onode.facility)
-                if key[:2] > area_key:
-                    continue
-                if onode.facility not in self.y_facilities[area_idx]:
-                    continue
-                if best is None or key < best_key:
-                    best, best_key = oidx, key
-            assignments[cid] = Assignment(
-                area.r, area_idx, best, nodes[best].designated_facility)
+        for cid, area_idx in payments.items():
+            assignment = routed.get(area_idx)
+            if assignment is None:
+                area = nodes[area_idx]
+                area_key = (area.r, area.color)
+                inside = self.y_facilities[area_idx]
+                best = next(oidx for oidx in open_list
+                            if nodes[oidx].key()[:2] <= area_key
+                            and nodes[oidx].facility in inside)
+                assignment = routed[area_idx] = Assignment(
+                    area.r, area_idx, best, nodes[best].designated_facility)
+            assignments[cid] = assignment
 
         annotations = [
             NodeAnnotation(
@@ -344,12 +341,12 @@ def brute_force_opt(instance: Instance, clients) -> OptResult:
     return OptResult(best_cost, frozenset(cols), assignment)
 
 
-def logical_violations(view: OracleView, engine: Engine) -> list[str]:
+def logical_violations(view: OracleView, engine: Engine, assignments) -> list[str]:
     """Engine-state sanity conditions that must hold after every update:
     open implies enabled, abundant implies enabled, no client sits in two
     open near neighborhoods, a non-empty client set keeps at least one
     triplet open and the root enabled, and the root cost equals the summed
-    client payments."""
+    client payments under ``assignments``, the engine's ``assignments()``."""
     problems: list[str] = []
     nodes = engine.hierarchy.nodes
     anns = engine.annotations
@@ -360,16 +357,21 @@ def logical_violations(view: OracleView, engine: Engine) -> list[str]:
             problems.append(f"abundant but not enabled: node {nodes[idx].key()}")
     live = list(engine.registry.items())
     open_nodes = sorted(engine.open_nodes)
+    # Open near neighborhoods holding each distinct client point.
+    hits_at: dict[int, int] = {}
     for cid, point in live:
-        hits = [idx for idx in open_nodes if view.point_in_x(point, idx)]
-        if len(hits) > 1:
-            problems.append(f"client {cid!r} in {len(hits)} open neighborhoods")
+        hits = hits_at.get(point)
+        if hits is None:
+            hits = hits_at[point] = sum(view.point_in_x(point, idx)
+                                        for idx in open_nodes)
+        if hits > 1:
+            problems.append(f"client {cid!r} in {hits} open neighborhoods")
     if live:
         if not open_nodes:
             problems.append("live clients but no open triplet")
         if not anns[engine.hierarchy.root].is_enabled:
             problems.append("live clients but root not enabled")
-        total = sum(nodes[engine.assign_client(cid).area_triplet].unit_weight
+        total = sum(nodes[assignments[cid].area_triplet].unit_weight
                     for cid, _ in live)
         if total != anns[engine.hierarchy.root].cost:
             problems.append(

@@ -1,16 +1,19 @@
 """Brute-force reference routines shared by the structural tests: everything
 here scans all pairs directly instead of using the tree traversals.  Also the
-benchmark's seeded input generator, for tests that run on its inputs, and the
+benchmark's seeded input generator, for tests that run on its inputs, the
 engine's general update path kept as a reference for its steady-update
-shortcuts."""
+shortcuts, the oracle's per-client assignment loop kept as a reference for
+its per-area one, and seeded traces that cross the scales 5, 25 and 125."""
 
 import importlib.util
+import random
 import sys
 from functools import cache
 from pathlib import Path
 
-from netfloc import C1, C2, C3, C4, CX, DirtyHeap, Engine, Hierarchy, derive_parameters, radius
-from netfloc.engine import UpdateStats
+from netfloc import C1, C2, C3, C4, CX, DirtyHeap, Engine, Hierarchy, Instance, \
+    derive_parameters, radius, random_instance, random_trace
+from netfloc.engine import Assignment, UpdateStats
 from netfloc.instance import largest_power_of_five_at_most
 
 
@@ -114,6 +117,64 @@ class ReferenceEngine(Engine):
                 if node.parent is not None:
                     anns[node.parent].y += cost - a.cost
                 a.cost = cost
+
+
+CROSSING_KINDS = ("line5", "L2", "Linf", "matrix")
+
+
+def crossing_case(kind: str, seed: int = 1):
+    """An instance of ``kind`` (line5, or seeded L2, L-inf or explicit
+    matrix) and a seeded insert/delete trace whose live count climbs past 5,
+    25 and 125."""
+    rng = random.Random(f"{kind}-{seed}")
+    if kind == "line5":
+        instance = Instance.load(Path(__file__).parent / "data" / "line5.json")
+    elif kind == "L2":
+        instance = random_instance(rng, n_facilities=8, n_pool_points=40)
+    else:
+        pts = [(rng.randint(0, 500), rng.randint(0, 500)) for _ in range(40)]
+        facilities = [(i, rng.randint(1, 100)) for i in range(8)]
+        if kind == "Linf":
+            instance = Instance("euclidean-Linf", points=pts, facilities=facilities)
+        else:
+            matrix = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in pts] for a in pts]
+            instance = Instance("explicit-matrix", matrix=matrix, facilities=facilities)
+    trace = random_trace(rng, instance, 480)
+    live = peak = 0
+    for event in trace:
+        live += 1 if event.kind == "insert" else -1
+        peak = max(peak, live)
+    assert peak >= 125, f"{kind} trace peaks at {peak} clients"
+    return instance, trace
+
+
+def reference_oracle_assignments(view, annotations, clients) -> dict:
+    """Each client's assignment under the oracle's ``annotations``, resolved
+    client by client: its lowest enabled area on the view's chain, then a
+    scan of every open triplet in key order for the smallest key at or below
+    the area whose facility lies in the area's far neighborhood."""
+    nodes = view.hierarchy.nodes
+    open_list = [idx for idx in view._order if annotations[idx].is_open]
+    assignments = {}
+    for cid, point in dict(clients).items():
+        area_idx = next(idx for idx in view.point_chain[point]
+                        if annotations[idx].is_enabled)
+        area = nodes[area_idx]
+        area_key = (area.r, area.color)
+        best = None
+        best_key = None
+        for oidx in open_list:
+            onode = nodes[oidx]
+            key = (onode.r, onode.color, onode.facility)
+            if key[:2] > area_key:
+                continue
+            if onode.facility not in view.y_facilities[area_idx]:
+                continue
+            if best is None or key < best_key:
+                best, best_key = oidx, key
+        assignments[cid] = Assignment(
+            area.r, area_idx, best, nodes[best].designated_facility)
+    return assignments
 
 
 def build(instance, n=0) -> Hierarchy:

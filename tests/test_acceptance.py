@@ -65,14 +65,15 @@ def fuzz_corpus() -> CorpusStats:
                 view = OracleView(inst, engine.hierarchy)
                 stats.level_shifts += 1
             expected = view.recompute_state(dict(engine.registry.items()))
-            mism = compare_states(engine_snapshot(engine), expected)
+            snapshot = engine_snapshot(engine)
+            mism = compare_states(snapshot, expected)
             if mism:
                 stats.mismatches.append(f"instance {k} event {i}: {mism[0]}")
-            problems = logical_violations(view, engine)
+            problems = logical_violations(view, engine, snapshot.assignments)
             if problems:
                 stats.logical.append(f"instance {k} event {i}: {problems[0]}")
             cost = engine.cost_query()
-            realized = engine.realized_cost()
+            realized = engine.realized_cost(snapshot.assignments)
             if realized > PAYMENT_BOUND_FACTOR * cost * (1 + PAYMENT_SLACK):
                 stats.payment.append(
                     f"instance {k} event {i}: {realized} > "
@@ -116,7 +117,7 @@ def test_approximation_bound():
             clients[f"c{i}"] = point
             engine.insert_client(f"c{i}", point)
         opt = brute_force_opt(inst, clients)
-        realized = engine.realized_cost()
+        realized = engine.realized_cost(engine.assignments())
         cost = engine.cost_query()
         if realized > APPROX_FACTOR * opt.cost:
             violations.append(f"instance {k}: realized {realized} vs opt {opt.cost}")

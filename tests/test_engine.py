@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import helpers
 import netfloc.engine as engine_mod
 from netfloc import (ASSIGN_RADIUS_FACTOR, DirtyHeap, Engine, Hierarchy, InstanceError,
                      NodeAnnotation, OracleView,
@@ -185,6 +186,23 @@ def test_assign_errors(line5):
         eng.assign_client("ghost")
 
 
+@pytest.mark.parametrize("kind", helpers.CROSSING_KINDS)
+def test_assignments_equal_assign_client_after_every_mutation(kind):
+    instance, trace = helpers.crossing_case(kind)
+    eng = Engine(instance)
+    shifts = 0
+    for event in trace:
+        hierarchy = eng.hierarchy
+        if event.kind == "insert":
+            eng.insert_client(event.cid, event.point)
+        else:
+            eng.delete_client(event.cid)
+        shifts += eng.hierarchy is not hierarchy
+        assert eng.assignments() == {cid: eng.assign_client(cid)
+                                     for cid in eng.registry}, event
+    assert shifts >= 2
+
+
 def test_assignment_radius_and_open_area_properties():
     # A client covered by an open triplet's near neighborhood is assigned at
     # exactly that scale, and always lands within the stated radius.
@@ -312,9 +330,9 @@ def test_hierarchy_cache_across_power_of_five(monkeypatch):
 
 def test_realized_cost(line5):
     eng = Engine(line5)
-    assert eng.realized_cost() == 0.0
+    assert eng.realized_cost(eng.assignments()) == 0.0
     eng.insert_client("c1", 3)
-    assert eng.realized_cost() == 110.0  # open F0 at 10 plus distance 100
+    assert eng.realized_cost(eng.assignments()) == 110.0  # open F0 at 10 plus distance 100
 
 
 def test_dirty_heap_guards():

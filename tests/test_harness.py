@@ -1,10 +1,11 @@
 import json
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
-from netfloc import (Instance, InstanceError, OracleView, TraceError, TraceEvent,
+from netfloc import (Engine, Instance, InstanceError, OracleView, TraceError, TraceEvent,
                      bench_trace, opt_command, parse_trace, parse_trace_text,
                      random_instance, random_trace, run_trace, verify_trace)
 from netfloc.engine import HIERARCHY_CACHE_SIZE
@@ -227,6 +228,69 @@ def test_verify_random_trace(line5):
     assert code == 0
 
 
+def _matrix_benchmark_case():
+    inputs = benchmark_inputs("verify-matrix", 1)
+    return (Instance.from_dict(json.loads(inputs.instance_text)),
+            parse_trace_text(inputs.trace_text))
+
+
+def test_verify_trace_routes_each_area_once_per_mutation(monkeypatch):
+    instance, trace = _matrix_benchmark_case()
+    real_route = Engine._route
+    per_event = []   # (event, distinct lowest enabled areas, routings)
+
+    def counting_route(self, area_idx):
+        per_event[-1][2][area_idx] += 1
+        return real_route(self, area_idx)
+
+    def start_event(engine, index):
+        anns = engine.annotations
+        areas = {next(idx for idx in engine.hierarchy.area_chain(point)
+                      if anns[idx].is_enabled)
+                 for point in engine.registry.values()}
+        per_event.append((trace[index], areas, Counter()))
+
+    monkeypatch.setattr(Engine, "_route", counting_route)
+    assert verify_trace(instance, trace, corruption=start_event)[0] == 0
+    assert len(per_event) == len(trace)
+    for event, areas, routed in per_event:
+        if event.kind in ("insert", "delete"):
+            assert routed == Counter(dict.fromkeys(areas, 1)), event
+        else:
+            assert not routed, event
+
+
+def _drop_first_clients_open_triplet(engine):
+    cid = next(iter(engine.registry))
+    engine.open_nodes.discard(engine.assign_client(cid).aux_triplet)
+
+
+def _disable_first_clients_area(engine):
+    anns = engine.annotations
+    point = next(iter(engine.registry.values()))
+    area = next(idx for idx in engine.hierarchy.area_chain(point)
+                if anns[idx].is_enabled)
+    anns[area].is_enabled = False
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (_drop_first_clients_open_triplet, "assignment"),
+    (_disable_first_clients_area, "is_enabled"),
+])
+def test_verify_trace_sees_corrupted_assignments(corrupt, named):
+    instance, trace = _matrix_benchmark_case()
+    at = [i for i, e in enumerate(trace) if e.kind in ("insert", "delete")][300]
+
+    def corruption(engine, index):
+        if index == at:
+            corrupt(engine)
+
+    code, lines = verify_trace(instance, trace, corruption=corruption)
+    assert code == 1
+    assert all(line.startswith(f"event {at}: ") for line in lines)
+    assert any(named in line for line in lines), lines
+
+
 def _view_counts(monkeypatch, instance, trace):
     """Run verify_trace; return (views built, distinct hierarchies viewed,
     most views alive at once)."""
@@ -414,6 +478,29 @@ def test_cli_deeply_nested_json_is_input_error(data_dir, tmp_path, capsys):
     assert main(["run", str(inst), str(data_dir / "line5.trace")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {inst}: JSON nested too deeply\n"
+
+
+def _nested(depth):
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("data", [
+    {"metric": {"kind": "euclidean-L2", "points": [_nested(900), [1]]},
+     "facilities": [{"point": 0, "cost": 3}]},
+    {"metric": {"kind": "explicit-matrix", "matrix": [[0, _nested(900)], [1, 0]]},
+     "facilities": [{"point": 0, "cost": 3}]},
+    {"metric": {"kind": "euclidean-L2", "points": [[0], [1]]},
+     "facilities": [{"point": "7" * 5000, "cost": 3}]},
+], ids=["nested-point", "nested-matrix-entry", "long-facility-point"])
+def test_cli_echoed_input_values_are_bounded(data_dir, tmp_path, capsys, data):
+    inst = tmp_path / "big.json"
+    inst.write_text(json.dumps(data))
+    assert main(["run", str(inst), str(data_dir / "line5.trace")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
 
 def test_cli_directory_path_is_input_error(data_dir, tmp_path, capsys):

@@ -161,3 +161,20 @@ def test_oracle_matches_engine_after_random_runs():
             view = OracleView(inst, eng.hierarchy)
         assert compare_states(engine_snapshot(eng),
                               view.recompute_state(live)) == []
+
+
+@pytest.mark.parametrize("kind", helpers.CROSSING_KINDS)
+def test_recompute_assignments_equal_per_client_reference(kind):
+    instance, trace = helpers.crossing_case(kind)
+    eng = Engine(instance)
+    view = OracleView(instance, eng.hierarchy)
+    for event in trace:
+        if event.kind == "insert":
+            eng.insert_client(event.cid, event.point)
+        else:
+            eng.delete_client(event.cid)
+        if view.hierarchy is not eng.hierarchy:
+            view = OracleView(instance, eng.hierarchy)
+        state = view.recompute_state(eng.registry)
+        assert state.assignments == helpers.reference_oracle_assignments(
+            view, state.annotations, eng.registry), event
