@@ -214,7 +214,7 @@ class Engine:
     def state_hash(self) -> str:
         """Digest of the full dynamic state (structure, annotations, clients)."""
         h = hashlib.sha256()
-        p = self.params
+        p = self.hierarchy.params
         nodes = self.hierarchy.nodes
         h.update(repr((p.rho_min, p.rho_max, self.n)).encode())
         for node, a in zip(nodes, self.annotations):
@@ -389,11 +389,10 @@ class Engine:
         rebuild all dynamic state when the bottom logradius moves, marking
         ``last_update.rebuilt``; else keep the structure untouched."""
         params = derive_parameters(self.instance, self.n)
-        if (params.rho_min, params.rho_max) == (self.params.rho_min, self.params.rho_max):
-            self.params = params
-            return
-        self._rebuild(params)
-        self.last_update.rebuilt = True
+        current = self.hierarchy.params
+        if (params.rho_min, params.rho_max) != (current.rho_min, current.rho_max):
+            self._rebuild(params)
+            self.last_update.rebuilt = True
 
     def _rebuild(self, params: Params) -> None:
         """Switch to the hierarchy of ``params`` and build every annotation
@@ -403,7 +402,6 @@ class Engine:
         rho_max); a hierarchy depends on nothing else, so a cached one equals
         a fresh build.  The least recently used one is evicted.
         """
-        self.params = params
         key = (params.rho_min, params.rho_max)
         cache = self._hierarchies
         hierarchy = cache.pop(key, None)

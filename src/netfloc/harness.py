@@ -3,7 +3,7 @@ it against the from-scratch oracle after every mutation (``verify``, alias
 ``run --verified``), benchmark, and report exact optima for small instances.
 
 Trace format (UTF-8, line based):
-    + <cid> <point-index>     insert a client ("P3" is accepted for "3")
+    + <cid> <point-index>     insert a client (ASCII digits; "P3" means "3")
     - <cid>                   delete a live client
     ? cost                    print the current cost estimate
     ? solution                print the open facilities, sorted
@@ -21,10 +21,10 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .engine import HIERARCHY_CACHE_SIZE, Engine
+from .engine import HIERARCHY_CACHE_SIZE, Engine, UpdateStats
 from .hierarchy import PAYMENT_BOUND_FACTOR
 from .instance import Instance, InstanceError, NetflocError, echo
 from .oracle import OracleView, compare_states, engine_snapshot, \
@@ -72,14 +72,14 @@ def fmt_number(x) -> str:
 
 
 def _parse_point(token: str, line_no: int) -> int:
+    """A point index: ASCII digits, optionally after "P" or "p"."""
     raw = token[1:] if token[:1] in ("P", "p") else token
-    try:
-        value = int(raw)
-    except ValueError:
-        raise TraceError(f"line {line_no}: bad point index {echo(token)}") from None
-    if value < 0:
-        raise TraceError(f"line {line_no}: bad point index {echo(token)}")
-    return value
+    if raw.isascii() and raw.isdigit():
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise TraceError(f"line {line_no}: bad point index {echo(token)}")
 
 
 def parse_trace_text(text: str) -> list[TraceEvent]:
@@ -188,12 +188,15 @@ def verify_trace(instance: Instance, trace, corruption=None) -> tuple[int, list[
 
 
 def bench_trace(instance: Instance, trace, repetitions: int = 1) -> str:
-    """Replay timings as CSV: one row per event with work counters; with
-    repetitions > 1 a median-microseconds column is appended."""
+    """Replay timings as CSV: one row per event with every ``UpdateStats``
+    field (a query row carries the defaults); with repetitions > 1 a
+    median-microseconds column is appended."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    names = [f.name for f in fields(UpdateStats)]
+    idle = UpdateStats()
     timings: list[list[float]] = [[] for _ in trace]
-    rows: list[tuple] = []
+    rows: list[list[str]] = []
     for rep in range(repetitions):
         engine = Engine(instance)
         sink: list[str] = []
@@ -203,17 +206,14 @@ def bench_trace(instance: Instance, trace, repetitions: int = 1) -> str:
             micros = (time.perf_counter_ns() - before) / 1000.0
             timings[index].append(micros)
             if rep == 0:
-                if event.kind in ("insert", "delete"):
-                    stats = engine.last_update
-                    rows.append((index, event.kind, stats.heap_pulls, stats.flips))
-                else:
-                    rows.append((index, event.kind, 0, 0))
-    header = "event_index,op,micros,heap_pulls,flips"
+                stats = engine.last_update if event.kind in ("insert", "delete") else idle
+                rows.append([str(getattr(stats, name)) for name in names])
+    header = ",".join(["event_index", "op", "micros", *names])
     if repetitions > 1:
         header += ",micros_median"
     lines = [header]
-    for index, kind, pulls, flips in rows:
-        line = f"{index},{kind},{timings[index][0]:.1f},{pulls},{flips}"
+    for index, (event, counters) in enumerate(zip(trace, rows)):
+        line = ",".join([str(index), event.kind, f"{timings[index][0]:.1f}", *counters])
         if repetitions > 1:
             line += f",{statistics.median(timings[index]):.1f}"
         lines.append(line)
@@ -256,22 +256,20 @@ def default_seed() -> int:
 
 
 def random_instance(rng: random.Random, n_facilities: int = 8,
-                    n_pool_points: int = 40, grid: int = 1000,
-                    cost_range: tuple[int, int] = (1, 500),
-                    kappa=None) -> Instance:
-    """Uniform random instance: integer grid points under L2, facility
-    locations distinct, opening costs uniform integers."""
+                    n_pool_points: int = 40) -> Instance:
+    """Uniform random instance: points on the integer grid [0, 1000]^2 under
+    L2, facility locations distinct, opening costs uniform integers in
+    [1, 500]."""
     fac_points: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     while len(fac_points) < n_facilities:
-        p = (rng.randint(0, grid), rng.randint(0, grid))
+        p = (rng.randint(0, 1000), rng.randint(0, 1000))
         if p not in seen:
             seen.add(p)
             fac_points.append(p)
-    pool = [(rng.randint(0, grid), rng.randint(0, grid)) for _ in range(n_pool_points)]
-    facilities = [(i, rng.randint(*cost_range)) for i in range(n_facilities)]
-    return Instance("euclidean-L2", points=fac_points + pool,
-                    facilities=facilities, kappa=kappa)
+    pool = [(rng.randint(0, 1000), rng.randint(0, 1000)) for _ in range(n_pool_points)]
+    facilities = [(i, rng.randint(1, 500)) for i in range(n_facilities)]
+    return Instance("euclidean-L2", points=fac_points + pool, facilities=facilities)
 
 
 def random_trace(rng: random.Random, instance: Instance,

@@ -138,8 +138,10 @@ class Params:
     """Scale parameters derived from an instance and a client-count scale n.
 
     ``rho_min``/``rho_max`` bound the hierarchy's logradii; ``delta`` is the
-    number of levels.  ``n`` is the largest power of five at most the live
-    client count (0 while there are no clients).
+    number of levels.  ``n`` is the scale they were derived for, the largest
+    power of five at most a client count (0 for none).  The engine reuses a
+    hierarchy for every scale with its ``rho_min`` and ``rho_max``, so its
+    live scale is ``Engine.n``, not ``hierarchy.params.n``.
     """
 
     w: float
@@ -225,11 +227,7 @@ class Instance:
             raise InstanceError("instance needs at least one point")
 
         self.facilities: list[Facility] = []
-        for fid, fac in enumerate(facilities):
-            if isinstance(fac, Facility):
-                point, cost = fac.point, fac.opening_cost
-            else:
-                point, cost = fac
+        for fid, (point, cost) in enumerate(facilities):
             try:
                 point = self.point_index(point)
             except InstanceError:
@@ -354,9 +352,6 @@ class Instance:
             table.flags.writeable = False
             self._facility_distances = table
         return self._facility_distances
-
-    def facility_point(self, fid: int) -> int:
-        return self.facilities[fid].point
 
     @classmethod
     def from_dict(cls, data) -> "Instance":

@@ -11,7 +11,7 @@ definitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -27,28 +27,19 @@ class HierarchyMismatch(NetflocError):
 
 @dataclass
 class StateSnapshot:
-    """Full dynamic state: one annotation per triplet, the open facility set,
-    and one assignment per live client."""
+    """Full dynamic state over one hierarchy: one annotation per triplet, the
+    open facility set, and one assignment per live client."""
 
-    structure: tuple
+    hierarchy: Hierarchy
     annotations: list[NodeAnnotation]
     open_facilities: frozenset
     assignments: dict
 
 
-def structure_signature(hierarchy: Hierarchy) -> tuple:
-    return tuple(
-        (n.facility, n.r, n.color,
-         None if n.parent is None else hierarchy.nodes[n.parent].facility,
-         n.designated_facility, n.designated_cost)
-        for n in hierarchy.nodes
-    )
-
-
 def engine_snapshot(engine: Engine) -> StateSnapshot:
     """Capture the engine's current state in snapshot form."""
     return StateSnapshot(
-        structure=structure_signature(engine.hierarchy),
+        hierarchy=engine.hierarchy,
         annotations=[a.clone() for a in engine.annotations],
         open_facilities=frozenset(engine.solution_query()),
         assignments=engine.assignments(),
@@ -238,17 +229,13 @@ class OracleView:
             for idx in range(count)
         ]
         open_facs = frozenset(nodes[idx].designated_facility for idx in open_list)
-        return StateSnapshot(structure_signature(hierarchy), annotations,
-                             open_facs, assignments)
-
-
-_ANNOTATION_FIELDS = ("is_open", "is_enabled", "is_abundant", "n_area", "n_x",
-                      "open_below", "n_enabled_below", "cost", "y")
+        return StateSnapshot(hierarchy, annotations, open_facs, assignments)
 
 
 def compare_states(left: StateSnapshot, right: StateSnapshot) -> list[str]:
-    """Field-by-field diff of two snapshots; empty list means identical."""
-    if left.structure != right.structure:
+    """Field-by-field diff of two snapshots of one hierarchy; empty list
+    means identical."""
+    if left.hierarchy is not right.hierarchy:
         raise HierarchyMismatch("snapshots cover different hierarchies")
     if (left.annotations == right.annotations
             and left.open_facilities == right.open_facilities
@@ -258,12 +245,12 @@ def compare_states(left: StateSnapshot, right: StateSnapshot) -> list[str]:
     for pos, (la, ra) in enumerate(zip(left.annotations, right.annotations)):
         if la == ra:
             continue
-        fac, r, color = left.structure[pos][:3]
-        for field in _ANNOTATION_FIELDS:
-            lv, rv = getattr(la, field), getattr(ra, field)
+        node = left.hierarchy.nodes[pos]
+        for field in fields(NodeAnnotation):
+            lv, rv = getattr(la, field.name), getattr(ra, field.name)
             if lv != rv:
-                diffs.append(
-                    f"node (j={fac},r={r},s={color}): {field} left={lv} right={rv}")
+                diffs.append(f"node (j={node.facility},r={node.r},s={node.color}): "
+                             f"{field.name} left={lv} right={rv}")
     if left.open_facilities != right.open_facilities:
         diffs.append(
             f"open facilities: left={sorted(left.open_facilities)} "

@@ -184,11 +184,11 @@ def build(instance, n=0) -> Hierarchy:
 def brute_balls(instance, hierarchy, p, cstar):
     """All node ids whose scaled ball contains p, by a full scan."""
     dist = instance.distance
-    fp = instance.facility_point
+    fp = [f.point for f in instance.facilities]
     return sorted(
         node.idx
         for node in hierarchy.nodes
-        if dist(p, fp(node.facility)) <= radius(cstar, node.r)
+        if dist(p, fp[node.facility]) <= radius(cstar, node.r)
     )
 
 
@@ -204,7 +204,7 @@ def structural_problems(instance, hierarchy) -> list[str]:
     """Static-decomposition checks over all declared points and levels."""
     problems: list[str] = []
     dist = instance.distance
-    fp = instance.facility_point
+    fp = [f.point for f in instance.facilities]
     params = hierarchy.params
     nodes = hierarchy.nodes
 
@@ -213,10 +213,10 @@ def structural_problems(instance, hierarchy) -> list[str]:
         thr = radius(C1, r)
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
-                if dist(fp(members[a]), fp(members[b])) <= thr:
+                if dist(fp[members[a]], fp[members[b]]) <= thr:
                     problems.append(f"level {r}: members {members[a]},{members[b]} too close")
         for fac in instance.facilities:
-            if min(dist(fp(fac.id), fp(m)) for m in members) > thr:
+            if min(dist(fp[fac.id], fp[m]) for m in members) > thr:
                 problems.append(f"level {r}: facility {fac.id} uncovered")
 
     chains = {p: hierarchy.area_chain(p) for p in range(instance.n_points)}
@@ -230,7 +230,7 @@ def structural_problems(instance, hierarchy) -> list[str]:
         bottom = nodes[chain[0]].r
         for r in range(params.rho_min, params.rho_max + 1):
             covered = any(
-                dist(p, fp(nodes[i].facility)) <= radius(C2, r)
+                dist(p, fp[nodes[i].facility]) <= radius(C2, r)
                 for i in hierarchy.by_level[r])
             if covered != (r >= bottom):
                 problems.append(f"point {p}: level {r} ball cover != area presence")
@@ -244,15 +244,15 @@ def structural_problems(instance, hierarchy) -> list[str]:
     for fac in instance.facilities:
         for r in range(params.rho_min, params.rho_max + 1):
             host = min(hierarchy.by_level[r],
-                       key=lambda i: (dist(fp(fac.id), fp(nodes[i].facility)),
+                       key=lambda i: (dist(fp[fac.id], fp[nodes[i].facility]),
                                       nodes[i].facility))
             thr_x = radius(CX, r)
             for p in range(instance.n_points):
-                if dist(p, fp(fac.id)) > radius(1, r):
+                if dist(p, fp[fac.id]) > radius(1, r):
                     continue
                 e = entry(p, r)
-                if e is None or dist(fp(nodes[host].facility),
-                                     fp(nodes[e].facility)) > thr_x:
+                if e is None or dist(fp[nodes[host].facility],
+                                     fp[nodes[e].facility]) > thr_x:
                     problems.append(
                         f"facility {fac.id} level {r}: ball point {p} escapes")
 
@@ -264,10 +264,10 @@ def structural_problems(instance, hierarchy) -> list[str]:
             for other_idx in hierarchy.by_level[node.r]:
                 other = nodes[other_idx]
                 if node_idx in other.x_areas and \
-                        dist(p, fp(other.facility)) > radius(C3, node.r):
+                        dist(p, fp[other.facility]) > radius(C3, node.r):
                     problems.append(f"x radius exceeded at node {other_idx}, point {p}")
                 if node_idx in other.y_areas and \
-                        dist(p, fp(other.facility)) > radius(C4, node.r):
+                        dist(p, fp[other.facility]) > radius(C4, node.r):
                     problems.append(f"y radius exceeded at node {other_idx}, point {p}")
 
     # Distinct colors within the conflict radius.
@@ -276,14 +276,14 @@ def structural_problems(instance, hierarchy) -> list[str]:
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 na, nb = nodes[ids[a]], nodes[ids[b]]
-                if dist(fp(na.facility), fp(nb.facility)) <= thr and na.color == nb.color:
+                if dist(fp[na.facility], fp[nb.facility]) <= thr and na.color == nb.color:
                     problems.append(f"level {r}: color clash {na.facility},{nb.facility}")
 
     # Designated facilities sit close and are genuinely the cheapest inside
     # the near neighborhood.
     facs = instance.facilities
     for node in nodes:
-        if dist(fp(node.facility), fp(node.designated_facility)) > radius(C3, node.r):
+        if dist(fp[node.facility], fp[node.designated_facility]) > radius(C3, node.r):
             problems.append(f"designated facility too far at node {node.idx}")
         members = set(node.x_areas)
         eligible = [f for f in facs if entry(f.point, node.r) in members]

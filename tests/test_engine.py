@@ -222,7 +222,7 @@ def test_assignment_radius_and_open_area_properties():
             view = OracleView(inst, eng.hierarchy)
         for cid, p in live.items():
             a = eng.assign_client(cid)
-            fac_point = inst.facility_point(a.open_facility)
+            fac_point = inst.facilities[a.open_facility].point
             assert inst.distance(p, fac_point) <= radius(
                 ASSIGN_RADIUS_FACTOR, a.r_area)
             for oidx in eng.open_nodes:
@@ -234,17 +234,17 @@ def test_level_shift_line5_push_and_pop(line5):
     eng = Engine(line5)
     for i in range(24):
         eng.insert_client(f"c{i}", i % 5)
-    assert eng.params.rho_min == 1
+    assert eng.hierarchy.params.rho_min == 1
     h_before = eng.hierarchy
     eng.insert_client("c24", 4)
-    assert eng.params.rho_min == 0 and eng.params.delta == 4
+    assert eng.hierarchy.params.rho_min == 0 and eng.hierarchy.params.delta == 4
     assert eng.hierarchy is not h_before
     assert [eng.hierarchy.nodes[i].facility
             for i in eng.hierarchy.by_level[0]] == [0, 1]
     fresh = Engine.from_clients(line5, dict(eng.registry.items()))
     assert eng.state_hash() == fresh.state_hash()
     eng.delete_client("c24")
-    assert eng.params.rho_min == 1
+    assert eng.hierarchy.params.rho_min == 1
     assert eng.state_hash() == Engine.from_clients(
         line5, dict(eng.registry.items())).state_hash()
 
@@ -262,10 +262,10 @@ def test_level_shift_derives_parameters_once(line5, monkeypatch):
 
     monkeypatch.setattr(engine_mod, "derive_parameters", counting)
     eng.insert_client("c24", 4)   # 24 -> 25 moves rho_min from 1 to 0
-    assert eng.params.rho_min == 0
+    assert eng.hierarchy.params.rho_min == 0
     assert calls == [25]
     eng.delete_client("c24")
-    assert eng.params.rho_min == 1
+    assert eng.hierarchy.params.rho_min == 1
     assert calls == [25, 5]
 
 
@@ -294,7 +294,7 @@ def test_hierarchy_cache_across_power_of_five(monkeypatch):
     inst = random_instance(rng, n_facilities=3, n_pool_points=30)
     eng = Engine(inst)
     engine_builds = 0
-    scales = {(eng.params.rho_min, eng.params.rho_max)}
+    scales = {(eng.hierarchy.params.rho_min, eng.hierarchy.params.rho_max)}
     below = above = None
     serial = 0
 
@@ -303,7 +303,7 @@ def test_hierarchy_cache_across_power_of_five(monkeypatch):
         before = len(builds)
         op(*args)
         engine_builds += len(builds) - before
-        scales.add((eng.params.rho_min, eng.params.rho_max))
+        scales.add((eng.hierarchy.params.rho_min, eng.hierarchy.params.rho_max))
         live = dict(eng.registry.items())
         assert eng.state_hash() == Engine.from_clients(inst, live).state_hash()
         view = OracleView(inst, eng.hierarchy)

@@ -131,6 +131,14 @@ def test_parse_trace_comments_and_blanks_equal_reference():
         ("solution", None, None)]
 
 
+@pytest.mark.parametrize("token", ["1_0", "+1", "P1_0", "\u0661"])
+def test_point_index_accepts_only_ascii_digits(token):
+    # int() reads each of these (as 10, 1, 10 and 1); a trace does not.
+    with pytest.raises(TraceError) as got:
+        parse_trace_text(f"+ c1 {token}\n")
+    assert str(got.value) == f"line 1: bad point index {token!r}"
+
+
 @pytest.mark.parametrize("text", [
     "+ c1 0\n+ c1 1\n",
     "- c9\n",
@@ -336,7 +344,7 @@ def test_verify_trace_builds_one_view_per_hierarchy(monkeypatch, line5):
 def test_bench_csv_shape(line5, data_dir):
     trace = parse_trace(data_dir / "line5.trace")
     lines = bench_trace(line5, trace).splitlines()
-    assert lines[0] == "event_index,op,micros,heap_pulls,flips"
+    assert lines[0] == "event_index,op,micros,affected,heap_pulls,flips,rebuilt"
     assert len(lines) == len(trace) + 1
     assert lines[1].startswith("0,insert,")
 
@@ -345,7 +353,30 @@ def test_bench_median_column(line5, data_dir):
     trace = parse_trace(data_dir / "line5.trace")
     lines = bench_trace(line5, trace, repetitions=3).splitlines()
     assert lines[0].endswith(",micros_median")
-    assert all(line.count(",") == 5 for line in lines[1:])
+    assert all(line.count(",") == 7 for line in lines[1:])
+
+
+def test_bench_rebuilt_column_marks_scale_shift_rebuilds(line5):
+    # 24 <-> 25 clients moves line5's bottom logradius (10/5 -> 10/25), so
+    # the crossing updates rebuild; a query row carries the defaults.
+    trace = [TraceEvent("insert", f"c{i}", i % 5) for i in range(25)]
+    trace += [TraceEvent("cost"), TraceEvent("delete", "c24"),
+              TraceEvent("insert", "c24", 4), TraceEvent("delete", "c0")]
+    engine = Engine(line5)
+    expected = []
+    for event in trace:
+        if event.kind == "cost":
+            expected.append("False")
+            continue
+        if event.kind == "insert":
+            engine.insert_client(event.cid, event.point)
+        else:
+            engine.delete_client(event.cid)
+        expected.append(str(engine.last_update.rebuilt))
+    rows = [line.split(",") for line in bench_trace(line5, trace).splitlines()[1:]]
+    assert [row[-1] for row in rows] == expected
+    assert expected.count("True") == 4                  # 25 clients twice, 24 twice
+    assert rows[25][1:] == ["cost", rows[25][2], "0", "0", "0", "False"]
 
 
 def test_opt_command_one_client(line5):

@@ -46,7 +46,7 @@ def test_covering_and_separating_random():
         h = helpers.build(inst)
         for r, members in h.level_sets.items():
             thr = radius(C1, r)
-            pts = [inst.facility_point(m) for m in members]
+            pts = [inst.facilities[m].point for m in members]
             for a in range(len(pts)):
                 for b in range(a + 1, len(pts)):
                     assert inst.distance(pts[a], pts[b]) > thr
@@ -83,7 +83,7 @@ def test_tree_parent_tie_breaks_to_lower_id():
 def test_find_balls_contains_root_at_own_point(line5):
     h = helpers.build(line5)
     for cstar in (C2, CX, C4):
-        assert h.root in h.find_balls(line5.facility_point(0), cstar)
+        assert h.root in h.find_balls(line5.facilities[0].point, cstar)
 
 
 def test_find_balls_line5_p3(line5):
@@ -141,10 +141,10 @@ def test_find_area_line5(line5):
 
 def test_find_area_own_facility_point(line5):
     h = helpers.build(line5)
-    idx = h.find_area(line5.facility_point(0))
+    idx = h.find_area(line5.facilities[0].point)
     node = h.nodes[idx]
     assert node.facility == 0 and node.r == h.params.rho_min
-    assert line5.distance(0, line5.facility_point(node.facility)) == 0
+    assert line5.distance(0, line5.facilities[node.facility].point) == 0
 
 
 def test_find_area_tie_breaks_to_lower_id():
@@ -162,11 +162,11 @@ def test_find_area_is_the_closest_node_of_the_lowest_ball_level():
                                n_pool_points=20)
         for n in (0, 125):
             h = helpers.build(inst, n)
-            fp = inst.facility_point
+            fp = [f.point for f in inst.facilities]
             for p in range(inst.n_points):
                 expected = min(helpers.brute_balls(inst, h, p, C2),
                                key=lambda i: (h.nodes[i].r,
-                                              inst.distance(p, fp(h.nodes[i].facility)),
+                                              inst.distance(p, fp[h.nodes[i].facility]),
                                               h.nodes[i].facility))
                 assert h.find_area(p) == expected
 
@@ -233,8 +233,8 @@ def test_coloring_conflict_freedom_random():
             for a in range(len(ids)):
                 for b in range(a + 1, len(ids)):
                     na, nb = h.nodes[ids[a]], h.nodes[ids[b]]
-                    if inst.distance(inst.facility_point(na.facility),
-                                     inst.facility_point(nb.facility)) <= thr:
+                    if inst.distance(inst.facilities[na.facility].point,
+                                     inst.facilities[nb.facility].point) <= thr:
                         assert na.color != nb.color
 
 

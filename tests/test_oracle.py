@@ -65,12 +65,29 @@ def test_compare_states_rejects_different_hierarchies(line5, line5_cheap_f1):
         compare_states(a, b)
 
 
+def test_compare_states_rejects_equal_but_separate_hierarchies(line5):
+    # Two builds of one instance have equal contents, but a snapshot names
+    # the hierarchy object it was taken over.
+    a = engine_snapshot(Engine(line5))
+    b = engine_snapshot(Engine(line5))
+    with pytest.raises(HierarchyMismatch):
+        compare_states(a, b)
+
+
+def test_snapshots_name_their_hierarchy(line5):
+    eng = Engine(line5, {"c1": 3, "c2": 4})
+    assert engine_snapshot(eng).hierarchy is eng.hierarchy
+    view = OracleView(line5, eng.hierarchy)
+    assert view.recompute_state(eng.registry).hierarchy is view.hierarchy
+    assert compare_states(engine_snapshot(eng), view.recompute_state(eng.registry)) == []
+
+
 def test_compare_states_reports_open_set_and_assignments(line5):
     eng = Engine(line5)
     eng.insert_client("c1", 3)
     left = engine_snapshot(eng)
     right = engine_snapshot(eng)
-    right = type(right)(right.structure, right.annotations,
+    right = type(right)(right.hierarchy, right.annotations,
                         frozenset({1}), dict(right.assignments))
     diffs = compare_states(left, right)
     assert any("open facilities" in d for d in diffs)

@@ -20,7 +20,7 @@ import pytest
 
 import netfloc.engine as engine_mod
 from helpers import ReferenceEngine, benchmark_inputs
-from netfloc import Engine, Instance, random_instance, random_trace
+from netfloc import Engine, Instance, derive_parameters, random_instance, random_trace
 from netfloc.harness import parse_trace_text
 from netfloc.instance import largest_power_of_five_at_most
 
@@ -42,7 +42,7 @@ class RecordingEngine(Engine):
 
 
 def assert_same_state(eng, ref, where):
-    assert (eng.params, eng.n) == (ref.params, ref.n), where
+    assert (eng.hierarchy.params, eng.n) == (ref.hierarchy.params, ref.n), where
     assert eng.annotations == ref.annotations, where
     assert eng.open_nodes == ref.open_nodes, where
     assert eng.last_update == ref.last_update, where
@@ -186,7 +186,7 @@ def test_scale_window_shifts_exactly_at_powers_of_five(name, monkeypatch):
     for step, move in enumerate(count_walk()):
         before_n = largest_power_of_five_at_most(len(eng.registry))
         before_anns = eng.annotations
-        before_scale = (eng.params.rho_min, eng.params.rho_max)
+        before_scale = (eng.hierarchy.params.rho_min, eng.hierarchy.params.rho_max)
         calls.update(adjust=0, scale=0)
         if move > 0:
             serial += 1
@@ -201,7 +201,10 @@ def test_scale_window_shifts_exactly_at_powers_of_five(name, monkeypatch):
         assert calls["scale"] == calls["adjust"], where   # no scale derivation in the window
         rebuilt = eng.annotations is not before_anns
         assert eng.last_update.rebuilt == rebuilt, where
-        assert rebuilt == (before_scale != (eng.params.rho_min, eng.params.rho_max)), where
+        assert rebuilt == (before_scale != (eng.hierarchy.params.rho_min, eng.hierarchy.params.rho_max)), where
+        derived = derive_parameters(instance, eng.n)
+        assert (eng.hierarchy.params.rho_min, eng.hierarchy.params.rho_max) == \
+            (derived.rho_min, derived.rho_max), where
         rebuilds += rebuilt
         assert eng.state_hash() == Engine.from_clients(instance, eng.registry).state_hash(), where
     assert rebuilds >= 2
