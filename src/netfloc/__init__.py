@@ -12,8 +12,7 @@ from .instance import Instance, InstanceError, NetflocError, cround, \
 from .oracle import HierarchyMismatch, OracleView, brute_force_opt, \
     compare_states, engine_snapshot, logical_violations
 from .harness import TraceError, TraceEvent, bench_trace, opt_command, \
-    parse_trace, parse_trace_text, random_instance, random_trace, run_trace, \
-    verify_trace
+    parse_trace, parse_trace_text, run_trace, verify_trace
 
 __all__ = [
     "DirtyHeap", "Engine", "NodeAnnotation",
@@ -25,6 +24,5 @@ __all__ = [
     "HierarchyMismatch", "OracleView", "brute_force_opt", "compare_states",
     "engine_snapshot", "logical_violations",
     "TraceError", "TraceEvent", "bench_trace", "opt_command", "parse_trace",
-    "parse_trace_text", "random_instance", "random_trace", "run_trace",
-    "verify_trace",
+    "parse_trace_text", "run_trace", "verify_trace",
 ]

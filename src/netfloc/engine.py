@@ -19,6 +19,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .hierarchy import Hierarchy
 from .instance import Instance, Params, derive_parameters, \
@@ -52,8 +53,7 @@ class NodeAnnotation:
                               self.n_enabled_below, self.cost, self.y)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Where a client's payment lands: its lowest enabled area, the open
     triplet it is routed through, and the facility it is served by."""
 
@@ -155,14 +155,19 @@ class Engine:
     def assignments(self) -> dict:
         """Every live client's ``assign_client`` result, in one pass over the
         registry: an assignment depends only on the client's lowest enabled
-        area, so each distinct area is routed once."""
+        area, so each distinct point's area is found once and each distinct
+        area is routed once."""
         routed: dict[int, Assignment] = {}
+        at_point: dict[int, Assignment] = {}
         out = {}
         for cid, point in self.registry.items():
-            area_idx = self._lowest_enabled(point)
-            assignment = routed.get(area_idx)
+            assignment = at_point.get(point)
             if assignment is None:
-                assignment = routed[area_idx] = self._route(area_idx)
+                area_idx = self._lowest_enabled(point)
+                assignment = routed.get(area_idx)
+                if assignment is None:
+                    assignment = routed[area_idx] = self._route(area_idx)
+                at_point[point] = assignment
             out[cid] = assignment
         return out
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import random
 import statistics
 import sys
 import time
@@ -27,7 +26,7 @@ from typing import NamedTuple
 from .engine import HIERARCHY_CACHE_SIZE, Engine, UpdateStats
 from .hierarchy import PAYMENT_BOUND_FACTOR
 from .instance import Instance, InstanceError, NetflocError, echo
-from .oracle import OracleView, compare_states, engine_snapshot, \
+from .oracle import OracleView, StateSnapshot, compare_states, \
     brute_force_opt, logical_violations
 
 PAYMENT_SLACK = 1e-9  # relative slack for float distance sums
@@ -59,9 +58,6 @@ class RunReport:
     heap_pulls_total: int
     flips_total: int
     elapsed: float
-
-    def render(self) -> str:
-        return "\n".join(self.outputs)
 
 
 def fmt_number(x) -> str:
@@ -170,8 +166,11 @@ def verify_trace(instance: Instance, trace, corruption=None) -> tuple[int, list[
                 del views[next(iter(views))]
         views[engine.hierarchy] = view
         expected = view.recompute_state(engine.registry)
+        # Compared and dropped before the next event, so no copy is taken.
         try:
-            snapshot = engine_snapshot(engine)
+            snapshot = StateSnapshot(engine.hierarchy, engine.annotations,
+                                     frozenset(engine.solution_query()),
+                                     engine.assignments())
         except RuntimeError as exc:  # a live client's assignment does not resolve
             return 1, [f"event {index}: assignment: {exc}"]
         mismatches = compare_states(snapshot, expected)
@@ -249,51 +248,6 @@ def opt_command(instance: Instance, trace) -> str:
     ])
 
 
-# -- fuzz generation ---------------------------------------------------------
-
-def default_seed() -> int:
-    return int(os.environ.get("NETFLOC_SEED", "0"))
-
-
-def random_instance(rng: random.Random, n_facilities: int = 8,
-                    n_pool_points: int = 40) -> Instance:
-    """Uniform random instance: points on the integer grid [0, 1000]^2 under
-    L2, facility locations distinct, opening costs uniform integers in
-    [1, 500]."""
-    fac_points: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    while len(fac_points) < n_facilities:
-        p = (rng.randint(0, 1000), rng.randint(0, 1000))
-        if p not in seen:
-            seen.add(p)
-            fac_points.append(p)
-    pool = [(rng.randint(0, 1000), rng.randint(0, 1000)) for _ in range(n_pool_points)]
-    facilities = [(i, rng.randint(1, 500)) for i in range(n_facilities)]
-    return Instance("euclidean-L2", points=fac_points + pool, facilities=facilities)
-
-
-def random_trace(rng: random.Random, instance: Instance,
-                 n_events: int) -> list[TraceEvent]:
-    """Insert/delete stream at a 2:1 ratio; deletions pick a uniformly
-    random live client."""
-    events: list[TraceEvent] = []
-    live: list[str] = []
-    serial = 0
-    for _ in range(n_events):
-        if live and rng.random() < 1 / 3:
-            pick = rng.randrange(len(live))
-            cid = live[pick]
-            live[pick] = live[-1]
-            live.pop()
-            events.append(TraceEvent("delete", cid))
-        else:
-            serial += 1
-            cid = f"c{serial}"
-            live.append(cid)
-            events.append(TraceEvent("insert", cid, rng.randrange(instance.n_points)))
-    return events
-
-
 # -- command line ------------------------------------------------------------
 
 def main(argv=None) -> int:
@@ -328,28 +282,27 @@ def main(argv=None) -> int:
     try:
         instance = Instance.load(args.instance)
         if args.command == "dump-tree":
-            print(Engine(instance).hierarchy.dump())
-            return 0
-        trace = parse_trace(args.trace)
-        if args.command == "run" and not args.verified:
-            report = run_trace(instance, trace)
-            if report.outputs:
-                print(report.render())
-            return 0
-        if args.command in ("run", "verify"):
-            code, lines = verify_trace(instance, trace)
-            if code == 0:
-                if lines:
-                    print("\n".join(lines))
+            code, lines = 0, [Engine(instance).hierarchy.dump()]
+        else:
+            trace = parse_trace(args.trace)
+            if args.command == "run" and not args.verified:
+                code, lines = 0, run_trace(instance, trace).outputs
+            elif args.command in ("run", "verify"):
+                code, lines = verify_trace(instance, trace)
+            elif args.command == "bench":
+                code, lines = 0, [bench_trace(instance, trace, repetitions=args.reps)]
             else:
-                for line in lines:
-                    print(line, file=sys.stderr)
-            return code
-        if args.command == "bench":
-            print(bench_trace(instance, trace, repetitions=args.reps))
-            return 0
-        print(opt_command(instance, trace))
-        return 0
+                code, lines = 0, [opt_command(instance, trace)]
+        if lines:
+            print("\n".join(lines), file=sys.stdout if code == 0 else sys.stderr)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``) after the work was done: not
+        # an error of this command.  Stdout now points at devnull, so the
+        # interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except (InstanceError, TraceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

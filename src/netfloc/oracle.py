@@ -11,6 +11,7 @@ definitions.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -68,14 +69,14 @@ class OracleView:
 
         # Same-level node ids within the near-neighborhood radius, by a plain
         # pairwise scan.
-        self.x_members: list[list[int]] = []
+        self.x_members: list[frozenset[int]] = []
         for idx, node in enumerate(nodes):
             thr = radius(CX, node.r)
-            self.x_members.append([
+            self.x_members.append(frozenset(
                 other
                 for other in hierarchy.by_level[node.r]
                 if dist(fpoint[idx], fpoint[other]) <= thr
-            ])
+            ))
 
         # Facilities whose point falls in each node's far neighborhood, and
         # the reverse index used when resolving open bits.
@@ -134,13 +135,12 @@ class OracleView:
 
     def point_in_x(self, p: int, idx: int) -> bool:
         """Whether a point's level-r area lies in the near neighborhood of a
-        node, by a direct distance test."""
-        node = self.hierarchy.nodes[idx]
-        entry = self._chain_entry(self.point_chain[p], node.r)
-        if entry is None:
-            return False
-        return self.instance.distance(
-            self._fpoint[idx], self._fpoint[entry]) <= radius(CX, node.r)
+        node: the point's chain entry at that level is one of the node's
+        x-members."""
+        chain = self.point_chain[p]
+        nodes = self.hierarchy.nodes
+        off = nodes[idx].r - nodes[chain[0]].r
+        return off >= 0 and chain[off] in self.x_members[idx]
 
     def recompute_state(self, clients) -> StateSnapshot:
         """Evaluate every annotation, the open facility set, and all client
@@ -148,16 +148,17 @@ class OracleView:
         hierarchy = self.hierarchy
         nodes = hierarchy.nodes
         count = len(nodes)
+        clients = dict(clients)
+        # Clients on one point share its chain, so each distinct point is
+        # walked once with its client count as the weight.
+        weights = Counter(clients.values())
         n_area = [0] * count
-        chains = {}
-        for cid, point in dict(clients).items():
-            chain = self.point_chain[point]
-            chains[cid] = chain
-            for idx in chain:
-                n_area[idx] += 1
+        for point, k in weights.items():
+            for idx in self.point_chain[point]:
+                n_area[idx] += k
 
-        n_x = [sum(n_area[m] for m in self.x_members[idx]) for idx in range(count)]
-        abundant = [n_x[idx] >= self._threshold[idx] for idx in range(count)]
+        n_x = [sum(map(n_area.__getitem__, members)) for members in self.x_members]
+        abundant = [n >= t for n, t in zip(n_x, self._threshold)]
 
         open_bits = [False] * count
         open_below = [0] * count
@@ -168,29 +169,26 @@ class OracleView:
                 for other in self.nodes_with_fac_in_y[nodes[idx].facility]:
                     if nodes[other].key()[:2] > key:
                         open_below[other] += 1
-        enabled = [open_bits[idx] or open_below[idx] >= 1 for idx in range(count)]
+        enabled = [o or b >= 1 for o, b in zip(open_bits, open_below)]
 
+        # A point pays at its lowest enabled area.  The nodes above it on the
+        # chain count the point's clients as enabled below, and the area and
+        # every enabled node above it carry the payment; disabled nodes cost 0.
         n_enabled_below = [0] * count
-        payments = {}
         cost = [0] * count
-        for cid, chain in chains.items():
-            seen_enabled = False
-            r_area = None
-            for idx in chain:
-                if seen_enabled:
-                    n_enabled_below[idx] += 1
-                if enabled[idx]:
-                    seen_enabled = True
-                    if r_area is None:
-                        r_area = idx
-            payments[cid] = r_area
-            if r_area is not None:
-                unit = nodes[r_area].unit_weight
-                for idx in chain:
-                    cost[idx] += unit
-        for idx in range(count):
-            if not enabled[idx]:
-                cost[idx] = 0
+        area_at = {}
+        for point, k in weights.items():
+            area = None
+            for idx in self.point_chain[point]:
+                if area is not None:
+                    n_enabled_below[idx] += k
+                    if enabled[idx]:
+                        cost[idx] += paid
+                elif enabled[idx]:
+                    area = idx
+                    paid = k * nodes[idx].unit_weight
+                    cost[idx] += paid
+            area_at[point] = area
         y = [0] * count
         for idx, node in enumerate(nodes):
             if node.parent is not None:
@@ -200,34 +198,19 @@ class OracleView:
         # smallest-key one; an assignment depends only on the area.
         open_list = [idx for idx in self._order if open_bits[idx]]
         routed = {}
-        assignments = {}
-        for cid, area_idx in payments.items():
-            assignment = routed.get(area_idx)
-            if assignment is None:
-                area = nodes[area_idx]
-                area_key = (area.r, area.color)
-                inside = self.y_facilities[area_idx]
-                best = next(oidx for oidx in open_list
-                            if nodes[oidx].key()[:2] <= area_key
-                            and nodes[oidx].facility in inside)
-                assignment = routed[area_idx] = Assignment(
-                    area.r, area_idx, best, nodes[best].designated_facility)
-            assignments[cid] = assignment
+        for area_idx in set(area_at.values()):
+            area = nodes[area_idx]
+            area_key = (area.r, area.color)
+            inside = self.y_facilities[area_idx]
+            best = next(oidx for oidx in open_list
+                        if nodes[oidx].key()[:2] <= area_key
+                        and nodes[oidx].facility in inside)
+            routed[area_idx] = Assignment(
+                area.r, area_idx, best, nodes[best].designated_facility)
+        assignments = {cid: routed[area_at[point]] for cid, point in clients.items()}
 
-        annotations = [
-            NodeAnnotation(
-                is_open=open_bits[idx],
-                is_enabled=enabled[idx],
-                is_abundant=abundant[idx],
-                n_area=n_area[idx],
-                n_x=n_x[idx],
-                open_below=open_below[idx],
-                n_enabled_below=n_enabled_below[idx],
-                cost=cost[idx],
-                y=y[idx],
-            )
-            for idx in range(count)
-        ]
+        annotations = list(map(NodeAnnotation, open_bits, enabled, abundant, n_area,
+                               n_x, open_below, n_enabled_below, cost, y))
         open_facs = frozenset(nodes[idx].designated_facility for idx in open_list)
         return StateSnapshot(hierarchy, annotations, open_facs, assignments)
 

@@ -1,20 +1,66 @@
 """Brute-force reference routines shared by the structural tests: everything
 here scans all pairs directly instead of using the tree traversals.  Also the
-benchmark's seeded input generator, for tests that run on its inputs, the
+seeded fuzz generators (random instances and traces, seeded by
+``NETFLOC_SEED`` where a test asks for ``default_seed``), the benchmark's
+seeded input generator, for tests that run on its inputs, the
 engine's general update path kept as a reference for its steady-update
 shortcuts, the oracle's per-client assignment loop kept as a reference for
 its per-area one, and seeded traces that cross the scales 5, 25 and 125."""
 
 import importlib.util
+import os
 import random
 import sys
 from functools import cache
 from pathlib import Path
 
 from netfloc import C1, C2, C3, C4, CX, DirtyHeap, Engine, Hierarchy, Instance, \
-    derive_parameters, radius, random_instance, random_trace
+    TraceEvent, derive_parameters, radius
 from netfloc.engine import Assignment, UpdateStats
 from netfloc.instance import largest_power_of_five_at_most
+
+
+def default_seed() -> int:
+    return int(os.environ.get("NETFLOC_SEED", "0"))
+
+
+def random_instance(rng: random.Random, n_facilities: int = 8,
+                    n_pool_points: int = 40) -> Instance:
+    """Uniform random instance: points on the integer grid [0, 1000]^2 under
+    L2, facility locations distinct, opening costs uniform integers in
+    [1, 500]."""
+    fac_points: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    while len(fac_points) < n_facilities:
+        p = (rng.randint(0, 1000), rng.randint(0, 1000))
+        if p not in seen:
+            seen.add(p)
+            fac_points.append(p)
+    pool = [(rng.randint(0, 1000), rng.randint(0, 1000)) for _ in range(n_pool_points)]
+    facilities = [(i, rng.randint(1, 500)) for i in range(n_facilities)]
+    return Instance("euclidean-L2", points=fac_points + pool, facilities=facilities)
+
+
+def random_trace(rng: random.Random, instance: Instance,
+                 n_events: int) -> list[TraceEvent]:
+    """Insert/delete stream at a 2:1 ratio; deletions pick a uniformly
+    random live client."""
+    events: list[TraceEvent] = []
+    live: list[str] = []
+    serial = 0
+    for _ in range(n_events):
+        if live and rng.random() < 1 / 3:
+            pick = rng.randrange(len(live))
+            cid = live[pick]
+            live[pick] = live[-1]
+            live.pop()
+            events.append(TraceEvent("delete", cid))
+        else:
+            serial += 1
+            cid = f"c{serial}"
+            live.append(cid)
+            events.append(TraceEvent("insert", cid, rng.randrange(instance.n_points)))
+    return events
 
 
 @cache

@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 import pytest
 
 import helpers
+from helpers import default_seed, random_instance, random_trace
 from netfloc import (APPROX_FACTOR, PAYMENT_BOUND_FACTOR, Engine, OracleView,
                      brute_force_opt, compare_states, engine_snapshot,
-                     logical_violations, parse_trace, random_instance,
-                     random_trace, run_trace, verify_trace)
-from netfloc.harness import default_seed, opt_command
+                     logical_violations, parse_trace, run_trace, verify_trace)
+from netfloc.harness import opt_command
 
 EQUIV_INSTANCES = 50
 EQUIV_EVENTS = 200

@@ -4,10 +4,10 @@ import pytest
 
 import helpers
 import netfloc.engine as engine_mod
+from helpers import random_instance, random_trace
 from netfloc import (ASSIGN_RADIUS_FACTOR, DirtyHeap, Engine, Hierarchy, InstanceError,
                      NodeAnnotation, OracleView,
-                     compare_states, engine_snapshot, radius,
-                     random_instance, random_trace)
+                     compare_states, engine_snapshot, radius)
 from netfloc.engine import HIERARCHY_CACHE_SIZE
 
 

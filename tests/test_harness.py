@@ -1,17 +1,21 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from netfloc import (Engine, Instance, InstanceError, OracleView, TraceError, TraceEvent,
                      bench_trace, opt_command, parse_trace, parse_trace_text,
-                     random_instance, random_trace, run_trace, verify_trace)
+                     run_trace, verify_trace)
 from netfloc.engine import HIERARCHY_CACHE_SIZE
-from netfloc.harness import default_seed, main
+from netfloc.harness import main
 
-from helpers import benchmark_inputs
+from helpers import benchmark_inputs, default_seed, random_instance, random_trace
 
 
 def test_parse_instance_line5(data_dir):
@@ -541,3 +545,32 @@ def test_cli_directory_path_is_input_error(data_dir, tmp_path, capsys):
     assert main(["run", inst, str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error:") for line in err)
+
+
+def _cli(data_dir, stdout):
+    """Run ``netfloc bench`` on line5 in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen(
+        [sys.executable, "-m", "netfloc", "bench", str(data_dir / "line5.json"),
+         str(data_dir / "line5.trace"), "--reps", "200"],
+        stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_cli_closed_stdout_is_not_an_error(data_dir):
+    # The reader goes away before the table is printed, as ``| head -n 1``
+    # does once it has its line.
+    proc = _cli(data_dir, subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_cli_failed_stdout_write_is_an_error(data_dir):
+    with open("/dev/full", "w") as full:
+        proc = _cli(data_dir, full)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.decode().startswith("error: [Errno 28]")

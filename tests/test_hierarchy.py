@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from helpers import random_instance
 from netfloc import (C1, C2, C3, C4, CX, CY, Instance, build_separated_sets,
-                     build_tree, derive_parameters, radius, random_instance)
+                     build_tree, derive_parameters, radius)
 from netfloc.hierarchy import threshold
 
 

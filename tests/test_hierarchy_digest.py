@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from netfloc import Hierarchy, Instance, derive_parameters, random_instance
+from helpers import random_instance
+from netfloc import Hierarchy, Instance, derive_parameters
 
 SCALES = (0, 5, 125, 3125)
 

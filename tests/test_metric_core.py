@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import random_instance
 from netfloc import (Instance, InstanceError, cround,
-                     derive_parameters, largest_power_of_five_at_most,
-                     random_instance)
+                     derive_parameters, largest_power_of_five_at_most)
 
 
 def test_distance_identity(line5):

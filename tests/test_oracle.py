@@ -6,9 +6,10 @@ import warnings
 import pytest
 
 import helpers
-from netfloc import (Engine, HierarchyMismatch, Instance, OracleView,
-                     brute_force_opt, compare_states, engine_snapshot,
-                     random_instance)
+from helpers import random_instance
+from netfloc import (CX, Engine, HierarchyMismatch, Instance, OracleView,
+                     brute_force_opt, compare_states, engine_snapshot, radius)
+from netfloc.engine import Assignment
 
 
 def test_recompute_empty_clients(line5):
@@ -91,6 +92,19 @@ def test_compare_states_reports_open_set_and_assignments(line5):
                         frozenset({1}), dict(right.assignments))
     diffs = compare_states(left, right)
     assert any("open facilities" in d for d in diffs)
+
+
+def test_assignment_repr_and_diff_line_are_pinned(line5):
+    assert repr(Assignment(1, 2, 3, 4)) == (
+        "Assignment(r_area=1, area_triplet=2, aux_triplet=3, open_facility=4)")
+    eng = Engine(line5, {"c1": 3})
+    left = engine_snapshot(eng)
+    right = type(left)(left.hierarchy, left.annotations, left.open_facilities,
+                       {"c1": Assignment(1, 2, 3, 4)})
+    assert compare_states(left, right) == [
+        "assignment[c1]: left=Assignment(r_area=2, area_triplet=1, aux_triplet=1, "
+        "open_facility=0) right=Assignment(r_area=1, area_triplet=2, "
+        "aux_triplet=3, open_facility=4)"]
 
 
 def test_brute_force_opt_line5(line5):
@@ -195,3 +209,49 @@ def test_recompute_assignments_equal_per_client_reference(kind):
         state = view.recompute_state(eng.registry)
         assert state.assignments == helpers.reference_oracle_assignments(
             view, state.annotations, eng.registry), event
+
+
+@pytest.mark.parametrize("kind", ["L2", "Linf", "matrix"])
+def test_point_in_x_equals_the_distance_test(kind):
+    for seed in (1, 2):
+        instance, _ = helpers.crossing_case(kind, seed)
+        dist = instance.distance
+        for n in (0, 5, 25, 125):
+            hierarchy = helpers.build(instance, n)
+            nodes = hierarchy.nodes
+            fpoint = [instance.facilities[node.facility].point for node in nodes]
+            view = OracleView(instance, hierarchy)
+            for p in range(instance.n_points):
+                chain = view.point_chain[p]
+                for idx, node in enumerate(nodes):
+                    off = node.r - nodes[chain[0]].r
+                    expected = off >= 0 and dist(
+                        fpoint[idx], fpoint[chain[off]]) <= radius(CX, node.r)
+                    assert view.point_in_x(p, idx) == expected, (n, p, idx)
+
+
+@pytest.mark.parametrize("case", ["line5", "L2"])
+def test_stacked_clients_match_the_oracle(line5, case):
+    rng = random.Random(31)
+    if case == "line5":
+        instance = line5
+    else:
+        instance = random_instance(rng, n_facilities=6, n_pool_points=20)
+    fac_points = [fac.point for fac in instance.facilities]
+    others = [p for p in range(instance.n_points) if p not in fac_points]
+    stacks = fac_points[:2] + rng.sample(others, 2)
+    eng = Engine(instance)
+    view = None
+    for step in range(160):
+        if step % 4 == 3:
+            eng.delete_client(rng.choice(sorted(eng.registry)))
+        else:
+            eng.insert_client(f"c{step}", rng.choice(stacks))
+        if view is None or view.hierarchy is not eng.hierarchy:
+            view = OracleView(instance, eng.hierarchy)
+        expected = view.recompute_state(eng.registry)
+        assert compare_states(engine_snapshot(eng), expected) == [], step
+        at_point = {}
+        for cid, point in eng.registry.items():
+            at_point.setdefault(point, set()).add(expected.assignments[cid])
+        assert all(len(found) == 1 for found in at_point.values()), step

@@ -19,8 +19,8 @@ from pathlib import Path
 import pytest
 
 import netfloc.engine as engine_mod
-from helpers import ReferenceEngine, benchmark_inputs
-from netfloc import Engine, Instance, derive_parameters, random_instance, random_trace
+from helpers import ReferenceEngine, benchmark_inputs, random_instance, random_trace
+from netfloc import Engine, Instance, derive_parameters
 from netfloc.harness import parse_trace_text
 from netfloc.instance import largest_power_of_five_at_most
 
