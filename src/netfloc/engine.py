@@ -208,12 +208,18 @@ class Engine:
     def realized_cost(self, assignments) -> float:
         """Opening costs of the open facilities plus client-to-facility
         distances under ``assignments``, the result of ``assignments()``
-        for the current state."""
+        for the current state.  Each distinct (point, facility) distance is
+        computed once and added once per client, in registry order."""
         dist = self.instance.distance
         facs = self.instance.facilities
         total = sum(facs[f].opening_cost for f in self.solution_query())
+        known: dict[tuple[int, int], float] = {}
         for cid, point in self.registry.items():
-            total += dist(point, facs[assignments[cid].open_facility].point)
+            pair = (point, assignments[cid].open_facility)
+            d = known.get(pair)
+            if d is None:
+                d = known[pair] = dist(point, facs[pair[1]].point)
+            total += d
         return total
 
     def state_hash(self) -> str:
@@ -422,9 +428,10 @@ class Engine:
         self.annotations = anns
         self.open_nodes: set[int] = set()
 
-        for _, point in self.registry.items():
-            for idx in hierarchy.area_chain(point):
-                anns[idx].n_area += 1
+        chains = hierarchy.point_chains
+        for point, count in Counter(self.registry.values()).items():
+            for idx in chains[point]:
+                anns[idx].n_area += count
 
         for node, a in zip(nodes, anns):
             a.n_x = sum(anns[m].n_area for m in node.x_areas)

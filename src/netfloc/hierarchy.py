@@ -7,13 +7,18 @@ The build reads the instance's facility distance table
 lists, designations and ``neighbors_above`` are boolean-mask and argmin
 passes over it.  Each threshold ``c * 5**r`` is compared as ``threshold``,
 the largest float not above it, so every decision equals the exact test of
-a scalar distance against the exact threshold.  Area chains, of facility
-and client points alike, come from the ``find_balls`` descent over the tree
-with scalar distances: a point's bottom area is the closest node of the
-lowest level of its C2 ball.
+a scalar distance against the exact threshold.
 
-Everything here is immutable once built, so a point's area chain is
-computed once per hierarchy and memoised.  The engine keeps the hierarchies
+The build also locates every point of the instance, facility and client
+points alike: a point's bottom area is the closest node of the lowest level
+of its C2 ball.  One descent per block of points walks the tree level by
+level over numpy arrays of (point, candidate node) pairs, with the bounds of
+``Instance.distance_bounds``; a threshold test or a closest-node choice the
+bounds leave open is decided by the scalar ``Instance.distance``, so every
+decision is the scalar one.  Each node's root path is one tuple, shared by
+the chains of all points in its area.
+
+Everything here is immutable once built.  The engine keeps the hierarchies
 of its last few scales and reuses one when its (rho_min, rho_max) comes back.
 """
 
@@ -42,6 +47,10 @@ MIN_BALL_FACTOR = 25
 ASSIGN_RADIUS_FACTOR = C2 + C3 + C4            # 426
 PAYMENT_BOUND_FACTOR = ASSIGN_RADIUS_FACTOR + 1  # 427
 APPROX_FACTOR = 5 * PAYMENT_BOUND_FACTOR       # 2135
+
+# Points per block of the bulk location; churn-l2's blocks hold up to ~13,000
+# (point, candidate) pairs per level, so the pair arrays stay near 1 MB.
+LOCATE_BLOCK = 256
 
 
 def radius(c: int, r: int):
@@ -168,11 +177,13 @@ class Hierarchy:
             self.nodes[pidx].children.append(idx)
         self.root = self.by_level[params.rho_max][0]
 
-        # Point -> area chain, filled on first use.  The facility points are
-        # filled here, since designations need them.
-        self._chains: dict[int, tuple[int, ...]] = {}
-        for f in instance.facilities:
-            self.area_chain(f.point)
+        # Root paths, parents first: node ids ascend with logradius.
+        paths: list[tuple[int, ...]] = [()] * len(self.nodes)
+        for node in reversed(self.nodes):
+            up = () if node.parent is None else paths[node.parent]
+            paths[node.idx] = (node.idx,) + up
+        # Point -> area chain: the root path of the point's bottom area.
+        self.point_chains = [paths[a] for a in self._locate().tolist()]
         self._build_levels()
         # Node ids in (logradius, color, facility) order, the order in which
         # open bits resolve.
@@ -210,44 +221,99 @@ class Hierarchy:
             r -= 1
         return out
 
-    def find_area(self, p: int) -> int:
-        """Node id of the smallest-logradius area containing p.
-
-        Minimal level first, then minimal distance, then minimal facility id:
-        the closest node of the bottom level of ``find_balls(p, C2)``.  The
-        root is always in that ball, since every distance is at most the
-        diameter, which is at most 5**rho_max.
-        """
-        dist = self.instance.distance
-        fp = self._fac_point
-        nodes = self.nodes
-        balls = self.find_balls(p, C2)
-        bottom = nodes[balls[-1]].r
-        return min((i for i in balls if nodes[i].r == bottom),
-                   key=lambda i: (dist(p, fp[nodes[i].facility]), nodes[i].facility))
-
     def area_chain(self, p: int) -> tuple[int, ...]:
-        """Node ids from the bottom-most area containing p up to the root.
-
-        Memoised per point; every call for p returns the same tuple.
-        """
-        chain = self._chains.get(p)
-        if chain is None:
-            nodes = self.nodes
-            ids = [self.find_area(p)]
-            while (parent := nodes[ids[-1]].parent) is not None:
-                ids.append(parent)
-            chain = self._chains[p] = tuple(ids)
-        return chain
+        """Node ids from the bottom-most area containing p up to the root;
+        points with one bottom area share one tuple."""
+        return self.point_chains[p]
 
     def facility_chain_at(self, fid: int, r: int) -> int | None:
         """The level-r entry of a facility's area chain, if the chain reaches
         down to level r."""
-        chain = self._chains[self._fac_point[fid]]
+        chain = self.point_chains[self._fac_point[fid]]
         off = r - self.nodes[chain[0]].r
         return chain[off] if off >= 0 else None
 
     # -- build stages ------------------------------------------------------
+
+    def _locate(self) -> np.ndarray:
+        """Bottom area node id of every point: the closest node, by
+        (distance, facility id), of the lowest level the point's C2 ball
+        reaches.  The root's ball holds every point, since every distance is
+        at most the diameter, which is at most 5**rho_max.
+
+        Each block of points descends from the root; the candidates at level
+        r are the children of the point's level-(r+1) survivors, and a
+        candidate survives when its distance is at most ``threshold(C2, r)``.
+        Pair arrays stay grouped by point in ascending order throughout.
+        """
+        inst, nodes, params = self.instance, self.nodes, self.params
+        node_point = np.array([self._fac_point[node.facility] for node in nodes],
+                              dtype=np.int64)
+        node_fac = np.array([node.facility for node in nodes], dtype=np.int64)
+        n_kids = np.array([len(node.children) for node in nodes], dtype=np.int64)
+        first_kid = np.cumsum(n_kids) - n_kids
+        kids = np.array([c for node in nodes for c in node.children], dtype=np.int64)
+        area = np.empty(inst.n_points, dtype=np.int64)
+
+        def settle(pt, nd, lo, hi, idx) -> None:
+            """Replace the bounds of the pairs at ``idx`` by the scalar
+            distance."""
+            dist = inst.distance
+            lo[idx] = hi[idx] = [dist(p, q) for p, q in
+                                 zip(pt[idx].tolist(), node_point[nd[idx]].tolist())]
+
+        def closest(pt, nd, lo, hi) -> None:
+            """Set ``area`` of every point among the pairs to its closest
+            node.  The closest pair's distance is at most the smallest upper
+            bound of its point, so only pairs whose lower bound is too are
+            contenders; a point with several has their distances settled."""
+            new = np.flatnonzero(pt[1:] != pt[:-1]) + 1
+            group = np.zeros(len(pt), dtype=np.int64)
+            group[new] = 1
+            np.cumsum(group, out=group)
+            best_hi = np.minimum.reduceat(hi, np.r_[0, new])
+            cont = np.flatnonzero(lo <= best_hi[group])
+            several = np.bincount(group[cont])[group[cont]] > 1
+            loose = cont[several & (lo[cont] < hi[cont])]
+            if len(loose):
+                settle(pt, nd, lo, hi, loose)
+            cont = cont[np.lexsort((node_fac[nd[cont]], hi[cont], group[cont]))]
+            heads = cont[np.r_[True, group[cont[1:]] != group[cont[:-1]]]]
+            area[pt[heads]] = nd[heads]
+
+        for start in range(0, inst.n_points, LOCATE_BLOCK):
+            pt = np.arange(start, min(start + LOCATE_BLOCK, inst.n_points))
+            nd = np.full(len(pt), self.root, dtype=np.int64)
+            prev = None
+            for r in range(params.rho_max, params.rho_min - 1, -1):
+                lo, hi = inst.distance_bounds(pt, node_point[nd])
+                thr = threshold(C2, r)
+                open_ = np.flatnonzero((lo <= thr) & (hi > thr))
+                if len(open_):
+                    settle(pt, nd, lo, hi, open_)
+                keep = hi <= thr
+                pt, nd, lo, hi = pt[keep], nd[keep], lo[keep], hi[keep]
+                if prev is None:
+                    if len(pt) != len(keep):
+                        raise AssertionError("point outside the root's C2 ball")
+                else:
+                    # Points with no level-r survivor have their area at r + 1.
+                    reached = np.zeros(LOCATE_BLOCK, dtype=bool)
+                    reached[pt - start] = True
+                    done = ~reached[prev[0] - start]
+                    if done.any():
+                        closest(*(a[done] for a in prev))
+                if not len(pt):
+                    break
+                prev = (pt, nd, lo, hi)
+                if r > params.rho_min:
+                    count = n_kids[nd]
+                    pt = np.repeat(pt, count)
+                    offs = np.arange(len(pt)) - np.repeat(np.cumsum(count) - count, count)
+                    nd = kids[np.repeat(first_kid[nd], count) + offs]
+            else:
+                closest(*prev)
+        return area
 
     def _build_levels(self) -> None:
         """Colors, x/y lists, designations and ``neighbors_above``, one level
@@ -266,7 +332,7 @@ class Hierarchy:
         # A level has at most n_fac nodes, so colors stay below n_fac.
         entries = np.full((n_fac, params.delta), -1, dtype=np.int64)
         for fid, f in enumerate(facs):
-            chain = self._chains[f.point]
+            chain = self.point_chains[f.point]
             entries[fid, nodes[chain[0]].r - params.rho_min:] = chain
         node_ids = np.full(entries.shape, -1, dtype=np.int64)
         keys = np.full(entries.shape, params.delta * n_fac, dtype=np.int64)

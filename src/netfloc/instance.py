@@ -3,10 +3,13 @@ opening costs, live clients, and the derived scale parameters that size the
 net hierarchy.
 
 An instance computes, once and on first use, the F x F table of distances
-between its facility points; the hierarchy build reads nothing else of the
-metric.  Its entries are the floats ``Instance.distance`` returns, never a
-vectorised re-derivation (numpy's ``sqrt`` of a sum of squares differs from
-``math.dist`` in the last bit on many float points).
+between its facility points; the hierarchy's nodes and lists read nothing
+else of the metric.  Its entries are the floats ``Instance.distance``
+returns, never a vectorised re-derivation (numpy's ``sqrt`` of a sum of
+squares differs from ``math.dist`` in the last bit on many float points).
+Point location reads ``distance_bounds``: exact bulk distances for matrices
+and L-infinity, and for L2 an interval around numpy's value that provably
+holds ``math.dist``'s.
 
 The L2 diameter is a blocked filter-then-verify scan whose value equals the
 exact row scan's bit for bit; the L-infinity one is the largest coordinate
@@ -38,6 +41,12 @@ _L2_SCALE = 2.0 ** -600
 # Elements per buffer of the blocked L2 diameter pass (two 256 KiB buffers).
 _BLOCK_ELEMENTS = 2 ** 15
 _EPS = float(np.finfo(float).eps)
+
+# Below this sum of squares a numpy L2 distance may have lost bits to
+# underflowing squares, so ``distance_bounds`` asks the scalar metric.
+_L2_TINY = 2.0 ** -960
+
+_LOG2_5 = math.log2(5)
 
 # Input values echoed in error messages.  repr's work and length are bounded
 # by eliding past 4 levels of nesting, 12 items per container and 60
@@ -154,24 +163,26 @@ class Params:
 
 
 def cround(x) -> int:
-    """Least integer r with 5**r >= x, for x > 0.
+    """Least integer r with 5**r >= x, for x > 0 (an int, float or Fraction).
 
-    Comparisons run on exact rationals, so integer-valued inputs (and exact
-    ratios of them) never suffer float boundary errors.
+    With x = a/b exactly (``as_integer_ratio``), r is the least integer with
+    5**r * b >= a, decided in integer arithmetic, so no input suffers a
+    float boundary error.
     """
-    q = Fraction(x)
-    if q <= 0:
+    a, b = x.as_integer_ratio()
+    if a <= 0:
         raise ValueError("cround requires a positive argument")
-    r = 0
-    p = Fraction(1)
-    if p >= q:
-        while p / 5 >= q:
-            p /= 5
-            r -= 1
-    else:
-        while p < q:
-            p *= 5
-            r += 1
+
+    def covers(r: int) -> bool:  # 5**r >= a/b
+        return b * 5 ** r >= a if r >= 0 else b >= a * 5 ** -r
+
+    # a/b lies within a factor of 2 of 2**(bit lengths' difference), so the
+    # estimate is within 1/log2(5) < 1 of log5(a/b).
+    r = math.floor((a.bit_length() - b.bit_length()) / _LOG2_5)
+    while not covers(r):
+        r += 1
+    while covers(r - 1):
+        r -= 1
     return r
 
 
@@ -199,6 +210,7 @@ class Instance:
             raise InstanceError(f"unknown metric kind {echo(kind)}")
         self.kind = kind
         self.kappa = kappa
+        self._array = None
         if kappa is not None and not (_is_finite_number(kappa) and kappa > 0):
             raise InstanceError(f"kappa must be a positive number when declared, got {echo(kappa)}")
         if kind == "explicit-matrix":
@@ -270,7 +282,7 @@ class Instance:
         n = len(m)
         if any(len(row) != n for row in m):
             raise InstanceError("distance matrix must be square")
-        arr = np.array(m, dtype=float).reshape(n, n)
+        arr = self.array.reshape(n, n)
         for p in range(n):
             if arr[p, p] != 0:
                 raise InstanceError(f"nonzero self-distance at point {p}")
@@ -289,6 +301,61 @@ class Instance:
                     p, q = divmod(int(bad.argmax()), n)
                     raise InstanceError(
                         f"triangle inequality fails for ({p}, {q}) via {x}")
+
+    @property
+    def array(self) -> np.ndarray:
+        """The metric's floats as a read-only array, built once: the distance
+        matrix, or one row of coordinates per point."""
+        if self._array is None:
+            arr = np.array(self._points if self._matrix is None else self._matrix,
+                           dtype=float)
+            arr.flags.writeable = False
+            self._array = arr
+        return self._array
+
+    def distance_bounds(self, ps: np.ndarray, qs: np.ndarray):
+        """Arrays ``lo``, ``hi`` with lo <= distance(p, q) <= hi for each pair
+        of valid point indices in ``ps``, ``qs``; lo == hi where the value is
+        the float ``distance`` returns.
+
+        Matrix entries and L-infinity distances (the scalar metric's float
+        operations: subtraction, abs, max) are exact.  An L2 pair gets numpy's
+        sqrt of its sum of squared coordinate differences, summed one
+        dimension at a time: with d dimensions that is within a relative
+        (d/2 + 2)·eps/2 of the exact distance, and ``math.dist`` (a scaled,
+        compensated sum) is within (d + 3)·eps/2 of it, so the band of
+        relative half-width 4·(d + 2)·eps around numpy's value holds
+        ``math.dist``'s.  Where the sum of squares overflows or underflows
+        (below _L2_TINY) the scalar distance decides, or 0 for equal
+        coordinates.
+        """
+        arr = self.array
+        if self._matrix is not None:
+            d = arr[ps, qs]
+            return d, d
+        cols = arr.T
+        with np.errstate(over="ignore"):
+            if self.kind == "euclidean-Linf":
+                d = np.abs(cols[0, ps] - cols[0, qs])
+                for col in cols[1:]:
+                    np.maximum(d, np.abs(col[ps] - col[qs]), out=d)
+                return d, d
+            s = cols[0, ps] - cols[0, qs]
+            s *= s
+            for col in cols[1:]:
+                t = col[ps] - col[qs]
+                t *= t
+                s += t
+        d = np.sqrt(s)
+        band = 4 * (len(cols) + 2) * _EPS
+        lo, hi = d * (1 - band), d * (1 + band)
+        odd = np.flatnonzero(~(s >= _L2_TINY) | np.isinf(s))
+        if len(odd):
+            p, q = ps[odd], qs[odd]
+            same = (arr[p] == arr[q]).all(axis=1).tolist()
+            lo[odd] = hi[odd] = [0.0 if eq else self.distance(a, b)
+                                 for a, b, eq in zip(p.tolist(), q.tolist(), same)]
+        return lo, hi
 
     def distance(self, p: int, q: int) -> float:
         """Metric distance between two point indices."""
@@ -309,7 +376,7 @@ class Instance:
             if self._matrix is not None:
                 diameter = max(max(row) for row in self._matrix)
             elif self.kind == "euclidean-L2":
-                arr = np.asarray(self._points, dtype=float)
+                arr = self.array
                 best = _max_squared_distance(arr)
                 if math.isinf(best):
                     # The squares overflow: redo the scan on coordinates
@@ -321,7 +388,7 @@ class Instance:
             else:
                 # Float subtraction is monotone in each operand, so the
                 # largest |p_k - q_k| over all pairs is fl(max_k - min_k).
-                arr = np.asarray(self._points, dtype=float)
+                arr = self.array
                 with np.errstate(over="ignore"):
                     diameter = float((arr.max(axis=0) - arr.min(axis=0)).max())
             if not math.isfinite(diameter):

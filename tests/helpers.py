@@ -5,12 +5,15 @@ seeded fuzz generators (random instances and traces, seeded by
 seeded input generator, for tests that run on its inputs, the
 engine's general update path kept as a reference for its steady-update
 shortcuts, the oracle's per-client assignment loop kept as a reference for
-its per-area one, and seeded traces that cross the scales 5, 25 and 125."""
+its per-area one, seeded traces that cross the scales 5, 25 and 125, and
+the scalar references for ``cround`` and for the hierarchy's bulk point
+location (``find_area``)."""
 
 import importlib.util
 import os
 import random
 import sys
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -18,6 +21,26 @@ from netfloc import C1, C2, C3, C4, CX, DirtyHeap, Engine, Hierarchy, Instance, 
     TraceEvent, derive_parameters, radius
 from netfloc.engine import Assignment, UpdateStats
 from netfloc.instance import largest_power_of_five_at_most
+
+
+def reference_cround(x) -> int:
+    """Least integer r with 5**r >= x, for x > 0, by stepping an exact
+    rational power of five up or down one factor at a time: the reference
+    for ``cround``."""
+    q = Fraction(x)
+    if q <= 0:
+        raise ValueError("cround requires a positive argument")
+    r = 0
+    p = Fraction(1)
+    if p >= q:
+        while p / 5 >= q:
+            p /= 5
+            r -= 1
+    else:
+        while p < q:
+            p *= 5
+            r += 1
+    return r
 
 
 def default_seed() -> int:
@@ -225,6 +248,28 @@ def reference_oracle_assignments(view, annotations, clients) -> dict:
 
 def build(instance, n=0) -> Hierarchy:
     return Hierarchy(instance, derive_parameters(instance, n))
+
+
+def find_area(hierarchy, p):
+    """Node id of the smallest-logradius area containing p, by the scalar
+    ``find_balls`` descent: the closest node, by (distance, facility id),
+    of the bottom level of ``find_balls(p, C2)``.  The reference for the
+    hierarchy's bulk location."""
+    dist = hierarchy.instance.distance
+    fp = [f.point for f in hierarchy.instance.facilities]
+    nodes = hierarchy.nodes
+    balls = hierarchy.find_balls(p, C2)
+    bottom = nodes[balls[-1]].r
+    return min((i for i in balls if nodes[i].r == bottom),
+               key=lambda i: (dist(p, fp[nodes[i].facility]), nodes[i].facility))
+
+
+def scalar_chain(hierarchy, p) -> tuple:
+    """p's area chain from ``find_area``: its bottom area's parent path."""
+    ids = [find_area(hierarchy, p)]
+    while (parent := hierarchy.nodes[ids[-1]].parent) is not None:
+        ids.append(parent)
+    return tuple(ids)
 
 
 def brute_balls(instance, hierarchy, p, cstar):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 import helpers
 import netfloc.engine as engine_mod
 from helpers import random_instance, random_trace
-from netfloc import (ASSIGN_RADIUS_FACTOR, DirtyHeap, Engine, Hierarchy, InstanceError,
+from netfloc import (ASSIGN_RADIUS_FACTOR, DirtyHeap, Engine, Hierarchy, Instance,
+                     InstanceError,
                      NodeAnnotation, OracleView,
                      compare_states, engine_snapshot, radius)
 from netfloc.engine import HIERARCHY_CACHE_SIZE
@@ -333,6 +335,35 @@ def test_realized_cost(line5):
     assert eng.realized_cost(eng.assignments()) == 0.0
     eng.insert_client("c1", 3)
     assert eng.realized_cost(eng.assignments()) == 110.0  # open F0 at 10 plus distance 100
+
+
+@pytest.mark.parametrize("kind", ["euclidean-L2", "explicit-matrix"])
+def test_realized_cost_equals_the_per_client_sum(kind):
+    # Float distances, and most clients stacked on three points, so the total
+    # depends on the order of its terms: it must add each client's distance
+    # in registry order, as a per-client loop does.
+    rng = random.Random(f"realized-{kind}-{helpers.default_seed()}")
+    pts = [[rng.uniform(0, 1000), rng.uniform(0, 1000)] for _ in range(30)]
+    facilities = [(i, rng.uniform(1, 300)) for i in range(8)]
+    if kind == "explicit-matrix":
+        inst = Instance(kind, matrix=[[math.dist(a, b) for b in pts] for a in pts],
+                        facilities=facilities)
+    else:
+        inst = Instance(kind, points=pts, facilities=facilities)
+    facs = inst.facilities
+    hot = rng.sample(range(30), 3)
+    eng = Engine(inst)
+    for serial in range(300):
+        if eng.registry and rng.random() < 1 / 3:
+            eng.delete_client(rng.choice(list(eng.registry)))
+        else:
+            point = rng.choice(hot) if rng.random() < 0.8 else rng.randrange(30)
+            eng.insert_client(f"c{serial}", point)
+        assignments = eng.assignments()
+        expected = sum(facs[f].opening_cost for f in eng.solution_query())
+        for cid, point in eng.registry.items():
+            expected += inst.distance(point, facs[assignments[cid].open_facility].point)
+        assert eng.realized_cost(assignments) == expected
 
 
 def test_dirty_heap_guards():

@@ -137,12 +137,12 @@ def test_find_balls_rejects_small_factor(line5):
 
 def test_find_area_line5(line5):
     h = helpers.build(line5)
-    assert h.find_area(3) == h.node_of[(0, 1)]
+    assert helpers.find_area(h, 3) == h.node_of[(0, 1)]
 
 
 def test_find_area_own_facility_point(line5):
     h = helpers.build(line5)
-    idx = h.find_area(line5.facilities[0].point)
+    idx = helpers.find_area(h, line5.facilities[0].point)
     node = h.nodes[idx]
     assert node.facility == 0 and node.r == h.params.rho_min
     assert line5.distance(0, line5.facilities[node.facility].point) == 0
@@ -153,7 +153,7 @@ def test_find_area_tie_breaks_to_lower_id():
                     facilities=[(0, 10), (1, 10)])
     h = helpers.build(inst)
     assert {h.nodes[i].facility for i in h.by_level[1]} == {0, 1}
-    assert h.nodes[h.find_area(2)].facility == 0
+    assert h.nodes[helpers.find_area(h, 2)].facility == 0
 
 
 def test_find_area_is_the_closest_node_of_the_lowest_ball_level():
@@ -169,7 +169,7 @@ def test_find_area_is_the_closest_node_of_the_lowest_ball_level():
                                key=lambda i: (h.nodes[i].r,
                                               inst.distance(p, fp[h.nodes[i].facility]),
                                               h.nodes[i].facility))
-                assert h.find_area(p) == expected
+                assert helpers.find_area(h, p) == expected
 
 
 def test_order_is_node_key_order(line5):
@@ -203,10 +203,7 @@ def test_area_chain_memo_matches_recomputation():
     h = helpers.build(inst)
     for p in range(inst.n_points):
         chain = h.area_chain(p)
-        expected = [h.find_area(p)]
-        while h.nodes[expected[-1]].parent is not None:
-            expected.append(h.nodes[expected[-1]].parent)
-        assert chain == tuple(expected)
+        assert chain == helpers.scalar_chain(h, p)
         assert h.area_chain(p) is chain
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_instance
+from helpers import random_instance, reference_cround
 from netfloc import (Instance, InstanceError, cround,
                      derive_parameters, largest_power_of_five_at_most)
 
@@ -66,6 +66,29 @@ def test_cround_boundaries():
     assert cround(Fraction(1, 5) + Fraction(1, 10**9)) == 0
     with pytest.raises(ValueError):
         cround(0)
+
+
+# Exponents k whose 5**k lies in the normal float range.
+_FLOAT_EXPONENTS = st.integers(-439, 441)
+
+
+def _near_powers_of_five():
+    """Exact powers of five (ints and Fractions), their nearest floats, and
+    the floats one ulp on either side of those."""
+    exact = _FLOAT_EXPONENTS.map(lambda k: Fraction(5) ** k)
+    nearest = exact.map(float)
+    ulp = st.tuples(nearest, st.sampled_from([-math.inf, math.inf])).map(
+        lambda pair: math.nextafter(*pair))
+    ints = st.integers(0, 300).flatmap(
+        lambda k: st.sampled_from([5 ** k - 1, 5 ** k, 5 ** k + 1]).filter(bool))
+    return st.one_of(exact, nearest, ulp, ints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(1e-300, 1e308), _near_powers_of_five(),
+                 st.fractions(min_value=Fraction(1, 10 ** 30)).filter(bool)))
+def test_cround_equals_the_rational_reference(x):
+    assert cround(x) == reference_cround(x)
 
 
 def test_rho_min_monotone_and_unit_steps(line5):
