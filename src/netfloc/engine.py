@@ -138,7 +138,7 @@ class Engine:
     def cost_query(self) -> float:
         """Total payment of the current solution (root cost), O(1)."""
         units = self.annotations[self.hierarchy.root].cost
-        return float(units * self._unit_scale)
+        return units * self._unit_num / self._unit_den
 
     def solution_query(self) -> list[int]:
         """Designated facilities of the currently open triplets, sorted;
@@ -422,7 +422,11 @@ class Engine:
                 del cache[next(iter(cache))]
         self.hierarchy = cache[key] = hierarchy
         rho_min = params.rho_min
-        self._unit_scale = 5 ** rho_min if rho_min >= 0 else 5.0 ** rho_min
+        # cost_query divides integers, which rounds correctly and stays
+        # finite whenever the cost is: a float 5.0**rho_min underflows to 0
+        # below rho_min = -463, and converting units first can overflow.
+        self._unit_num, self._unit_den = ((5 ** rho_min, 1) if rho_min >= 0
+                                          else (1, 5 ** -rho_min))
         nodes = hierarchy.nodes
         anns = [NodeAnnotation() for _ in nodes]
         self.annotations = anns

@@ -3,11 +3,16 @@ tree over (facility, logradius) pairs, laminar areas, x/y neighborhood lists,
 coloring, and designated facilities.
 
 The build reads the instance's facility distance table
-(``Instance.facility_distances``): separated sets, parents, colors, x/y
-lists, designations and ``neighbors_above`` are boolean-mask and argmin
-passes over it.  Each threshold ``c * 5**r`` is compared as ``threshold``,
-the largest float not above it, so every decision equals the exact test of
-a scalar distance against the exact threshold.
+(``Instance.facility_distances``), built in bulk by numpy and exact at every
+threshold ``c * 5**r`` the build compares it with (c in TABLE_FACTORS).
+Each threshold is compared as ``threshold``, the largest float not above it,
+so every such test equals the exact test of a scalar distance against the
+exact threshold.  Separated sets are mask passes over the table; a parent is
+a row minimum, and where the table's band leaves several contenders for it,
+their scalar distances decide.  Per level, one ``flatnonzero`` of the block
+within C4*5**r yields the coloring, x and y lists and designations;
+``neighbors_above`` joins y lists along root paths, and abundance thresholds
+are integer ceilings.
 
 The build also locates every point of the instance, facility and client
 points alike: a point's bottom area is the closest node of the lowest level
@@ -24,12 +29,9 @@ of its last few scales and reuses one when its (rho_min, rho_max) comes back.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 import numpy as np
 
-from .instance import Instance, Params
+from .instance import Instance, Params, radius, threshold
 
 C1 = 20
 C2 = 35
@@ -52,10 +54,16 @@ APPROX_FACTOR = 5 * PAYMENT_BOUND_FACTOR       # 2135
 # (point, candidate) pairs per level, so the pair arrays stay near 1 MB.
 LOCATE_BLOCK = 256
 
+# The factors c of the thresholds c * 5**r the build tests table entries
+# against: separation, near and far lists, and coloring.
+TABLE_FACTORS = (C1, CX, CY, C4)
 
-def radius(c: int, r: int):
-    """Threshold c * 5**r; integral (exact) whenever r >= 0."""
-    return c * 5 ** r if r >= 0 else c * 5.0 ** r
+
+def _split_rows(values: list, rows: np.ndarray, n_rows: int) -> list[list]:
+    """``values`` cut into one list per row 0 .. n_rows - 1, given each
+    value's row in ascending order."""
+    cuts = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
+    return [values[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 class TripletNode:
@@ -93,18 +101,11 @@ class TripletNode:
         return (self.r, self.color, self.facility)
 
 
-def threshold(c: int, r: int) -> float:
-    """``radius(c, r)`` as the largest float not above it (inf beyond the
-    float range), so that for a float distance d, ``d <= threshold(c, r)``
-    decides ``d <= radius(c, r)`` exactly."""
-    t = radius(c, r)
-    if isinstance(t, float):
-        return t
-    try:
-        f = float(t)
-    except OverflowError:
-        return math.inf
-    return f if f <= t else math.nextafter(f, -math.inf)
+def abundance_threshold(cost: float, r: int) -> int:
+    """ceil(cost / 5**r) exactly: with cost = a/b (``as_integer_ratio``), a
+    ceiling division of integers."""
+    a, b = cost.as_integer_ratio()
+    return -(-a // (b * 5 ** r)) if r >= 0 else -(-(a * 5 ** -r) // b)
 
 
 def build_separated_sets(instance: Instance, params: Params) -> dict[int, list[int]]:
@@ -113,7 +114,7 @@ def build_separated_sets(instance: Instance, params: Params) -> dict[int, list[i
     Any two chosen facilities at level r are strictly more than C1*5**r
     apart, and every facility is within that radius of a chosen one.
     """
-    table = instance.facility_distances
+    table = instance.facility_distances(TABLE_FACTORS)
     sets: dict[int, list[int]] = {}
     for r in range(params.rho_min, params.rho_max + 1):
         thr = threshold(C1, r)
@@ -122,7 +123,7 @@ def build_separated_sets(instance: Instance, params: Params) -> dict[int, list[i
         for fid in range(len(table)):
             if not covered[fid]:
                 chosen.append(fid)
-                covered |= table[:, fid] <= thr
+                covered |= table[fid] <= thr  # a row: the table is symmetric
         sets[r] = chosen
     return sets
 
@@ -130,13 +131,35 @@ def build_separated_sets(instance: Instance, params: Params) -> dict[int, list[i
 def build_tree(instance: Instance, params: Params,
                sets: dict[int, list[int]]) -> dict[tuple[int, int], tuple[int, int]]:
     """Parent map: each (facility, r) pair points at the closest level-(r+1)
-    facility, ties broken by ascending facility id."""
-    table = instance.facility_distances
+    facility, ties broken by ascending facility id.
+
+    A facility of both levels is its own parent, since the other level-(r+1)
+    facilities are more than C1*5**(r+1) > 0 away.  For the others, table
+    entries lie within a relative ``Instance.distance_band`` b of the scalar
+    distances, so a facility's closest upper facility, and every one at the
+    same scalar distance, is among the contenders: the entries at most
+    (1 + b)/(1 - b) times the row's smallest.  Where a row holds several
+    contenders, their scalar distances decide.
+    """
+    table = instance.facility_distances(TABLE_FACTORS)
+    band = instance.distance_band
+    fp = [f.point for f in instance.facilities]
     parents: dict[tuple[int, int], tuple[int, int]] = {}
     for r in range(params.rho_min, params.rho_max):
         uppers = np.array(sets[r + 1])
+        best = np.array(sets[r])
+        moved = ~np.isin(best, uppers)
+        lowers = best[moved]
+        block = table[np.ix_(lowers, uppers)]
+        if band:
+            limit = block.min(axis=1) * ((1 + band) / (1 - band))
+            low, up = np.divmod(np.flatnonzero(block <= limit[:, None]), len(uppers))
+            several = np.bincount(low)[low] > 1
+            low, up = low[several], up[several]
+            block[low, up] = [instance.distance(fp[j], fp[u]) for j, u in
+                              zip(lowers[low].tolist(), uppers[up].tolist())]
         # argmin keeps the first of equal distances: the lowest upper id.
-        best = uppers[table[np.ix_(sets[r], uppers)].argmin(axis=1)]
+        best[moved] = uppers[block.argmin(axis=1)]
         for j, u in zip(sets[r], best.tolist()):
             parents[(j, r)] = (u, r + 1)
     return parents
@@ -316,90 +339,95 @@ class Hierarchy:
         return area
 
     def _build_levels(self) -> None:
-        """Colors, x/y lists, designations and ``neighbors_above``, one level
-        at a time from the bottom, each from one block of the level's
-        distances."""
+        """Colors, x/y lists, designations and ``neighbors_above``.
+
+        Each level, from the bottom, reads the positions of its block of
+        distances within C4*5**r, in row-major order; the near (CX) and far
+        (CY) positions are subsets of them, since CX < CY < C4.
+        """
         nodes, params = self.nodes, self.params
         facs = self.instance.facilities
-        table = self.instance.facility_distances
-        n_fac, n_nodes = len(facs), len(nodes)
+        table = self.instance.facility_distances(TABLE_FACTORS)
+        n_fac = len(facs)
         costs = np.array([f.opening_cost for f in facs])
-        # Facility ids in (cost, id) order: the designation order.
+        # Each facility's rank in (cost, id) order: the designation order.
         by_cost = np.lexsort((np.arange(n_fac), costs))
-        # Facility x level tables of chain entries, of node ids and of
-        # (level, color) keys; a level's keys are filled once it is colored,
-        # and absent or not yet colored nodes keep a key above every real one.
-        # A level has at most n_fac nodes, so colors stay below n_fac.
+        rank = np.empty(n_fac, dtype=np.int64)
+        rank[by_cost] = np.arange(n_fac)
+        # Facility x level table of chain entries.
         entries = np.full((n_fac, params.delta), -1, dtype=np.int64)
         for fid, f in enumerate(facs):
             chain = self.point_chains[f.point]
             entries[fid, nodes[chain[0]].r - params.rho_min:] = chain
-        node_ids = np.full(entries.shape, -1, dtype=np.int64)
-        keys = np.full(entries.shape, params.delta * n_fac, dtype=np.int64)
-        for node in nodes:
-            node_ids[node.facility, node.r - params.rho_min] = node.idx
 
         # One int object per node id, shared by every id list (as appending
         # node.idx would), instead of a fresh int per list entry.
         id_objs = np.array([node.idx for node in nodes], dtype=object)
-        pairs = []  # below * n_nodes + above, one per neighbors_above entry
+
         for r, ids in self.by_level.items():
             off = r - params.rho_min
-            start = ids[0]
+            start, k = ids[0], len(ids)
             members = self.level_sets[r]
-            block = table[np.ix_(members, members)]
+            block = table if k == n_fac else table[np.ix_(members, members)]
+            pos = np.flatnonzero(block <= threshold(C4, r))
+            dist = block.reshape(-1)[pos]
+            row, col = np.divmod(pos, k)
+            del block, pos
+
+            level = nodes[start:start + k]
 
             # Greedy coloring: same-level nodes within C4*5**r get distinct
             # colors; lower facility ids are colored first.
-            clash = block <= threshold(C4, r)
+            lower = col < row
             colors: list[int] = []
-            for pos, idx in enumerate(ids):
-                taken = {colors[k] for k in np.flatnonzero(clash[pos, :pos]).tolist()}
+            for node, clashes in zip(level, _split_rows(col[lower].tolist(), row[lower], k)):
+                taken = {colors[c] for c in clashes}
                 color = 0
                 while color in taken:
                     color += 1
                 colors.append(color)
-                nodes[idx].color = color
-            keys[members, off] = up_keys = off * n_fac + np.array(colors)
+                node.color = color
 
-            near = block <= threshold(CX, r)
-            far = block <= threshold(CY, r)
-            del block
-            for pos, idx in enumerate(ids):
-                nodes[idx].x_areas = id_objs[start + np.flatnonzero(near[pos])].tolist()
-                nodes[idx].y_areas = id_objs[start + np.flatnonzero(far[pos])].tolist()
+            near = dist <= threshold(CX, r)
+            far = dist <= threshold(CY, r)
+            x_lists = _split_rows(id_objs[start + col[near]].tolist(), row[near], k)
+            y_lists = _split_rows(id_objs[start + col[far]].tolist(), row[far], k)
+            for node, x_areas, y_areas in zip(level, x_lists, y_lists):
+                node.x_areas = x_areas
+                node.y_areas = y_areas
 
             # Designation: the first facility in (cost, id) order whose
-            # level-r chain entry is one of the node's x areas.
-            order = by_cost[entries[by_cost, off] >= 0]
-            hits = near[:, entries[order, off] - start]
-            if not hits.any(axis=1).all():
+            # level-r chain entry is one of the node's x areas.  ``own``
+            # holds each node's least rank among the facilities whose entry
+            # it is; a node takes the least ``own`` over its x areas (every
+            # row holds its own diagonal, so none is empty).
+            own = np.full(k, n_fac, dtype=np.int64)
+            reached = entries[:, off] >= 0
+            np.minimum.at(own, entries[reached, off] - start, rank[reached])
+            first = np.minimum.reduceat(own[col[near]],
+                                        np.searchsorted(row[near], np.arange(k)))
+            if (first == n_fac).any():
                 raise AssertionError("area lost its own facility")
-            for idx, fid in zip(ids, order[hits.argmax(axis=1)].tolist()):
-                node = nodes[idx]
+            for node, fid in zip(level, by_cost[first].tolist()):
                 node.designated_facility = fid
                 node.designated_cost = cost = facs[fid].opening_cost
                 # Smallest client count in the near neighborhood that pays
                 # the designated cost at this scale, as an exact integer.
-                node.abundance_threshold = math.ceil(Fraction(cost) / Fraction(5) ** r)
+                node.abundance_threshold = abundance_threshold(cost, r)
 
-            # neighbors_above: each node v of a facility whose level-r chain
-            # entry is a y area of an upper node u gets u when key(v) < key(u).
-            # Only levels up to r decide that, and those are colored by now.
-            reached = np.flatnonzero(entries[:, off] >= 0)
-            ups, fids = np.nonzero(far[:, entries[reached, off] - start])
-            fids = reached[fids]
-            rows, offs = np.nonzero(keys[fids] < up_keys[ups][:, None])
-            pairs.append(node_ids[fids[rows], offs] * n_nodes + start + ups[rows])
-
-        pairs = np.concatenate(pairs)
-        pairs.sort()
-        bounds = np.searchsorted(pairs, np.arange(n_nodes + 1) * n_nodes).tolist()
-        pairs %= n_nodes
-        above = id_objs[pairs].tolist()
-        del pairs
+        # neighbors_above: the nodes u with key(v) < key(u) whose far
+        # neighborhood holds v's facility.  At level r those are the y areas
+        # of the facility's level-r chain entry e (the far relation is
+        # symmetric), so v's list is e's y areas of a higher color than v,
+        # then the y areas of every node on e's root path above e.
+        path_y: list[list[int]] = [[]] * len(nodes)
+        for node in reversed(nodes):  # parents first
+            up = [] if node.parent is None else path_y[node.parent]
+            path_y[node.idx] = node.y_areas + up
         for node in nodes:
-            node.neighbors_above = above[bounds[node.idx]:bounds[node.idx + 1]]
+            e = nodes[self.facility_chain_at(node.facility, node.r)]
+            up = [] if e.parent is None else path_y[e.parent]
+            node.neighbors_above = [u for u in e.y_areas if nodes[u].color > node.color] + up
 
     # -- debug output -------------------------------------------------------
 

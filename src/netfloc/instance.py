@@ -2,14 +2,15 @@
 opening costs, live clients, and the derived scale parameters that size the
 net hierarchy.
 
-An instance computes, once and on first use, the F x F table of distances
-between its facility points; the hierarchy's nodes and lists read nothing
-else of the metric.  Its entries are the floats ``Instance.distance``
-returns, never a vectorised re-derivation (numpy's ``sqrt`` of a sum of
-squares differs from ``math.dist`` in the last bit on many float points).
-Point location reads ``distance_bounds``: exact bulk distances for matrices
-and L-infinity, and for L2 an interval around numpy's value that provably
-holds ``math.dist``'s.
+An instance computes, once per set of threshold factors and on first use,
+the F x F table of distances between its facility points; the hierarchy's
+nodes and lists read nothing else of the metric.  Matrix entries and
+L-infinity distances are the scalar metric's floats.  An L2 entry is numpy's
+value, which differs from ``math.dist``'s in the last bit on many float
+points, except where that could change a test against a threshold
+``c * 5**r``: there it is ``Instance.distance``.  Point location reads
+``distance_bounds``: exact bulk distances for matrices and L-infinity, and
+for L2 an interval around numpy's value that provably holds ``math.dist``'s.
 
 The L2 diameter is a blocked filter-then-verify scan whose value equals the
 exact row scan's bit for bit; the L-infinity one is the largest coordinate
@@ -24,7 +25,6 @@ import numbers
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -45,6 +45,14 @@ _EPS = float(np.finfo(float).eps)
 # Below this sum of squares a numpy L2 distance may have lost bits to
 # underflowing squares, so ``distance_bounds`` asks the scalar metric.
 _L2_TINY = 2.0 ** -960
+# An L2 facility table entry at most this large, the square root of
+# _L2_TINY, may come from such a sum, so the table takes the scalar value.
+_L2_TINY_ROOT = 2.0 ** -480
+
+# The top 19 bits of a nonnegative float (exponent and 8 mantissa bits) name
+# its bucket, a relative width of at most 2**-8; the facility table marks the
+# buckets near a threshold in a table of 2**19 flags.
+_BUCKET_SHIFT = 44
 
 _LOG2_5 = math.log2(5)
 
@@ -186,6 +194,30 @@ def cround(x) -> int:
     return r
 
 
+def radius(c: int, r: int):
+    """Threshold c * 5**r; integral (exact) whenever r >= 0."""
+    return c * 5 ** r if r >= 0 else c * 5.0 ** r
+
+
+def threshold(c: int, r: int) -> float:
+    """``radius(c, r)`` as the largest float not above it (inf beyond the
+    float range), so that for a float distance d, ``d <= threshold(c, r)``
+    decides ``d <= radius(c, r)`` exactly."""
+    t = radius(c, r)
+    if isinstance(t, float):
+        return t
+    try:
+        f = float(t)
+    except OverflowError:
+        return math.inf
+    return f if f <= t else math.nextafter(f, -math.inf)
+
+
+def _bucket(x: float) -> int:
+    """The bucket of a nonnegative float: its top bits, in float order."""
+    return int(np.float64(x).view(np.int64)) >> _BUCKET_SHIFT
+
+
 def largest_power_of_five_at_most(count: int) -> int:
     """The client-count scale n: 0 for count 0, else max power of 5 <= count."""
     if count <= 0:
@@ -251,7 +283,7 @@ class Instance:
         if not self.facilities:
             raise InstanceError("instance needs at least one facility")
         self._diameter = None
-        self._facility_distances = None
+        self._facility_tables: dict[tuple[int, ...], np.ndarray] = {}
 
     def point_index(self, point) -> int:
         """``point`` as an index into the point universe; an input error
@@ -321,13 +353,9 @@ class Instance:
         Matrix entries and L-infinity distances (the scalar metric's float
         operations: subtraction, abs, max) are exact.  An L2 pair gets numpy's
         sqrt of its sum of squared coordinate differences, summed one
-        dimension at a time: with d dimensions that is within a relative
-        (d/2 + 2)·eps/2 of the exact distance, and ``math.dist`` (a scaled,
-        compensated sum) is within (d + 3)·eps/2 of it, so the band of
-        relative half-width 4·(d + 2)·eps around numpy's value holds
-        ``math.dist``'s.  Where the sum of squares overflows or underflows
-        (below _L2_TINY) the scalar distance decides, or 0 for equal
-        coordinates.
+        dimension at a time, widened by ``distance_band`` on either side.
+        Where the sum of squares overflows or underflows (below _L2_TINY)
+        the scalar distance decides, or 0 for equal coordinates.
         """
         arr = self.array
         if self._matrix is not None:
@@ -347,7 +375,7 @@ class Instance:
                 t *= t
                 s += t
         d = np.sqrt(s)
-        band = 4 * (len(cols) + 2) * _EPS
+        band = self.distance_band
         lo, hi = d * (1 - band), d * (1 + band)
         odd = np.flatnonzero(~(s >= _L2_TINY) | np.isinf(s))
         if len(odd):
@@ -356,6 +384,19 @@ class Instance:
             lo[odd] = hi[odd] = [0.0 if eq else self.distance(a, b)
                                  for a, b, eq in zip(p.tolist(), q.tolist(), same)]
         return lo, hi
+
+    @property
+    def distance_band(self) -> float:
+        """Relative half-width of the band around a bulk distance that holds
+        the scalar one: 0 for matrices and L-infinity, whose bulk values are
+        exact.  For L2 with d dimensions, numpy's sqrt of the sum of squares
+        summed one dimension at a time is within a relative (d/2 + 2)·eps/2
+        of the exact distance, and ``math.dist`` (a scaled, compensated sum)
+        is within (d + 3)·eps/2 of it, so 4·(d + 2)·eps holds both with
+        room for the rounding of the band's own products."""
+        if self.kind != "euclidean-L2":
+            return 0.0
+        return 4 * (self.array.shape[1] + 2) * _EPS
 
     def distance(self, p: int, q: int) -> float:
         """Metric distance between two point indices."""
@@ -396,29 +437,110 @@ class Instance:
             self._diameter = diameter
         return self._diameter
 
-    @property
-    def facility_distances(self) -> np.ndarray:
+    def facility_distances(self, factors: tuple[int, ...]) -> np.ndarray:
         """Read-only F x F table of distances between facility points, by
-        facility id, computed on first use.
+        facility id, computed once per tuple of threshold ``factors``.
 
-        Every entry is the float ``distance`` returns for that pair (the
-        matrix entry, ``math.dist`` for L2, the largest absolute coordinate
-        difference for L-infinity), so a threshold test on the table decides
-        exactly as the scalar metric does.
+        For every c in ``factors`` and every integer r, the test
+        ``table[i, j] <= threshold(c, r)`` decides as the same test on
+        ``distance`` does, and every entry is within a relative
+        ``distance_band`` of ``distance``.  Matrix and L-infinity entries
+        are the scalar metric's floats.  An L2 entry is numpy's value, as in
+        ``distance_bounds``, except where its band holds such a threshold or
+        its sum of squares may have overflowed or underflowed: there it is
+        ``distance``, or 0 for equal coordinates.  Like the metric, the
+        table is symmetric.
         """
-        if self._facility_distances is None:
+        table = self._facility_tables.get(factors)
+        if table is None:
             fps = [f.point for f in self.facilities]
             if self._matrix is not None:
-                table = np.array([[self._matrix[p][q] for q in fps] for p in fps])
-            elif self.kind == "euclidean-L2":
-                pts = [self._points[p] for p in fps]
-                table = np.array([list(map(math.dist, repeat(a), pts)) for a in pts])
+                table = self.array[np.ix_(fps, fps)]
             else:
-                arr = np.asarray([self._points[p] for p in fps], dtype=float)
-                table = np.array([np.abs(arr - a).max(axis=1) for a in arr])
+                table = self._pairwise(self.array[fps])
+                if self.kind == "euclidean-L2":
+                    self._settle_l2_table(table, fps, factors)
             table.flags.writeable = False
-            self._facility_distances = table
-        return self._facility_distances
+            self._facility_tables[factors] = table
+        return table
+
+    def _pairwise(self, pts: np.ndarray) -> np.ndarray:
+        """All distances between the coordinate rows of ``pts``, a block of
+        rows at a time: the scalar metric's floats for L-infinity, numpy's
+        sqrt of the sum of squares summed one dimension at a time for L2."""
+        n = len(pts)
+        cols = np.ascontiguousarray(pts.T)
+        out = np.empty((n, n))
+        rows = max(1, _BLOCK_ELEMENTS // n)
+        tmp = np.empty((rows, n))
+        linf = self.kind == "euclidean-Linf"
+        with np.errstate(over="ignore"):  # an infinite sum is settled later
+            for start in range(0, n, rows):
+                o = out[start:start + rows]
+                t = tmp[:len(o)]
+                block = cols[:, start:start + rows, None]
+                np.subtract(block[0], cols[0], out=o)
+                if linf:
+                    np.abs(o, out=o)
+                else:
+                    np.multiply(o, o, out=o)
+                for k in range(1, len(cols)):
+                    np.subtract(block[k], cols[k], out=t)
+                    if linf:
+                        np.abs(t, out=t)
+                        np.maximum(o, t, out=o)
+                    else:
+                        np.multiply(t, t, out=t)
+                        np.add(o, t, out=o)
+                if not linf:
+                    np.sqrt(o, out=o)
+        return out
+
+    def _settle_l2_table(self, table: np.ndarray, fps: list[int],
+                         factors: tuple[int, ...]) -> None:
+        """Replace by ``distance`` the entries of a numpy L2 table whose
+        band holds a threshold c·5**r (c in ``factors``) or that are at most
+        _L2_TINY_ROOT or infinite.
+
+        A flag per float bucket marks the buckets within twice the band of
+        a threshold, and the buckets of the tiny and infinite values; only
+        entries in marked buckets are tested one by one.
+        """
+        n = len(fps)
+        band = self.distance_band
+        finite = np.isfinite(table)
+        top = float(table.max(where=finite, initial=0.0))
+        # Entries up to _L2_TINY_ROOT are settled whatever their thresholds.
+        least = max(float(table.min(where=table > 0, initial=math.inf)), _L2_TINY_ROOT)
+        thresholds = []
+        if least <= top:
+            lo_r = cround(least / max(factors)) - 1
+            hi_r = cround(top / min(factors)) + 1
+            thresholds = sorted(t for c in factors for r in range(lo_r, hi_r + 1)
+                                if 0 < (t := threshold(c, r)) < math.inf)
+        marked = np.zeros(1 << (63 - _BUCKET_SHIFT), dtype=bool)
+        marked[:_bucket(_L2_TINY_ROOT) + 1] = True
+        marked[_bucket(math.inf):] = True
+        for t in thresholds:
+            marked[_bucket(t * (1 - 2 * band)):_bucket(t * (1 + 2 * band)) + 1] = True
+        bounds = np.array(thresholds + [math.inf])
+
+        flat = table.reshape(-1)
+        step = max(n, _BLOCK_ELEMENTS)
+        settle = []
+        for start in range(0, len(flat), step):
+            d = flat[start:start + step]
+            idx = np.flatnonzero(marked[d.view(np.int64) >> _BUCKET_SHIFT])
+            d = d[idx]
+            hi = d * (1 + band)
+            straddle = bounds[np.searchsorted(bounds, d * (1 - band))] < hi
+            settle.append(start + idx[straddle | (d <= _L2_TINY_ROOT) | np.isinf(d)])
+        idx = np.concatenate(settle)
+        ps, qs = np.asarray(fps)[idx // n], np.asarray(fps)[idx % n]
+        arr = self.array
+        same = (arr[ps] == arr[qs]).all(axis=1).tolist()
+        flat[idx] = [0.0 if eq else self.distance(p, q)
+                     for p, q, eq in zip(ps.tolist(), qs.tolist(), same)]
 
     @classmethod
     def from_dict(cls, data) -> "Instance":

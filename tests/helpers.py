@@ -7,9 +7,11 @@ engine's general update path kept as a reference for its steady-update
 shortcuts, the oracle's per-client assignment loop kept as a reference for
 its per-area one, seeded traces that cross the scales 5, 25 and 125, and
 the scalar references for ``cround`` and for the hierarchy's bulk point
-location (``find_area``)."""
+location (``find_area``), and the reference hierarchy build over the exact
+scalar distance table (``ReferenceHierarchy``)."""
 
 import importlib.util
+import math
 import os
 import random
 import sys
@@ -17,9 +19,12 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from netfloc import C1, C2, C3, C4, CX, DirtyHeap, Engine, Hierarchy, Instance, \
+import numpy as np
+
+from netfloc import C1, C2, C3, C4, CX, CY, DirtyHeap, Engine, Hierarchy, Instance, \
     TraceEvent, derive_parameters, radius
 from netfloc.engine import Assignment, UpdateStats
+from netfloc.hierarchy import TripletNode, threshold
 from netfloc.instance import largest_power_of_five_at_most
 
 
@@ -385,4 +390,168 @@ def structural_problems(instance, hierarchy) -> list[str]:
         if node.designated_cost > facs[node.facility].opening_cost:
             problems.append(f"designated cost above own cost at node {node.idx}")
 
+    return problems
+
+
+def exact_facility_table(instance) -> np.ndarray:
+    """F x F table of scalar ``Instance.distance`` values between facility
+    points, by facility id."""
+    fps = [f.point for f in instance.facilities]
+    return np.array([[instance.distance(p, q) for q in fps] for p in fps])
+
+
+class ReferenceHierarchy(Hierarchy):
+    """The hierarchy build over the exact scalar distance table, with lists
+    built node by node: the reference for the bulk build.
+
+    Separated sets and parents are mask and argmin passes over the exact
+    table; colors, x/y lists and designations are per-node ``flatnonzero``
+    passes; abundance thresholds are ``Fraction`` ceilings; and
+    ``neighbors_above`` compares each candidate pair's keys at every level.
+    Point chains come from ``Hierarchy._locate`` (checked against the scalar
+    descent by test_bulk_location.py).
+    """
+
+    def __init__(self, instance, params):
+        self.instance = instance
+        self.params = params
+        table = exact_facility_table(instance)
+        self.level_sets = self._separated_sets(table)
+        self.nodes = []
+        self.by_level = {}
+        self.node_of = {}
+        self._fac_point = [f.point for f in instance.facilities]
+        for r in range(params.rho_min, params.rho_max + 1):
+            ids = []
+            for j in self.level_sets[r]:
+                idx = len(self.nodes)
+                node = TripletNode(idx, j, r)
+                node.unit_weight = 5 ** (r - params.rho_min)
+                self.nodes.append(node)
+                self.node_of[(j, r)] = idx
+                ids.append(idx)
+            self.by_level[r] = ids
+        for (j, r), (pj, pr) in self._tree(table).items():
+            idx = self.node_of[(j, r)]
+            pidx = self.node_of[(pj, pr)]
+            self.nodes[idx].parent = pidx
+            self.nodes[pidx].children.append(idx)
+        self.root = self.by_level[params.rho_max][0]
+        paths = [()] * len(self.nodes)
+        for node in reversed(self.nodes):
+            up = () if node.parent is None else paths[node.parent]
+            paths[node.idx] = (node.idx,) + up
+        self.point_chains = [paths[a] for a in self._locate().tolist()]
+        self._levels(table)
+        self.order = sorted(range(len(self.nodes)), key=lambda i: self.nodes[i].key())
+
+    def _separated_sets(self, table):
+        sets = {}
+        for r in range(self.params.rho_min, self.params.rho_max + 1):
+            thr = threshold(C1, r)
+            covered = np.zeros(len(table), dtype=bool)
+            chosen = []
+            for fid in range(len(table)):
+                if not covered[fid]:
+                    chosen.append(fid)
+                    covered |= table[:, fid] <= thr
+            sets[r] = chosen
+        return sets
+
+    def _tree(self, table):
+        parents = {}
+        sets = self.level_sets
+        for r in range(self.params.rho_min, self.params.rho_max):
+            uppers = np.array(sets[r + 1])
+            best = uppers[table[np.ix_(sets[r], uppers)].argmin(axis=1)]
+            for j, u in zip(sets[r], best.tolist()):
+                parents[(j, r)] = (u, r + 1)
+        return parents
+
+    def _levels(self, table):
+        nodes, params = self.nodes, self.params
+        facs = self.instance.facilities
+        n_fac, n_nodes = len(facs), len(nodes)
+        costs = np.array([f.opening_cost for f in facs])
+        by_cost = np.lexsort((np.arange(n_fac), costs))
+        entries = np.full((n_fac, params.delta), -1, dtype=np.int64)
+        for fid, f in enumerate(facs):
+            chain = self.point_chains[f.point]
+            entries[fid, nodes[chain[0]].r - params.rho_min:] = chain
+        node_ids = np.full(entries.shape, -1, dtype=np.int64)
+        keys = np.full(entries.shape, params.delta * n_fac, dtype=np.int64)
+        for node in nodes:
+            node_ids[node.facility, node.r - params.rho_min] = node.idx
+        id_objs = np.array([node.idx for node in nodes], dtype=object)
+        pairs = []
+        for r, ids in self.by_level.items():
+            off = r - params.rho_min
+            start = ids[0]
+            members = self.level_sets[r]
+            block = table[np.ix_(members, members)]
+            clash = block <= threshold(C4, r)
+            colors = []
+            for pos, idx in enumerate(ids):
+                taken = {colors[k] for k in np.flatnonzero(clash[pos, :pos]).tolist()}
+                color = 0
+                while color in taken:
+                    color += 1
+                colors.append(color)
+                nodes[idx].color = color
+            keys[members, off] = up_keys = off * n_fac + np.array(colors)
+            near = block <= threshold(CX, r)
+            far = block <= threshold(CY, r)
+            for pos, idx in enumerate(ids):
+                nodes[idx].x_areas = id_objs[start + np.flatnonzero(near[pos])].tolist()
+                nodes[idx].y_areas = id_objs[start + np.flatnonzero(far[pos])].tolist()
+            order = by_cost[entries[by_cost, off] >= 0]
+            hits = near[:, entries[order, off] - start]
+            for idx, fid in zip(ids, order[hits.argmax(axis=1)].tolist()):
+                node = nodes[idx]
+                node.designated_facility = fid
+                node.designated_cost = cost = facs[fid].opening_cost
+                node.abundance_threshold = math.ceil(Fraction(cost) / Fraction(5) ** r)
+            reached = np.flatnonzero(entries[:, off] >= 0)
+            ups, fids = np.nonzero(far[:, entries[reached, off] - start])
+            fids = reached[fids]
+            rows, offs = np.nonzero(keys[fids] < up_keys[ups][:, None])
+            pairs.append(node_ids[fids[rows], offs] * n_nodes + start + ups[rows])
+        pairs = np.concatenate(pairs)
+        pairs.sort()
+        bounds = np.searchsorted(pairs, np.arange(n_nodes + 1) * n_nodes).tolist()
+        above = id_objs[pairs % n_nodes].tolist()
+        for node in nodes:
+            node.neighbors_above = above[bounds[node.idx]:bounds[node.idx + 1]]
+
+
+def _types(value):
+    """The type of ``value`` and of the keys, items and values in it, so
+    that equal values with a numpy int or a float where a Python int
+    belongs compare unequal."""
+    if isinstance(value, dict):
+        return dict, frozenset(map(_types, value)), frozenset(map(_types, value.values()))
+    if isinstance(value, (list, tuple)):
+        inner = frozenset(map(type, value))
+        if inner & {dict, list, tuple}:
+            inner = frozenset(map(_types, value))
+        return type(value), inner
+    return type(value)
+
+
+def build_differences(hierarchy, reference) -> list[str]:
+    """Every node slot, level set, point chain and ordering in which
+    ``hierarchy`` differs from ``reference``, types included."""
+
+    def same(a, b):
+        return a == b and _types(a) == _types(b)
+
+    problems = [attr for attr in ("level_sets", "by_level", "node_of", "root", "order",
+                                  "point_chains")
+                if not same(getattr(hierarchy, attr), getattr(reference, attr))]
+    if len(hierarchy.nodes) != len(reference.nodes):
+        return problems + ["node count"]
+    for node, ref in zip(hierarchy.nodes, reference.nodes):
+        for slot in TripletNode.__slots__:
+            if not same(getattr(node, slot), getattr(ref, slot)):
+                problems.append(f"node {ref.idx} ({ref.facility}, {ref.r}): {slot}")
     return problems

@@ -192,11 +192,11 @@ def test_distance_bounds_hold_the_scalar_distance(kind, scale, points):
 def test_a_churn_sized_l2_instance_needs_few_scalar_distances():
     # The benchmark's churn-l2 instance (400 facilities, 2,400 integer grid
     # points) at the 3,125 scale: the scalar descent makes ~2 * 10**5
-    # distance calls to locate every point, the bulk one a handful.
+    # distance calls to locate every point, an exact facility table 160,000,
+    # and the whole bulk build a handful.
     instance_text = helpers.benchmark_inputs("churn-l2", 1).instance_text
     inst = Instance.from_dict(json.loads(instance_text))
     params = derive_parameters(inst, 3125)
-    inst.facility_distances  # the build's table makes no scalar calls
     calls = 0
     original = inst.distance
 

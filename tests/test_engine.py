@@ -1,7 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 import netfloc.engine as engine_mod
@@ -156,6 +158,19 @@ def test_cost_query_examples(line5):
     eng.insert_client("c2", 4)
     eng.insert_client("c3", 3)
     assert eng.cost_query() == 15.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(5e-324, 1e300), st.floats(5e-324, 1e300), st.integers(1, 7))
+def test_cost_query_is_the_exact_cost_rounded(cost_a, cost_b, n_clients):
+    # The root's cost counts units of 5**rho_min; tiny costs put rho_min
+    # near -463, where 5.0**rho_min underflows, and the units past 10**308.
+    inst = Instance("euclidean-L2", points=[[0, 0], [3, 4]],
+                    facilities=[(0, cost_a), (1, cost_b)])
+    eng = Engine(inst, {f"c{i}": i % 2 for i in range(n_clients)})
+    units = eng.annotations[eng.hierarchy.root].cost
+    exact = Fraction(units) * Fraction(5) ** eng.hierarchy.params.rho_min
+    assert eng.cost_query() == float(exact)
 
 
 def test_solution_query_examples(line5, line5_cheap_f1):

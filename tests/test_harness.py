@@ -455,6 +455,28 @@ def test_cli_bench_opt_dump(data_dir, capsys):
     assert out.splitlines()[0] == "r=3 s=0 j=0 parent=- f*=10 j*=0"
 
 
+@pytest.mark.parametrize("points, costs, cost", [
+    ([[0, 0], [3, 4]], [5e-324, 7], "0.2"),
+    ([[0, 0], [1e300, 0]], [1e-300, 1e300], "2.88530581806e+298"),
+])
+def test_cli_cost_query_on_deep_hierarchies(tmp_path, capsys, points, costs, cost):
+    # A cost of 5e-324 or 1e-300 puts the bottom logradius below -430, where
+    # the root's cost counts more units than a float holds.
+    inst = tmp_path / "deep.json"
+    inst.write_text(json.dumps({
+        "metric": {"kind": "euclidean-L2", "points": points},
+        "facilities": [{"point": p, "cost": c} for p, c in enumerate(costs)]}))
+    trace = tmp_path / "deep.trace"
+    trace.write_text("+ a 1\n? cost\n")
+    for command in (["run"], ["run", "--verified"], ["verify"]):
+        assert main(command[:1] + [str(inst), str(trace)] + command[1:]) == 0
+        assert capsys.readouterr().out.splitlines() == [cost]
+    assert main(["bench", str(inst), str(trace)]) == 0
+    assert capsys.readouterr().out.splitlines()[2].startswith("1,cost,")
+    assert main(["opt", str(inst), str(trace)]) == 0
+    assert f"cost_query={cost}" in capsys.readouterr().out.splitlines()
+
+
 def test_cli_opt_with_infinite_optimum(tmp_path, capsys):
     # Three clients 1e308 from the only facility: every opening set's cost
     # overflows, so the ratios have no value.

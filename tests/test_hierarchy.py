@@ -1,14 +1,15 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 from helpers import random_instance
 from netfloc import (C1, C2, C3, C4, CX, CY, Instance, build_separated_sets,
                      build_tree, derive_parameters, radius)
-from netfloc.hierarchy import threshold
+from netfloc.hierarchy import TABLE_FACTORS, abundance_threshold, threshold
 
 
 def test_constant_relations():
@@ -317,17 +318,51 @@ def test_dump_format(line5):
     assert len(lines) == len(h.nodes)
 
 
-@settings(max_examples=60, deadline=None)
+def _near_threshold_points(base, pairs):
+    """``base``, then per (c, r, angle, ulps) a point at the distance
+    threshold(c, r) moved by ``ulps`` units in the last place, in direction
+    ``angle`` from ``base``."""
+    points = [list(base)]
+    for c, r, angle, ulps in pairs:
+        t = threshold(c, r)
+        for _ in range(abs(ulps)):
+            t = math.nextafter(t, math.copysign(math.inf, ulps))
+        points.append([base[0] + t * math.cos(angle), base[1] + t * math.sin(angle)])
+    return points
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["euclidean-L2", "euclidean-Linf"]),
-       st.integers(1, 3).flatmap(lambda dims: st.lists(
-           st.lists(st.floats(-1e9, 1e9), min_size=dims, max_size=dims),
-           min_size=1, max_size=12)))
-def test_facility_table_equals_scalar_distance(kind, points):
+       st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+       st.lists(st.tuples(st.sampled_from(TABLE_FACTORS), st.integers(-6, 6),
+                          st.floats(0, 2 * math.pi), st.integers(-3, 3)),
+                min_size=1, max_size=6),
+       st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)), max_size=4))
+# Points where numpy's L2 value and math.dist's straddle the threshold,
+# found by a seeded search.
+@example("euclidean-L2", (0.0, 0.0),
+         [(C4, -4, 0.979, 0), (C1, 6, 1.313, 0), (CY, 0, 1.931, 1)], [])
+def test_facility_table_decides_every_threshold_as_the_scalar_distance(
+        kind, base, near, free):
+    # Points within a few ulps of c * 5**r from a base point, where numpy's
+    # L2 value and math.dist's may fall on either side, and free points.
+    points = _near_threshold_points(base, near) + [list(p) for p in free]
     inst = Instance(kind, points=points, facilities=[(p, 1) for p in range(len(points))])
-    table = inst.facility_distances
+    table = inst.facility_distances(TABLE_FACTORS)
+    band = inst.distance_band
+    thresholds = [threshold(c, r) for c in TABLE_FACTORS for r in range(-12, 13)]
     for a in range(len(points)):
         for b in range(len(points)):
-            assert table[a, b] == inst.distance(a, b)
+            d = inst.distance(a, b)
+            assert abs(table[a, b] - d) <= band * d
+            for t in thresholds:
+                assert (table[a, b] <= t) == (d <= t), (a, b, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(5e-324, 1e308), st.integers(-900, 500))
+def test_abundance_threshold_is_the_exact_ceiling(cost, r):
+    assert abundance_threshold(cost, r) == math.ceil(Fraction(cost) / Fraction(5) ** r)
 
 
 def test_threshold_rounds_down_to_a_float():
