@@ -31,14 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .instance import Instance, Params, radius, threshold
-
-C1 = 20
-C2 = 35
-CX = 2 * C2 + 2    # 72
-C3 = CX + C2       # 107
-CY = 2 * C3 + C2   # 249
-C4 = CY + C2       # 284
+# The scale factors are defined with the facility table that tests them.
+from .instance import (C1, C2, C3, C4, CX, CY, TABLE_FACTORS, Instance, Params,
+                       radius, threshold)
 
 # Ball lookups are only sound for scale factors >= (5/4)*C1.
 MIN_BALL_FACTOR = 25
@@ -53,10 +48,6 @@ APPROX_FACTOR = 5 * PAYMENT_BOUND_FACTOR       # 2135
 # Points per block of the bulk location; churn-l2's blocks hold up to ~13,000
 # (point, candidate) pairs per level, so the pair arrays stay near 1 MB.
 LOCATE_BLOCK = 256
-
-# The factors c of the thresholds c * 5**r the build tests table entries
-# against: separation, near and far lists, and coloring.
-TABLE_FACTORS = (C1, CX, CY, C4)
 
 
 def _split_rows(values: list, rows: np.ndarray, n_rows: int) -> list[list]:
@@ -114,7 +105,7 @@ def build_separated_sets(instance: Instance, params: Params) -> dict[int, list[i
     Any two chosen facilities at level r are strictly more than C1*5**r
     apart, and every facility is within that radius of a chosen one.
     """
-    table = instance.facility_distances(TABLE_FACTORS)
+    table = instance.facility_distances
     sets: dict[int, list[int]] = {}
     for r in range(params.rho_min, params.rho_max + 1):
         thr = threshold(C1, r)
@@ -134,14 +125,15 @@ def build_tree(instance: Instance, params: Params,
     facility, ties broken by ascending facility id.
 
     A facility of both levels is its own parent, since the other level-(r+1)
-    facilities are more than C1*5**(r+1) > 0 away.  For the others, table
-    entries lie within a relative ``Instance.distance_band`` b of the scalar
-    distances, so a facility's closest upper facility, and every one at the
-    same scalar distance, is among the contenders: the entries at most
-    (1 + b)/(1 - b) times the row's smallest.  Where a row holds several
-    contenders, their scalar distances decide.
+    facilities are more than C1*5**(r+1) > 0 away; at the lower levels that
+    is most facilities, whose rows the block below leaves out.  For the
+    others, table entries lie within a relative ``Instance.distance_band`` b
+    of the scalar distances, so a facility's closest upper facility, and
+    every one at the same scalar distance, is among the contenders: the
+    entries at most (1 + b)/(1 - b) times the row's smallest.  Where a row
+    holds several contenders, their scalar distances decide.
     """
-    table = instance.facility_distances(TABLE_FACTORS)
+    table = instance.facility_distances
     band = instance.distance_band
     fp = [f.point for f in instance.facilities]
     parents: dict[tuple[int, int], tuple[int, int]] = {}
@@ -347,7 +339,7 @@ class Hierarchy:
         """
         nodes, params = self.nodes, self.params
         facs = self.instance.facilities
-        table = self.instance.facility_distances(TABLE_FACTORS)
+        table = self.instance.facility_distances
         n_fac = len(facs)
         costs = np.array([f.opening_cost for f in facs])
         # Each facility's rank in (cost, id) order: the designation order.

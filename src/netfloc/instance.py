@@ -2,13 +2,14 @@
 opening costs, live clients, and the derived scale parameters that size the
 net hierarchy.
 
-An instance computes, once per set of threshold factors and on first use,
-the F x F table of distances between its facility points; the hierarchy's
-nodes and lists read nothing else of the metric.  Matrix entries and
-L-infinity distances are the scalar metric's floats.  An L2 entry is numpy's
-value, which differs from ``math.dist``'s in the last bit on many float
-points, except where that could change a test against a threshold
-``c * 5**r``: there it is ``Instance.distance``.  Point location reads
+An instance computes, once and on first use, the F x F table of distances
+between its facility points; the hierarchy's nodes and lists read nothing
+else of the metric.  Matrix entries and L-infinity distances are the scalar
+metric's floats.  An L2 entry is numpy's value, which differs from
+``math.dist``'s in the last bit on many float points, except where that could
+change a test against a threshold ``c * 5**r`` with c in TABLE_FACTORS: there
+it is ``Instance.distance``.  The hierarchy's scale factors C1 .. C4 live
+here so that the table can name its thresholds.  Point location reads
 ``distance_bounds``: exact bulk distances for matrices and L-infinity, and
 for L2 an interval around numpy's value that provably holds ``math.dist``'s.
 
@@ -92,34 +93,55 @@ def _as_list(value, what: str) -> list:
         raise InstanceError(f"{what} must be a list, got {echo(value)}") from None
 
 
+def _pair_blocks(arr: np.ndarray, linf: bool = False):
+    """Yield ``(start, block)`` over the pairs of rows of ``arr``, a block
+    of rows at a time: ``block[i, j]`` is the sum of the squared differences
+    of rows ``start + i`` and ``j``, summed one dimension at a time, or with
+    ``linf`` their largest absolute difference (the scalar L-infinity
+    metric's floats).  Blocks hold at most _BLOCK_ELEMENTS entries (or one
+    row) and share one buffer, so each is valid until the next is yielded.
+    The caller sets numpy's handling of overflow."""
+    n, d = arr.shape
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    cols = np.ascontiguousarray(arr.T)
+    acc, tmp = np.empty((rows, n)), np.empty((rows, n))
+    for start in range(0, n, rows):
+        block = arr[start:start + rows, :, None]
+        a, t = acc[:len(block)], tmp[:len(block)]
+        np.subtract(block[:, 0], cols[0], out=a)
+        if linf:
+            np.abs(a, out=a)
+        else:
+            np.multiply(a, a, out=a)
+        for k in range(1, d):
+            np.subtract(block[:, k], cols[k], out=t)
+            if linf:
+                np.abs(t, out=t)
+                np.maximum(a, t, out=a)
+            else:
+                np.multiply(t, t, out=t)
+                np.add(a, t, out=a)
+        yield start, a
+
+
 def _max_squared_distance(arr: np.ndarray) -> float:
     """Largest squared L2 distance over all pairs of rows of ``arr``: bit for
     bit the row scan's ``max_i ((arr[i] - arr)**2).sum(axis=1).max()``.
 
-    A blocked pass sums each row's squared differences one dimension at a
-    time: the row scan's terms in another order (numpy sums 8 or more terms
-    pairwise).  Either order's sum of d nonnegative terms is within a
-    relative (d-1)·eps/2 of the exact sum, so a row whose approximate
-    maximum lies more than 4·d·eps below the largest cannot hold the exact
-    maximum.  Only the other rows (usually the diameter's two ends) are
-    rescanned exactly; every row is when the approximate pass overflows.
+    A blocked pass (``_pair_blocks``) sums each row's squared differences
+    one dimension at a time: the row scan's terms in another order (numpy
+    sums 8 or more terms pairwise).  Either order's sum of d nonnegative
+    terms is within a relative (d-1)·eps/2 of the exact sum, so a row whose
+    approximate maximum lies more than 4·d·eps below the largest cannot hold
+    the exact maximum.  Only the other rows (usually the diameter's two
+    ends) are rescanned exactly; every row is when the approximate pass
+    overflows.
     """
     n, d = arr.shape
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    cols = np.ascontiguousarray(arr.T)
     approx = np.empty(n)
-    acc, tmp = np.empty((rows, n)), np.empty((rows, n))
     with np.errstate(over="ignore"):  # the caller handles an infinite result
-        for start in range(0, n, rows):
-            block = arr[start:start + rows, :, None]
-            a, t = acc[:len(block)], tmp[:len(block)]
-            np.subtract(block[:, 0], cols[0], out=a)
-            np.multiply(a, a, out=a)
-            for k in range(1, d):
-                np.subtract(block[:, k], cols[k], out=t)
-                np.multiply(t, t, out=t)
-                np.add(a, t, out=a)
-            a.max(axis=1, out=approx[start:start + len(block)])
+        for start, a in _pair_blocks(arr):
+            a.max(axis=1, out=approx[start:start + len(a)])
         top = approx.max()
         if math.isinf(top):
             candidates = range(n)
@@ -192,6 +214,19 @@ def cround(x) -> int:
     while covers(r - 1):
         r -= 1
     return r
+
+
+# The net hierarchy's scale factors: radius c * 5**r tests at logradius r.
+C1 = 20
+C2 = 35
+CX = 2 * C2 + 2    # 72
+C3 = CX + C2       # 107
+CY = 2 * C3 + C2   # 249
+C4 = CY + C2       # 284
+
+# The factors c of the thresholds c * 5**r the hierarchy tests facility
+# table entries against: separation, near and far lists, and coloring.
+TABLE_FACTORS = (C1, CX, CY, C4)
 
 
 def radius(c: int, r: int):
@@ -283,7 +318,7 @@ class Instance:
         if not self.facilities:
             raise InstanceError("instance needs at least one facility")
         self._diameter = None
-        self._facility_tables: dict[tuple[int, ...], np.ndarray] = {}
+        self._facility_distances = None
 
     def point_index(self, point) -> int:
         """``point`` as an index into the point universe; an input error
@@ -379,10 +414,7 @@ class Instance:
         lo, hi = d * (1 - band), d * (1 + band)
         odd = np.flatnonzero(~(s >= _L2_TINY) | np.isinf(s))
         if len(odd):
-            p, q = ps[odd], qs[odd]
-            same = (arr[p] == arr[q]).all(axis=1).tolist()
-            lo[odd] = hi[odd] = [0.0 if eq else self.distance(a, b)
-                                 for a, b, eq in zip(p.tolist(), q.tolist(), same)]
+            lo[odd] = hi[odd] = self._scalar_distances(ps[odd], qs[odd])
         return lo, hi
 
     @property
@@ -437,11 +469,12 @@ class Instance:
             self._diameter = diameter
         return self._diameter
 
-    def facility_distances(self, factors: tuple[int, ...]) -> np.ndarray:
+    @property
+    def facility_distances(self) -> np.ndarray:
         """Read-only F x F table of distances between facility points, by
-        facility id, computed once per tuple of threshold ``factors``.
+        facility id, computed on first use.
 
-        For every c in ``factors`` and every integer r, the test
+        For every c in TABLE_FACTORS and every integer r, the test
         ``table[i, j] <= threshold(c, r)`` decides as the same test on
         ``distance`` does, and every entry is within a relative
         ``distance_band`` of ``distance``.  Matrix and L-infinity entries
@@ -451,60 +484,35 @@ class Instance:
         ``distance``, or 0 for equal coordinates.  Like the metric, the
         table is symmetric.
         """
-        table = self._facility_tables.get(factors)
-        if table is None:
-            fps = [f.point for f in self.facilities]
+        if self._facility_distances is None:
+            fps = np.array([f.point for f in self.facilities])
             if self._matrix is not None:
                 table = self.array[np.ix_(fps, fps)]
             else:
-                table = self._pairwise(self.array[fps])
-                if self.kind == "euclidean-L2":
-                    self._settle_l2_table(table, fps, factors)
-            table.flags.writeable = False
-            self._facility_tables[factors] = table
-        return table
-
-    def _pairwise(self, pts: np.ndarray) -> np.ndarray:
-        """All distances between the coordinate rows of ``pts``, a block of
-        rows at a time: the scalar metric's floats for L-infinity, numpy's
-        sqrt of the sum of squares summed one dimension at a time for L2."""
-        n = len(pts)
-        cols = np.ascontiguousarray(pts.T)
-        out = np.empty((n, n))
-        rows = max(1, _BLOCK_ELEMENTS // n)
-        tmp = np.empty((rows, n))
-        linf = self.kind == "euclidean-Linf"
-        with np.errstate(over="ignore"):  # an infinite sum is settled later
-            for start in range(0, n, rows):
-                o = out[start:start + rows]
-                t = tmp[:len(o)]
-                block = cols[:, start:start + rows, None]
-                np.subtract(block[0], cols[0], out=o)
-                if linf:
-                    np.abs(o, out=o)
-                else:
-                    np.multiply(o, o, out=o)
-                for k in range(1, len(cols)):
-                    np.subtract(block[k], cols[k], out=t)
-                    if linf:
-                        np.abs(t, out=t)
-                        np.maximum(o, t, out=o)
-                    else:
-                        np.multiply(t, t, out=t)
-                        np.add(o, t, out=o)
+                table = np.empty((len(fps), len(fps)))
+                linf = self.kind == "euclidean-Linf"
+                with np.errstate(over="ignore"):  # an infinite sum is settled below
+                    for start, block in _pair_blocks(self.array[fps], linf):
+                        rows = table[start:start + len(block)]
+                        if linf:
+                            rows[:] = block
+                        else:
+                            np.sqrt(block, out=rows)
                 if not linf:
-                    np.sqrt(o, out=o)
-        return out
+                    self._settle_l2_table(table, fps)
+            table.flags.writeable = False
+            self._facility_distances = table
+        return self._facility_distances
 
-    def _settle_l2_table(self, table: np.ndarray, fps: list[int],
-                         factors: tuple[int, ...]) -> None:
+    def _settle_l2_table(self, table: np.ndarray, fps: np.ndarray) -> None:
         """Replace by ``distance`` the entries of a numpy L2 table whose
-        band holds a threshold c·5**r (c in ``factors``) or that are at most
-        _L2_TINY_ROOT or infinite.
+        band holds a threshold c·5**r (c in TABLE_FACTORS) or that are at
+        most _L2_TINY_ROOT or infinite.
 
         A flag per float bucket marks the buckets within twice the band of
         a threshold, and the buckets of the tiny and infinite values; only
-        entries in marked buckets are tested one by one.
+        entries in marked buckets are tested one by one, which takes a
+        third of the time of testing every entry.
         """
         n = len(fps)
         band = self.distance_band
@@ -514,9 +522,9 @@ class Instance:
         least = max(float(table.min(where=table > 0, initial=math.inf)), _L2_TINY_ROOT)
         thresholds = []
         if least <= top:
-            lo_r = cround(least / max(factors)) - 1
-            hi_r = cround(top / min(factors)) + 1
-            thresholds = sorted(t for c in factors for r in range(lo_r, hi_r + 1)
+            lo_r = cround(least / max(TABLE_FACTORS)) - 1
+            hi_r = cround(top / min(TABLE_FACTORS)) + 1
+            thresholds = sorted(t for c in TABLE_FACTORS for r in range(lo_r, hi_r + 1)
                                 if 0 < (t := threshold(c, r)) < math.inf)
         marked = np.zeros(1 << (63 - _BUCKET_SHIFT), dtype=bool)
         marked[:_bucket(_L2_TINY_ROOT) + 1] = True
@@ -536,11 +544,15 @@ class Instance:
             straddle = bounds[np.searchsorted(bounds, d * (1 - band))] < hi
             settle.append(start + idx[straddle | (d <= _L2_TINY_ROOT) | np.isinf(d)])
         idx = np.concatenate(settle)
-        ps, qs = np.asarray(fps)[idx // n], np.asarray(fps)[idx % n]
+        flat[idx] = self._scalar_distances(fps[idx // n], fps[idx % n])
+
+    def _scalar_distances(self, ps: np.ndarray, qs: np.ndarray) -> list[float]:
+        """``distance`` of each pair of points in ``ps``, ``qs``, or 0 where
+        their coordinates are equal."""
         arr = self.array
         same = (arr[ps] == arr[qs]).all(axis=1).tolist()
-        flat[idx] = [0.0 if eq else self.distance(p, q)
-                     for p, q, eq in zip(ps.tolist(), qs.tolist(), same)]
+        return [0.0 if eq else self.distance(p, q)
+                for p, q, eq in zip(ps.tolist(), qs.tolist(), same)]
 
     @classmethod
     def from_dict(cls, data) -> "Instance":

@@ -348,7 +348,7 @@ def test_facility_table_decides_every_threshold_as_the_scalar_distance(
     # L2 value and math.dist's may fall on either side, and free points.
     points = _near_threshold_points(base, near) + [list(p) for p in free]
     inst = Instance(kind, points=points, facilities=[(p, 1) for p in range(len(points))])
-    table = inst.facility_distances(TABLE_FACTORS)
+    table = inst.facility_distances
     band = inst.distance_band
     thresholds = [threshold(c, r) for c in TABLE_FACTORS for r in range(-12, 13)]
     for a in range(len(points)):

@@ -32,7 +32,6 @@ def measure(n_facilities: int) -> str:
     the build in one line."""
     sys.path.insert(0, str(SRC))
     from netfloc import Hierarchy, Instance, derive_parameters
-    from netfloc.hierarchy import TABLE_FACTORS
 
     rng = random.Random(f"build-sweep-{n_facilities}")
     points = [[rng.uniform(0, 1000), rng.uniform(0, 1000)]
@@ -50,7 +49,7 @@ def measure(n_facilities: int) -> str:
 
     instance.distance = counting
     start = time.perf_counter()
-    instance.facility_distances(TABLE_FACTORS)
+    instance.facility_distances
     table_s = time.perf_counter() - start
     start = time.perf_counter()
     hierarchy = Hierarchy(instance, params)
