@@ -5,12 +5,15 @@ Costs are kept internally as integers counting multiples of 5**rho_min, so
 incremental updates and from-scratch recomputations agree bit for bit even
 when the bottom scale is fractional.
 
-A steady update does only the work that can change state.  The dirty heap
-is created on the first abundance flip, so an update that flips none skips
-it; the cost recursion settles the client's chain in one bottom-up pass and,
-only when enabled bits flip, corrects the flipped nodes' root paths with a
-second pass of the same loop; and the scale is re-derived only when the live
-count leaves the window [n, 5n) of its current power of five.
+A steady update does only the work that can change state.  Its affected
+triplets are one tuple per bottom area, precomputed by the hierarchy, and
+each keeps ``slack`` = n_x - abundance_threshold, so an abundance flip is
+``slack`` landing on 0 (insert) or -1 (delete).  The dirty heap is created on
+the first flip, so an update that flips none skips it; the cost recursion
+settles the client's chain in one bottom-up pass and, only when enabled bits
+flip, corrects the flipped nodes' root paths with a second pass of the same
+loop; and the scale is re-derived only when the live count leaves the window
+[n, 5n) of its current power of five.
 """
 
 from __future__ import annotations
@@ -33,23 +36,23 @@ HIERARCHY_CACHE_SIZE = 2
 class NodeAnnotation:
     """Dynamic per-triplet state: status bits, client counters, cost values.
 
+    ``slack`` is n_x - abundance_threshold: abundant means ``slack >= 0``.
     ``cost`` and ``y`` are in units of 5**rho_min; ``y`` is the sum of the
     children's costs and ``cost`` adds the payments resolved at this node.
     """
 
     is_open: bool = False
     is_enabled: bool = False
-    is_abundant: bool = False
     n_area: int = 0
-    n_x: int = 0
+    slack: int = 0
     open_below: int = 0
     n_enabled_below: int = 0
     cost: int = 0
     y: int = 0
 
     def clone(self) -> "NodeAnnotation":
-        return NodeAnnotation(self.is_open, self.is_enabled, self.is_abundant,
-                              self.n_area, self.n_x, self.open_below,
+        return NodeAnnotation(self.is_open, self.is_enabled, self.n_area,
+                              self.slack, self.open_below,
                               self.n_enabled_below, self.cost, self.y)
 
 
@@ -229,8 +232,8 @@ class Engine:
         nodes = self.hierarchy.nodes
         h.update(repr((p.rho_min, p.rho_max, self.n)).encode())
         for node, a in zip(nodes, self.annotations):
-            h.update(repr((node.facility, node.r, node.color, a.is_open,
-                           a.is_enabled, a.is_abundant, a.n_area, a.n_x,
+            h.update(repr((node.facility, node.r, node.color, a.is_open, a.is_enabled,
+                           a.slack >= 0, a.n_area, a.slack + node.abundance_threshold,
                            a.open_below, a.n_enabled_below, a.cost, a.y)).encode())
         # Open triplets per designated facility.
         designations = Counter(nodes[i].designated_facility for i in self.open_nodes)
@@ -277,33 +280,30 @@ class Engine:
             raise RuntimeError(message)
         self.insert_client = self.delete_client = self._apply = refuse
 
-    def find_affected_triplets(self, chain) -> list[int]:
+    def find_affected_triplets(self, chain) -> tuple[int, ...]:
         """Triplets whose near neighborhood contains the client's point: the
-        same-level x-members of every node on the client's area chain."""
-        nodes = self.hierarchy.nodes
-        out: list[int] = []
-        for idx in chain:
-            out.extend(nodes[idx].x_areas)
-        return out
+        same-level x-members of every node on the client's area chain, each
+        once, precomputed per bottom area."""
+        return self.hierarchy.path_x_areas[chain[0]]
 
     def _proposed_open(self, idx: int) -> bool:
         a = self.annotations[idx]
-        return a.is_abundant and a.open_below == 0
+        return a.slack >= 0 and a.open_below == 0
 
     def update_status(self, affected, delta: int) -> list[tuple[int, bool]]:
         """Adjust near-neighborhood counters, propagate open/closed flips
         through the dirty heap, and report enabled-bit changes.
 
-        The heap is created on the first abundance flip; an update that flips
-        no abundance bit pulls nothing and returns no enabled flips."""
+        Each triplet is in ``affected`` once and ``delta`` is +1 or -1, so a
+        flip is ``slack`` landing on 0 or -1; the heap is made on the first."""
         anns = self.annotations
         nodes = self.hierarchy.nodes
+        edge = 0 if delta > 0 else -1
         heap = None
         for idx in affected:
             a = anns[idx]
-            a.n_x = n_x = a.n_x + delta
-            if (n_x >= nodes[idx].abundance_threshold) != a.is_abundant:
-                a.is_abundant = not a.is_abundant
+            a.slack = slack = a.slack + delta
+            if slack == edge:
                 if heap is None:
                     heap = DirtyHeap()
                 heap.push(nodes[idx].key(), idx)
@@ -428,8 +428,7 @@ class Engine:
         self._unit_num, self._unit_den = ((5 ** rho_min, 1) if rho_min >= 0
                                           else (1, 5 ** -rho_min))
         nodes = hierarchy.nodes
-        anns = [NodeAnnotation() for _ in nodes]
-        self.annotations = anns
+        self.annotations = anns = [NodeAnnotation() for _ in nodes]
         self.open_nodes: set[int] = set()
 
         chains = hierarchy.point_chains
@@ -438,15 +437,14 @@ class Engine:
                 anns[idx].n_area += count
 
         for node, a in zip(nodes, anns):
-            a.n_x = sum(anns[m].n_area for m in node.x_areas)
-            a.is_abundant = a.n_x >= node.abundance_threshold
+            a.slack = sum(anns[m].n_area for m in node.x_areas) - node.abundance_threshold
 
         # Resolve open bits in ascending (logradius, color, facility) order;
         # the openness of a triplet depends only on lexicographically smaller
         # ones, so one ordered pass reaches the fixed point.
         for idx in hierarchy.order:
             a = anns[idx]
-            if a.is_abundant and a.open_below == 0:
+            if a.slack >= 0 and a.open_below == 0:
                 a.is_open = True
                 self.open_nodes.add(idx)
                 for up in nodes[idx].neighbors_above:

@@ -331,7 +331,7 @@ class Hierarchy:
         return area
 
     def _build_levels(self) -> None:
-        """Colors, x/y lists, designations and ``neighbors_above``.
+        """Colors, x/y lists, designations, ``neighbors_above``, ``path_x_areas``.
 
         Each level, from the bottom, reads the positions of its block of
         distances within C4*5**r, in row-major order; the near (CX) and far
@@ -420,6 +420,10 @@ class Hierarchy:
             e = nodes[self.facility_chain_at(node.facility, node.r)]
             up = [] if e.parent is None else path_y[e.parent]
             node.neighbors_above = [u for u in e.y_areas if nodes[u].color > node.color] + up
+        # Each bottom area's affected triplets, the x areas along its root
+        # path: a tuple of a list, as tuple() of a generator fragments the heap.
+        self.path_x_areas = {c[0]: tuple([m for i in c for m in nodes[i].x_areas])
+                             for c in set(self.point_chains)}
 
     # -- debug output -------------------------------------------------------
 

@@ -129,9 +129,7 @@ class OracleView:
 
     def _chain_entry(self, chain: tuple[int, ...], r: int):
         off = r - self.hierarchy.nodes[chain[0]].r
-        if off < 0:
-            return None
-        return chain[off]
+        return chain[off] if off >= 0 else None
 
     def point_in_x(self, p: int, idx: int) -> bool:
         """Whether a point's level-r area lies in the near neighborhood of a
@@ -157,13 +155,13 @@ class OracleView:
             for idx in self.point_chain[point]:
                 n_area[idx] += k
 
-        n_x = [sum(map(n_area.__getitem__, members)) for members in self.x_members]
-        abundant = [n >= t for n, t in zip(n_x, self._threshold)]
+        slack = [sum(map(n_area.__getitem__, members)) - t
+                 for members, t in zip(self.x_members, self._threshold)]
 
         open_bits = [False] * count
         open_below = [0] * count
         for idx in self._order:
-            if abundant[idx] and open_below[idx] == 0:
+            if slack[idx] >= 0 and open_below[idx] == 0:
                 open_bits[idx] = True
                 key = nodes[idx].key()[:2]
                 for other in self.nodes_with_fac_in_y[nodes[idx].facility]:
@@ -209,8 +207,8 @@ class OracleView:
                 area.r, area_idx, best, nodes[best].designated_facility)
         assignments = {cid: routed[area_at[point]] for cid, point in clients.items()}
 
-        annotations = list(map(NodeAnnotation, open_bits, enabled, abundant, n_area,
-                               n_x, open_below, n_enabled_below, cost, y))
+        annotations = list(map(NodeAnnotation, open_bits, enabled, n_area, slack,
+                               open_below, n_enabled_below, cost, y))
         open_facs = frozenset(nodes[idx].designated_facility for idx in open_list)
         return StateSnapshot(hierarchy, annotations, open_facs, assignments)
 
@@ -323,7 +321,7 @@ def logical_violations(view: OracleView, engine: Engine, assignments) -> list[st
     for idx, a in enumerate(anns):
         if a.is_open and not a.is_enabled:
             problems.append(f"open but not enabled: node {nodes[idx].key()}")
-        if a.is_abundant and not a.is_enabled:
+        if a.slack >= 0 and not a.is_enabled:
             problems.append(f"abundant but not enabled: node {nodes[idx].key()}")
     live = list(engine.registry.items())
     open_nodes = sorted(engine.open_nodes)

@@ -2,15 +2,16 @@
 here scans all pairs directly instead of using the tree traversals.  Also the
 seeded fuzz generators (random instances and traces, seeded by
 ``NETFLOC_SEED`` where a test asks for ``default_seed``), the benchmark's
-seeded input generator, for tests that run on its inputs, the
-engine's general update path kept as a reference for its steady-update
-shortcuts, the oracle's per-client assignment loop kept as a reference for
-its per-area one, seeded traces that cross the scales 5, 25 and 125, and
+seeded input generator and its seed-1 cases, for tests that run on its
+inputs, the engine's general update path kept as a reference for its
+steady-update shortcuts, the oracle's per-client assignment loop kept as a
+reference for its per-area one, seeded traces that cross the scales 5, 25 and 125, and
 the scalar references for ``cround`` and for the hierarchy's bulk point
 location (``find_area``), and the reference hierarchy build over the exact
 scalar distance table (``ReferenceHierarchy``)."""
 
 import importlib.util
+import json
 import math
 import os
 import random
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from netfloc import C1, C2, C3, C4, CX, CY, DirtyHeap, Engine, Hierarchy, Instance, \
-    TraceEvent, derive_parameters, radius
+    TraceEvent, derive_parameters, parse_trace_text, radius
 from netfloc.engine import Assignment, UpdateStats
 from netfloc.hierarchy import TripletNode, threshold
 from netfloc.instance import largest_power_of_five_at_most
@@ -106,9 +107,22 @@ def benchmark_inputs(workload: str, seed: int):
     return module.GENERATORS[workload](seed)
 
 
+def benchmark_case(workload: str):
+    """A benchmark workload's instance, its seed-1 prefill (client id ->
+    point) and its (kind, cid, point) mutations after the prefill."""
+    inputs = benchmark_inputs(workload, 1)
+    instance = Instance.from_dict(json.loads(inputs.instance_text))
+    events = parse_trace_text(inputs.trace_text)
+    prefill = {e.cid: e.point for e in events[:inputs.prefill]}
+    mutations = [tuple(e) for e in events[inputs.prefill:]
+                 if e.kind in ("insert", "delete")]
+    return instance, prefill, mutations
+
+
 class ReferenceEngine(Engine):
     """The engine with its general update path on every update: a dirty heap
-    per update, the client's counts and the cost recursion in two passes over
+    per update, abundance compared before and after (not the engine's slack
+    edge rule), the client's counts and the cost recursion in two passes over
     the sorted union of touched root paths, and the scale re-derived after
     every mutation."""
 
@@ -127,10 +141,9 @@ class ReferenceEngine(Engine):
         heap = DirtyHeap()
         for idx in affected:
             a = anns[idx]
-            a.n_x += delta
-            abundant = a.n_x >= nodes[idx].abundance_threshold
-            if abundant != a.is_abundant:
-                a.is_abundant = abundant
+            abundant = a.slack >= 0
+            a.slack += delta
+            if (a.slack >= 0) != abundant:
                 heap.push(nodes[idx].key(), idx)
         pulls = 0
         flips = 0

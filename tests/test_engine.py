@@ -124,13 +124,14 @@ def test_check_status_branch_table(line5):
     eng = Engine(line5)
     idx = node_id(eng, 0, 2)
     a = eng.annotations[idx]
-    # (is_open, is_abundant, open_below) -> proposed open bit, every state.
-    table = [((False, False, 0), False), ((False, False, 1), False),
-             ((False, True, 0), True), ((False, True, 2), False),
-             ((True, False, 0), False), ((True, False, 1), False),
-             ((True, True, 0), True), ((True, True, 2), False)]
+    # (is_open, slack, open_below) -> proposed open bit, every state:
+    # abundant means slack >= 0.
+    table = [((False, -1, 0), False), ((False, -1, 1), False),
+             ((False, 0, 0), True), ((False, 3, 2), False),
+             ((True, -1, 0), False), ((True, -4, 1), False),
+             ((True, 0, 0), True), ((True, 0, 2), False)]
     for state, expected in table:
-        a.is_open, a.is_abundant, a.open_below = state
+        a.is_open, a.slack, a.open_below = state
         assert eng._proposed_open(idx) is expected, state
 
 

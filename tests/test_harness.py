@@ -216,12 +216,12 @@ def test_verify_trace_clean(line5, data_dir):
 def test_verify_trace_detects_corruption(line5, data_dir):
     def corrupt(engine, index):
         if index == 2:
-            engine.annotations[1].n_x += 1
+            engine.annotations[1].slack += 1
 
     code, lines = verify_trace(line5, parse_trace(data_dir / "line5.trace"),
                                corruption=corrupt)
     assert code == 1
-    assert any("n_x" in line and "event" in line for line in lines)
+    assert any("slack" in line and "event" in line for line in lines)
 
 
 def test_verify_trace_detects_bit_corruption(line5, data_dir):

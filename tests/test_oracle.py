@@ -9,13 +9,14 @@ import helpers
 from helpers import random_instance
 from netfloc import (CX, Engine, HierarchyMismatch, Instance, OracleView,
                      brute_force_opt, compare_states, engine_snapshot, radius)
-from netfloc.engine import Assignment
+from netfloc.engine import Assignment, NodeAnnotation
 
 
 def test_recompute_empty_clients(line5):
     h = helpers.build(line5)
     snap = OracleView(line5, h).recompute_state({})
-    assert all(a == type(a)() for a in snap.annotations)
+    assert all(a == NodeAnnotation(slack=-node.abundance_threshold)
+               for a, node in zip(snap.annotations, h.nodes))
     assert snap.open_facilities == frozenset() and snap.assignments == {}
 
 
@@ -53,10 +54,10 @@ def test_compare_states_names_node_and_field(line5):
     eng.insert_client("c1", 3)
     left = engine_snapshot(eng)
     right = engine_snapshot(eng)
-    right.annotations[1].n_x += 1
+    right.annotations[1].slack += 1
     diffs = compare_states(left, right)
     assert len(diffs) == 1
-    assert "n_x" in diffs[0] and "node (j=0,r=2,s=0)" in diffs[0]
+    assert "slack" in diffs[0] and "node (j=0,r=2,s=0)" in diffs[0]
 
 
 def test_compare_states_rejects_different_hierarchies(line5, line5_cheap_f1):

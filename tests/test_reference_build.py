@@ -122,17 +122,20 @@ def test_random_instances(kind, draw):
     assert_reference_build(KINDS[kind](rng), scales=(0, 125))
 
 
-@pytest.mark.parametrize("draw", range(3))
-def test_extreme_costs(draw):
+def extreme_cost_instance(draw):
     # A cost of 1e-300 puts the bottom level near logradius -430 and one of
     # 1e308 the top near 441: ~870 levels, so the instance stays small.
     rng = random.Random(f"extreme-{draw}-{default_seed()}")
     costs = [rng.randint(1, 500) for _ in range(8)]
     costs[rng.randrange(8)] = 1e-300
     costs[rng.randrange(8)] = 1e308
-    inst = Instance("euclidean-L2", points=_floats(rng, 12, 2),
+    return Instance("euclidean-L2", points=_floats(rng, 12, 2),
                     facilities=list(enumerate(costs)))
-    assert_reference_build(inst, scales=(0,))
+
+
+@pytest.mark.parametrize("draw", range(3))
+def test_extreme_costs(draw):
+    assert_reference_build(extreme_cost_instance(draw), scales=(0,))
 
 
 def _l2_approx(p, q) -> float:

@@ -5,13 +5,13 @@ client's chain in one bottom-up pass at the old enabled bits, and, when
 enabled bits flip, corrects the flipped nodes' counts in their parents and
 re-settles only their root paths; it re-derives the scale only when the live
 count leaves [n, 5n).  ``helpers.ReferenceEngine`` runs the general path on
-every update (flips first, then the client's counts along the chain, then one
-cost pass over the sorted union of the chain and the flips' root paths); both
-must agree field for field after every mutation, and the window must trigger
-exactly the level shifts the per-mutation check did."""
+every update (abundance tested before and after each count moves, not by the
+engine's slack edge rule; flips first, then the client's counts along the
+chain, then one cost pass over the sorted union of the chain and the flips'
+root paths); both must agree field for field after every mutation, and the
+window must trigger exactly the level shifts the per-mutation check did."""
 
 import functools
-import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -19,9 +19,9 @@ from pathlib import Path
 import pytest
 
 import netfloc.engine as engine_mod
-from helpers import ReferenceEngine, benchmark_inputs, random_instance, random_trace
+from helpers import ReferenceEngine, benchmark_case, default_seed, random_instance, \
+    random_trace
 from netfloc import Engine, Instance, derive_parameters
-from netfloc.harness import parse_trace_text
 from netfloc.instance import largest_power_of_five_at_most
 
 
@@ -71,16 +71,6 @@ def run_side_by_side(instance, prefill, mutations) -> Counter:
     return tally
 
 
-def benchmark_case(workload, count):
-    inputs = benchmark_inputs(workload, 1)
-    instance = Instance.from_dict(json.loads(inputs.instance_text))
-    events = parse_trace_text(inputs.trace_text)
-    prefill = {e.cid: e.point for e in events[:inputs.prefill]}
-    mutations = [tuple(e) for e in events[inputs.prefill:]
-                 if e.kind in ("insert", "delete")][:count]
-    return instance, prefill, mutations
-
-
 def seeded_case(kind, seed, events=300):
     rng = random.Random(seed)
     if kind == "L2":
@@ -105,7 +95,10 @@ def test_line5_matches_general_path(line5):
     assert tally["pulls"] and tally["flips"] and tally["flips"] < tally["updates"]
 
 
-SEEDED = [(kind, seed) for kind in ("L2", "Linf", "matrix") for seed in (1, 2, 3)]
+SEEDED_KINDS = ("L2", "Linf", "matrix")
+# Three fixed traces per metric kind, and one drawn from NETFLOC_SEED.
+SEEDED = [(kind, seed) for kind in SEEDED_KINDS for seed in (1, 2, 3)] + \
+    [(kind, 100 + default_seed()) for kind in SEEDED_KINDS]
 
 
 @functools.cache
@@ -129,13 +122,15 @@ def test_seeded_comparisons_cover_flips_off_the_chain():
 
 
 def test_churn_matches_general_path():
-    tally = run_side_by_side(*benchmark_case("churn-l2", 2000))
+    instance, prefill, mutations = benchmark_case("churn-l2")
+    tally = run_side_by_side(instance, prefill, mutations[:2000])
     assert tally["updates"] == 2000 and tally["rebuilt"] == 0
     assert tally["pulls"] >= 1 and tally["updates"] - tally["pulls"] >= 1900
 
 
 def test_flap_matches_general_path():
-    tally = run_side_by_side(*benchmark_case("flap-625", 40))
+    instance, prefill, mutations = benchmark_case("flap-625")
+    tally = run_side_by_side(instance, prefill, mutations[:40])
     assert tally["updates"] == tally["rebuilt"] == 40
 
 
