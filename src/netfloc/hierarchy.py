@@ -3,25 +3,22 @@ tree over (facility, logradius) pairs, laminar areas, x/y neighborhood lists,
 coloring, and designated facilities.
 
 The build reads the instance's facility distance table
-(``Instance.facility_distances``), built in bulk by numpy and exact at every
-threshold ``c * 5**r`` the build compares it with (c in TABLE_FACTORS).
-Each threshold is compared as ``threshold``, the largest float not above it,
-so every such test equals the exact test of a scalar distance against the
-exact threshold.  Separated sets are mask passes over the table; a parent is
-a row minimum, and where the table's band leaves several contenders for it,
-their scalar distances decide.  Per level, one ``flatnonzero`` of the block
-within C4*5**r yields the coloring, x and y lists and designations;
-``neighbors_above`` joins y lists along root paths, and abundance thresholds
-are integer ceilings.
+(``Instance.facility_distances``), whose entries are ``Instance.distance``
+bit for bit.  Each threshold ``c * 5**r`` is compared as ``threshold``, the
+largest float not above it, so every test equals the exact test of the
+scalar distance against the exact threshold.  Separated sets are mask passes
+over the table; a parent is a row minimum, the lowest facility id on ties.
+Per level, one ``flatnonzero`` of the block within C4*5**r yields the
+coloring, x and y lists and designations; ``neighbors_above`` joins y lists
+along root paths, and abundance thresholds are integer ceilings.
 
 The build also locates every point of the instance, facility and client
-points alike: a point's bottom area is the closest node of the lowest level
-of its C2 ball.  One descent per block of points walks the tree level by
-level over numpy arrays of (point, candidate node) pairs, with the bounds of
-``Instance.distance_bounds``; a threshold test or a closest-node choice the
-bounds leave open is decided by the scalar ``Instance.distance``, so every
-decision is the scalar one.  Each node's root path is one tuple, shared by
-the chains of all points in its area.
+points alike: a point's bottom area is the closest node, by (distance,
+facility id), of the lowest level of its C2 ball.  One descent per block of
+points walks the tree level by level over numpy arrays of (point, candidate
+node) pairs, with the exact distances of ``Instance.pair_distances``.  Each
+node's root path is one tuple, shared by the chains of all points in its
+area.
 
 Everything here is immutable once built.  The engine keeps the hierarchies
 of its last few scales and reuses one when its (rho_min, rho_max) comes back.
@@ -29,11 +26,19 @@ of its last few scales and reuses one when its (rho_min, rho_max) comes back.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-# The scale factors are defined with the facility table that tests them.
-from .instance import (C1, C2, C3, C4, CX, CY, TABLE_FACTORS, Instance, Params,
-                       radius, threshold)
+from .instance import Instance, Params
+
+# Scale factors: radius c * 5**r tests at logradius r.
+C1 = 20
+C2 = 35
+CX = 2 * C2 + 2    # 72
+C3 = CX + C2       # 107
+CY = 2 * C3 + C2   # 249
+C4 = CY + C2       # 284
 
 # Ball lookups are only sound for scale factors >= (5/4)*C1.
 MIN_BALL_FACTOR = 25
@@ -48,6 +53,25 @@ APPROX_FACTOR = 5 * PAYMENT_BOUND_FACTOR       # 2135
 # Points per block of the bulk location; churn-l2's blocks hold up to ~13,000
 # (point, candidate) pairs per level, so the pair arrays stay near 1 MB.
 LOCATE_BLOCK = 256
+
+
+def radius(c: int, r: int):
+    """Threshold c * 5**r; integral (exact) whenever r >= 0."""
+    return c * 5 ** r if r >= 0 else c * 5.0 ** r
+
+
+def threshold(c: int, r: int) -> float:
+    """``radius(c, r)`` as the largest float not above it (inf beyond the
+    float range), so that for a float distance d, ``d <= threshold(c, r)``
+    decides ``d <= radius(c, r)`` exactly."""
+    t = radius(c, r)
+    if isinstance(t, float):
+        return t
+    try:
+        f = float(t)
+    except OverflowError:
+        return math.inf
+    return f if f <= t else math.nextafter(f, -math.inf)
 
 
 def _split_rows(values: list, rows: np.ndarray, n_rows: int) -> list[list]:
@@ -126,30 +150,15 @@ def build_tree(instance: Instance, params: Params,
 
     A facility of both levels is its own parent, since the other level-(r+1)
     facilities are more than C1*5**(r+1) > 0 away; at the lower levels that
-    is most facilities, whose rows the block below leaves out.  For the
-    others, table entries lie within a relative ``Instance.distance_band`` b
-    of the scalar distances, so a facility's closest upper facility, and
-    every one at the same scalar distance, is among the contenders: the
-    entries at most (1 + b)/(1 - b) times the row's smallest.  Where a row
-    holds several contenders, their scalar distances decide.
+    is most facilities, whose rows the block below leaves out.
     """
     table = instance.facility_distances
-    band = instance.distance_band
-    fp = [f.point for f in instance.facilities]
     parents: dict[tuple[int, int], tuple[int, int]] = {}
     for r in range(params.rho_min, params.rho_max):
         uppers = np.array(sets[r + 1])
         best = np.array(sets[r])
         moved = ~np.isin(best, uppers)
-        lowers = best[moved]
-        block = table[np.ix_(lowers, uppers)]
-        if band:
-            limit = block.min(axis=1) * ((1 + band) / (1 - band))
-            low, up = np.divmod(np.flatnonzero(block <= limit[:, None]), len(uppers))
-            several = np.bincount(low)[low] > 1
-            low, up = low[several], up[several]
-            block[low, up] = [instance.distance(fp[j], fp[u]) for j, u in
-                              zip(lowers[low].tolist(), uppers[up].tolist())]
+        block = table[np.ix_(best[moved], uppers)]
         # argmin keeps the first of equal distances: the lowest upper id.
         best[moved] = uppers[block.argmin(axis=1)]
         for j, u in zip(sets[r], best.tolist()):
@@ -270,30 +279,12 @@ class Hierarchy:
         kids = np.array([c for node in nodes for c in node.children], dtype=np.int64)
         area = np.empty(inst.n_points, dtype=np.int64)
 
-        def settle(pt, nd, lo, hi, idx) -> None:
-            """Replace the bounds of the pairs at ``idx`` by the scalar
-            distance."""
-            dist = inst.distance
-            lo[idx] = hi[idx] = [dist(p, q) for p, q in
-                                 zip(pt[idx].tolist(), node_point[nd[idx]].tolist())]
-
-        def closest(pt, nd, lo, hi) -> None:
+        def closest(pt, nd, d) -> None:
             """Set ``area`` of every point among the pairs to its closest
-            node.  The closest pair's distance is at most the smallest upper
-            bound of its point, so only pairs whose lower bound is too are
-            contenders; a point with several has their distances settled."""
-            new = np.flatnonzero(pt[1:] != pt[:-1]) + 1
-            group = np.zeros(len(pt), dtype=np.int64)
-            group[new] = 1
-            np.cumsum(group, out=group)
-            best_hi = np.minimum.reduceat(hi, np.r_[0, new])
-            cont = np.flatnonzero(lo <= best_hi[group])
-            several = np.bincount(group[cont])[group[cont]] > 1
-            loose = cont[several & (lo[cont] < hi[cont])]
-            if len(loose):
-                settle(pt, nd, lo, hi, loose)
-            cont = cont[np.lexsort((node_fac[nd[cont]], hi[cont], group[cont]))]
-            heads = cont[np.r_[True, group[cont[1:]] != group[cont[:-1]]]]
+            node, by (distance, facility id)."""
+            order = np.lexsort((node_fac[nd], d, pt))
+            pt, nd = pt[order], nd[order]
+            heads = np.r_[True, pt[1:] != pt[:-1]]
             area[pt[heads]] = nd[heads]
 
         for start in range(0, inst.n_points, LOCATE_BLOCK):
@@ -301,13 +292,9 @@ class Hierarchy:
             nd = np.full(len(pt), self.root, dtype=np.int64)
             prev = None
             for r in range(params.rho_max, params.rho_min - 1, -1):
-                lo, hi = inst.distance_bounds(pt, node_point[nd])
-                thr = threshold(C2, r)
-                open_ = np.flatnonzero((lo <= thr) & (hi > thr))
-                if len(open_):
-                    settle(pt, nd, lo, hi, open_)
-                keep = hi <= thr
-                pt, nd, lo, hi = pt[keep], nd[keep], lo[keep], hi[keep]
+                d = inst.pair_distances(pt, node_point[nd])
+                keep = d <= threshold(C2, r)
+                pt, nd, d = pt[keep], nd[keep], d[keep]
                 if prev is None:
                     if len(pt) != len(keep):
                         raise AssertionError("point outside the root's C2 ball")
@@ -320,7 +307,7 @@ class Hierarchy:
                         closest(*(a[done] for a in prev))
                 if not len(pt):
                     break
-                prev = (pt, nd, lo, hi)
+                prev = (pt, nd, d)
                 if r > params.rho_min:
                     count = n_kids[nd]
                     pt = np.repeat(pt, count)

@@ -2,16 +2,15 @@
 opening costs, live clients, and the derived scale parameters that size the
 net hierarchy.
 
-An instance computes, once and on first use, the F x F table of distances
-between its facility points; the hierarchy's nodes and lists read nothing
-else of the metric.  Matrix entries and L-infinity distances are the scalar
-metric's floats.  An L2 entry is numpy's value, which differs from
-``math.dist``'s in the last bit on many float points, except where that could
-change a test against a threshold ``c * 5**r`` with c in TABLE_FACTORS: there
-it is ``Instance.distance``.  The hierarchy's scale factors C1 .. C4 live
-here so that the table can name its thresholds.  Point location reads
-``distance_bounds``: exact bulk distances for matrices and L-infinity, and
-for L2 an interval around numpy's value that provably holds ``math.dist``'s.
+An L2 distance is ``math.sqrt`` of the squared coordinate differences summed
+one dimension at a time, with ``math.dist`` only where that sum is infinite
+or below _L2_TINY.  Those are correctly rounded IEEE-754 operations in numpy
+and in Python alike, so the bulk paths, ``pair_distances`` and the F x F
+``facility_distances`` table computed once on first use, perform the same
+operations and give ``Instance.distance``'s value bit for bit; they hand the
+pairs of the other kind to it.  Matrix entries and L-infinity distances are
+exact in bulk too.  The hierarchy's nodes and lists read nothing else of the
+metric.
 
 The L2 diameter is a blocked filter-then-verify scan whose value equals the
 exact row scan's bit for bit; the L-infinity one is the largest coordinate
@@ -43,17 +42,10 @@ _L2_SCALE = 2.0 ** -600
 _BLOCK_ELEMENTS = 2 ** 15
 _EPS = float(np.finfo(float).eps)
 
-# Below this sum of squares a numpy L2 distance may have lost bits to
-# underflowing squares, so ``distance_bounds`` asks the scalar metric.
+# Below this sum of squares an L2 distance may have lost bits to underflowing
+# squares, so it is ``math.dist``'s value instead, as it is for a sum that
+# overflows.
 _L2_TINY = 2.0 ** -960
-# An L2 facility table entry at most this large, the square root of
-# _L2_TINY, may come from such a sum, so the table takes the scalar value.
-_L2_TINY_ROOT = 2.0 ** -480
-
-# The top 19 bits of a nonnegative float (exponent and 8 mantissa bits) name
-# its bucket, a relative width of at most 2**-8; the facility table marks the
-# buckets near a threshold in a table of 2**19 flags.
-_BUCKET_SHIFT = 44
 
 _LOG2_5 = math.log2(5)
 
@@ -122,6 +114,13 @@ def _pair_blocks(arr: np.ndarray, linf: bool = False):
                 np.multiply(t, t, out=t)
                 np.add(a, t, out=a)
         yield start, a
+
+
+def _scalar_l2(s: np.ndarray) -> np.ndarray:
+    """Flat positions of the sums of squares whose L2 distance is
+    ``math.dist``'s rather than their square root: the infinite ones and
+    those below _L2_TINY."""
+    return np.flatnonzero(~((s >= _L2_TINY) & (s < math.inf)))
 
 
 def _max_squared_distance(arr: np.ndarray) -> float:
@@ -214,43 +213,6 @@ def cround(x) -> int:
     while covers(r - 1):
         r -= 1
     return r
-
-
-# The net hierarchy's scale factors: radius c * 5**r tests at logradius r.
-C1 = 20
-C2 = 35
-CX = 2 * C2 + 2    # 72
-C3 = CX + C2       # 107
-CY = 2 * C3 + C2   # 249
-C4 = CY + C2       # 284
-
-# The factors c of the thresholds c * 5**r the hierarchy tests facility
-# table entries against: separation, near and far lists, and coloring.
-TABLE_FACTORS = (C1, CX, CY, C4)
-
-
-def radius(c: int, r: int):
-    """Threshold c * 5**r; integral (exact) whenever r >= 0."""
-    return c * 5 ** r if r >= 0 else c * 5.0 ** r
-
-
-def threshold(c: int, r: int) -> float:
-    """``radius(c, r)`` as the largest float not above it (inf beyond the
-    float range), so that for a float distance d, ``d <= threshold(c, r)``
-    decides ``d <= radius(c, r)`` exactly."""
-    t = radius(c, r)
-    if isinstance(t, float):
-        return t
-    try:
-        f = float(t)
-    except OverflowError:
-        return math.inf
-    return f if f <= t else math.nextafter(f, -math.inf)
-
-
-def _bucket(x: float) -> int:
-    """The bucket of a nonnegative float: its top bits, in float order."""
-    return int(np.float64(x).view(np.int64)) >> _BUCKET_SHIFT
 
 
 def largest_power_of_five_at_most(count: int) -> int:
@@ -380,66 +342,55 @@ class Instance:
             self._array = arr
         return self._array
 
-    def distance_bounds(self, ps: np.ndarray, qs: np.ndarray):
-        """Arrays ``lo``, ``hi`` with lo <= distance(p, q) <= hi for each pair
-        of valid point indices in ``ps``, ``qs``; lo == hi where the value is
-        the float ``distance`` returns.
-
-        Matrix entries and L-infinity distances (the scalar metric's float
-        operations: subtraction, abs, max) are exact.  An L2 pair gets numpy's
-        sqrt of its sum of squared coordinate differences, summed one
-        dimension at a time, widened by ``distance_band`` on either side.
-        Where the sum of squares overflows or underflows (below _L2_TINY)
-        the scalar distance decides, or 0 for equal coordinates.
-        """
+    def pair_distances(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        """``distance`` of each pair of valid point indices in ``ps``, ``qs``,
+        bit for bit, computed in bulk: a matrix gather, the L-infinity
+        metric's subtractions, abs and max, or the L2 sum of squares, one
+        dimension at a time, and its sqrt.  L2 pairs whose sum is infinite
+        or below _L2_TINY go to ``distance``."""
         arr = self.array
         if self._matrix is not None:
-            d = arr[ps, qs]
-            return d, d
+            return arr[ps, qs]
         cols = arr.T
         with np.errstate(over="ignore"):
             if self.kind == "euclidean-Linf":
                 d = np.abs(cols[0, ps] - cols[0, qs])
                 for col in cols[1:]:
                     np.maximum(d, np.abs(col[ps] - col[qs]), out=d)
-                return d, d
+                return d
             s = cols[0, ps] - cols[0, qs]
             s *= s
             for col in cols[1:]:
                 t = col[ps] - col[qs]
                 t *= t
                 s += t
-        d = np.sqrt(s)
-        band = self.distance_band
-        lo, hi = d * (1 - band), d * (1 + band)
-        odd = np.flatnonzero(~(s >= _L2_TINY) | np.isinf(s))
+        odd = _scalar_l2(s)
+        d = np.sqrt(s, out=s)
         if len(odd):
-            lo[odd] = hi[odd] = self._scalar_distances(ps[odd], qs[odd])
-        return lo, hi
-
-    @property
-    def distance_band(self) -> float:
-        """Relative half-width of the band around a bulk distance that holds
-        the scalar one: 0 for matrices and L-infinity, whose bulk values are
-        exact.  For L2 with d dimensions, numpy's sqrt of the sum of squares
-        summed one dimension at a time is within a relative (d/2 + 2)·eps/2
-        of the exact distance, and ``math.dist`` (a scaled, compensated sum)
-        is within (d + 3)·eps/2 of it, so 4·(d + 2)·eps holds both with
-        room for the rounding of the band's own products."""
-        if self.kind != "euclidean-L2":
-            return 0.0
-        return 4 * (self.array.shape[1] + 2) * _EPS
+            d[odd] = self._scalar_distances(ps[odd], qs[odd])
+        return d
 
     def distance(self, p: int, q: int) -> float:
-        """Metric distance between two point indices."""
+        """Metric distance between two point indices.  An L2 distance is
+        the square root of the squared coordinate differences summed one
+        dimension at a time, or ``math.dist`` where that sum is infinite or
+        below _L2_TINY."""
         if not (0 <= p < self.n_points and 0 <= q < self.n_points):
             raise InstanceError(f"point index out of range: ({p}, {q})")
         if self._matrix is not None:
             return self._matrix[p][q]
         a, b = self._points[p], self._points[q]
-        if self.kind == "euclidean-L2":
-            return math.dist(a, b)
-        return max(abs(x - y) for x, y in zip(a, b))
+        if self.kind != "euclidean-L2":
+            return max(abs(x - y) for x, y in zip(a, b))
+        if len(a) == 2:
+            dx, dy = a[0] - b[0], a[1] - b[1]
+            s = dx * dx + dy * dy
+        else:
+            s = 0.0
+            for x, y in zip(a, b):
+                t = x - y
+                s += t * t
+        return math.sqrt(s) if _L2_TINY <= s < math.inf else math.dist(a, b)
 
     @property
     def diameter(self) -> float:
@@ -472,79 +423,32 @@ class Instance:
     @property
     def facility_distances(self) -> np.ndarray:
         """Read-only F x F table of distances between facility points, by
-        facility id, computed on first use.
-
-        For every c in TABLE_FACTORS and every integer r, the test
-        ``table[i, j] <= threshold(c, r)`` decides as the same test on
-        ``distance`` does, and every entry is within a relative
-        ``distance_band`` of ``distance``.  Matrix and L-infinity entries
-        are the scalar metric's floats.  An L2 entry is numpy's value, as in
-        ``distance_bounds``, except where its band holds such a threshold or
-        its sum of squares may have overflowed or underflowed: there it is
-        ``distance``, or 0 for equal coordinates.  Like the metric, the
-        table is symmetric.
-        """
+        facility id, computed on first use: entry [i, j] is ``distance`` of
+        the two facilities' points, bit for bit, built in row blocks as
+        ``pair_distances`` builds its values.  Like the metric, the table is
+        symmetric."""
         if self._facility_distances is None:
             fps = np.array([f.point for f in self.facilities])
             if self._matrix is not None:
                 table = self.array[np.ix_(fps, fps)]
             else:
-                table = np.empty((len(fps), len(fps)))
+                n = len(fps)
+                table = np.empty((n, n))
                 linf = self.kind == "euclidean-Linf"
-                with np.errstate(over="ignore"):  # an infinite sum is settled below
+                with np.errstate(over="ignore"):  # an infinite sum goes to distance
                     for start, block in _pair_blocks(self.array[fps], linf):
                         rows = table[start:start + len(block)]
                         if linf:
                             rows[:] = block
-                        else:
-                            np.sqrt(block, out=rows)
-                if not linf:
-                    self._settle_l2_table(table, fps)
+                            continue
+                        odd = _scalar_l2(block)
+                        np.sqrt(block, out=rows)
+                        if len(odd):
+                            i, j = np.divmod(odd, n)
+                            rows[i, j] = self._scalar_distances(fps[start + i], fps[j])
             table.flags.writeable = False
             self._facility_distances = table
         return self._facility_distances
-
-    def _settle_l2_table(self, table: np.ndarray, fps: np.ndarray) -> None:
-        """Replace by ``distance`` the entries of a numpy L2 table whose
-        band holds a threshold c·5**r (c in TABLE_FACTORS) or that are at
-        most _L2_TINY_ROOT or infinite.
-
-        A flag per float bucket marks the buckets within twice the band of
-        a threshold, and the buckets of the tiny and infinite values; only
-        entries in marked buckets are tested one by one, which takes a
-        third of the time of testing every entry.
-        """
-        n = len(fps)
-        band = self.distance_band
-        finite = np.isfinite(table)
-        top = float(table.max(where=finite, initial=0.0))
-        # Entries up to _L2_TINY_ROOT are settled whatever their thresholds.
-        least = max(float(table.min(where=table > 0, initial=math.inf)), _L2_TINY_ROOT)
-        thresholds = []
-        if least <= top:
-            lo_r = cround(least / max(TABLE_FACTORS)) - 1
-            hi_r = cround(top / min(TABLE_FACTORS)) + 1
-            thresholds = sorted(t for c in TABLE_FACTORS for r in range(lo_r, hi_r + 1)
-                                if 0 < (t := threshold(c, r)) < math.inf)
-        marked = np.zeros(1 << (63 - _BUCKET_SHIFT), dtype=bool)
-        marked[:_bucket(_L2_TINY_ROOT) + 1] = True
-        marked[_bucket(math.inf):] = True
-        for t in thresholds:
-            marked[_bucket(t * (1 - 2 * band)):_bucket(t * (1 + 2 * band)) + 1] = True
-        bounds = np.array(thresholds + [math.inf])
-
-        flat = table.reshape(-1)
-        step = max(n, _BLOCK_ELEMENTS)
-        settle = []
-        for start in range(0, len(flat), step):
-            d = flat[start:start + step]
-            idx = np.flatnonzero(marked[d.view(np.int64) >> _BUCKET_SHIFT])
-            d = d[idx]
-            hi = d * (1 + band)
-            straddle = bounds[np.searchsorted(bounds, d * (1 - band))] < hi
-            settle.append(start + idx[straddle | (d <= _L2_TINY_ROOT) | np.isinf(d)])
-        idx = np.concatenate(settle)
-        flat[idx] = self._scalar_distances(fps[idx // n], fps[idx % n])
 
     def _scalar_distances(self, ps: np.ndarray, qs: np.ndarray) -> list[float]:
         """``distance`` of each pair of points in ``ps``, ``qs``, or 0 where
@@ -588,8 +492,6 @@ def derive_parameters(instance: Instance, n: int) -> Params:
     n = max(int(n), 0)
     costs = [f.opening_cost for f in instance.facilities]
     f_max, f_min = max(costs), min(costs)
-    if f_min <= 0:
-        raise InstanceError("all opening costs must be positive")
     divisor = max(len(instance.facilities), n)
     rho_min = cround(Fraction(f_min) / divisor)
     # f_min / divisor <= f_max <= max(diameter, f_max) and cround is

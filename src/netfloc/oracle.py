@@ -135,10 +135,8 @@ class OracleView:
         """Whether a point's level-r area lies in the near neighborhood of a
         node: the point's chain entry at that level is one of the node's
         x-members."""
-        chain = self.point_chain[p]
-        nodes = self.hierarchy.nodes
-        off = nodes[idx].r - nodes[chain[0]].r
-        return off >= 0 and chain[off] in self.x_members[idx]
+        entry = self._chain_entry(self.point_chain[p], self.hierarchy.nodes[idx].r)
+        return entry is not None and entry in self.x_members[idx]
 
     def recompute_state(self, clients) -> StateSnapshot:
         """Evaluate every annotation, the open facility set, and all client

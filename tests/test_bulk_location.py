@@ -3,7 +3,8 @@ descent (``helpers.find_area``): every point's area chain must be the scalar
 one, under every metric kind, at exact-threshold distances, at ties, at
 duplicate points, at coordinates whose squares overflow or underflow, and
 where numpy's L2 value and ``math.dist`` fall on opposite sides of a
-threshold or of a tie.  Instances are seeded by ``NETFLOC_SEED``."""
+threshold or of a tie (there ``Instance.distance`` decides).  Instances are
+seeded by ``NETFLOC_SEED``."""
 
 import json
 import math
@@ -122,7 +123,7 @@ def test_huge_and_tiny_coordinates(kind, scale):
 
 
 def _l2_approx(p, q) -> float:
-    """numpy's L2 value for a 2-D pair as ``Instance.distance_bounds``
+    """numpy's L2 value for a 2-D pair as ``Instance.pair_distances``
     computes it: squared differences summed in dimension order, then sqrt
     (the same IEEE operations on Python floats)."""
     dx, dy = p[0] - q[0], p[1] - q[1]
@@ -132,8 +133,8 @@ def _l2_approx(p, q) -> float:
 def test_threshold_where_numpy_and_math_dist_disagree():
     # A seeded search for a point near the circle of radius 35 = C2 * 5**0
     # around the facility whose math.dist and numpy value fall on opposite
-    # sides of 35: the point's bottom level is 0 exactly when math.dist's
-    # value is at most 35.
+    # sides of 35: the point's bottom level is 0 exactly when the scalar
+    # metric's value is at most 35.
     rng = random.Random(f"threshold-{default_seed()}")
     for _ in range(20000):
         angle = rng.uniform(0, math.pi / 2)
@@ -147,13 +148,14 @@ def test_threshold_where_numpy_and_math_dist_disagree():
     assert_scalar_chains(inst, scales=(0,))
     h = helpers.build(inst)
     assert h.params.rho_min == 0
-    assert h.nodes[h.area_chain(1)[0]].r == (0 if exact <= 35 else 1)
+    assert h.nodes[h.area_chain(1)[0]].r == (0 if inst.distance(1, 0) <= 35 else 1)
 
 
 def test_closest_node_where_numpy_and_math_dist_order_differently():
     # Facilities at (0, 0) and (30, 0) are both level-0 nodes; a seeded
     # search near their bisector finds a point that numpy's values and
-    # math.dist's order differently by (distance, facility id).
+    # math.dist's order differently by (distance, facility id); the scalar
+    # metric's order decides.
     rng = random.Random(f"near-tie-{default_seed()}")
     a, b = (0.0, 0.0), (30.0, 0.0)
     for _ in range(20000):
@@ -168,32 +170,41 @@ def test_closest_node_where_numpy_and_math_dist_order_differently():
     assert_scalar_chains(inst, scales=(0,))
     h = helpers.build(inst)
     node = h.nodes[h.area_chain(2)[0]]
-    assert (node.r, node.facility) == (0, 0 if exact else 1)
+    closer_a = (inst.distance(2, 0), 0) < (inst.distance(2, 1), 1)
+    assert (node.r, node.facility) == (0, 0 if closer_a else 1)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["euclidean-L2", "euclidean-Linf"]),
-       st.sampled_from([1e-300, 1.0, 1e150, 1e300]),
+@given(st.sampled_from(["explicit-matrix", "euclidean-L2", "euclidean-Linf"]),
+       st.sampled_from([1e-300, 1e-150, 2.0 ** -480, 1.0, 1e150, 1e300]),
        st.integers(1, 9).flatmap(lambda dims: st.lists(
            st.lists(st.floats(-1, 1), min_size=dims, max_size=dims),
-           min_size=2, max_size=8)))
-def test_distance_bounds_hold_the_scalar_distance(kind, scale, points):
-    inst = Instance(kind, points=[[scale * x for x in p] for p in points],
-                    facilities=[(0, 1)])
-    n = len(points)
+           min_size=2, max_size=8)),
+       st.lists(st.integers(0, 7), max_size=3))
+def test_pair_distances_equal_the_scalar_distance(kind, scale, points, copies):
+    # At 1e300 the squared differences overflow, at 1e-300 they underflow,
+    # near 2**-480 their sums straddle the least sum taken as its sqrt, and
+    # copies of earlier points make duplicate pairs.  The matrix kind is the
+    # discrete metric on the points.
+    pts = [[scale * x for x in p] for p in points]
+    pts += [list(pts[i % len(pts)]) for i in copies]
+    if kind == "explicit-matrix":
+        metric = {"matrix": [[0.0 if a == b else scale for b in pts] for a in pts]}
+    else:
+        metric = {"points": pts}
+    inst = Instance(kind, facilities=[(0, 1)], **metric)
+    n = len(pts)
     ps, qs = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
-    lo, hi = inst.distance_bounds(ps, qs)
-    for p, q, low, high in zip(ps.tolist(), qs.tolist(), lo.tolist(), hi.tolist()):
-        assert low <= inst.distance(p, q) <= high
-        if kind == "euclidean-Linf" or low == high:
-            assert low == high == inst.distance(p, q)
+    scalar = [inst.distance(p, q) for p, q in zip(ps.tolist(), qs.tolist())]
+    assert inst.pair_distances(ps, qs).tobytes() == np.array(scalar).tobytes()
 
 
 def test_a_churn_sized_l2_instance_needs_few_scalar_distances():
     # The benchmark's churn-l2 instance (400 facilities, 2,400 integer grid
     # points) at the 3,125 scale: the scalar descent makes ~2 * 10**5
     # distance calls to locate every point, an exact facility table 160,000,
-    # and the whole bulk build a handful.
+    # and the bulk build none: no sum of squares overflows, and the ones
+    # below _L2_TINY are those of equal coordinates.
     instance_text = helpers.benchmark_inputs("churn-l2", 1).instance_text
     inst = Instance.from_dict(json.loads(instance_text))
     params = derive_parameters(inst, 3125)
@@ -210,6 +221,6 @@ def test_a_churn_sized_l2_instance_needs_few_scalar_distances():
         h = Hierarchy(inst, params)
     finally:
         del inst.distance
-    assert calls < 1000
+    assert calls == 0
     for p in range(inst.n_points):
         assert h.area_chain(p) == helpers.scalar_chain(h, p)

@@ -9,7 +9,11 @@ import helpers
 from helpers import random_instance
 from netfloc import (C1, C2, C3, C4, CX, CY, Instance, build_separated_sets,
                      build_tree, derive_parameters, radius)
-from netfloc.hierarchy import TABLE_FACTORS, abundance_threshold, threshold
+from netfloc.hierarchy import abundance_threshold, threshold
+
+# The factors c of the thresholds c * 5**r the build tests table entries
+# against: separation, near and far lists, and coloring.
+TABLE_FACTORS = (C1, CX, CY, C4)
 
 
 def test_constant_relations():
@@ -346,17 +350,13 @@ def test_facility_table_decides_every_threshold_as_the_scalar_distance(
         kind, base, near, free):
     # Points within a few ulps of c * 5**r from a base point, where numpy's
     # L2 value and math.dist's may fall on either side, and free points.
+    # Every entry is the scalar distance, so every threshold test is too.
     points = _near_threshold_points(base, near) + [list(p) for p in free]
     inst = Instance(kind, points=points, facilities=[(p, 1) for p in range(len(points))])
     table = inst.facility_distances
-    band = inst.distance_band
-    thresholds = [threshold(c, r) for c in TABLE_FACTORS for r in range(-12, 13)]
     for a in range(len(points)):
         for b in range(len(points)):
-            d = inst.distance(a, b)
-            assert abs(table[a, b] - d) <= band * d
-            for t in thresholds:
-                assert (table[a, b] <= t) == (d <= t), (a, b, t)
+            assert table[a, b] == inst.distance(a, b), (a, b)
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,7 +8,10 @@ and assignment is hashed.  The expected digests were recorded with the
 enumeration that kept a table of every mask's distance vector, and that
 recomputed each mask from its columns where the table would have exceeded
 4,000,000 entries (the k = 16 instance), so any enumeration that changes one
-cost, one tie-break or one assignment fails here.
+cost, one tie-break or one assignment fails here.  k = 8 was re-recorded when
+an L2 distance became the sqrt of its sum of squares instead of
+``math.dist``: one optimum cost moved from 5771.691872896093 to
+5771.691872896092, with the same open set and assignment.
 """
 
 import hashlib
@@ -70,7 +73,7 @@ EXPECTED = {
     "k5": "3b80ffc729ed46e9b9f890a8253974de474c9c727aae261cb272e61fcfd39f41",
     "k6": "574142ea09cfddef3fce6ec8a1060cfbe29df9d10f80445cae2ebc2c79ff09e4",
     "k7": "5bf6958754025f3d8be0925364823e003d454b1d1b83dc8799747acf9f224357",
-    "k8": "4c76dca2a05931f5b90a9856268f72f5a2fc7325ba75e0dcbd54e172a2682e50",
+    "k8": "a2d2f851bd6115dd93af1273e588a77f3e9084cd7cc26790fd32b6d77977f42a",
     "k9": "933e6ba1e49bdf066fd39d867c83d7ba2a62847cad25f263117c8cc39016165f",
     "k10": "8f718564d7e2fcff134ccf309bc4a31a3688c7a21071bbccb996ab3f08934b6e",
     "k11": "eb4b14ea52ca55712509336766b7461a11365a9a5b6e4ea750d3febd30a0047d",

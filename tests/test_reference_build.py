@@ -4,7 +4,7 @@ node slot, level set and point chain must be identical, types included.  On
 the benchmark's instances, on seeded random instances of every metric kind
 (seeded by ``NETFLOC_SEED``), and on two searched cases where numpy's L2
 value and ``math.dist``'s fall on opposite sides of a threshold or order two
-parents differently."""
+parents differently (there ``Instance.distance`` decides)."""
 
 import json
 import math
@@ -149,8 +149,8 @@ def _l2_approx(p, q) -> float:
 def test_separation_where_numpy_and_math_dist_straddle_a_threshold():
     # A seeded search for a facility near the circle of radius 20 = C1 * 5**0
     # around another whose math.dist and numpy values fall on opposite
-    # sides of 20: both stay separate at level 0 exactly when math.dist's
-    # value is above 20.
+    # sides of 20: both stay separate at level 0 exactly when the scalar
+    # metric's value is above 20.
     rng = random.Random(f"separation-{default_seed()}")
     origin = (0.0, 0.0)
     for _ in range(20000):
@@ -166,14 +166,15 @@ def test_separation_where_numpy_and_math_dist_straddle_a_threshold():
     assert_reference_build(inst, scales=(0,))
     h = Hierarchy(inst, derive_parameters(inst, 0))
     assert h.params.rho_min == 0
-    assert h.level_sets[0] == ([0] if exact <= C1 else [0, 1])
+    assert h.level_sets[0] == ([0] if inst.distance(1, 0) <= C1 else [0, 1])
 
 
 def test_parent_where_numpy_and_math_dist_order_differently():
     # Facilities 0 at (0, 0) and 1 at (600, 600) are the level-2 nodes, and
     # facility 2 near their bisector is a level-1 node whose parent is the
     # closer one by (distance, facility id); a seeded search finds a point
-    # that numpy's values and math.dist's order differently.
+    # that numpy's values and math.dist's order differently; the scalar
+    # metric's order decides.
     rng = random.Random(f"parent-{default_seed()}")
     a, b = (0.0, 0.0), (600.0, 600.0)
     for _ in range(20000):
@@ -189,4 +190,5 @@ def test_parent_where_numpy_and_math_dist_order_differently():
     assert_reference_build(inst, scales=(0,))
     h = Hierarchy(inst, derive_parameters(inst, 0))
     assert h.level_sets[1] == [0, 1, 2] and h.level_sets[2] == [0, 1]
-    assert h.nodes[h.nodes[h.node_of[(2, 1)]].parent].facility == (0 if exact else 1)
+    closer_a = (inst.distance(2, 0), 0) < (inst.distance(2, 1), 1)
+    assert h.nodes[h.nodes[h.node_of[(2, 1)]].parent].facility == (0 if closer_a else 1)
