@@ -19,6 +19,7 @@ loop; and the scale is re-derived only when the live count leaves the window
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -127,7 +128,7 @@ class Engine:
                                for cid, point in dict(clients).items()}
         self._set_scale(largest_power_of_five_at_most(len(self.registry)))
         self.last_update = UpdateStats()
-        self._hierarchies: dict[tuple[int, int], Hierarchy] = {}
+        self._hierarchies: dict[Params, Hierarchy] = {}
         self._rebuild(derive_parameters(instance, self.n))
 
     @classmethod
@@ -139,9 +140,13 @@ class Engine:
     # -- queries -------------------------------------------------------------
 
     def cost_query(self) -> float:
-        """Total payment of the current solution (root cost), O(1)."""
+        """Total payment of the current solution (root cost), O(1); inf
+        when it exceeds the float range."""
         units = self.annotations[self.hierarchy.root].cost
-        return units * self._unit_num / self._unit_den
+        try:
+            return units * self._unit_num / self._unit_den
+        except OverflowError:
+            return math.inf
 
     def solution_query(self) -> list[int]:
         """Designated facilities of the currently open triplets, sorted;
@@ -400,8 +405,7 @@ class Engine:
         rebuild all dynamic state when the bottom logradius moves, marking
         ``last_update.rebuilt``; else keep the structure untouched."""
         params = derive_parameters(self.instance, self.n)
-        current = self.hierarchy.params
-        if (params.rho_min, params.rho_max) != (current.rho_min, current.rho_max):
+        if params != self.hierarchy.params:
             self._rebuild(params)
             self.last_update.rebuilt = True
 
@@ -409,18 +413,17 @@ class Engine:
         """Switch to the hierarchy of ``params`` and build every annotation
         from scratch for the current live client set.
 
-        The last HIERARCHY_CACHE_SIZE hierarchies are kept by (rho_min,
-        rho_max); a hierarchy depends on nothing else, so a cached one equals
-        a fresh build.  The least recently used one is evicted.
+        The last HIERARCHY_CACHE_SIZE hierarchies are kept by their
+        ``params``; a hierarchy depends on nothing else, so a cached one
+        equals a fresh build.  The least recently used one is evicted.
         """
-        key = (params.rho_min, params.rho_max)
         cache = self._hierarchies
-        hierarchy = cache.pop(key, None)
+        hierarchy = cache.pop(params, None)
         if hierarchy is None:
             hierarchy = Hierarchy(self.instance, params)
             if len(cache) >= HIERARCHY_CACHE_SIZE:
                 del cache[next(iter(cache))]
-        self.hierarchy = cache[key] = hierarchy
+        self.hierarchy = cache[params] = hierarchy
         rho_min = params.rho_min
         # cost_query divides integers, which rounds correctly and stays
         # finite whenever the cost is: a float 5.0**rho_min underflows to 0

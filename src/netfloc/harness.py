@@ -20,7 +20,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import NamedTuple
 
 from .engine import HIERARCHY_CACHE_SIZE, Engine, UpdateStats
@@ -45,19 +45,6 @@ class TraceEvent(NamedTuple):
 # Query events carry no data, so every "? cost" (or "? solution") line parses
 # to the same event.
 _QUERY_EVENTS = {kind: TraceEvent(kind) for kind in ("cost", "solution")}
-
-
-@dataclass
-class RunReport:
-    """Query outputs plus aggregate work counters for one trace replay."""
-
-    outputs: list[str]
-    queries: int
-    mutations: int
-    affected_total: int
-    heap_pulls_total: int
-    flips_total: int
-    elapsed: float
 
 
 def fmt_number(x) -> str:
@@ -121,21 +108,14 @@ def _apply_event(engine: Engine, event: TraceEvent, outputs: list[str]) -> None:
         outputs.append(" ".join(f"F{fid}" for fid in sorted(engine.solution_query())))
 
 
-def run_trace(instance: Instance, trace) -> RunReport:
-    """Replay a trace, collecting query outputs and work counters."""
+def run_trace(instance: Instance, trace) -> list[str]:
+    """Replay a trace, returning its query outputs; ``bench`` reports the
+    per-update work counters."""
     engine = Engine(instance)
     outputs: list[str] = []
-    affected = pulls = flips = mutations = 0
-    started = time.perf_counter()
     for event in trace:
         _apply_event(engine, event, outputs)
-        if event.kind in ("insert", "delete"):
-            mutations += 1
-            affected += engine.last_update.affected
-            pulls += engine.last_update.heap_pulls
-            flips += engine.last_update.flips
-    elapsed = time.perf_counter() - started
-    return RunReport(outputs, len(outputs), mutations, affected, pulls, flips, elapsed)
+    return outputs
 
 
 def verify_trace(instance: Instance, trace, corruption=None) -> tuple[int, list[str]]:
@@ -286,7 +266,7 @@ def main(argv=None) -> int:
         else:
             trace = parse_trace(args.trace)
             if args.command == "run" and not args.verified:
-                code, lines = 0, run_trace(instance, trace).outputs
+                code, lines = 0, run_trace(instance, trace)
             elif args.command in ("run", "verify"):
                 code, lines = verify_trace(instance, trace)
             elif args.command == "bench":

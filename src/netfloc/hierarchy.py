@@ -21,7 +21,7 @@ node's root path is one tuple, shared by the chains of all points in its
 area.
 
 Everything here is immutable once built.  The engine keeps the hierarchies
-of its last few scales and reuses one when its (rho_min, rho_max) comes back.
+of its last few scales and reuses one when its ``Params`` come back.
 """
 
 from __future__ import annotations

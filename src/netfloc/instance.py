@@ -12,9 +12,9 @@ pairs of the other kind to it.  Matrix entries and L-infinity distances are
 exact in bulk too.  The hierarchy's nodes and lists read nothing else of the
 metric.
 
-The L2 diameter is a blocked filter-then-verify scan whose value equals the
-exact row scan's bit for bit; the L-infinity one is the largest coordinate
-range.
+The L2 diameter is the square root of the largest of those sums over all
+pairs, from one blocked pass, so it is the farthest pair's ``distance``; the
+L-infinity one is the largest coordinate range.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ _TRIANGLE_SLACK = 1e-12
 # diameter overflows; it keeps squares of the largest floats finite.
 _L2_SCALE = 2.0 ** -600
 
-# Elements per buffer of the blocked L2 diameter pass (two 256 KiB buffers).
+# Elements per buffer of the blocked pair passes (two 256 KiB buffers).
 _BLOCK_ELEMENTS = 2 ** 15
-_EPS = float(np.finfo(float).eps)
 
 # Below this sum of squares an L2 distance may have lost bits to underflowing
 # squares, so it is ``math.dist``'s value instead, as it is for a sum that
@@ -123,37 +122,6 @@ def _scalar_l2(s: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~((s >= _L2_TINY) & (s < math.inf)))
 
 
-def _max_squared_distance(arr: np.ndarray) -> float:
-    """Largest squared L2 distance over all pairs of rows of ``arr``: bit for
-    bit the row scan's ``max_i ((arr[i] - arr)**2).sum(axis=1).max()``.
-
-    A blocked pass (``_pair_blocks``) sums each row's squared differences
-    one dimension at a time: the row scan's terms in another order (numpy
-    sums 8 or more terms pairwise).  Either order's sum of d nonnegative
-    terms is within a relative (d-1)·eps/2 of the exact sum, so a row whose
-    approximate maximum lies more than 4·d·eps below the largest cannot hold
-    the exact maximum.  Only the other rows (usually the diameter's two
-    ends) are rescanned exactly; every row is when the approximate pass
-    overflows.
-    """
-    n, d = arr.shape
-    approx = np.empty(n)
-    with np.errstate(over="ignore"):  # the caller handles an infinite result
-        for start, a in _pair_blocks(arr):
-            a.max(axis=1, out=approx[start:start + len(a)])
-        top = approx.max()
-        if math.isinf(top):
-            candidates = range(n)
-        else:
-            candidates = np.flatnonzero(approx >= top * (1 - 4 * d * _EPS))
-        best = 0.0
-        for i in candidates:
-            ext = ((arr[i] - arr) ** 2).sum(axis=1).max()
-            if ext > best:
-                best = ext
-    return float(best)
-
-
 class NetflocError(Exception):
     """Base class for package errors."""
 
@@ -173,22 +141,18 @@ class Facility:
 
 @dataclass(frozen=True)
 class Params:
-    """Scale parameters derived from an instance and a client-count scale n.
+    """The hierarchy's logradius range, derived from an instance and a
+    client-count scale n: its levels run from ``rho_min`` to ``rho_max``.
+    A hierarchy depends on nothing else, so the engine keys its cached
+    hierarchies by this value."""
 
-    ``rho_min``/``rho_max`` bound the hierarchy's logradii; ``delta`` is the
-    number of levels.  ``n`` is the scale they were derived for, the largest
-    power of five at most a client count (0 for none).  The engine reuses a
-    hierarchy for every scale with its ``rho_min`` and ``rho_max``, so its
-    live scale is ``Engine.n``, not ``hierarchy.params.n``.
-    """
-
-    w: float
-    f_max: float
-    f_min: float
-    n: int
     rho_min: int
     rho_max: int
-    delta: int
+
+    @property
+    def delta(self) -> int:
+        """The number of levels."""
+        return self.rho_max - self.rho_min + 1
 
 
 def cround(x) -> int:
@@ -400,15 +364,15 @@ class Instance:
             if self._matrix is not None:
                 diameter = max(max(row) for row in self._matrix)
             elif self.kind == "euclidean-L2":
-                arr = self.array
-                best = _max_squared_distance(arr)
-                if math.isinf(best):
-                    # The squares overflow: redo the scan on coordinates
-                    # scaled by an exact power of two.
-                    best = _max_squared_distance(arr * _L2_SCALE)
-                    diameter = math.sqrt(best) / _L2_SCALE
-                else:
-                    diameter = math.sqrt(best)
+                # The largest sum of squares is the farthest pair's sum in
+                # ``distance``.  When a square overflows, the pass is redone
+                # on coordinates scaled by an exact power of two.
+                for scale in (1.0, _L2_SCALE):
+                    with np.errstate(over="ignore"):
+                        best = max(float(a.max()) for _, a in _pair_blocks(self.array * scale))
+                    if best < math.inf:
+                        break
+                diameter = math.sqrt(best) / scale
             else:
                 # Float subtraction is monotone in each operand, so the
                 # largest |p_k - q_k| over all pairs is fl(max_k - min_k).
@@ -488,7 +452,7 @@ class Instance:
 
 
 def derive_parameters(instance: Instance, n: int) -> Params:
-    """Derive the hierarchy scale parameters for a client-count scale n."""
+    """The hierarchy's logradius range for a client-count scale n."""
     n = max(int(n), 0)
     costs = [f.opening_cost for f in instance.facilities]
     f_max, f_min = max(costs), min(costs)
@@ -497,12 +461,4 @@ def derive_parameters(instance: Instance, n: int) -> Params:
     # f_min / divisor <= f_max <= max(diameter, f_max) and cround is
     # monotone, so rho_min <= rho_max.
     rho_max = cround(max(instance.diameter, f_max))
-    return Params(
-        w=instance.diameter,
-        f_max=f_max,
-        f_min=f_min,
-        n=n,
-        rho_min=rho_min,
-        rho_max=rho_max,
-        delta=rho_max - rho_min + 1,
-    )
+    return Params(rho_min, rho_max)

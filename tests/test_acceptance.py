@@ -203,7 +203,7 @@ def test_level_shift(line5):
 
 def test_line5_golden_trace(line5, data_dir):
     trace = parse_trace(data_dir / "line5.trace")
-    outputs = run_trace(line5, trace).outputs
+    outputs = run_trace(line5, trace)
     code, _ = verify_trace(line5, trace)
     opt_one = dict(line.split("=") for line in
                    opt_command(line5, trace[:1]).splitlines())

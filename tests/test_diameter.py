@@ -1,5 +1,7 @@
-"""Instance.diameter against the exact pairwise row scan it replaces, kept here
-as the reference: every value must be equal bit for bit."""
+"""Instance.diameter against a pairwise row scan kept here as the reference,
+which sums each pair's squared differences one dimension at a time, as
+Instance.distance does: every value must be equal bit for bit.  A property
+test pins the definition itself: the diameter is the largest distance."""
 
 import json
 import math
@@ -17,13 +19,19 @@ DIMS = (1, 2, 3, 7, 8, 9, 16)
 
 
 def _row_scan(arr: np.ndarray, squared: bool) -> float:
-    """Largest squared L2 (``squared``) or L-infinity distance over all
-    pairs of rows, one numpy row at a time."""
+    """Largest squared L2 (``squared``, summed one dimension at a time) or
+    L-infinity distance over all pairs of rows, one numpy row at a time."""
     best = 0.0
     with np.errstate(over="ignore"):
         for row in arr:
             diff = row - arr
-            ext = (diff ** 2).sum(axis=1).max() if squared else np.abs(diff).max()
+            if squared:
+                ext = diff[:, 0] ** 2
+                for k in range(1, arr.shape[1]):
+                    ext = ext + diff[:, k] ** 2
+                ext = ext.max()
+            else:
+                ext = np.abs(diff).max()
             if ext > best:
                 best = ext
     return float(best)
@@ -65,8 +73,8 @@ def _points(case: str, d: int, rng: np.random.Generator) -> np.ndarray:
     if case == "mixed-magnitudes":
         return rng.normal(size=(n, d)) * 10.0 ** rng.integers(-150, 150, size=(1, d))
     if case == "antipodal":
-        # Every pair x, -x is within rounding of the diameter: many rows tie
-        # in the approximate pass and only the exact rescan separates them.
+        # Every pair x, -x is within rounding of the diameter, so the
+        # farthest pair is decided in the last bits of the sums.
         x = rng.normal(size=(n // 2, d))
         x /= np.sqrt((x ** 2).sum(axis=1, keepdims=True))
         return np.concatenate([x, -x])
@@ -121,3 +129,27 @@ _coordinate = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False) | 
        st.sampled_from(KINDS))
 def test_diameter_property_equals_row_scan(points, kind):
     assert_matches_reference(points, kind)
+
+
+# Coordinates 0 or of magnitude in [2**-400, 1e150]: a nonzero squared
+# difference is at least 2**-904, and 16 of them stay below 1e302, so no
+# L2 sum of squares overflows or lies in (0, 2**-960).
+_magnitude = st.just(0.0) | st.floats(2.0 ** -400, 1e150)
+_bounded_coordinate = st.tuples(_magnitude, st.booleans()).map(
+    lambda t: -t[0] if t[1] else t[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16).flatmap(
+    lambda d: st.lists(st.lists(_bounded_coordinate, min_size=d, max_size=d),
+                       min_size=1, max_size=25)),
+       st.sampled_from(("euclidean-L2", "euclidean-Linf", "explicit-matrix")))
+def test_diameter_is_the_largest_distance(points, kind):
+    ids = range(len(points))
+    if kind == "explicit-matrix":
+        l2 = Instance("euclidean-L2", points=points, facilities=[(0, 1)])
+        inst = Instance(kind, matrix=[[l2.distance(p, q) for q in ids] for p in ids],
+                        facilities=[(0, 1)])
+    else:
+        inst = Instance(kind, points=points, facilities=[(0, 1)])
+    assert inst.diameter == max(inst.distance(p, q) for p in ids for q in ids)

@@ -1,7 +1,8 @@
 """Failure paths: each problem line of ``logical_violations`` on a
 hand-corrupted engine, each exit-1 return of ``verify_trace``, the engine's
-"no enabled area" error, and the malformed inputs that ``netfloc`` rejects
-with exit 2 and one ``error:`` line."""
+"no enabled area" error, the malformed inputs that ``netfloc`` rejects with
+exit 2 and one ``error:`` line, and a cost beyond the float range, which is
+no failure."""
 
 import json
 
@@ -186,6 +187,22 @@ def test_cli_rejects_bench_with_no_repetitions(data_dir, capsys):
                  "--reps", "0"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: repetitions must be >= 1\n")
+
+
+def test_cli_prints_inf_for_a_cost_beyond_the_float_range(tmp_path, capsys):
+    # The engine's cost, about 3.5e308, exceeds the largest float: the cost
+    # query is inf, not an OverflowError.
+    inst = tmp_path / "huge.json"
+    inst.write_text(json.dumps({"metric": L2, "facilities": [
+        {"point": 0, "cost": 1e308}, {"point": 1, "cost": 1.7976931348623157e308}]}))
+    trace = tmp_path / "huge.trace"
+    trace.write_text("+ c1 0\n+ c2 1\n? cost\n")
+    for command in ("run", "verify"):
+        assert main([command, str(inst), str(trace)]) == 0
+        assert capsys.readouterr() == ("inf\n", "")
+    assert main(["opt", str(inst), str(trace)]) == 0
+    captured = capsys.readouterr()
+    assert "cost_query=inf" in captured.out.splitlines() and captured.err == ""
 
 
 def test_point_index_returns_a_python_int_for_a_numpy_integer(line5):

@@ -10,6 +10,7 @@ or one list order fails here.
 import hashlib
 import math
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -17,6 +18,10 @@ from helpers import random_instance
 from netfloc import Hierarchy, Instance, derive_parameters
 
 SCALES = (0, 5, 125, 3125)
+
+# The digests were recorded when Params also held the diameter, the cost
+# range and the scale n; this stand-in repeats that repr.
+RecordedParams = namedtuple("Params", "w f_max f_min n rho_min rho_max delta")
 
 
 def _points(rng, n, dims, integer, hi=1000):
@@ -98,9 +103,13 @@ EXPECTED = {
 
 def hierarchy_digest(instance: Instance) -> str:
     h = hashlib.sha256()
+    costs = [f.opening_cost for f in instance.facilities]
     for n in SCALES:
         hier = Hierarchy(instance, derive_parameters(instance, n))
-        h.update(repr((hier.params, hier.root, sorted(hier.level_sets.items()),
+        p = hier.params
+        recorded = RecordedParams(instance.diameter, max(costs), min(costs), n,
+                                  p.rho_min, p.rho_max, p.delta)
+        h.update(repr((recorded, hier.root, sorted(hier.level_sets.items()),
                        sorted(hier.by_level.items()))).encode())
         for node in hier.nodes:
             h.update(repr(tuple(getattr(node, slot) for slot in node.__slots__)).encode())

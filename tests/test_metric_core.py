@@ -42,7 +42,8 @@ def test_matrix_metric_lookup():
 def test_derive_parameters_line5(line5):
     p = derive_parameters(line5, 0)
     assert (p.rho_min, p.rho_max, p.delta) == (1, 3, 3)
-    assert p.w == 101.0 and p.f_min == p.f_max == 10.0
+    assert line5.diameter == 101.0
+    assert {f.opening_cost for f in line5.facilities} == {10.0}
 
 
 def test_derive_parameters_line5_n25(line5):
@@ -106,8 +107,9 @@ def test_delta_growth_bound():
                                n_pool_points=rng.randint(1, 30))
         for n in (0, 7, 100, 3000):
             p = derive_parameters(inst, n)
-            bound = (math.log(max(p.w, 1), 5)
-                     + math.log(max(p.f_max / p.f_min, 1), 5)
+            costs = [f.opening_cost for f in inst.facilities]
+            bound = (math.log(max(inst.diameter, 1), 5)
+                     + math.log(max(max(costs) / min(costs), 1), 5)
                      + math.log(max(len(inst.facilities), n, 1), 5) + 4)
             assert p.delta <= bound
 
@@ -191,4 +193,4 @@ def test_matrix_reports_the_first_triangle_violation_of_the_scan():
 def test_l2_diameter_beyond_squared_float_range():
     inst = Instance("euclidean-L2", points=[[0], [1e200]], facilities=[(0, 1), (1, 1)])
     assert inst.diameter == 1e200
-    assert derive_parameters(inst, 0).w == 1e200
+    assert derive_parameters(inst, 0).rho_max == cround(1e200)
