@@ -14,6 +14,11 @@ settles the client's chain in one bottom-up pass and, only when enabled bits
 flip, corrects the flipped nodes' root paths with a second pass of the same
 loop; and the scale is re-derived only when the live count leaves the window
 [n, 5n) of its current power of five.
+
+A level shift rebuilds the annotations from counts: a ``bincount`` of the
+live points' bottom areas, added up level by level, and a ``reduceat`` over
+the flat x lists give n_area and n_x; Python passes resolve the open bits in
+key order and the costs along the root paths of the enabled nodes.
 """
 
 from __future__ import annotations
@@ -23,7 +28,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import compress
 from typing import NamedTuple
+
+import numpy as np
 
 from .hierarchy import Hierarchy
 from .instance import Instance, Params, derive_parameters, \
@@ -416,6 +424,10 @@ class Engine:
         The last HIERARCHY_CACHE_SIZE hierarchies are kept by their
         ``params``; a hierarchy depends on nothing else, so a cached one
         equals a fresh build.  The least recently used one is evicted.
+
+        Client counts are numpy passes over the hierarchy's static arrays;
+        slack, open bits and costs are Python ints (thresholds and unit
+        weights may exceed int64), and every field a plain int or bool.
         """
         cache = self._hierarchies
         hierarchy = cache.pop(params, None)
@@ -431,37 +443,47 @@ class Engine:
         self._unit_num, self._unit_den = ((5 ** rho_min, 1) if rho_min >= 0
                                           else (1, 5 ** -rho_min))
         nodes = hierarchy.nodes
-        self.annotations = anns = [NodeAnnotation() for _ in nodes]
-        self.open_nodes: set[int] = set()
+        size = len(nodes)
 
-        chains = hierarchy.point_chains
-        for point, count in Counter(self.registry.values()).items():
-            for idx in chains[point]:
-                anns[idx].n_area += count
-
-        for node, a in zip(nodes, anns):
-            a.slack = sum(anns[m].n_area for m in node.x_areas) - node.abundance_threshold
+        # Each live point counts in its bottom area, and each level below the
+        # root adds its counts into its parents (ids ascend with logradius).
+        points = np.fromiter(self.registry.values(), np.int64, len(self.registry))
+        counts = np.bincount(hierarchy.point_area[points], minlength=size)
+        for r in range(params.rho_min, params.rho_max):
+            level = slice(hierarchy.by_level[r][0], hierarchy.by_level[r][-1] + 1)
+            np.add.at(counts, hierarchy.parent_ids[level], counts[level])
+        # Near counts: each x list holds its own node, so no segment is empty.
+        near = np.add.reduceat(counts[hierarchy.x_flat], hierarchy.x_starts)
+        slack = [n_x - node.abundance_threshold for n_x, node in zip(near.tolist(), nodes)]
 
         # Resolve open bits in ascending (logradius, color, facility) order;
         # the openness of a triplet depends only on lexicographically smaller
         # ones, so one ordered pass reaches the fixed point.
+        is_open, open_below = [False] * size, [0] * size
+        self.open_nodes: set[int] = set()
         for idx in hierarchy.order:
-            a = anns[idx]
-            if a.slack >= 0 and a.open_below == 0:
-                a.is_open = True
+            if slack[idx] >= 0 and not open_below[idx]:
+                is_open[idx] = True
                 self.open_nodes.add(idx)
                 for up in nodes[idx].neighbors_above:
-                    anns[up].open_below += 1
+                    open_below[up] += 1
 
-        # Node ids ascend with logradius, so every child comes before its
-        # parent and one pass settles enabled bits, counts and costs.
-        for node, a in zip(nodes, anns):
-            a.is_enabled = a.is_open or a.open_below >= 1
-            a.cost = a.y
-            if a.is_enabled:
-                a.cost += (a.n_area - a.n_enabled_below) * node.unit_weight
+        # cost, y and n_enabled_below are 0 off the enabled nodes' root paths;
+        # one ascending pass over them settles every child before its parent.
+        n_area = counts.tolist()
+        enabled = [o or b > 0 for o, b in zip(is_open, open_below)]
+        n_enabled_below, cost, y = [0] * size, [0] * size, [0] * size
+        paths: set[int] = set()
+        for idx in compress(range(size), enabled):
+            while idx is not None and idx not in paths:
+                paths.add(idx)
+                idx = nodes[idx].parent
+        for idx in sorted(paths):
+            node = nodes[idx]
+            cost[idx] = c = y[idx] + enabled[idx] * (
+                (n_area[idx] - n_enabled_below[idx]) * node.unit_weight)
             if node.parent is not None:
-                up = anns[node.parent]
-                up.y += a.cost
-                if a.is_enabled:
-                    up.n_enabled_below += a.n_area
+                y[node.parent] += c
+                n_enabled_below[node.parent] += enabled[idx] * n_area[idx]
+        self.annotations = list(map(NodeAnnotation, is_open, enabled, n_area, slack,
+                                    open_below, n_enabled_below, cost, y))

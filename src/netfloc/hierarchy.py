@@ -20,8 +20,9 @@ node) pairs, with the exact distances of ``Instance.pair_distances``.  Each
 node's root path is one tuple, shared by the chains of all points in its
 area.
 
-Everything here is immutable once built.  The engine keeps the hierarchies
-of its last few scales and reuses one when its ``Params`` come back.
+Everything here is immutable once built, the numpy arrays the engine counts
+clients over too.  The engine keeps the hierarchies of its last few scales
+and reuses one when its ``Params`` come back.
 """
 
 from __future__ import annotations
@@ -206,9 +207,14 @@ class Hierarchy:
         for node in reversed(self.nodes):
             up = () if node.parent is None else paths[node.parent]
             paths[node.idx] = (node.idx,) + up
-        # Point -> area chain: the root path of the point's bottom area.
-        self.point_chains = [paths[a] for a in self._locate().tolist()]
+        # Point -> bottom area and area chain, the root path of that area.
+        self.point_area = self._locate()
+        self.point_chains = [paths[a] for a in self.point_area.tolist()]
+        self.parent_ids = np.array([-1 if node.parent is None else node.parent
+                                    for node in self.nodes], dtype=np.int64)
         self._build_levels()
+        for a in (self.point_area, self.parent_ids, self.x_flat, self.x_starts):
+            a.flags.writeable = False
         # Node ids in (logradius, color, facility) order, the order in which
         # open bits resolve.
         self.order = sorted(range(len(self.nodes)), key=lambda i: self.nodes[i].key())
@@ -318,7 +324,8 @@ class Hierarchy:
         return area
 
     def _build_levels(self) -> None:
-        """Colors, x/y lists, designations, ``neighbors_above``, ``path_x_areas``.
+        """Colors, x/y lists (the x lists also flat, ``x_flat`` from each node's
+        ``x_starts`` on), designations, ``neighbors_above``, ``path_x_areas``.
 
         Each level, from the bottom, reads the positions of its block of
         distances within C4*5**r, in row-major order; the near (CX) and far
@@ -342,6 +349,8 @@ class Hierarchy:
         # One int object per node id, shared by every id list (as appending
         # node.idx would), instead of a fresh int per list entry.
         id_objs = np.array([node.idx for node in nodes], dtype=object)
+        # Every x list as one flat id array, with each node's id per entry.
+        x_flat, x_owner = [], []
 
         for r, ids in self.by_level.items():
             off = r - params.rho_min
@@ -369,7 +378,9 @@ class Hierarchy:
 
             near = dist <= threshold(CX, r)
             far = dist <= threshold(CY, r)
-            x_lists = _split_rows(id_objs[start + col[near]].tolist(), row[near], k)
+            x_flat.append(start + col[near])
+            x_owner.append(start + row[near])
+            x_lists = _split_rows(id_objs[x_flat[-1]].tolist(), row[near], k)
             y_lists = _split_rows(id_objs[start + col[far]].tolist(), row[far], k)
             for node, x_areas, y_areas in zip(level, x_lists, y_lists):
                 node.x_areas = x_areas
@@ -394,6 +405,8 @@ class Hierarchy:
                 # the designated cost at this scale, as an exact integer.
                 node.abundance_threshold = abundance_threshold(cost, r)
 
+        self.x_flat = np.concatenate(x_flat)
+        self.x_starts = np.searchsorted(np.concatenate(x_owner), np.arange(len(nodes)))
         # neighbors_above: the nodes u with key(v) < key(u) whose far
         # neighborhood holds v's facility.  At level r those are the y areas
         # of the facility's level-r chain entry e (the far relation is

@@ -13,8 +13,8 @@ exact in bulk too.  The hierarchy's nodes and lists read nothing else of the
 metric.
 
 The L2 diameter is the square root of the largest of those sums over all
-pairs, from one blocked pass, so it is the farthest pair's ``distance``; the
-L-infinity one is the largest coordinate range.
+pairs, from one blocked pass over each unordered pair, so it is the farthest
+pair's ``distance``; the L-infinity one is the largest coordinate range.
 """
 
 from __future__ import annotations
@@ -84,21 +84,23 @@ def _as_list(value, what: str) -> list:
         raise InstanceError(f"{what} must be a list, got {echo(value)}") from None
 
 
-def _pair_blocks(arr: np.ndarray, linf: bool = False):
+def _pair_blocks(arr: np.ndarray, linf: bool = False, upper: bool = False):
     """Yield ``(start, block)`` over the pairs of rows of ``arr``, a block
     of rows at a time: ``block[i, j]`` is the sum of the squared differences
     of rows ``start + i`` and ``j``, summed one dimension at a time, or with
     ``linf`` their largest absolute difference (the scalar L-infinity
-    metric's floats).  Blocks hold at most _BLOCK_ELEMENTS entries (or one
-    row) and share one buffer, so each is valid until the next is yielded.
-    The caller sets numpy's handling of overflow."""
+    metric's floats); with ``upper``, of rows ``start + i`` and ``start + j``
+    (each unordered pair once).  Blocks hold at most _BLOCK_ELEMENTS entries
+    (or one row) and share one buffer, so each is valid until the next is
+    yielded.  The caller sets numpy's handling of overflow."""
     n, d = arr.shape
     rows = max(1, _BLOCK_ELEMENTS // n)
-    cols = np.ascontiguousarray(arr.T)
-    acc, tmp = np.empty((rows, n)), np.empty((rows, n))
+    cols_t = np.ascontiguousarray(arr.T)
+    acc, tmp = np.empty(rows * n), np.empty(rows * n)
     for start in range(0, n, rows):
         block = arr[start:start + rows, :, None]
-        a, t = acc[:len(block)], tmp[:len(block)]
+        cols = cols_t[:, start:] if upper else cols_t
+        a, t = (b[:len(block) * cols.shape[1]].reshape(len(block), -1) for b in (acc, tmp))
         np.subtract(block[:, 0], cols[0], out=a)
         if linf:
             np.abs(a, out=a)
@@ -369,7 +371,8 @@ class Instance:
                 # on coordinates scaled by an exact power of two.
                 for scale in (1.0, _L2_SCALE):
                     with np.errstate(over="ignore"):
-                        best = max(float(a.max()) for _, a in _pair_blocks(self.array * scale))
+                        best = max(float(a.max()) for _, a in
+                                   _pair_blocks(self.array * scale, upper=True))
                     if best < math.inf:
                         break
                 diameter = math.sqrt(best) / scale

@@ -4,7 +4,8 @@ seeded fuzz generators (random instances and traces, seeded by
 ``NETFLOC_SEED`` where a test asks for ``default_seed``), the benchmark's
 seeded input generator and its seed-1 cases, for tests that run on its
 inputs, the engine's general update path kept as a reference for its
-steady-update shortcuts, the oracle's per-client assignment loop kept as a
+steady-update shortcuts, its per-node annotation passes kept as a reference
+for its counted rebuild, the oracle's per-client assignment loop kept as a
 reference for its per-area one, seeded traces that cross the scales 5, 25 and 125, and
 the scalar references for ``cround`` and for the hierarchy's bulk point
 location (``find_area``), and the reference hierarchy build over the exact
@@ -16,6 +17,7 @@ import math
 import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -24,7 +26,7 @@ import numpy as np
 
 from netfloc import C1, C2, C3, C4, CX, CY, DirtyHeap, Engine, Hierarchy, Instance, \
     TraceEvent, derive_parameters, parse_trace_text, radius
-from netfloc.engine import Assignment, UpdateStats
+from netfloc.engine import Assignment, NodeAnnotation, UpdateStats
 from netfloc.hierarchy import TripletNode, threshold
 from netfloc.instance import largest_power_of_five_at_most
 
@@ -204,6 +206,41 @@ class ReferenceEngine(Engine):
                 if node.parent is not None:
                     anns[node.parent].y += cost - a.cost
                 a.cost = cost
+
+
+def reference_annotations(hierarchy, registry) -> tuple[list, set]:
+    """The annotations and open set of ``hierarchy`` for the live clients
+    ``registry`` (client id -> point), built node by node: chain walks for
+    the area counts, a sum over each x list for ``slack``, the ordered open
+    pass, and one ascending pass over every node for the enabled bits,
+    counts and costs."""
+    nodes = hierarchy.nodes
+    anns = [NodeAnnotation() for _ in nodes]
+    open_nodes = set()
+    chains = hierarchy.point_chains
+    for point, count in Counter(registry.values()).items():
+        for idx in chains[point]:
+            anns[idx].n_area += count
+    for node, a in zip(nodes, anns):
+        a.slack = sum(anns[m].n_area for m in node.x_areas) - node.abundance_threshold
+    for idx in hierarchy.order:
+        a = anns[idx]
+        if a.slack >= 0 and a.open_below == 0:
+            a.is_open = True
+            open_nodes.add(idx)
+            for up in nodes[idx].neighbors_above:
+                anns[up].open_below += 1
+    for node, a in zip(nodes, anns):
+        a.is_enabled = a.is_open or a.open_below >= 1
+        a.cost = a.y
+        if a.is_enabled:
+            a.cost += (a.n_area - a.n_enabled_below) * node.unit_weight
+        if node.parent is not None:
+            up = anns[node.parent]
+            up.y += a.cost
+            if a.is_enabled:
+                up.n_enabled_below += a.n_area
+    return anns, open_nodes
 
 
 CROSSING_KINDS = ("line5", "L2", "Linf", "matrix")

@@ -1,0 +1,132 @@
+"""The engine's counted rebuild against ``helpers.reference_annotations``, the
+per-node passes it replaced: every annotation field, types included, and
+the open set must be identical.  Checked on the benchmark hierarchies, on
+seeded random instances of every metric kind (seeded by ``NETFLOC_SEED``),
+on an instance of ~870 levels, with no clients and with 50 clients on one
+point.
+
+Also: annotation fields stay plain ``int`` and ``bool`` after a rebuild and
+after steady updates (``state_hash`` hashes their ``repr``, and a numpy
+scalar's differs), and the hierarchy's client-count arrays are read-only and
+agree with its node lists.
+"""
+
+import dataclasses
+import json
+import random
+
+import numpy as np
+import pytest
+
+import helpers
+from helpers import default_seed, random_instance, random_trace, reference_annotations
+from netfloc import Engine, Instance
+from netfloc.engine import NodeAnnotation
+from test_reference_build import KINDS, extreme_cost_instance
+
+FIELDS = [f.name for f in dataclasses.fields(NodeAnnotation)]
+
+
+def engine_at(instance, count, rng):
+    """An engine with ``count`` clients at seeded random points."""
+    return Engine.from_clients(
+        instance, {f"p{i}": rng.randrange(instance.n_points) for i in range(count)})
+
+
+def assert_counted_rebuild(engine):
+    anns, open_nodes = reference_annotations(engine.hierarchy, engine.registry)
+    assert len(engine.annotations) == len(anns)
+    for idx, (got, want) in enumerate(zip(engine.annotations, anns)):
+        for name in FIELDS:
+            value, expected = getattr(got, name), getattr(want, name)
+            assert (value, type(value)) == (expected, type(expected)), (idx, name)
+    assert engine.open_nodes == open_nodes
+
+
+def assert_plain_fields(engine):
+    for idx, a in enumerate(engine.annotations):
+        assert type(a.is_open) is bool and type(a.is_enabled) is bool, idx
+        for name in FIELDS[2:]:
+            assert type(getattr(a, name)) is int, (idx, name)
+
+
+@pytest.mark.parametrize("workload, counts", [
+    ("churn-l2", (3125,)),
+    ("flap-625", (125, 625)),
+    ("verify-matrix", (5, 25, 125)),
+])
+def test_benchmark_hierarchies(workload, counts):
+    text = helpers.benchmark_inputs(workload, 1).instance_text
+    instance = Instance.from_dict(json.loads(text))
+    rng = random.Random(f"rebuild-{workload}-{default_seed()}")
+    for count in counts:
+        engine = engine_at(instance, count, rng)
+        assert engine.n == count
+        assert_counted_rebuild(engine)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_seeded_instances(kind):
+    rng = random.Random(f"rebuild-{kind}-{default_seed()}")
+    instance = KINDS[kind](rng)
+    for count in (0, 7, 125, 700):
+        assert_counted_rebuild(engine_at(instance, count, rng))
+
+
+def test_extreme_cost_instance():
+    instance = extreme_cost_instance(0)
+    engine = engine_at(instance, 30, random.Random(f"rebuild-extreme-{default_seed()}"))
+    assert len(engine.hierarchy.by_level) > 800
+    assert max(a.cost for a in engine.annotations).bit_length() > 64
+    assert_counted_rebuild(engine)
+
+
+def test_empty_registry():
+    engine = Engine(random_instance(random.Random(f"rebuild-empty-{default_seed()}")))
+    assert engine.registry == {}
+    assert_counted_rebuild(engine)
+    assert all(a.n_area == 0 and a.cost == 0 for a in engine.annotations)
+
+
+def test_clients_stacked_on_one_point():
+    instance = random_instance(random.Random(f"rebuild-stacked-{default_seed()}"))
+    engine = Engine.from_clients(instance, {f"c{i}": 11 for i in range(50)})
+    assert_counted_rebuild(engine)
+    assert engine.annotations[engine.hierarchy.root].n_area == 50
+
+
+def test_fields_stay_plain_ints_and_bools():
+    rng = random.Random(f"rebuild-types-{default_seed()}")
+    instance = random_instance(rng)
+    engine = engine_at(instance, 30, rng)
+    assert_plain_fields(engine)
+    engine._rebuild(engine.hierarchy.params)
+    assert_plain_fields(engine)
+    rebuilds = 0
+    for event in random_trace(rng, instance, 300):
+        if event.kind == "insert":
+            engine.insert_client(event.cid, event.point)
+        else:
+            engine.delete_client(event.cid)
+        rebuilds += engine.last_update.rebuilt
+    assert rebuilds > 0
+    assert_plain_fields(engine)
+    assert_counted_rebuild(engine)
+
+
+@pytest.mark.parametrize("workload", ["churn-l2", "flap-625", "verify-matrix"])
+def test_count_arrays_are_read_only_and_match_the_node_lists(workload):
+    text = helpers.benchmark_inputs(workload, 1).instance_text
+    instance = Instance.from_dict(json.loads(text))
+    h = Engine(instance).hierarchy
+    arrays = (h.point_area, h.parent_ids, h.x_flat, h.x_starts)
+    assert all(not a.flags.writeable and a.dtype == np.int64 for a in arrays)
+    with pytest.raises(ValueError):
+        h.x_flat[0] = 0
+    assert h.point_area.tolist() == [chain[0] for chain in h.point_chains]
+    assert h.parent_ids.tolist() == [-1 if node.parent is None else node.parent
+                                     for node in h.nodes]
+    lengths = [len(node.x_areas) for node in h.nodes]
+    assert min(lengths) >= 1
+    assert h.x_flat.tolist() == [m for node in h.nodes for m in node.x_areas]
+    assert h.x_starts.tolist() == np.cumsum([0] + lengths[:-1]).tolist()

@@ -7,14 +7,17 @@ facility points and 2,000 client points with float coordinates drawn
 uniformly from [0, 1000]^2 under L2, integer opening costs in [1, 500], and
 the hierarchy of the client-count scale n = 5**6.  It prints one line per F:
 the facility table's seconds, the rest of the build's seconds, the node and
-level counts, the scalar ``Instance.distance`` calls of table and build, and
-the process's peak RSS.  Run from the root of a source checkout: the package
-is imported from its ``src`` directory.
+level counts, the scalar ``Instance.distance`` calls of table and build, the
+process's peak RSS after the build, and ``rebuild_s``, the best of 5
+``Engine._rebuild`` calls over the built hierarchy with the 2,000 client
+points live (one client each).  Run from the root of a source checkout: the
+package is imported from its ``src`` directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import resource
 import subprocess
@@ -31,7 +34,7 @@ def measure(n_facilities: int) -> str:
     """Build the instance of ``n_facilities`` in this process and describe
     the build in one line."""
     sys.path.insert(0, str(SRC))
-    from netfloc import Hierarchy, Instance, derive_parameters
+    from netfloc import Engine, Hierarchy, Instance, derive_parameters
 
     rng = random.Random(f"build-sweep-{n_facilities}")
     points = [[rng.uniform(0, 1000), rng.uniform(0, 1000)]
@@ -55,9 +58,20 @@ def measure(n_facilities: int) -> str:
     hierarchy = Hierarchy(instance, params)
     build_s = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    # An engine around the built hierarchy, made without the constructor,
+    # which would build the hierarchy of its own client count's scale.
+    engine = Engine.__new__(Engine)
+    engine.instance = instance
+    engine.registry = {i: n_facilities + i for i in range(CLIENT_POINTS)}
+    engine._hierarchies = {params: hierarchy}
+    rebuild_s = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        engine._rebuild(params)
+        rebuild_s = min(rebuild_s, time.perf_counter() - start)
     return (f"F={n_facilities} table_s={table_s:.3f} build_s={build_s:.3f} "
             f"nodes={len(hierarchy.nodes)} levels={params.delta} "
-            f"distance_calls={calls} peak_rss_mb={peak_mb:.0f}")
+            f"distance_calls={calls} peak_rss_mb={peak_mb:.0f} rebuild_s={rebuild_s:.4f}")
 
 
 def main(argv=None) -> int:
