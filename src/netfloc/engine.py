@@ -17,8 +17,9 @@ loop; and the scale is re-derived only when the live count leaves the window
 
 A level shift rebuilds the annotations from counts: a ``bincount`` of the
 live points' bottom areas, added up level by level, and a ``reduceat`` over
-the flat x lists give n_area and n_x; Python passes resolve the open bits in
-key order and the costs along the root paths of the enabled nodes.
+the flat x lists give n_area and n_x; one Python pass resolves the open bits
+in key order, and the steady path's flip settle, with every enabled node a
+flip, sets the costs along the root paths of the enabled nodes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -379,13 +380,18 @@ class Engine:
         chain and every root path touched by an enabled-bit flip.
 
         The chain, a parent path in ascending id order, is settled first at
-        the old enabled bits.  Each flip then moves its node's post-update
-        count into or out of its parent's ``n_enabled_below``; a chain node
-        the flip affects lies on the flip's root path, so one more settle
-        pass over the flips' root paths (delta 0) finishes the update."""
+        the old enabled bits; ``_settle_flips`` then applies the flips."""
         self._settle(chain, delta)
-        if not flipped:
-            return
+        if flipped:
+            self._settle_flips(flipped)
+
+    def _settle_flips(self, flipped) -> None:
+        """Apply ``(idx, enabled)`` enabled-bit flips to settled counts.
+
+        Each flip moves its node's count into or out of its parent's
+        ``n_enabled_below`` and sets the bit; every node whose cost the flips
+        change lies on a flip's root path, so one settle pass over their
+        sorted union (delta 0) finishes the recursion."""
         anns = self.annotations
         nodes = self.hierarchy.nodes
         paths: set[int] = set()
@@ -428,6 +434,8 @@ class Engine:
         Client counts are numpy passes over the hierarchy's static arrays;
         slack, open bits and costs are Python ints (thresholds and unit
         weights may exceed int64), and every field a plain int or bool.
+        The costs come from ``_settle_flips``, not the public
+        ``update_cost``, so a rebuild is never counted as an update.
         """
         cache = self._hierarchies
         hierarchy = cache.pop(params, None)
@@ -443,47 +451,32 @@ class Engine:
         self._unit_num, self._unit_den = ((5 ** rho_min, 1) if rho_min >= 0
                                           else (1, 5 ** -rho_min))
         nodes = hierarchy.nodes
-        size = len(nodes)
 
         # Each live point counts in its bottom area, and each level below the
         # root adds its counts into its parents (ids ascend with logradius).
         points = np.fromiter(self.registry.values(), np.int64, len(self.registry))
-        counts = np.bincount(hierarchy.point_area[points], minlength=size)
+        counts = np.bincount(hierarchy.point_area[points], minlength=len(nodes))
         for r in range(params.rho_min, params.rho_max):
             level = slice(hierarchy.by_level[r][0], hierarchy.by_level[r][-1] + 1)
             np.add.at(counts, hierarchy.parent_ids[level], counts[level])
         # Near counts: each x list holds its own node, so no segment is empty.
         near = np.add.reduceat(counts[hierarchy.x_flat], hierarchy.x_starts)
         slack = [n_x - node.abundance_threshold for n_x, node in zip(near.tolist(), nodes)]
+        self.annotations = anns = list(map(NodeAnnotation, repeat(False), repeat(False),
+                                           counts.tolist(), slack))
 
         # Resolve open bits in ascending (logradius, color, facility) order;
         # the openness of a triplet depends only on lexicographically smaller
         # ones, so one ordered pass reaches the fixed point.
-        is_open, open_below = [False] * size, [0] * size
         self.open_nodes: set[int] = set()
         for idx in hierarchy.order:
-            if slack[idx] >= 0 and not open_below[idx]:
-                is_open[idx] = True
+            a = anns[idx]
+            if a.slack >= 0 and not a.open_below:
+                a.is_open = True
                 self.open_nodes.add(idx)
                 for up in nodes[idx].neighbors_above:
-                    open_below[up] += 1
+                    anns[up].open_below += 1
 
-        # cost, y and n_enabled_below are 0 off the enabled nodes' root paths;
-        # one ascending pass over them settles every child before its parent.
-        n_area = counts.tolist()
-        enabled = [o or b > 0 for o, b in zip(is_open, open_below)]
-        n_enabled_below, cost, y = [0] * size, [0] * size, [0] * size
-        paths: set[int] = set()
-        for idx in compress(range(size), enabled):
-            while idx is not None and idx not in paths:
-                paths.add(idx)
-                idx = nodes[idx].parent
-        for idx in sorted(paths):
-            node = nodes[idx]
-            cost[idx] = c = y[idx] + enabled[idx] * (
-                (n_area[idx] - n_enabled_below[idx]) * node.unit_weight)
-            if node.parent is not None:
-                y[node.parent] += c
-                n_enabled_below[node.parent] += enabled[idx] * n_area[idx]
-        self.annotations = list(map(NodeAnnotation, is_open, enabled, n_area, slack,
-                                    open_below, n_enabled_below, cost, y))
+        # From the zeroed costs, every enabled node is a flip.
+        self._settle_flips([(idx, True) for idx, a in enumerate(anns)
+                            if a.is_open or a.open_below])

@@ -210,6 +210,7 @@ class Hierarchy:
         # Point -> bottom area and area chain, the root path of that area.
         self.point_area = self._locate()
         self.point_chains = [paths[a] for a in self.point_area.tolist()]
+        del paths  # O(nodes x levels) ids: most of a deep build's peak memory
         self.parent_ids = np.array([-1 if node.parent is None else node.parent
                                     for node in self.nodes], dtype=np.int64)
         self._build_levels()
@@ -411,14 +412,13 @@ class Hierarchy:
         # neighborhood holds v's facility.  At level r those are the y areas
         # of the facility's level-r chain entry e (the far relation is
         # symmetric), so v's list is e's y areas of a higher color than v,
-        # then the y areas of every node on e's root path above e.
-        path_y: list[list[int]] = [[]] * len(nodes)
-        for node in reversed(nodes):  # parents first
-            up = [] if node.parent is None else path_y[node.parent]
-            path_y[node.idx] = node.y_areas + up
+        # then the y lists of e's ancestors, joined into one exact-size list.
         for node in nodes:
             e = nodes[self.facility_chain_at(node.facility, node.r)]
-            up = [] if e.parent is None else path_y[e.parent]
+            up, p = [], e.parent
+            while p is not None:
+                up += nodes[p].y_areas
+                p = nodes[p].parent
             node.neighbors_above = [u for u in e.y_areas if nodes[u].color > node.color] + up
         # Each bottom area's affected triplets, the x areas along its root
         # path: a tuple of a list, as tuple() of a generator fragments the heap.

@@ -14,7 +14,9 @@ metric.
 
 The L2 diameter is the square root of the largest of those sums over all
 pairs, from one blocked pass over each unordered pair, so it is the farthest
-pair's ``distance``; the L-infinity one is the largest coordinate range.
+pair's ``distance`` unless that sum is below _L2_TINY; then it is the largest
+``distance``, from a scalar pass.  The L-infinity one is the largest
+coordinate range.
 """
 
 from __future__ import annotations
@@ -368,7 +370,8 @@ class Instance:
             elif self.kind == "euclidean-L2":
                 # The largest sum of squares is the farthest pair's sum in
                 # ``distance``.  When a square overflows, the pass is redone
-                # on coordinates scaled by an exact power of two.
+                # on coordinates scaled by an exact power of two.  Below
+                # _L2_TINY every distance is ``math.dist``'s, not the sum's.
                 for scale in (1.0, _L2_SCALE):
                     with np.errstate(over="ignore"):
                         best = max(float(a.max()) for _, a in
@@ -376,6 +379,9 @@ class Instance:
                     if best < math.inf:
                         break
                 diameter = math.sqrt(best) / scale
+                if best < _L2_TINY:
+                    diameter = max((self.distance(p, q) for p in range(self.n_points)
+                                    for q in range(p)), default=0.0)
             else:
                 # Float subtraction is monotone in each operand, so the
                 # largest |p_k - q_k| over all pairs is fl(max_k - min_k).

@@ -39,7 +39,9 @@ def _row_scan(arr: np.ndarray, squared: bool) -> float:
 
 def reference_diameter(points, kind) -> float:
     """The diameter by the row scan, with the 2**-600 rescale when the
-    squared L2 scan overflows; inf when the diameter itself overflows."""
+    squared L2 scan overflows; inf when the diameter itself overflows.
+    When every squared L2 sum is below 2**-960, each distance is
+    ``math.dist``'s, and the diameter is the largest of them."""
     arr = np.asarray(points, dtype=float)
     if kind == "euclidean-Linf":
         return _row_scan(arr, squared=False)
@@ -47,6 +49,8 @@ def reference_diameter(points, kind) -> float:
     if math.isinf(best):
         scale = 2.0 ** -600
         return math.sqrt(_row_scan(arr * scale, squared=True)) / scale
+    if best < 2.0 ** -960:
+        return max(math.dist(p, q) for p in points for q in points)
     return math.sqrt(best)
 
 
@@ -139,10 +143,19 @@ _bounded_coordinate = st.tuples(_magnitude, st.booleans()).map(
     lambda t: -t[0] if t[1] else t[0])
 
 
+# Coordinates of magnitude at most 2**-500: every squared difference
+# underflows below 2**-960, so every L2 distance is ``math.dist``'s.
+_tiny_coordinate = st.floats(-2.0 ** -500, 2.0 ** -500)
+
+
+def _point_sets(coordinate):
+    return st.integers(1, 16).flatmap(
+        lambda d: st.lists(st.lists(coordinate, min_size=d, max_size=d),
+                           min_size=1, max_size=25))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 16).flatmap(
-    lambda d: st.lists(st.lists(_bounded_coordinate, min_size=d, max_size=d),
-                       min_size=1, max_size=25)),
+@given(_point_sets(_bounded_coordinate) | _point_sets(_tiny_coordinate),
        st.sampled_from(("euclidean-L2", "euclidean-Linf", "explicit-matrix")))
 def test_diameter_is_the_largest_distance(points, kind):
     ids = range(len(points))

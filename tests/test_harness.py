@@ -451,6 +451,21 @@ def test_cli_bench_opt_dump(data_dir, capsys):
     assert out.splitlines()[0] == "r=3 s=0 j=0 parent=- f*=10 j*=0"
 
 
+def test_cli_accepts_points_whose_squared_distance_underflows(tmp_path, capsys):
+    # The squared distance 1e-600 underflows to 0, but the distance is
+    # 1e-300: the diameter, and with it the top level, must cover it.
+    inst = tmp_path / "tiny.json"
+    inst.write_text(json.dumps({
+        "metric": {"kind": "euclidean-L2", "points": [[0.0], [1e-300]]},
+        "facilities": [{"point": p, "cost": 5e-324} for p in (0, 1)]}))
+    trace = tmp_path / "tiny.trace"
+    trace.write_text("+ c1 1\n? cost\n")
+    for command in ("run", "verify", "opt", "bench", "dump-tree"):
+        argv = [command, str(inst)] + ([] if command == "dump-tree" else [str(trace)])
+        assert main(argv) == 0, command   # an uncaught error would raise here
+        assert capsys.readouterr().err == "", command
+
+
 @pytest.mark.parametrize("points, costs, cost", [
     ([[0, 0], [3, 4]], [5e-324, 7], "0.2"),
     ([[0, 0], [1e300, 0]], [1e-300, 1e300], "2.88530581806e+298"),

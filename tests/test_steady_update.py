@@ -205,6 +205,36 @@ def test_scale_window_shifts_exactly_at_powers_of_five(name, monkeypatch):
     assert rebuilds >= 2
 
 
+@pytest.mark.parametrize("name", ["line", "L2", "Linf"])
+def test_level_shifts_never_call_the_public_update_cost(name, monkeypatch):
+    # A rebuild that went through update_cost would count as an update in
+    # traced benchmark runs and run a subclass's update path inside it.
+    instance = shift_instances()[name]
+    calls = {"update_cost": 0}
+    real_update_cost = Engine.update_cost
+
+    def counting_update_cost(self, chain, flipped, delta):
+        calls["update_cost"] += 1
+        real_update_cost(self, chain, flipped, delta)
+
+    monkeypatch.setattr(Engine, "update_cost", counting_update_cost)
+    # The first power of five whose crossing changes the hierarchy.
+    boundary = next(b for b in (5, 25, 125) if derive_parameters(instance, b)
+                    != derive_parameters(instance, b // 5))
+    rng = random.Random(name)
+    eng = Engine(instance, {f"p{i}": rng.randrange(instance.n_points)
+                            for i in range(boundary - 1)})
+    assert calls["update_cost"] == 0
+    eng.insert_client("up", rng.randrange(instance.n_points))
+    assert eng.last_update.rebuilt and calls["update_cost"] == 1
+    eng._rebuild(eng.hierarchy.params)
+    assert calls["update_cost"] == 1
+    eng.delete_client("up")
+    assert eng.last_update.rebuilt and calls["update_cost"] == 2
+    eng._rebuild(eng.hierarchy.params)
+    assert calls["update_cost"] == 2
+
+
 def test_poisoned_engine_refuses_updates_inside_the_window(line5, monkeypatch):
     eng = Engine(line5, {f"c{i}": i for i in range(4)})
 

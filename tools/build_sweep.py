@@ -8,21 +8,25 @@ uniformly from [0, 1000]^2 under L2, integer opening costs in [1, 500], and
 the hierarchy of the client-count scale n = 5**6.  It prints one line per F:
 the facility table's seconds, the rest of the build's seconds, the node and
 level counts, the scalar ``Instance.distance`` calls of table and build, the
-process's peak RSS after the build, and ``rebuild_s``, the best of 5
+process's peak RSS after the build, ``rebuild_s``, the best of 5
 ``Engine._rebuild`` calls over the built hierarchy with the 2,000 client
-points live (one client each).  Run from the root of a source checkout: the
+points live (one client each), and the memory of one more build traced by
+``tracemalloc``: ``traced_peak_mb``, its peak, and ``traced_retained_mb``,
+what the built hierarchy keeps.  Run from the root of a source checkout: the
 package is imported from its ``src`` directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import random
 import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -69,9 +73,18 @@ def measure(n_facilities: int) -> str:
         start = time.perf_counter()
         engine._rebuild(params)
         rebuild_s = min(rebuild_s, time.perf_counter() - start)
+    # The table is cached by now, so the traced build holds the hierarchy
+    # only; a full collection first empties the interpreter's free lists,
+    # whose reuse would otherwise hide allocations from the trace.
+    gc.collect()
+    tracemalloc.start()
+    traced = Hierarchy(instance, params)  # alive while its memory is read
+    retained, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
     return (f"F={n_facilities} table_s={table_s:.3f} build_s={build_s:.3f} "
             f"nodes={len(hierarchy.nodes)} levels={params.delta} "
-            f"distance_calls={calls} peak_rss_mb={peak_mb:.0f} rebuild_s={rebuild_s:.4f}")
+            f"distance_calls={calls} peak_rss_mb={peak_mb:.0f} rebuild_s={rebuild_s:.4f} "
+            f"traced_peak_mb={peak / 2**20:.1f} traced_retained_mb={retained / 2**20:.1f}")
 
 
 def main(argv=None) -> int:
