@@ -34,12 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hierarchy import Hierarchy
 from .instance import Instance, Params, derive_parameters, \
     largest_power_of_five_at_most
-
-# Hierarchies cached per engine: two cover a count oscillating across a power of 5.
-HIERARCHY_CACHE_SIZE = 2
 
 
 @dataclass(slots=True)
@@ -137,7 +133,6 @@ class Engine:
                                for cid, point in dict(clients).items()}
         self._set_scale(largest_power_of_five_at_most(len(self.registry)))
         self.last_update = UpdateStats()
-        self._hierarchies: dict[Params, Hierarchy] = {}
         self._rebuild(derive_parameters(instance, self.n))
 
     @classmethod
@@ -424,12 +419,9 @@ class Engine:
             self.last_update.rebuilt = True
 
     def _rebuild(self, params: Params) -> None:
-        """Switch to the hierarchy of ``params`` and build every annotation
-        from scratch for the current live client set.
-
-        The last HIERARCHY_CACHE_SIZE hierarchies are kept by their
-        ``params``; a hierarchy depends on nothing else, so a cached one
-        equals a fresh build.  The least recently used one is evicted.
+        """Switch to the instance's hierarchy of ``params`` (built on its
+        first use, then shared by every engine over the instance) and build
+        every annotation from scratch for the current live client set.
 
         Client counts are numpy passes over the hierarchy's static arrays;
         slack, open bits and costs are Python ints (thresholds and unit
@@ -437,13 +429,7 @@ class Engine:
         The costs come from ``_settle_flips``, not the public
         ``update_cost``, so a rebuild is never counted as an update.
         """
-        cache = self._hierarchies
-        hierarchy = cache.pop(params, None)
-        if hierarchy is None:
-            hierarchy = Hierarchy(self.instance, params)
-            if len(cache) >= HIERARCHY_CACHE_SIZE:
-                del cache[next(iter(cache))]
-        self.hierarchy = cache[params] = hierarchy
+        self.hierarchy = hierarchy = self.instance.hierarchy(params)
         rho_min = params.rho_min
         # cost_query divides integers, which rounds correctly and stays
         # finite whenever the cost is: a float 5.0**rho_min underflows to 0

@@ -23,7 +23,7 @@ import time
 from dataclasses import fields
 from typing import NamedTuple
 
-from .engine import HIERARCHY_CACHE_SIZE, Engine, UpdateStats
+from .engine import Engine, UpdateStats
 from .hierarchy import PAYMENT_BOUND_FACTOR
 from .instance import Instance, InstanceError, NetflocError, echo
 from .oracle import OracleView, StateSnapshot, compare_states, \
@@ -126,8 +126,7 @@ def verify_trace(instance: Instance, trace, corruption=None) -> tuple[int, list[
     hook called as corruption(engine, event_index) after each event.
     """
     engine = Engine(instance)
-    # One OracleView per hierarchy the engine still caches, evicted in the
-    # engine's least-recently-used order so the two sets stay equal.
+    # One OracleView per hierarchy visited; the instance keeps one per scale.
     views = {}
     outputs: list[str] = []
     for index, event in enumerate(trace):
@@ -139,12 +138,9 @@ def verify_trace(instance: Instance, trace, corruption=None) -> tuple[int, list[
             corruption(engine, index)
         if event.kind not in ("insert", "delete"):
             continue
-        view = views.pop(engine.hierarchy, None)
+        view = views.get(engine.hierarchy)
         if view is None:
-            view = OracleView(instance, engine.hierarchy)
-            if len(views) >= HIERARCHY_CACHE_SIZE:
-                del views[next(iter(views))]
-        views[engine.hierarchy] = view
+            view = views[engine.hierarchy] = OracleView(instance, engine.hierarchy)
         expected = view.recompute_state(engine.registry)
         # Compared and dropped before the next event, so no copy is taken.
         try:

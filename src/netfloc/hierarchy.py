@@ -21,8 +21,8 @@ node's root path is one tuple, shared by the chains of all points in its
 area.
 
 Everything here is immutable once built, the numpy arrays the engine counts
-clients over too.  The engine keeps the hierarchies of its last few scales
-and reuses one when its ``Params`` come back.
+clients over too.  ``Instance.hierarchy`` builds each ``Params``' hierarchy
+once and keeps it for the instance's lifetime.
 """
 
 from __future__ import annotations

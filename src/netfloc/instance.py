@@ -14,9 +14,12 @@ metric.
 
 The L2 diameter is the square root of the largest of those sums over all
 pairs, from one blocked pass over each unordered pair, so it is the farthest
-pair's ``distance`` unless that sum is below _L2_TINY; then it is the largest
-``distance``, from a scalar pass.  The L-infinity one is the largest
-coordinate range.
+pair's ``distance`` when that sum is finite and at least _L2_TINY.  When a
+square overflows, the pass runs on coordinates scaled by 2**-600, and the
+diameter may differ from the largest ``distance``, ``math.dist``'s there, by
+rounding (a relative (d + 4) * 2**-53 at most in d dimensions); below
+_L2_TINY it is the largest ``distance``, from a scalar pass.  The L-infinity
+one is the largest coordinate range.
 """
 
 from __future__ import annotations
@@ -147,8 +150,8 @@ class Facility:
 class Params:
     """The hierarchy's logradius range, derived from an instance and a
     client-count scale n: its levels run from ``rho_min`` to ``rho_max``.
-    A hierarchy depends on nothing else, so the engine keys its cached
-    hierarchies by this value."""
+    A hierarchy depends on nothing else, so ``Instance.hierarchy`` keys its
+    memo by this value."""
 
     rho_min: int
     rho_max: int
@@ -198,8 +201,9 @@ class Instance:
 
     ``kind`` selects the metric: an explicit symmetric distance matrix, or
     Euclidean coordinates under the L2 or L-infinity norm.  All facility
-    opening costs must be positive.  Immutable after load; safe to share
-    read-only across threads.
+    opening costs must be positive.  Its data is fixed at load and its
+    caches fill on first use; concurrent first uses may build twice, with
+    equal results.
     """
 
     def __init__(self, kind, points=None, matrix=None, facilities=(), kappa=None):
@@ -249,6 +253,7 @@ class Instance:
             raise InstanceError("instance needs at least one facility")
         self._diameter = None
         self._facility_distances = None
+        self._hierarchies = {}
 
     def point_index(self, point) -> int:
         """``point`` as an index into the point universe; an input error
@@ -362,15 +367,17 @@ class Instance:
 
     @property
     def diameter(self) -> float:
-        """Maximum pairwise distance over the declared point universe; an
-        input error when it overflows to infinity."""
+        """The largest pairwise distance over the declared point universe,
+        up to rounding when an L2 square overflows (see the module
+        docstring); an input error when it overflows to infinity."""
         if self._diameter is None:
             if self._matrix is not None:
                 diameter = max(max(row) for row in self._matrix)
             elif self.kind == "euclidean-L2":
                 # The largest sum of squares is the farthest pair's sum in
                 # ``distance``.  When a square overflows, the pass is redone
-                # on coordinates scaled by an exact power of two.  Below
+                # on coordinates scaled by an exact power of two, and its
+                # root may differ from ``math.dist``'s by rounding.  Below
                 # _L2_TINY every distance is ``math.dist``'s, not the sum's.
                 for scale in (1.0, _L2_SCALE):
                     with np.errstate(over="ignore"):
@@ -422,6 +429,16 @@ class Instance:
             table.flags.writeable = False
             self._facility_distances = table
         return self._facility_distances
+
+    def hierarchy(self, params: Params):
+        """The net hierarchy of ``params``, built on first use and kept for
+        the instance's lifetime: it depends on nothing else, so every engine
+        over the instance shares it."""
+        hierarchy = self._hierarchies.get(params)
+        if hierarchy is None:
+            from .hierarchy import Hierarchy  # hierarchy.py imports this module
+            hierarchy = self._hierarchies[params] = Hierarchy(self, params)
+        return hierarchy
 
     def _scalar_distances(self, ps: np.ndarray, qs: np.ndarray) -> list[float]:
         """``distance`` of each pair of points in ``ps``, ``qs``, or 0 where

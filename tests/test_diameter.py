@@ -1,7 +1,8 @@
 """Instance.diameter against a pairwise row scan kept here as the reference,
 which sums each pair's squared differences one dimension at a time, as
-Instance.distance does: every value must be equal bit for bit.  A property
-test pins the definition itself: the diameter is the largest distance."""
+Instance.distance does: every value must be equal bit for bit.  Property
+tests pin the definition itself: the diameter is the largest distance, and
+within a few rounding errors of it when a square overflows."""
 
 import json
 import math
@@ -166,3 +167,32 @@ def test_diameter_is_the_largest_distance(points, kind):
     else:
         inst = Instance(kind, points=points, facilities=[(0, 1)])
     assert inst.diameter == max(inst.distance(p, q) for p in ids for q in ids)
+
+
+# Coordinates of magnitude in [1e154, 1e307]: two of opposite signs differ by
+# more than 1.34e154, whose square overflows, so the L2 diameter is the
+# 2**-600-rescaled root while each such pair's ``distance`` is ``math.dist``;
+# 16 differences of at most 2e307 keep the diameter itself finite.
+_huge_coordinate = st.tuples(st.floats(1e154, 1e307), st.booleans()).map(
+    lambda t: -t[0] if t[1] else t[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_sets(_huge_coordinate))
+def test_overflowing_diameter_is_within_rounding_of_the_largest_distance(points):
+    # With u = 2**-53, a sum of d squares carries a relative error of at most
+    # d*u (one rounding per square and per addition, to first order; the
+    # 2**-600 rescale is exact, and squares that underflow lose at most
+    # 2**-1074 each against a largest sum above 1e-54), and its root halves
+    # that and adds u: the diameter is within (d/2 + 1)*u of the exact
+    # largest distance.  Each ``distance`` is that root or ``math.dist``'s,
+    # within 2u, so the largest is within (d/2 + 2)*u of it too, and the two
+    # differ by at most (d + 3)*u relatively; (d + 4)*u covers the second
+    # order terms.  Such a gap changes no decision: rho_max is a ceiling of
+    # the diameter, and the C1/C2 build checks have at least 20x slack over
+    # the distances they compare.
+    inst = Instance("euclidean-L2", points=points, facilities=[(0, 1)])
+    ids = range(len(points))
+    largest = max(inst.distance(p, q) for p in ids for q in ids)
+    d = len(points[0])
+    assert abs(inst.diameter - largest) <= (d + 4) * 2.0 ** -53 * largest

@@ -12,7 +12,6 @@ from netfloc import (ASSIGN_RADIUS_FACTOR, DirtyHeap, Engine, Hierarchy, Instanc
                      InstanceError,
                      NodeAnnotation, OracleView,
                      compare_states, engine_snapshot, radius)
-from netfloc.engine import HIERARCHY_CACHE_SIZE
 
 
 def node_id(engine, j, r):
@@ -311,7 +310,7 @@ def test_hierarchy_cache_across_power_of_five(monkeypatch):
     rng = random.Random(61)
     inst = random_instance(rng, n_facilities=3, n_pool_points=30)
     eng = Engine(inst)
-    engine_builds = 0
+    engine_builds = len(builds)
     scales = {(eng.hierarchy.params.rho_min, eng.hierarchy.params.rho_max)}
     below = above = None
     serial = 0
@@ -342,8 +341,8 @@ def test_hierarchy_cache_across_power_of_five(monkeypatch):
         live = list(eng.registry.items())
         mutate(eng.delete_client, live[rng.randrange(len(live))][0])
     assert eng.hierarchy is below
-    assert len(eng._hierarchies) <= HIERARCHY_CACHE_SIZE
-    assert engine_builds <= len(scales)
+    # The engine built each scale once, and from_clients built none.
+    assert engine_builds == len(builds) == len(scales)
 
 
 def test_realized_cost(line5):

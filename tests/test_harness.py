@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from netfloc import (Engine, Instance, InstanceError, OracleView, TraceError, TraceEvent,
-                     bench_trace, opt_command, parse_trace, parse_trace_text,
-                     run_trace, verify_trace)
-from netfloc.engine import HIERARCHY_CACHE_SIZE
+from netfloc import (Engine, Hierarchy, Instance, InstanceError, OracleView, TraceError,
+                     TraceEvent, bench_trace, derive_parameters,
+                     largest_power_of_five_at_most, opt_command, parse_trace,
+                     parse_trace_text, run_trace, verify_trace)
 from netfloc.harness import main
 
 from helpers import benchmark_inputs, default_seed, random_instance, random_trace
@@ -330,15 +330,57 @@ def test_verify_trace_builds_one_view_per_hierarchy(monkeypatch, line5):
         trace.append(TraceEvent("delete", f"c{i}"))
     assert _view_counts(monkeypatch, inst, trace) == (2, 2, 2)
 
-    # Three climbs from 0 to 130 clients and back visit four scales each, so
-    # the engine evicts and rebuilds hierarchies; the views follow it.
+    # Three climbs from 0 to 130 clients and back revisit the same scales;
+    # each is built once, so one view per scale serves all three.
     trace = []
     for start in range(0, 390, 130):
         cids = [f"c{start + i}" for i in range(130)]
         trace += [TraceEvent("insert", cid, i % 5) for i, cid in enumerate(cids)]
         trace += [TraceEvent("delete", cid) for cid in cids]
-    built, distinct, peak = _view_counts(monkeypatch, line5, trace)
-    assert built == distinct and peak <= HIERARCHY_CACHE_SIZE
+    visited = {derive_parameters(line5, largest_power_of_five_at_most(k)) for k in range(131)}
+    built, distinct, _ = _view_counts(monkeypatch, line5, trace)
+    assert built == distinct == len(visited)
+
+
+def test_every_driver_shares_the_instance_hierarchies(monkeypatch):
+    # Three facilities and a trace from 0 to 25 clients: the divisor of
+    # rho_min goes 3 -> 5 -> 25, and the bottom level moves at 25.  Engines,
+    # replays, verification, repeated benchmarks and the exact optimum all
+    # read the instance's hierarchies, and each scale is built exactly once.
+    builds = []
+    real_init = Hierarchy.__init__
+
+    def counting_init(self, instance, params):
+        builds.append(params)
+        real_init(self, instance, params)
+
+    monkeypatch.setattr(Hierarchy, "__init__", counting_init)
+    rng = random.Random(61)
+    inst = random_instance(rng, n_facilities=3, n_pool_points=30)
+    trace = [TraceEvent("insert", f"c{i}", rng.randrange(inst.n_points)) for i in range(24)]
+    for i in range(24, 27):
+        trace += [TraceEvent("insert", f"c{i}", rng.randrange(inst.n_points)),
+                  TraceEvent("cost"), TraceEvent("delete", f"c{i}")]
+    Engine(inst)
+    Engine.from_clients(inst, {e.cid: e.point for e in trace[:24]})
+    outputs = run_trace(inst, trace)
+    assert verify_trace(inst, trace) == (0, outputs)
+    bench_trace(inst, trace, repetitions=3)
+    opt_command(inst, trace)
+    visited = {derive_parameters(inst, largest_power_of_five_at_most(k)) for k in range(26)}
+    assert len(visited) == 2
+    assert Counter(builds) == dict.fromkeys(visited, 1)
+
+    # Two engines given the same mutations share every hierarchy.
+    a, b = Engine(inst), Engine(inst)
+    for event in trace:
+        for eng in (a, b):
+            if event.kind == "insert":
+                eng.insert_client(event.cid, event.point)
+            elif event.kind == "delete":
+                eng.delete_client(event.cid)
+        assert a.hierarchy is b.hierarchy and a.state_hash() == b.state_hash()
+    assert len(builds) == 2
 
 
 def test_bench_csv_shape(line5, data_dir):

@@ -67,11 +67,12 @@ def test_compare_states_rejects_different_hierarchies(line5, line5_cheap_f1):
         compare_states(a, b)
 
 
-def test_compare_states_rejects_equal_but_separate_hierarchies(line5):
-    # Two builds of one instance have equal contents, but a snapshot names
-    # the hierarchy object it was taken over.
-    a = engine_snapshot(Engine(line5))
-    b = engine_snapshot(Engine(line5))
+def test_compare_states_rejects_equal_but_separate_hierarchies(data_dir):
+    # Two loads of one instance build hierarchies of equal contents, but a
+    # snapshot names the hierarchy object it was taken over.
+    a = engine_snapshot(Engine(Instance.load(data_dir / "line5.json")))
+    b = engine_snapshot(Engine(Instance.load(data_dir / "line5.json")))
+    assert a.hierarchy is not b.hierarchy
     with pytest.raises(HierarchyMismatch):
         compare_states(a, b)
 

@@ -6,11 +6,13 @@ For each facility count F, a fresh process builds one seeded instance: F
 facility points and 2,000 client points with float coordinates drawn
 uniformly from [0, 1000]^2 under L2, integer opening costs in [1, 500], and
 the hierarchy of the client-count scale n = 5**6.  It prints one line per F:
-the facility table's seconds, the rest of the build's seconds, the node and
-level counts, the scalar ``Instance.distance`` calls of table and build, the
-process's peak RSS after the build, ``rebuild_s``, the best of 5
-``Engine._rebuild`` calls over the built hierarchy with the 2,000 client
-points live (one client each), and the memory of one more build traced by
+the facility table's seconds, the rest of the build's seconds (the first
+``Instance.hierarchy`` call, which builds the hierarchy and keeps it), the
+node and level counts, ``located_pairs``, the (point, node) pairs the build
+hands to ``Instance.pair_distances``, the process's peak RSS after the build,
+``rebuild_s``, the best of 5 ``Engine._rebuild`` calls of an engine with n
+live clients spread over the 2,000 client points (each rebuild finds the
+hierarchy built), and the memory of one more build traced by
 ``tracemalloc``: ``traced_peak_mb``, its peak, and ``traced_retained_mb``,
 what the built hierarchy keeps.  Run from the root of a source checkout: the
 package is imported from its ``src`` directory.
@@ -46,28 +48,27 @@ def measure(n_facilities: int) -> str:
     instance = Instance("euclidean-L2", points=points,
                         facilities=[(i, rng.randint(1, 500)) for i in range(n_facilities)])
     params = derive_parameters(instance, SCALE)
-    calls = 0
-    scalar = instance.distance
+    pairs = 0
+    bulk = instance.pair_distances
 
-    def counting(p, q):
-        nonlocal calls
-        calls += 1
-        return scalar(p, q)
+    def counting(ps, qs):
+        nonlocal pairs
+        pairs += len(ps)
+        return bulk(ps, qs)
 
-    instance.distance = counting
+    instance.pair_distances = counting
     start = time.perf_counter()
     instance.facility_distances
     table_s = time.perf_counter() - start
     start = time.perf_counter()
-    hierarchy = Hierarchy(instance, params)
+    hierarchy = instance.hierarchy(params)
     build_s = time.perf_counter() - start
+    located = pairs
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    # An engine around the built hierarchy, made without the constructor,
-    # which would build the hierarchy of its own client count's scale.
-    engine = Engine.__new__(Engine)
-    engine.instance = instance
-    engine.registry = {i: n_facilities + i for i in range(CLIENT_POINTS)}
-    engine._hierarchies = {params: hierarchy}
+    # SCALE live clients, spread over the client points, keep the engine at
+    # the built hierarchy's scale, so its rebuilds find that hierarchy.
+    engine = Engine(instance, {i: n_facilities + i % CLIENT_POINTS for i in range(SCALE)})
+    assert engine.hierarchy is hierarchy
     rebuild_s = math.inf
     for _ in range(5):
         start = time.perf_counter()
@@ -83,7 +84,7 @@ def measure(n_facilities: int) -> str:
     tracemalloc.stop()
     return (f"F={n_facilities} table_s={table_s:.3f} build_s={build_s:.3f} "
             f"nodes={len(hierarchy.nodes)} levels={params.delta} "
-            f"distance_calls={calls} peak_rss_mb={peak_mb:.0f} rebuild_s={rebuild_s:.4f} "
+            f"located_pairs={located} peak_rss_mb={peak_mb:.0f} rebuild_s={rebuild_s:.4f} "
             f"traced_peak_mb={peak / 2**20:.1f} traced_retained_mb={retained / 2**20:.1f}")
 
 
