@@ -15,9 +15,12 @@ flip, corrects the flipped nodes' root paths with a second pass of the same
 loop; and the scale is re-derived only when the live count leaves the window
 [n, 5n) of its current power of five.
 
-A level shift rebuilds the annotations from counts: a ``bincount`` of the
-live points' bottom areas, added up level by level, and a ``reduceat`` over
-the flat x lists give n_area and n_x; one Python pass resolves the open bits
+A level shift rebuilds the annotations from counts, in place: the engine
+keeps one annotation list per ``Params`` it has visited, allocated on the
+first visit, and each rebuild refills the new scale's list.  A ``bincount``
+of the live points' bottom areas, added up level by level, and a
+``reduceat`` over the flat x lists give n_area and n_x; the refill writes
+those and zeroes every other field; one Python pass resolves the open bits
 in key order, and the steady path's flip settle, with every enabled node a
 flip, sets the costs along the root paths of the enabled nodes.
 """
@@ -29,7 +32,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -133,6 +135,8 @@ class Engine:
                                for cid, point in dict(clients).items()}
         self._set_scale(largest_power_of_five_at_most(len(self.registry)))
         self.last_update = UpdateStats()
+        # One annotation list per Params visited, refilled by each rebuild.
+        self._annotations: dict[Params, list[NodeAnnotation]] = {}
         self._rebuild(derive_parameters(instance, self.n))
 
     @classmethod
@@ -420,8 +424,9 @@ class Engine:
 
     def _rebuild(self, params: Params) -> None:
         """Switch to the instance's hierarchy of ``params`` (built on its
-        first use, then shared by every engine over the instance) and build
-        every annotation from scratch for the current live client set.
+        first use, then shared by every engine over the instance) and refill
+        this engine's annotation list of ``params``, allocated on its first
+        visit, for the current live client set: every field is overwritten.
 
         Client counts are numpy passes over the hierarchy's static arrays;
         slack, open bits and costs are Python ints (thresholds and unit
@@ -447,9 +452,15 @@ class Engine:
             np.add.at(counts, hierarchy.parent_ids[level], counts[level])
         # Near counts: each x list holds its own node, so no segment is empty.
         near = np.add.reduceat(counts[hierarchy.x_flat], hierarchy.x_starts)
-        slack = [n_x - node.abundance_threshold for n_x, node in zip(near.tolist(), nodes)]
-        self.annotations = anns = list(map(NodeAnnotation, repeat(False), repeat(False),
-                                           counts.tolist(), slack))
+        anns = self._annotations.get(params)
+        if anns is None:
+            anns = self._annotations[params] = [NodeAnnotation() for _ in nodes]
+        self.annotations = anns
+        for a, n_area, n_x, node in zip(anns, counts.tolist(), near.tolist(), nodes):
+            a.is_open = a.is_enabled = False
+            a.n_area = n_area
+            a.slack = n_x - node.abundance_threshold
+            a.open_below = a.n_enabled_below = a.cost = a.y = 0
 
         # Resolve open bits in ascending (logradius, color, facility) order;
         # the openness of a triplet depends only on lexicographically smaller

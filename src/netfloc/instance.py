@@ -253,6 +253,7 @@ class Instance:
             raise InstanceError("instance needs at least one facility")
         self._diameter = None
         self._facility_distances = None
+        self._params = {}
         self._hierarchies = {}
 
     def point_index(self, point) -> int:
@@ -478,13 +479,17 @@ class Instance:
 
 
 def derive_parameters(instance: Instance, n: int) -> Params:
-    """The hierarchy's logradius range for a client-count scale n."""
-    n = max(int(n), 0)
-    costs = [f.opening_cost for f in instance.facilities]
-    f_max, f_min = max(costs), min(costs)
-    divisor = max(len(instance.facilities), n)
-    rho_min = cround(Fraction(f_min) / divisor)
-    # f_min / divisor <= f_max <= max(diameter, f_max) and cround is
-    # monotone, so rho_min <= rho_max.
-    rho_max = cround(max(instance.diameter, f_max))
-    return Params(rho_min, rho_max)
+    """The hierarchy's logradius range for a client-count scale n.  It
+    depends on n only through the divisor max(F, n), so the instance keeps
+    one ``Params`` per divisor, derived on first use."""
+    divisor = max(len(instance.facilities), int(n))
+    params = instance._params.get(divisor)
+    if params is None:
+        costs = [f.opening_cost for f in instance.facilities]
+        f_max, f_min = max(costs), min(costs)
+        rho_min = cround(Fraction(f_min) / divisor)
+        # f_min / divisor <= f_max <= max(diameter, f_max) and cround is
+        # monotone, so rho_min <= rho_max.
+        rho_max = cround(max(instance.diameter, f_max))
+        params = instance._params[divisor] = Params(rho_min, rho_max)
+    return params

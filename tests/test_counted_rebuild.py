@@ -14,6 +14,7 @@ agree with its node lists.
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +94,52 @@ def test_clients_stacked_on_one_point():
     engine = Engine.from_clients(instance, {f"c{i}": 11 for i in range(50)})
     assert_counted_rebuild(engine)
     assert engine.annotations[engine.hierarchy.root].n_area == 50
+
+
+def flap_case():
+    instance, prefill, _ = helpers.benchmark_case("flap-625")
+    return instance, prefill, 625
+
+
+def line5_case():
+    instance = Instance.load(Path(__file__).parent / "data" / "line5.json")
+    return instance, {f"p{i}": 0 for i in range(24)}, 25
+
+
+@pytest.mark.parametrize("case", [flap_case, line5_case])
+def test_refilled_rebuild_after_a_return_with_another_live_set(case):
+    """b - 1 -> b -> b - 1 -> b across a power of five b, deleting other
+    clients than the one inserted, then every first client replaced by one
+    on the last point on the way back to b: each return to a scale refills
+    the list it left there, holding the annotations of another live set,
+    and must match the reference.  The replacement moves the open set, so a
+    refill that keeps a stale open bit fails too."""
+    rng = random.Random(f"rebuild-return-{case.__name__}-{default_seed()}")
+    instance, prefill, b = case()
+    engine = Engine.from_clients(instance, prefill)
+    assert engine.n == b // 5 and len(prefill) == b - 1
+    lists = {engine.n: engine.annotations}
+    old = sorted(prefill)
+    rng.shuffle(old)
+
+    def check(where):
+        assert engine.last_update.rebuilt, where
+        assert lists.setdefault(engine.n, engine.annotations) is engine.annotations, where
+        assert_counted_rebuild(engine)
+        return set(engine.open_nodes)
+
+    engine.insert_client("up", rng.randrange(instance.n_points))
+    first_open = check("up to b")
+    engine.delete_client(old.pop())
+    check("down to b - 1")
+    engine.insert_client("up2", rng.randrange(instance.n_points))
+    check("up to b again")
+    while old:
+        engine.delete_client(old.pop())
+    for i in range(b - len(engine.registry)):
+        engine.insert_client(f"new{i}", instance.n_points - 1)
+    assert check("up to b with the first clients replaced") != first_open
+    assert engine.n == b and len(lists) == 2
 
 
 def test_fields_stay_plain_ints_and_bools():

@@ -249,3 +249,71 @@ def test_poisoned_engine_refuses_updates_inside_the_window(line5, monkeypatch):
                    lambda: eng.insert_client("c9", 2)):
         with pytest.raises(RuntimeError, match="unusable after a failed update"):
             update()
+
+
+# -- annotation lists per scale ------------------------------------------------
+
+@pytest.mark.parametrize("name", ["line", "L2", "Linf"])
+def test_level_shift_returns_refill_the_visited_list(name, monkeypatch):
+    """A level shift allocates annotations on the first visit to a scale only;
+    a return refills the list the engine used there, and the state still
+    matches a from-scratch construction after every mutation."""
+    instance = shift_instances()[name]
+    built = {"annotations": 0}
+    real = engine_mod.NodeAnnotation
+
+    def counting(*args):
+        built["annotations"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(engine_mod, "NodeAnnotation", counting)
+    eng = Engine(instance)
+    lists = {eng.hierarchy.params: eng.annotations}
+    rng = random.Random(f"refill-{name}")
+    serial = 0
+    returns = 0
+    for step, move in enumerate(count_walk()):
+        built["annotations"] = 0
+        if move > 0:
+            serial += 1
+            eng.insert_client(f"c{serial}", rng.randrange(instance.n_points))
+        else:
+            eng.delete_client(rng.choice(sorted(eng.registry)))
+        where = f"step {step}: count {len(eng.registry)}"
+        params = eng.hierarchy.params
+        if not eng.last_update.rebuilt:
+            assert built["annotations"] == 0, where
+        elif params in lists:
+            returns += 1
+            assert built["annotations"] == 0, where
+        else:
+            assert built["annotations"] == len(eng.hierarchy.nodes), where
+        assert lists.setdefault(params, eng.annotations) is eng.annotations, where
+        assert eng.state_hash() == Engine.from_clients(instance, eng.registry).state_hash(), where
+    assert returns >= 2
+
+
+@pytest.mark.parametrize("name", ["line", "L2", "Linf"])
+def test_engines_over_one_instance_share_no_annotation(name):
+    """Two engines over one instance share its hierarchies but keep their own
+    annotation lists: interleaved mutations across the scale boundaries leave
+    each engine equal to a from-scratch construction."""
+    instance = shift_instances()[name]
+    engines = (Engine(instance), Engine(instance))
+    rng = random.Random(f"two-engines-{name}")
+    serial = 0
+    rebuilds = 0
+    for step, move in enumerate(count_walk()):
+        for eng in engines:
+            if move > 0:
+                serial += 1
+                eng.insert_client(f"c{serial}", rng.randrange(instance.n_points))
+            else:
+                eng.delete_client(rng.choice(sorted(eng.registry)))
+            rebuilds += eng.last_update.rebuilt
+            assert eng.state_hash() == \
+                Engine.from_clients(instance, eng.registry).state_hash(), step
+        owned = [{id(a) for anns in eng._annotations.values() for a in anns}
+                 for eng in engines]
+        assert owned[0].isdisjoint(owned[1]), step
+    assert rebuilds >= 4

@@ -12,7 +12,8 @@ node and level counts, ``located_pairs``, the (point, node) pairs the build
 hands to ``Instance.pair_distances``, the process's peak RSS after the build,
 ``rebuild_s``, the best of 5 ``Engine._rebuild`` calls of an engine with n
 live clients spread over the 2,000 client points (each rebuild finds the
-hierarchy built), and the memory of one more build traced by
+hierarchy built and refills the annotation list the engine allocated at
+construction, so it times a refill, not an allocation), and the memory of one more build traced by
 ``tracemalloc``: ``traced_peak_mb``, its peak, and ``traced_retained_mb``,
 what the built hierarchy keeps.  Run from the root of a source checkout: the
 package is imported from its ``src`` directory.
