@@ -43,8 +43,8 @@ class TraceEvent(NamedTuple):
 
 
 # Query events carry no data, so every "? cost" (or "? solution") line parses
-# to the same event.
-_QUERY_EVENTS = {kind: TraceEvent(kind) for kind in ("cost", "solution")}
+# to the same event, keyed here by its canonical spelling.
+_QUERY_EVENTS = {f"? {kind}": TraceEvent(kind) for kind in ("cost", "solution")}
 
 
 def fmt_number(x) -> str:
@@ -66,29 +66,39 @@ def _parse_point(token: str, line_no: int) -> int:
 
 
 def parse_trace_text(text: str) -> list[TraceEvent]:
-    """Parse a trace, enforcing insert-before-delete client id consistency."""
+    """Parse a trace, enforcing insert-before-delete client id consistency.
+    A canonical query line is looked up whole; any other line is split
+    once."""
     events: list[TraceEvent] = []
     live: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0][0] == "#":
-            continue
-        if parts[0] == "+" and len(parts) == 3:
-            cid = parts[1]
-            if cid in live:
-                raise TraceError(f"line {line_no}: client {echo(cid)} already live")
-            live.add(cid)
-            events.append(TraceEvent("insert", cid, _parse_point(parts[2], line_no)))
-        elif parts[0] == "-" and len(parts) == 2:
-            cid = parts[1]
-            if cid not in live:
-                raise TraceError(f"line {line_no}: delete of non-live client {echo(cid)}")
-            live.remove(cid)
-            events.append(TraceEvent("delete", cid))
-        elif parts[0] == "?" and len(parts) == 2 and parts[1] in _QUERY_EVENTS:
-            events.append(_QUERY_EVENTS[parts[1]])
-        else:
-            raise TraceError(f"line {line_no}: unrecognized event {echo(raw.strip())}")
+        event = _QUERY_EVENTS.get(raw)
+        if event is None:
+            parts = raw.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            if parts[0] == "+" and len(parts) == 3:
+                cid, token = parts[1], parts[2]
+                if cid in live:
+                    raise TraceError(f"line {line_no}: client {echo(cid)} already live")
+                live.add(cid)
+                try:
+                    point = int(token) if token.isascii() and token.isdigit() \
+                        else _parse_point(token, line_no)
+                except ValueError:  # more digits than int() converts
+                    point = _parse_point(token, line_no)
+                event = tuple.__new__(TraceEvent, ("insert", cid, point))
+            elif parts[0] == "-" and len(parts) == 2:
+                cid = parts[1]
+                if cid not in live:
+                    raise TraceError(f"line {line_no}: delete of non-live client {echo(cid)}")
+                live.remove(cid)
+                event = tuple.__new__(TraceEvent, ("delete", cid, None))
+            else:
+                event = _QUERY_EVENTS.get(" ".join(parts))
+                if event is None:
+                    raise TraceError(f"line {line_no}: unrecognized event {echo(raw.strip())}")
+        events.append(event)
     return events
 
 

@@ -73,20 +73,35 @@ def echo(value) -> str:
     return text
 
 
+def _finite_floats(values) -> tuple | None:
+    """``values`` as a tuple of floats, or None unless each is a finite real
+    number: bools and strings are not numbers, and an int too large for a
+    float is not finite.  Values of the exact types float and int, all that
+    JSON gives, skip the per-value ``numbers.Real`` check."""
+    if not {float, int}.issuperset(map(type, values)) and not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in values):
+        return None
+    try:
+        floats = tuple(map(float, values))
+    except OverflowError:  # an int too large for a float
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
 def _is_finite_number(x) -> bool:
     """True for a finite real number; bools and strings are not numbers."""
-    try:
-        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an int too large for a float
-        return False
+    return _finite_floats((x,)) is not None
 
 
 def _as_list(value, what: str) -> list:
-    """The items of an iterable input field; a scalar is an input error."""
-    try:
-        return list(value)
-    except TypeError:
-        raise InstanceError(f"{what} must be a list, got {echo(value)}") from None
+    """The items of a list input field; a scalar, a string or an object
+    (whose iteration would yield characters or keys) is an input error."""
+    if not isinstance(value, (str, dict)):
+        try:
+            return list(value)
+        except TypeError:
+            pass
+    raise InstanceError(f"{what} must be a list, got {echo(value)}")
 
 
 def _pair_blocks(arr: np.ndarray, linf: bool = False, upper: bool = False):
@@ -218,12 +233,12 @@ class Instance:
             if points is not None or matrix is None:
                 raise InstanceError("explicit-matrix instances take a matrix, not points")
             rows = [_as_list(row, "matrix row") for row in _as_list(matrix, "matrix")]
-            for p, row in enumerate(rows):
-                for q, x in enumerate(row):
-                    if not _is_finite_number(x):
-                        raise InstanceError(f"non-numeric, NaN or infinite distance "
-                                            f"for pair ({p}, {q}): {echo(x)}")
-            self._matrix = [tuple(float(x) for x in row) for row in rows]
+            self._matrix = [_finite_floats(row) for row in rows]
+            if None in self._matrix:  # report the first bad entry in row-major order
+                p = self._matrix.index(None)
+                q, x = next((q, x) for q, x in enumerate(rows[p]) if not _is_finite_number(x))
+                raise InstanceError(f"non-numeric, NaN or infinite distance "
+                                    f"for pair ({p}, {q}): {echo(x)}")
             self._points = None
             self._validate_matrix()
             self.n_points = len(self._matrix)
@@ -273,30 +288,54 @@ class Instance:
             coords = tuple(p)
         except TypeError:  # a bare number is a one-dimensional point
             coords = (p,)
-        if not coords or not all(_is_finite_number(x) for x in coords):
+        floats = _finite_floats(coords)
+        if not floats:
             raise InstanceError(f"bad point coordinates {echo(p)}")
-        return tuple(float(x) for x in coords)
+        return floats
 
     def _validate_matrix(self):
-        """Metric axioms, each checked one pivot row at a time with the
-        scalar scan's float operations and order, so the first failure found
-        is the one a pair-by-pair scan would report."""
+        """Metric axioms, checked in bulk.  When several fail, the one
+        reported is the first of a pair-by-pair scan: by row p, the
+        self-distance of p before the pairs (p, q) with q > p in order of q,
+        asymmetry before sign; then ``_check_triangles``."""
         m = self._matrix
         n = len(m)
         if any(len(row) != n for row in m):
             raise InstanceError("distance matrix must be square")
         arr = self.array.reshape(n, n)
-        for p in range(n):
-            if arr[p, p] != 0:
+        # A failing pair below the diagonal has a failing mirror in an
+        # earlier row, so the first failure in row-major order is the scan's.
+        bad = (arr != arr.T) | (arr < 0)
+        bad[np.diag_indices(n)] = arr.diagonal() != 0
+        if bad.any():
+            p, q = divmod(int(bad.argmax()), n)
+            if p == q:
                 raise InstanceError(f"nonzero self-distance at point {p}")
-            row = arr[p, p + 1:]
-            bad = (row != arr[p + 1:, p]) | (row < 0)
-            if bad.any():
-                q = p + 1 + int(bad.argmax())
-                if arr[p, q] != arr[q, p]:
-                    raise InstanceError(f"asymmetric distances for pair ({p}, {q})")
-                raise InstanceError(f"negative distance for pair ({p}, {q})")
+            if arr[p, q] != arr[q, p]:
+                raise InstanceError(f"asymmetric distances for pair ({p}, {q})")
+            raise InstanceError(f"negative distance for pair ({p}, {q})")
+        self._check_triangles(arr)
+
+    @staticmethod
+    def _check_triangles(arr: np.ndarray):
+        """The triangle inequality on a square matrix of finite nonnegative
+        floats, with relative slack _TRIANGLE_SLACK; a failure is reported
+        as the first of a scan by pivot x, (p, q) in row-major order within
+        a pivot.
+
+        (p, q) fails via x when arr[p, q] > g(v), with v = arr[p, x] +
+        arr[x, q] and g(v) = fl(v + fl(_TRIANGLE_SLACK * v)).  g is
+        monotone, so some pivot fails exactly when g of the least such sum
+        does: one min-plus pass over two n x n buffers decides, and only a
+        failure rescans pivot by pivot to name the first."""
+        n = len(arr)
         with np.errstate(over="ignore"):  # an infinite sum never fails the test
+            low, via = np.full((n, n), math.inf), np.empty((n, n))
+            for x in range(n):
+                np.add(arr[:, x, None], arr[x], out=via)
+                np.minimum(low, via, out=low)
+            if not (arr > low + _TRIANGLE_SLACK * low).any():
+                return
             for x in range(n):
                 via = arr[:, x, None] + arr[x]     # via[p, q] = m[p][x] + m[x][q]
                 bad = arr > via + _TRIANGLE_SLACK * via

@@ -8,12 +8,15 @@ steady-update shortcuts, its per-node annotation passes kept as a reference
 for its counted rebuild, the oracle's per-client assignment loop kept as a
 reference for its per-area one, seeded traces that cross the scales 5, 25 and 125, and
 the scalar references for ``cround`` and for the hierarchy's bulk point
-location (``find_area``), and the reference hierarchy build over the exact
-scalar distance table (``ReferenceHierarchy``)."""
+location (``find_area``), the reference hierarchy build over the exact
+scalar distance table (``ReferenceHierarchy``), and the entry-by-entry,
+pivot-by-pivot explicit-matrix validation kept as the reference for the
+instance's bulk checks (``reference_matrix``)."""
 
 import importlib.util
 import json
 import math
+import numbers
 import os
 import random
 import sys
@@ -25,10 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from netfloc import C1, C2, C3, C4, CX, CY, DirtyHeap, Engine, Hierarchy, Instance, \
-    TraceEvent, derive_parameters, parse_trace_text, radius
+    InstanceError, TraceEvent, derive_parameters, parse_trace_text, radius
 from netfloc.engine import Assignment, NodeAnnotation, UpdateStats
 from netfloc.hierarchy import TripletNode, threshold
-from netfloc.instance import largest_power_of_five_at_most
+from netfloc.instance import _TRIANGLE_SLACK, _as_list, echo, largest_power_of_five_at_most
 
 
 def reference_cround(x) -> int:
@@ -605,3 +608,50 @@ def build_differences(hierarchy, reference) -> list[str]:
             if not same(getattr(node, slot), getattr(ref, slot)):
                 problems.append(f"node {ref.idx} ({ref.facility}, {ref.r}): {slot}")
     return problems
+
+
+def reference_is_finite_number(x) -> bool:
+    """True for a finite real number, by one ``numbers.Real`` check per
+    value: the reference for the instance's bulk numeric checks."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def reference_matrix(matrix) -> list[tuple]:
+    """An explicit matrix's rows as float tuples, checked entry by entry and
+    then against the metric axioms one pivot row at a time, each failure
+    raised as the ``InstanceError`` an ``Instance`` raises for it: the first
+    bad entry in row-major order; then by row p the self-distance before
+    asymmetry and sign of the pairs (p, q), q > p; then the triangle
+    inequality by pivot x, with the relative slack of the instance."""
+    rows = [_as_list(row, "matrix row") for row in _as_list(matrix, "matrix")]
+    for p, row in enumerate(rows):
+        for q, x in enumerate(row):
+            if not reference_is_finite_number(x):
+                raise InstanceError(f"non-numeric, NaN or infinite distance "
+                                    f"for pair ({p}, {q}): {echo(x)}")
+    m = [tuple(float(x) for x in row) for row in rows]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise InstanceError("distance matrix must be square")
+    arr = np.array(m, dtype=float).reshape(n, n)
+    for p in range(n):
+        if arr[p, p] != 0:
+            raise InstanceError(f"nonzero self-distance at point {p}")
+        row = arr[p, p + 1:]
+        bad = (row != arr[p + 1:, p]) | (row < 0)
+        if bad.any():
+            q = p + 1 + int(bad.argmax())
+            if arr[p, q] != arr[q, p]:
+                raise InstanceError(f"asymmetric distances for pair ({p}, {q})")
+            raise InstanceError(f"negative distance for pair ({p}, {q})")
+    with np.errstate(over="ignore"):  # an infinite sum never fails the test
+        for x in range(n):
+            via = arr[:, x, None] + arr[x]     # via[p, q] = m[p][x] + m[x][q]
+            bad = arr > via + _TRIANGLE_SLACK * via
+            if bad.any():
+                p, q = divmod(int(bad.argmax()), n)
+                raise InstanceError(f"triangle inequality fails for ({p}, {q}) via {x}")
+    return m

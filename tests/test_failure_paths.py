@@ -140,6 +140,8 @@ ONE_FACILITY = [{"point": 0, "cost": 3}]
      "error: points must share one dimension"),
     ({"kind": "euclidean-Linf", "points": []}, ONE_FACILITY,
      "error: instance needs at least one point"),
+    ({"kind": "explicit-matrix", "matrix": []}, ONE_FACILITY,
+     "error: instance needs at least one point"),
     (L2, [], "error: instance needs at least one facility"),
     ({"kind": "explicit-matrix", "matrix": [[0, 1], [1]]}, ONE_FACILITY,
      "error: distance matrix must be square"),
@@ -152,8 +154,14 @@ ONE_FACILITY = [{"point": 0, "cost": 3}]
     (MATRIX, [{"point": 0, "cost": 10 ** 400}],
      "error: facility 0 needs a positive opening cost, got 1" + "0" * 27 + "..."
      + "0" * 29),
-], ids=["matrix-given-points", "mixed-dimensions", "no-points", "no-facilities",
-        "ragged-matrix", "negative-entry", "huge-coordinate", "huge-cost"])
+    ({"kind": "explicit-matrix", "matrix": [[0, 10 ** 400], [10 ** 400, 0]]}, ONE_FACILITY,
+     "error: non-numeric, NaN or infinite distance for pair (0, 1): 1" + "0" * 27 + "..."
+     + "0" * 29),
+    ({"kind": "explicit-matrix", "matrix": ["01", "10"]}, ONE_FACILITY,
+     "error: matrix row must be a list, got '01'"),
+], ids=["matrix-given-points", "mixed-dimensions", "no-points", "empty-matrix", "no-facilities",
+        "ragged-matrix", "negative-entry", "huge-coordinate", "huge-cost",
+        "huge-matrix-entry", "string-matrix-rows"])
 def test_cli_rejects_malformed_instances(tmp_path, data_dir, capsys, metric, facilities,
                                          message):
     inst = tmp_path / "bad.json"

@@ -14,6 +14,7 @@ from netfloc import (Engine, Hierarchy, Instance, InstanceError, OracleView, Tra
                      largest_power_of_five_at_most, opt_command, parse_trace,
                      parse_trace_text, run_trace, verify_trace)
 from netfloc.harness import main
+from netfloc.instance import echo
 
 from helpers import benchmark_inputs, default_seed, random_instance, random_trace
 
@@ -167,6 +168,46 @@ def test_parse_trace_errors_equal_reference(text):
     with pytest.raises(TraceError) as got:
         parse_trace_text(text)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("line", [
+    "? cost", "?  cost", "? cost ", "\t? solution", "? solution\r", "?\u00a0cost",
+    "?\u2003solution", " ?\t\tcost\u00a0",
+])
+def test_parse_trace_query_spellings_equal_reference(line):
+    # Every spelling of a query line, canonical or not, parses to the one
+    # shared event of its kind.
+    text = f"+ c1 3\r\n{line}\r\n{line}\n? cost\n? solution\n+\u00a0c2\u20034\n"
+    events = parse_trace_text(text)
+    assert [tuple(e) for e in events] == reference_parse(text)
+    queries = [e for e in events if e.kind in ("cost", "solution")]
+    shared = {"cost": parse_trace_text("? cost")[0], "solution": parse_trace_text("? solution")[0]}
+    assert len(queries) == 4 and all(e is shared[e.kind] for e in queries)
+
+
+@pytest.mark.parametrize("line", ["?cost", "? COST", "? Cost", "?? cost", "? cost cost"])
+def test_parse_trace_rejects_query_misspellings_as_reference_does(line):
+    with pytest.raises(TraceError) as expected:
+        reference_parse(f"+ c1 3\n{line}\n")
+    with pytest.raises(TraceError) as got:
+        parse_trace_text(f"+ c1 3\n{line}\n")
+    assert str(got.value) == str(expected.value) == f"line 2: unrecognized event {line!r}"
+
+
+@pytest.mark.parametrize("token", ["7" * 5000, "P" + "7" * 5000], ids=["bare", "prefixed"])
+def test_parse_trace_rejects_a_5000_digit_point_index(token):
+    # More digits than int() converts: a bad point index, not a ValueError.
+    with pytest.raises(TraceError) as got:
+        parse_trace_text(f"+ c1 {token}\n")
+    assert str(got.value) == f"line 1: bad point index {echo(token)}"
+
+
+def test_parse_trace_events_equal_the_constructed_ones(data_dir):
+    # Events built without the named tuple's constructor are still its
+    # instances, equal to constructed ones.
+    events = parse_trace(data_dir / "line5.trace")
+    assert all(type(e) is TraceEvent for e in events)
+    assert events == [TraceEvent(*tuple(e)) for e in events]
 
 
 def test_trace_events_are_immutable():

@@ -1,13 +1,17 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_instance, reference_cround
+from helpers import random_instance, reference_cround, reference_is_finite_number, \
+    reference_matrix
 from netfloc import (Instance, InstanceError, cround,
                      derive_parameters, largest_power_of_five_at_most)
+from netfloc.instance import _TRIANGLE_SLACK, _finite_floats
 
 
 def test_distance_identity(line5):
@@ -166,6 +170,13 @@ def test_rejects_bad_facility_point():
     ({"matrix": 5}, "matrix must be a list"),
     ({"matrix": [[0, True], [True, 0]]}, r"non-numeric, NaN or infinite distance for pair \(0, 1\)"),
     ({"matrix": [[0, "1"], ["1", 0]]}, r"non-numeric, NaN or infinite distance for pair \(0, 1\)"),
+    # A string or an object is no list: its characters or keys are no row.
+    ({"matrix": ["01", "10"]}, r"^matrix row must be a list, got '01'$"),
+    ({"matrix": [[0, 1], {"0": 1, "1": 0}]}, r"^matrix row must be a list, got \{'0': 1, '1': 0\}$"),
+    ({"matrix": "0110"}, r"^matrix must be a list, got '0110'$"),
+    ({"matrix": {"0": [0]}}, r"^matrix must be a list, got \{'0': \[0\]\}$"),
+    ({"points": "01"}, r"^points must be a list, got '01'$"),
+    ({"points": {"0": [0], "1": [1]}}, r"^points must be a list, got \{'0': \[0\], '1': \[1\]\}$"),
 ])
 def test_rejects_non_numeric_and_non_finite_values(kwargs, message):
     kind = "explicit-matrix" if "matrix" in kwargs else "euclidean-L2"
@@ -188,6 +199,166 @@ def test_matrix_reports_the_first_triangle_violation_of_the_scan():
               [1, 1, 3, 0]]
     with pytest.raises(InstanceError, match=r"^triangle inequality fails for \(2, 3\) via 0$"):
         Instance("explicit-matrix", matrix=matrix, facilities=[(0, 1)])
+
+
+def assert_matrix_validation_equals_reference(matrix):
+    """``Instance`` fails on ``matrix`` with the reference scan's message,
+    or both accept it and the instance's array and distances are each
+    entry's ``float`` bit for bit."""
+    try:
+        expected = reference_matrix(matrix)
+    except InstanceError as exc:
+        with pytest.raises(InstanceError) as got:
+            Instance("explicit-matrix", matrix=matrix, facilities=[(0, 1)])
+        assert str(got.value) == str(exc)
+        return
+    inst = Instance("explicit-matrix", matrix=matrix, facilities=[(0, 1)])
+    n = len(expected)
+    assert inst.array.tobytes() == np.array(expected, dtype=float).tobytes()
+    hexes = [[float.hex(x) for x in row] for row in expected]
+    assert [[float.hex(inst.distance(p, q)) for q in range(n)] for p in range(n)] == hexes
+    assert {type(inst.distance(p, q)) for p in range(n) for q in range(n)} == {float}
+
+
+def _slack_case(outside: bool):
+    """(0, 2) against 1 + 1 via 1: at the slack's limit, or one float past it."""
+    limit = 2.0 + _TRIANGLE_SLACK * 2.0
+    d = math.nextafter(limit, math.inf) if outside else limit
+    return [[0, 1, d], [1, 0, 1], [d, 1, 0]]
+
+
+def _line_case(changes):
+    """Six points on a line at 0..5, with the symmetric entries in
+    ``changes`` ({(p, q): distance}) replaced."""
+    matrix = [[abs(p - q) for q in range(6)] for p in range(6)]
+    for (p, q), d in changes.items():
+        matrix[p][q] = matrix[q][p] = d
+    return matrix
+
+
+HUGE = 10 ** 400
+NAN, INF = float("nan"), float("inf")
+
+MATRIX_CORPUS = {
+    "bool": [[0, True], [True, 0]],
+    "str": [[0, "1"], ["1", 0]],
+    "none": [[0, None], [None, 0]],
+    "nested-list": [[0, [1]], [[1], 0]],
+    "nan": [[0, NAN], [NAN, 0]],
+    "inf": [[0, INF], [INF, 0]],
+    "minus-inf": [[0, -INF], [-INF, 0]],
+    "huge-int": [[0, HUGE], [HUGE, 0]],
+    "minus-huge-int": [[0, 1], [-HUGE, 0]],
+    "bad-entry-in-a-later-row": [[0, 1, 2], [1, 0, 1], [2, NAN, "x"]],
+    "bad-entry-before-ragged-row": [[0, 1], [1], [0, 1, None]],
+    "string-row": [[0, 1], "10"],
+    "dict-row": [[0, 1], {"0": 1, "1": 0}],
+    "negative": [[0, -1], [-1, 0]],
+    "negative-below-diagonal": [[0, 1], [-1, 0]],
+    "asymmetric": [[0, 5], [4, 0]],
+    "asymmetric-negative": [[0, -1], [2, 0]],
+    "negative-before-asymmetric": [[0, -1, 2], [-1, 0, 1], [3, 1, 0]],
+    "nonzero-diagonal": [[1, 1], [1, 0]],
+    "negative-diagonal": [[0, 1], [1, -1]],
+    "diagonal-before-asymmetric": [[0, 1, 2], [1, 7, 1], [2, 3, 0]],
+    "asymmetric-before-diagonal": [[0, 1, 2], [1, 7, 1], [3, 1, 0]],
+    "ragged": [[0, 1], [1]],
+    "rows-longer-than-count": [[0, 1, 2], [1, 0, 1]],
+    "inside-slack": _slack_case(False),
+    "outside-slack": _slack_case(True),
+    "two-pivots": [[0, 3, 1, 1], [3, 0, 1, 1], [1, 1, 0, 3], [1, 1, 3, 0]],
+    "several-pivots": _line_case({(0, 5): 7, (3, 4): 0.5}),
+    "pivot-before-row": _line_case({(3, 4): 0.5, (4, 5): 10}),
+    "only-the-last-pivot": [[0 if p == q else 1 if {p, q} in ({0, 5}, {1, 5}) else 3
+                             for q in range(6)] for p in range(6)],
+    "infinite-sums": [[0, 1e308, 1e308], [1e308, 0, 1.7e308], [1e308, 1.7e308, 0]],
+    "signed-zeros": [[0, -0.0, 1], [0.0, -0.0, 1], [1, 1, 0.0]],
+    "int-rounding": [[0, 2 ** 53 + 1], [2 ** 53 + 1, 0]],
+    "numpy-and-fraction": [[np.float64(0), Fraction(1, 3)], [np.int64(0) + Fraction(1, 3), 0]],
+    "line": _line_case({}),
+}
+
+
+@pytest.mark.parametrize("matrix", MATRIX_CORPUS.values(), ids=MATRIX_CORPUS.keys())
+def test_matrix_validation_equals_the_reference_scan(matrix):
+    assert_matrix_validation_equals_reference(matrix)
+
+
+def test_matrix_corpus_fails_where_expected():
+    # The corpus exercises each message, and the slack's edge on both sides.
+    outcomes = {}
+    for name, matrix in MATRIX_CORPUS.items():
+        try:
+            reference_matrix(matrix)
+            outcomes[name] = "accepted"
+        except InstanceError as exc:
+            outcomes[name] = str(exc)
+    assert outcomes["inside-slack"] == "accepted"
+    assert outcomes["outside-slack"] == "triangle inequality fails for (0, 2) via 1"
+    assert outcomes["several-pivots"] == "triangle inequality fails for (0, 5) via 1"
+    assert outcomes["pivot-before-row"] == "triangle inequality fails for (4, 5) via 0"
+    assert outcomes["only-the-last-pivot"] == "triangle inequality fails for (0, 1) via 5"
+    assert outcomes["negative-before-asymmetric"] == "negative distance for pair (0, 1)"
+    assert outcomes["diagonal-before-asymmetric"] == "nonzero self-distance at point 1"
+    assert outcomes["asymmetric-before-diagonal"] == "asymmetric distances for pair (0, 2)"
+    assert outcomes["bad-entry-in-a-later-row"].endswith("for pair (2, 1): nan")
+    assert outcomes["huge-int"].startswith("non-numeric, NaN or infinite distance for pair (0, 1)")
+    for name in ("infinite-sums", "signed-zeros", "int-rounding", "numpy-and-fraction", "line"):
+        assert outcomes[name] == "accepted"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=2, max_size=7),
+       st.data())
+def test_perturbed_l2_matrix_validation_equals_the_reference_scan(points, data):
+    matrix = [[math.dist(p, q) for q in points] for p in points]
+    n = len(points)
+    p, q = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    old = matrix[p][q]
+    value = data.draw(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(0, 3).map(lambda f: old * f),
+        st.floats(1 - 4e-12, 1 + 4e-12).map(lambda f: old * f),
+        st.sampled_from([math.nextafter(old, math.inf), math.nextafter(old, -math.inf),
+                         old + 1, old - 1, 0, -0.0, HUGE, True, "1"])))
+    matrix[p][q] = value
+    if data.draw(st.booleans()):
+        matrix[q][p] = value
+    assert_matrix_validation_equals_reference(matrix)
+
+
+NUMERIC_VALUES = {
+    "zero": 0, "negative-int": -3, "int": 7, "float": 1.5, "minus-zero": -0.0,
+    "int-rounded": 2 ** 53 + 1, "int-1e308": 10 ** 308, "huge-int": HUGE,
+    "minus-huge-int": -HUGE, "nan": NAN, "inf": INF, "minus-inf": -INF, "true": True,
+    "false": False, "str": "1", "none": None, "list": [1], "dict": {"a": 1},
+    "numpy-float": np.float64(2.5), "numpy-nan": np.float64("nan"), "numpy-int": np.int64(7),
+    "numpy-bool": np.bool_(True), "fraction": Fraction(1, 3), "huge-fraction": Fraction(HUGE),
+    "decimal": Decimal("1.5"), "complex": complex(1, 0),
+}
+
+
+@pytest.mark.parametrize("x", NUMERIC_VALUES.values(), ids=NUMERIC_VALUES.keys())
+def test_numeric_fields_accept_exactly_the_finite_real_numbers(x):
+    ok = reference_is_finite_number(x)
+    for values in ((x,), (1, x, 2.5), [x, 0]):
+        floats = _finite_floats(values)
+        assert (floats is not None) == ok
+        if ok:
+            assert [float.hex(v) for v in floats] == [float.hex(float(v)) for v in values]
+            assert {type(v) for v in floats} == {float}
+    point = lambda: Instance("euclidean-L2", points=[[0, 0], [1, x]], facilities=[(0, 1)])
+    cost = lambda: Instance("euclidean-L2", points=[[0]], facilities=[(0, x)])
+    kappa = lambda: Instance("euclidean-L2", points=[[0]], facilities=[(0, 1)], kappa=x)
+    cases = [(point, ok, "bad point coordinates"), (cost, ok and x > 0, "positive opening cost")]
+    if x is not None:  # kappa=None declares no kappa
+        cases.append((kappa, ok and x > 0, "kappa must be a positive number"))
+    for build, accepted, message in cases:
+        if accepted:
+            build()
+        else:
+            with pytest.raises(InstanceError, match=message):
+                build()
 
 
 def test_l2_diameter_beyond_squared_float_range():
