@@ -5,12 +5,12 @@ net hierarchy.
 An L2 distance is ``math.sqrt`` of the squared coordinate differences summed
 one dimension at a time, with ``math.dist`` only where that sum is infinite
 or below _L2_TINY.  Those are correctly rounded IEEE-754 operations in numpy
-and in Python alike, so the bulk paths, ``pair_distances`` and the F x F
-``facility_distances`` table computed once on first use, perform the same
-operations and give ``Instance.distance``'s value bit for bit; they hand the
+and in Python alike, so the bulk path, ``pair_distances``, performs the same
+operations and gives ``Instance.distance``'s value bit for bit; it hands the
 pairs of the other kind to it.  Matrix entries and L-infinity distances are
-exact in bulk too.  The hierarchy's nodes and lists read nothing else of the
-metric.
+exact in bulk too.  The F x F ``facility_distances`` table, computed once on
+first use, is ``pair_distances``' values.  The hierarchy's nodes and lists
+read nothing else of the metric.
 
 The L2 diameter is the square root of the largest of those sums over all
 pairs, from one blocked pass over each unordered pair, so it is the farthest
@@ -104,44 +104,29 @@ def _as_list(value, what: str) -> list:
     raise InstanceError(f"{what} must be a list, got {echo(value)}")
 
 
-def _pair_blocks(arr: np.ndarray, linf: bool = False, upper: bool = False):
-    """Yield ``(start, block)`` over the pairs of rows of ``arr``, a block
-    of rows at a time: ``block[i, j]`` is the sum of the squared differences
-    of rows ``start + i`` and ``j``, summed one dimension at a time, or with
-    ``linf`` their largest absolute difference (the scalar L-infinity
-    metric's floats); with ``upper``, of rows ``start + i`` and ``start + j``
-    (each unordered pair once).  Blocks hold at most _BLOCK_ELEMENTS entries
-    (or one row) and share one buffer, so each is valid until the next is
-    yielded.  The caller sets numpy's handling of overflow."""
+def _pair_blocks(arr: np.ndarray):
+    """Yield the sums of the squared differences of the pairs of rows of
+    ``arr``, summed one dimension at a time, a block of rows at a time:
+    ``block[i, j]`` is the sum of rows ``start + i`` and ``start + j``, with
+    ``start`` the block's first row, so each unordered pair comes once.
+    Blocks hold at most _BLOCK_ELEMENTS entries (or one row) and share one
+    buffer, so each is valid until the next is yielded.  The caller sets
+    numpy's handling of overflow."""
     n, d = arr.shape
     rows = max(1, _BLOCK_ELEMENTS // n)
     cols_t = np.ascontiguousarray(arr.T)
     acc, tmp = np.empty(rows * n), np.empty(rows * n)
     for start in range(0, n, rows):
         block = arr[start:start + rows, :, None]
-        cols = cols_t[:, start:] if upper else cols_t
+        cols = cols_t[:, start:]
         a, t = (b[:len(block) * cols.shape[1]].reshape(len(block), -1) for b in (acc, tmp))
         np.subtract(block[:, 0], cols[0], out=a)
-        if linf:
-            np.abs(a, out=a)
-        else:
-            np.multiply(a, a, out=a)
+        np.multiply(a, a, out=a)
         for k in range(1, d):
             np.subtract(block[:, k], cols[k], out=t)
-            if linf:
-                np.abs(t, out=t)
-                np.maximum(a, t, out=a)
-            else:
-                np.multiply(t, t, out=t)
-                np.add(a, t, out=a)
-        yield start, a
-
-
-def _scalar_l2(s: np.ndarray) -> np.ndarray:
-    """Flat positions of the sums of squares whose L2 distance is
-    ``math.dist``'s rather than their square root: the infinite ones and
-    those below _L2_TINY."""
-    return np.flatnonzero(~((s >= _L2_TINY) & (s < math.inf)))
+            np.multiply(t, t, out=t)
+            np.add(a, t, out=a)
+        yield a
 
 
 class NetflocError(Exception):
@@ -357,10 +342,11 @@ class Instance:
 
     def pair_distances(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """``distance`` of each pair of valid point indices in ``ps``, ``qs``,
-        bit for bit, computed in bulk: a matrix gather, the L-infinity
-        metric's subtractions, abs and max, or the L2 sum of squares, one
-        dimension at a time, and its sqrt.  L2 pairs whose sum is infinite
-        or below _L2_TINY go to ``distance``."""
+        arrays that broadcast against each other, bit for bit, as an array
+        of their broadcast shape, computed in bulk: a matrix gather, the
+        L-infinity metric's subtractions, abs and max, or the L2 sum of
+        squares, one dimension at a time, and its sqrt.  L2 pairs whose sum
+        is infinite or below _L2_TINY go to ``distance``."""
         arr = self.array
         if self._matrix is not None:
             return arr[ps, qs]
@@ -377,9 +363,10 @@ class Instance:
                 t = col[ps] - col[qs]
                 t *= t
                 s += t
-        odd = _scalar_l2(s)
+        odd = ~((s >= _L2_TINY) & (s < math.inf))
         d = np.sqrt(s, out=s)
-        if len(odd):
+        if odd.any():
+            ps, qs = np.broadcast_arrays(ps, qs)
             d[odd] = self._scalar_distances(ps[odd], qs[odd])
         return d
 
@@ -421,8 +408,8 @@ class Instance:
                 # _L2_TINY every distance is ``math.dist``'s, not the sum's.
                 for scale in (1.0, _L2_SCALE):
                     with np.errstate(over="ignore"):
-                        best = max(float(a.max()) for _, a in
-                                   _pair_blocks(self.array * scale, upper=True))
+                        best = max(float(a.max()) for a in
+                                   _pair_blocks(self.array * scale))
                     if best < math.inf:
                         break
                 diameter = math.sqrt(best) / scale
@@ -443,29 +430,15 @@ class Instance:
     @property
     def facility_distances(self) -> np.ndarray:
         """Read-only F x F table of distances between facility points, by
-        facility id, computed on first use: entry [i, j] is ``distance`` of
-        the two facilities' points, bit for bit, built in row blocks as
-        ``pair_distances`` builds its values.  Like the metric, the table is
-        symmetric."""
+        facility id, computed on first use: entry [i, j] is
+        ``pair_distances``' value, and so ``distance``'s, for the two
+        facilities' points, built a block of at most _BLOCK_ELEMENTS entries
+        (or one row) at a time.  Like the metric, the table is symmetric."""
         if self._facility_distances is None:
             fps = np.array([f.point for f in self.facilities])
-            if self._matrix is not None:
-                table = self.array[np.ix_(fps, fps)]
-            else:
-                n = len(fps)
-                table = np.empty((n, n))
-                linf = self.kind == "euclidean-Linf"
-                with np.errstate(over="ignore"):  # an infinite sum goes to distance
-                    for start, block in _pair_blocks(self.array[fps], linf):
-                        rows = table[start:start + len(block)]
-                        if linf:
-                            rows[:] = block
-                            continue
-                        odd = _scalar_l2(block)
-                        np.sqrt(block, out=rows)
-                        if len(odd):
-                            i, j = np.divmod(odd, n)
-                            rows[i, j] = self._scalar_distances(fps[start + i], fps[j])
+            rows = max(1, _BLOCK_ELEMENTS // len(fps))
+            table = np.concatenate([self.pair_distances(fps[start:start + rows, None], fps)
+                                    for start in range(0, len(fps), rows)])
             table.flags.writeable = False
             self._facility_distances = table
         return self._facility_distances

@@ -185,18 +185,28 @@ def test_pair_distances_equal_the_scalar_distance(kind, scale, points, copies):
     # At 1e300 the squared differences overflow, at 1e-300 they underflow,
     # near 2**-480 their sums straddle the least sum taken as its sqrt, and
     # copies of earlier points make duplicate pairs.  The matrix kind is the
-    # discrete metric on the points.
+    # discrete metric on the points.  Every point is a facility, so the
+    # facility table is the whole n x n table of distances.
     pts = [[scale * x for x in p] for p in points]
     pts += [list(pts[i % len(pts)]) for i in copies]
     if kind == "explicit-matrix":
         metric = {"matrix": [[0.0 if a == b else scale for b in pts] for a in pts]}
     else:
         metric = {"points": pts}
-    inst = Instance(kind, facilities=[(0, 1)], **metric)
     n = len(pts)
-    ps, qs = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
-    scalar = [inst.distance(p, q) for p, q in zip(ps.tolist(), qs.tolist())]
-    assert inst.pair_distances(ps, qs).tobytes() == np.array(scalar).tobytes()
+    inst = Instance(kind, facilities=[(p, 1) for p in range(n)], **metric)
+    idx = np.arange(n)
+    ps, qs = np.repeat(idx, n), np.tile(idx, n)
+    scalar = np.array([inst.distance(p, q) for p, q in zip(ps.tolist(), qs.tolist())])
+    assert inst.pair_distances(ps, qs).tobytes() == scalar.tobytes()
+    # Index arrays that broadcast give the same values in the broadcast
+    # shape: a column of every row, or of every other row, against a row.
+    table = scalar.reshape(n, n)
+    for rows in (idx, idx[::2]):
+        block = inst.pair_distances(rows[:, None], idx)
+        assert block.shape == (len(rows), n)
+        assert block.tobytes() == table[rows].tobytes()
+    assert inst.facility_distances.tobytes() == table.tobytes()
 
 
 def test_a_churn_sized_l2_instance_needs_few_scalar_distances():
