@@ -12,14 +12,10 @@ exact in bulk too.  The F x F ``facility_distances`` table, computed once on
 first use, is ``pair_distances``' values.  The hierarchy's nodes and lists
 read nothing else of the metric.
 
-The L2 diameter is the square root of the largest of those sums over all
-pairs, from one blocked pass over each unordered pair, so it is the farthest
-pair's ``distance`` when that sum is finite and at least _L2_TINY.  When a
-square overflows, the pass runs on coordinates scaled by 2**-600, and the
-diameter may differ from the largest ``distance``, ``math.dist``'s there, by
-rounding (a relative (d + 4) * 2**-53 at most in d dimensions); below
-_L2_TINY it is the largest ``distance``, from a scalar pass.  The L-infinity
-one is the largest coordinate range.
+The diameter is the largest ``distance``, bit for bit, for every kind: the
+largest matrix entry, the largest coordinate range under L-infinity, and
+under L2 the square root of the largest sum of squares when that sum is
+finite and at least _L2_TINY, else the largest of ``pair_distances``.
 """
 
 from __future__ import annotations
@@ -30,6 +26,7 @@ import numbers
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -39,11 +36,7 @@ METRIC_KINDS = ("explicit-matrix", "euclidean-L2", "euclidean-Linf")
 # matrices stay exact.
 _TRIANGLE_SLACK = 1e-12
 
-# Coordinates are multiplied by this power of two when the squared L2
-# diameter overflows; it keeps squares of the largest floats finite.
-_L2_SCALE = 2.0 ** -600
-
-# Elements per buffer of the blocked pair passes (two 256 KiB buffers).
+# Entries per block of the blocked pair passes (256 KiB of floats).
 _BLOCK_ELEMENTS = 2 ** 15
 
 # Below this sum of squares an L2 distance may have lost bits to underflowing
@@ -104,29 +97,20 @@ def _as_list(value, what: str) -> list:
     raise InstanceError(f"{what} must be a list, got {echo(value)}")
 
 
-def _pair_blocks(arr: np.ndarray):
-    """Yield the sums of the squared differences of the pairs of rows of
-    ``arr``, summed one dimension at a time, a block of rows at a time:
-    ``block[i, j]`` is the sum of rows ``start + i`` and ``start + j``, with
-    ``start`` the block's first row, so each unordered pair comes once.
-    Blocks hold at most _BLOCK_ELEMENTS entries (or one row) and share one
-    buffer, so each is valid until the next is yielded.  The caller sets
-    numpy's handling of overflow."""
-    n, d = arr.shape
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    cols_t = np.ascontiguousarray(arr.T)
-    acc, tmp = np.empty(rows * n), np.empty(rows * n)
-    for start in range(0, n, rows):
-        block = arr[start:start + rows, :, None]
-        cols = cols_t[:, start:]
-        a, t = (b[:len(block) * cols.shape[1]].reshape(len(block), -1) for b in (acc, tmp))
-        np.subtract(block[:, 0], cols[0], out=a)
-        np.multiply(a, a, out=a)
-        for k in range(1, d):
-            np.subtract(block[:, k], cols[k], out=t)
-            np.multiply(t, t, out=t)
-            np.add(a, t, out=a)
-        yield a
+def _squared_sums(arr: np.ndarray, ps, qs) -> np.ndarray:
+    """The squared differences of the coordinate rows ``arr[ps]`` and
+    ``arr[qs]``, for index arrays that broadcast against each other, summed
+    one dimension at a time as ``Instance.distance`` sums them; a sum that
+    overflows is inf."""
+    cols = arr.T
+    with np.errstate(over="ignore"):
+        s = cols[0, ps] - cols[0, qs]
+        s *= s
+        for col in cols[1:]:
+            t = col[ps] - col[qs]
+            t *= t
+            s += t
+    return s
 
 
 class NetflocError(Exception):
@@ -211,7 +195,6 @@ class Instance:
             raise InstanceError(f"unknown metric kind {echo(kind)}")
         self.kind = kind
         self.kappa = kappa
-        self._array = None
         if kappa is not None and not (_is_finite_number(kappa) and kappa > 0):
             raise InstanceError(f"kappa must be a positive number when declared, got {echo(kappa)}")
         if kind == "explicit-matrix":
@@ -251,8 +234,6 @@ class Instance:
             self.facilities.append(Facility(fid, point, float(cost)))
         if not self.facilities:
             raise InstanceError("instance needs at least one facility")
-        self._diameter = None
-        self._facility_distances = None
         self._params = {}
         self._hierarchies = {}
 
@@ -329,16 +310,13 @@ class Instance:
                     raise InstanceError(
                         f"triangle inequality fails for ({p}, {q}) via {x}")
 
-    @property
+    @cached_property
     def array(self) -> np.ndarray:
         """The metric's floats as a read-only array, built once: the distance
         matrix, or one row of coordinates per point."""
-        if self._array is None:
-            arr = np.array(self._points if self._matrix is None else self._matrix,
-                           dtype=float)
-            arr.flags.writeable = False
-            self._array = arr
-        return self._array
+        arr = np.array(self._points if self._matrix is None else self._matrix, dtype=float)
+        arr.flags.writeable = False
+        return arr
 
     def pair_distances(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """``distance`` of each pair of valid point indices in ``ps``, ``qs``,
@@ -350,19 +328,14 @@ class Instance:
         arr = self.array
         if self._matrix is not None:
             return arr[ps, qs]
-        cols = arr.T
-        with np.errstate(over="ignore"):
-            if self.kind == "euclidean-Linf":
+        if self.kind == "euclidean-Linf":
+            cols = arr.T
+            with np.errstate(over="ignore"):
                 d = np.abs(cols[0, ps] - cols[0, qs])
                 for col in cols[1:]:
                     np.maximum(d, np.abs(col[ps] - col[qs]), out=d)
-                return d
-            s = cols[0, ps] - cols[0, qs]
-            s *= s
-            for col in cols[1:]:
-                t = col[ps] - col[qs]
-                t *= t
-                s += t
+            return d
+        s = _squared_sums(arr, ps, qs)
         odd = ~((s >= _L2_TINY) & (s < math.inf))
         d = np.sqrt(s, out=s)
         if odd.any():
@@ -392,56 +365,50 @@ class Instance:
                 s += t * t
         return math.sqrt(s) if _L2_TINY <= s < math.inf else math.dist(a, b)
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         """The largest pairwise distance over the declared point universe,
-        up to rounding when an L2 square overflows (see the module
-        docstring); an input error when it overflows to infinity."""
-        if self._diameter is None:
-            if self._matrix is not None:
-                diameter = max(max(row) for row in self._matrix)
-            elif self.kind == "euclidean-L2":
-                # The largest sum of squares is the farthest pair's sum in
-                # ``distance``.  When a square overflows, the pass is redone
-                # on coordinates scaled by an exact power of two, and its
-                # root may differ from ``math.dist``'s by rounding.  Below
-                # _L2_TINY every distance is ``math.dist``'s, not the sum's.
-                for scale in (1.0, _L2_SCALE):
-                    with np.errstate(over="ignore"):
-                        best = max(float(a.max()) for a in
-                                   _pair_blocks(self.array * scale))
-                    if best < math.inf:
-                        break
-                diameter = math.sqrt(best) / scale
-                if best < _L2_TINY:
-                    diameter = max((self.distance(p, q) for p in range(self.n_points)
-                                    for q in range(p)), default=0.0)
+        bit for bit (see the module docstring); an input error when it
+        overflows to infinity."""
+        if self._matrix is not None:
+            diameter = max(max(row) for row in self._matrix)
+        elif self.kind == "euclidean-L2":
+            # Each unordered pair once, a block of rows at a time.  The
+            # largest sum's root is the farthest pair's ``distance`` unless
+            # that sum is infinite or below _L2_TINY, where the odd pairs'
+            # distances are ``math.dist``'s.
+            idx = np.arange(self.n_points)
+            rows = max(1, _BLOCK_ELEMENTS // self.n_points)
+            blocks = [(idx[start:start + rows, None], idx[start:])
+                      for start in range(0, self.n_points, rows)]
+            best = max(float(_squared_sums(self.array, ps, qs).max()) for ps, qs in blocks)
+            if _L2_TINY <= best < math.inf:
+                diameter = math.sqrt(best)
             else:
-                # Float subtraction is monotone in each operand, so the
-                # largest |p_k - q_k| over all pairs is fl(max_k - min_k).
-                arr = self.array
-                with np.errstate(over="ignore"):
-                    diameter = float((arr.max(axis=0) - arr.min(axis=0)).max())
-            if not math.isfinite(diameter):
-                raise InstanceError("points too far apart: the diameter overflows to inf")
-            self._diameter = diameter
-        return self._diameter
+                diameter = max(float(self.pair_distances(ps, qs).max()) for ps, qs in blocks)
+        else:
+            # Float subtraction is monotone in each operand, so the
+            # largest |p_k - q_k| over all pairs is fl(max_k - min_k).
+            arr = self.array
+            with np.errstate(over="ignore"):
+                diameter = float((arr.max(axis=0) - arr.min(axis=0)).max())
+        if not math.isfinite(diameter):
+            raise InstanceError("points too far apart: the diameter overflows to inf")
+        return diameter
 
-    @property
+    @cached_property
     def facility_distances(self) -> np.ndarray:
         """Read-only F x F table of distances between facility points, by
         facility id, computed on first use: entry [i, j] is
         ``pair_distances``' value, and so ``distance``'s, for the two
         facilities' points, built a block of at most _BLOCK_ELEMENTS entries
         (or one row) at a time.  Like the metric, the table is symmetric."""
-        if self._facility_distances is None:
-            fps = np.array([f.point for f in self.facilities])
-            rows = max(1, _BLOCK_ELEMENTS // len(fps))
-            table = np.concatenate([self.pair_distances(fps[start:start + rows, None], fps)
-                                    for start in range(0, len(fps), rows)])
-            table.flags.writeable = False
-            self._facility_distances = table
-        return self._facility_distances
+        fps = np.array([f.point for f in self.facilities])
+        rows = max(1, _BLOCK_ELEMENTS // len(fps))
+        table = np.concatenate([self.pair_distances(fps[start:start + rows, None], fps)
+                                for start in range(0, len(fps), rows)])
+        table.flags.writeable = False
+        return table
 
     def hierarchy(self, params: Params):
         """The net hierarchy of ``params``, built on first use and kept for

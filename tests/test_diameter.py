@@ -1,8 +1,8 @@
 """Instance.diameter against a pairwise row scan kept here as the reference,
 which sums each pair's squared differences one dimension at a time, as
-Instance.distance does: every value must be equal bit for bit.  Property
-tests pin the definition itself: the diameter is the largest distance, and
-within a few rounding errors of it when a square overflows."""
+Instance.distance does: every value must be equal bit for bit.  A property
+test pins the definition itself: the diameter is the largest distance, also
+when a square overflows or every square underflows."""
 
 import json
 import math
@@ -39,20 +39,17 @@ def _row_scan(arr: np.ndarray, squared: bool) -> float:
 
 
 def reference_diameter(points, kind) -> float:
-    """The diameter by the row scan, with the 2**-600 rescale when the
-    squared L2 scan overflows; inf when the diameter itself overflows.
-    When every squared L2 sum is below 2**-960, each distance is
-    ``math.dist``'s, and the diameter is the largest of them."""
+    """The diameter by the row scan; inf when the diameter itself
+    overflows.  When a squared L2 sum overflows, or every one is below
+    2**-960, the farthest pairs' distances are ``math.dist``'s, and the
+    diameter is the largest of them."""
     arr = np.asarray(points, dtype=float)
     if kind == "euclidean-Linf":
         return _row_scan(arr, squared=False)
     best = _row_scan(arr, squared=True)
-    if math.isinf(best):
-        scale = 2.0 ** -600
-        return math.sqrt(_row_scan(arr * scale, squared=True)) / scale
-    if best < 2.0 ** -960:
-        return max(math.dist(p, q) for p in points for q in points)
-    return math.sqrt(best)
+    if 2.0 ** -960 <= best < math.inf:
+        return math.sqrt(best)
+    return max(math.dist(p, q) for p in points for q in points)
 
 
 def assert_matches_reference(points, kind) -> None:
@@ -149,6 +146,14 @@ _bounded_coordinate = st.tuples(_magnitude, st.booleans()).map(
 _tiny_coordinate = st.floats(-2.0 ** -500, 2.0 ** -500)
 
 
+# Coordinates of magnitude in [1e154, 1e307]: two of opposite signs differ by
+# more than 1.34e154, whose square overflows, so such a pair's ``distance`` is
+# ``math.dist``'s; 16 differences of at most 2e307 keep the diameter itself
+# finite.
+_huge_coordinate = st.tuples(st.floats(1e154, 1e307), st.booleans()).map(
+    lambda t: -t[0] if t[1] else t[0])
+
+
 def _point_sets(coordinate):
     return st.integers(1, 16).flatmap(
         lambda d: st.lists(st.lists(coordinate, min_size=d, max_size=d),
@@ -156,7 +161,8 @@ def _point_sets(coordinate):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_point_sets(_bounded_coordinate) | _point_sets(_tiny_coordinate),
+@given(_point_sets(_bounded_coordinate) | _point_sets(_tiny_coordinate)
+       | _point_sets(_huge_coordinate),
        st.sampled_from(("euclidean-L2", "euclidean-Linf", "explicit-matrix")))
 def test_diameter_is_the_largest_distance(points, kind):
     ids = range(len(points))
@@ -167,32 +173,3 @@ def test_diameter_is_the_largest_distance(points, kind):
     else:
         inst = Instance(kind, points=points, facilities=[(0, 1)])
     assert inst.diameter == max(inst.distance(p, q) for p in ids for q in ids)
-
-
-# Coordinates of magnitude in [1e154, 1e307]: two of opposite signs differ by
-# more than 1.34e154, whose square overflows, so the L2 diameter is the
-# 2**-600-rescaled root while each such pair's ``distance`` is ``math.dist``;
-# 16 differences of at most 2e307 keep the diameter itself finite.
-_huge_coordinate = st.tuples(st.floats(1e154, 1e307), st.booleans()).map(
-    lambda t: -t[0] if t[1] else t[0])
-
-
-@settings(max_examples=200, deadline=None)
-@given(_point_sets(_huge_coordinate))
-def test_overflowing_diameter_is_within_rounding_of_the_largest_distance(points):
-    # With u = 2**-53, a sum of d squares carries a relative error of at most
-    # d*u (one rounding per square and per addition, to first order; the
-    # 2**-600 rescale is exact, and squares that underflow lose at most
-    # 2**-1074 each against a largest sum above 1e-54), and its root halves
-    # that and adds u: the diameter is within (d/2 + 1)*u of the exact
-    # largest distance.  Each ``distance`` is that root or ``math.dist``'s,
-    # within 2u, so the largest is within (d/2 + 2)*u of it too, and the two
-    # differ by at most (d + 3)*u relatively; (d + 4)*u covers the second
-    # order terms.  Such a gap changes no decision: rho_max is a ceiling of
-    # the diameter, and the C1/C2 build checks have at least 20x slack over
-    # the distances they compare.
-    inst = Instance("euclidean-L2", points=points, facilities=[(0, 1)])
-    ids = range(len(points))
-    largest = max(inst.distance(p, q) for p in ids for q in ids)
-    d = len(points[0])
-    assert abs(inst.diameter - largest) <= (d + 4) * 2.0 ** -53 * largest

@@ -11,6 +11,7 @@ from helpers import random_instance, reference_cround, reference_is_finite_numbe
     reference_matrix
 from netfloc import (Instance, InstanceError, cround,
                      derive_parameters, largest_power_of_five_at_most)
+from netfloc import instance as instance_mod
 from netfloc.instance import _TRIANGLE_SLACK, _finite_floats
 
 
@@ -365,3 +366,34 @@ def test_l2_diameter_beyond_squared_float_range():
     inst = Instance("euclidean-L2", points=[[0], [1e200]], facilities=[(0, 1), (1, 1)])
     assert inst.diameter == 1e200
     assert derive_parameters(inst, 0).rho_max == cround(1e200)
+
+
+@pytest.mark.parametrize("kind", ("euclidean-L2", "euclidean-Linf", "explicit-matrix"))
+def test_instance_caches_fill_once(kind, monkeypatch):
+    facilities = [(0, 1), (2, 1)]
+    if kind == "explicit-matrix":
+        inst = Instance(kind, matrix=[[0, 5, 10], [5, 0, 5], [10, 5, 0]], facilities=facilities)
+    else:
+        inst = Instance(kind, points=[[0, 0], [3, 4], [6, 8]], facilities=facilities)
+    for name in ("array", "facility_distances"):
+        table = getattr(inst, name)
+        assert getattr(inst, name) is table
+        assert not table.flags.writeable
+    calls = []
+    squared_sums = instance_mod._squared_sums
+    monkeypatch.setattr(instance_mod, "_squared_sums",
+                        lambda *args: calls.append(args) or squared_sums(*args))
+    diameter = 8.0 if kind == "euclidean-Linf" else 10.0
+    assert inst.diameter == diameter
+    first = len(calls)
+    assert first == (kind == "euclidean-L2")
+    assert inst.diameter == diameter
+    assert len(calls) == first
+    if kind != "explicit-matrix":
+        # A failed computation caches nothing, so every access raises.
+        far = Instance(kind, points=[[-1e308], [1e308]], facilities=[(0, 1)])
+        for _ in range(2):
+            with pytest.raises(InstanceError, match="diameter overflows"):
+                far.diameter
+        with pytest.raises(InstanceError, match="diameter overflows"):
+            derive_parameters(far, 0)

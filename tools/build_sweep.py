@@ -6,7 +6,10 @@ For each facility count F, a fresh process builds one seeded instance: F
 facility points and 2,000 client points with float coordinates drawn
 uniformly from [0, 1000]^2 under L2, integer opening costs in [1, 500], and
 the hierarchy of the client-count scale n = 5**6.  It prints one line per F:
-the facility table's seconds, the rest of the build's seconds (the first
+``diameter_s``, the seconds of the first ``Instance.diameter`` (the points'
+array and one blocked pass over the sums of squares of all F + 2,000 points'
+pairs, before ``derive_parameters`` reads the cached value), the facility
+table's seconds, the rest of the build's seconds (the first
 ``Instance.hierarchy`` call, which builds the hierarchy and keeps it), the
 node and level counts, ``located_pairs``, the (point, node) pairs the build
 hands to ``Instance.pair_distances`` after the table is built (the size of
@@ -14,10 +17,10 @@ each call's broadcast index arrays), the process's peak RSS after the build,
 ``rebuild_s``, the best of 5 ``Engine._rebuild`` calls of an engine with n
 live clients spread over the 2,000 client points (each rebuild finds the
 hierarchy built and refills the annotation list the engine allocated at
-construction, so it times a refill, not an allocation), and the memory of one more build traced by
-``tracemalloc``: ``traced_peak_mb``, its peak, and ``traced_retained_mb``,
-what the built hierarchy keeps.  Run from the root of a source checkout: the
-package is imported from its ``src`` directory.
+construction, so it times a refill, not an allocation), and the memory of
+one more build traced by ``tracemalloc``: ``traced_peak_mb``, its peak, and
+``traced_retained_mb``, what the built hierarchy keeps.  Run from the root of
+a source checkout: the package is imported from its ``src`` directory.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ def measure(n_facilities: int) -> str:
               for _ in range(n_facilities + CLIENT_POINTS)]
     instance = Instance("euclidean-L2", points=points,
                         facilities=[(i, rng.randint(1, 500)) for i in range(n_facilities)])
+    start = time.perf_counter()
+    instance.diameter
+    diameter_s = time.perf_counter() - start
     params = derive_parameters(instance, SCALE)
     start = time.perf_counter()
     instance.facility_distances
@@ -86,8 +92,8 @@ def measure(n_facilities: int) -> str:
     traced = Hierarchy(instance, params)  # alive while its memory is read
     retained, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return (f"F={n_facilities} table_s={table_s:.3f} build_s={build_s:.3f} "
-            f"nodes={len(hierarchy.nodes)} levels={params.delta} "
+    return (f"F={n_facilities} diameter_s={diameter_s:.4f} table_s={table_s:.3f} "
+            f"build_s={build_s:.3f} nodes={len(hierarchy.nodes)} levels={params.delta} "
             f"located_pairs={located} peak_rss_mb={peak_mb:.0f} rebuild_s={rebuild_s:.4f} "
             f"traced_peak_mb={peak / 2**20:.1f} traced_retained_mb={retained / 2**20:.1f}")
 
