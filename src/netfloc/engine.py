@@ -171,19 +171,22 @@ class Engine:
     def assignments(self) -> dict:
         """Every live client's ``assign_client`` result, in one pass over the
         registry: an assignment depends only on the client's lowest enabled
-        area, so each distinct point's area is found once and each distinct
-        area is routed once."""
+        area, which depends only on its bottom area, so each distinct bottom
+        area is resolved once and each distinct lowest enabled area is
+        routed once."""
+        chains = self.hierarchy.point_chains
         routed: dict[int, Assignment] = {}
-        at_point: dict[int, Assignment] = {}
+        at_bottom: dict[int, Assignment] = {}
         out = {}
         for cid, point in self.registry.items():
-            assignment = at_point.get(point)
+            bottom = chains[point][0]
+            assignment = at_bottom.get(bottom)
             if assignment is None:
                 area_idx = self._lowest_enabled(point)
                 assignment = routed.get(area_idx)
                 if assignment is None:
                     assignment = routed[area_idx] = self._route(area_idx)
-                at_point[point] = assignment
+                at_bottom[bottom] = assignment
             out[cid] = assignment
         return out
 
@@ -224,17 +227,16 @@ class Engine:
     def realized_cost(self, assignments) -> float:
         """Opening costs of the open facilities plus client-to-facility
         distances under ``assignments``, the result of ``assignments()``
-        for the current state.  Each distinct (point, facility) distance is
-        computed once and added once per client, in registry order."""
-        dist = self.instance.distance
+        for the current state.  The distances are one bulk
+        ``Instance.pair_distances`` call, ``distance``'s values bit for bit,
+        added one client at a time in registry order."""
         facs = self.instance.facilities
         total = sum(facs[f].opening_cost for f in self.solution_query())
-        known: dict[tuple[int, int], float] = {}
-        for cid, point in self.registry.items():
-            pair = (point, assignments[cid].open_facility)
-            d = known.get(pair)
-            if d is None:
-                d = known[pair] = dist(point, facs[pair[1]].point)
+        registry = self.registry
+        points = np.fromiter(registry.values(), np.int64, len(registry))
+        served = np.fromiter((facs[assignments[cid].open_facility].point for cid in registry),
+                             np.int64, len(registry))
+        for d in self.instance.pair_distances(points, served).tolist():
             total += d
         return total
 

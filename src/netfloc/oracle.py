@@ -1,11 +1,22 @@
-"""Independent, slow, obviously-correct recomputation of the full dynamic
-state, plus an exact exhaustive optimum for small instances.
+"""Independent recomputation of the full dynamic state from the
+definitions, plus an exact exhaustive optimum for small instances.
 
 The evaluator deliberately avoids the engine's incremental machinery and the
-hierarchy's precomputed neighborhood lists: point areas come from a linear
-scan over all (facility, logradius) pairs, neighborhoods from brute-force
-pairwise distance tests, and status bits from one ordered pass over the
-definitions.
+hierarchy's precomputed lists: it reads only the tree's nodes and the
+metric.  Its static data comes from bulk scans, decisions exact and the
+oracle's own: point areas from a level-by-level scan of all points against
+each level's nodes, closest first by (distance, facility id), and near and
+far neighborhoods from one block of node-to-node distances per level.  The
+distances are ``Instance.pair_distances`` values, ``distance``'s bit for
+bit, each compared with the exact ``radius`` (``_within``); abundance
+thresholds are ``Fraction`` ceilings.  A recomputation counts clients in
+numpy over the view's flat arrays and resolves status bits in one ordered
+pass over the definitions.
+
+The distance kernel itself is shared: the build also reads
+``pair_distances``, so a fault in it would reach both sides alike and
+``verify`` would not see it.  Only the tests check that kernel against the
+scalar ``Instance.distance``.
 """
 
 from __future__ import annotations
@@ -20,6 +31,34 @@ import numpy as np
 from .engine import Assignment, Engine, NodeAnnotation
 from .hierarchy import C2, CX, CY, Hierarchy, radius
 from .instance import Instance, NetflocError
+
+
+# Entries per block of a bulk scan (128 KiB of float distances).
+SCAN_BLOCK = 2 ** 14
+
+def _within(d: np.ndarray, rad) -> np.ndarray:
+    """``d <= rad``, decided exactly, for float distances ``d`` and a
+    ``radius`` value: an int (at r >= 0, possibly beyond the float range) or
+    a float.  numpy compares with ``float(rad)``; a float strictly between
+    ``float(rad)`` and ``rad`` would be nearer to ``rad``, so only the
+    entries equal to ``float(rad)`` can be misjudged, and they are decided
+    again in Python, where a float compares with an int exactly.  A radius
+    beyond the float range exceeds every finite distance."""
+    try:
+        f = float(rad)
+    except OverflowError:
+        f = math.inf
+    inside = d <= f
+    if not f <= rad:
+        inside &= d != f
+    return inside
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Row slices of an n_rows x n_cols scan, each of at most SCAN_BLOCK
+    entries or one row."""
+    step = max(1, SCAN_BLOCK // max(1, n_cols))
+    return [slice(s, s + step) for s in range(0, n_rows, step)]
 
 
 class HierarchyMismatch(NetflocError):
@@ -50,49 +89,119 @@ def engine_snapshot(engine: Engine) -> StateSnapshot:
 class OracleView:
     """Definition-level evaluator bound to one instance and hierarchy.
 
-    The constructor performs all static brute-force precomputation (point
-    chains, per-level near neighborhoods, facility membership in far
-    neighborhoods) so that repeated state recomputations stay cheap.
+    The constructor performs all static precomputation, in bulk scans over
+    ``Instance.pair_distances`` (point chains, per-level near and far
+    neighborhoods, facility membership in far neighborhoods), so that
+    repeated state recomputations stay cheap.  It reads the tree's nodes
+    (logradius, color, facility, parent, designation) and none of the
+    hierarchy's lists.  Its flat arrays:
+
+    - ``_chains``: one row per point, one column per level, the point's
+      chain entry at that level or the pad id ``len(nodes)`` below its
+      bottom area;
+    - ``_x_ids``: every node's x-members, node by node, the members of node
+      i from ``_x_bounds[i]`` to ``_x_bounds[i + 1]``.
     """
 
     def __init__(self, instance: Instance, hierarchy: Hierarchy):
         self.instance = instance
         self.hierarchy = hierarchy
         nodes = hierarchy.nodes
-        dist = instance.distance
-        fpoint = [instance.facilities[n.facility].point for n in nodes]
-        self._fpoint = fpoint
+        count = len(nodes)
+        rho_min = hierarchy.params.rho_min
+        level = np.array([n.r for n in nodes], dtype=np.int64) - rho_min
+        color = np.array([n.color for n in nodes], dtype=np.int64)
+        fac = np.array([n.facility for n in nodes], dtype=np.int64)
+        fpoint = np.array([instance.facilities[n.facility].point for n in nodes],
+                          dtype=np.int64)
+        n_levels = hierarchy.params.delta
+        # Node ids by level, each level in ascending facility id.
+        leveled = np.lexsort((fac, level))
+        cuts = np.searchsorted(level[leveled], np.arange(n_levels + 1)).tolist()
+        levels = [leveled[a:b] for a, b in zip(cuts, cuts[1:])]
 
-        self.point_chain: list[tuple[int, ...]] = [
-            self._scan_chain(p) for p in range(instance.n_points)
-        ]
+        # Bottom area of every point: level by level from the bottom, the
+        # closest node by (distance, facility id) within C2 * 5**r, for the
+        # points that no lower level reached.
+        bottom = np.full(instance.n_points, -1, dtype=np.int64)
+        pending = np.arange(instance.n_points)
+        for j, ids in enumerate(levels):
+            thr = radius(C2, rho_min + j)
+            for rows in _row_blocks(len(pending), len(ids)):
+                pts = pending[rows]
+                d = instance.pair_distances(pts[:, None], fpoint[ids])
+                inside = _within(d, thr)
+                found = inside.any(axis=1)
+                nearest = d.min(axis=1, where=inside, initial=math.inf, keepdims=True)
+                # The first closest column has the lowest facility id.
+                closest = ((d == nearest) & inside).argmax(axis=1)
+                bottom[pts[found]] = ids[closest[found]]
+            pending = pending[bottom[pending] < 0]
+        if len(pending):
+            raise AssertionError(f"point {pending[0]} outside every C2 ball")
 
-        # Same-level node ids within the near-neighborhood radius, by a plain
-        # pairwise scan.
-        self.x_members: list[frozenset[int]] = []
-        for idx, node in enumerate(nodes):
-            thr = radius(CX, node.r)
-            self.x_members.append(frozenset(
-                other
-                for other in hierarchy.by_level[node.r]
-                if dist(fpoint[idx], fpoint[other]) <= thr
-            ))
+        # The parent path of each bottom area, entered by level.
+        parent = np.array([count if n.parent is None else n.parent for n in nodes],
+                          dtype=np.int64)
+        chains = np.full((instance.n_points, n_levels), count, dtype=np.int64)
+        rows, cur = np.arange(instance.n_points), bottom
+        while len(rows):
+            chains[rows, level[cur]] = cur
+            cur = parent[cur]
+            rows, cur = rows[cur < count], cur[cur < count]
+        self._chains = chains
+        # One int object per node id, shared by every id tuple, set and list
+        # below instead of a fresh int per entry.
+        id_objs = np.array(range(count), dtype=object)
+        # One chain tuple per bottom area, shared by the points in it.
+        areas, first = np.unique(bottom, return_index=True)
+        shared = {b: tuple(id_objs[row[row < count]].tolist())
+                  for b, row in zip(areas.tolist(), chains[first])}
+        self.point_chain: list[tuple[int, ...]] = [shared[b] for b in bottom.tolist()]
 
-        # Facilities whose point falls in each node's far neighborhood, and
-        # the reverse index used when resolving open bits.
-        self.y_facilities: list[frozenset[int]] = []
+        # Same-level node ids within the near-neighborhood radius, and the
+        # facilities whose level-r chain entry lies within the far radius,
+        # from one block of node-to-node distances per level.
+        fac_points = np.array([f.point for f in instance.facilities], dtype=np.int64)
+        x_pairs, y_pairs = [], []
+        col_of = np.full(count + 1, -1, dtype=np.int64)
+        for j, ids in enumerate(levels):
+            r = rho_min + j
+            col_of[ids] = np.arange(len(ids))
+            entry_col = col_of[chains[fac_points, j]]
+            col_of[ids] = -1
+            reached = np.flatnonzero(entry_col >= 0)
+            entry_col = entry_col[reached]
+            for rows in _row_blocks(len(ids), len(ids)):
+                d = instance.pair_distances(fpoint[ids[rows], None], fpoint[ids])
+                row, col = np.nonzero(_within(d, radius(CX, r)))
+                x_pairs.append((ids[rows][row], ids[col]))
+                row, col = np.nonzero(_within(d, radius(CY, r))[:, entry_col])
+                y_pairs.append((ids[rows][row], reached[col]))
+        owner, member = map(np.concatenate, zip(*x_pairs))
+        by_owner = np.argsort(owner, kind="stable")
+        self._x_ids = member[by_owner]
+        self._x_bounds = np.searchsorted(owner[by_owner], np.arange(count + 1)).tolist()
+        members = id_objs[self._x_ids].tolist()
+        self.x_members: list[frozenset[int]] = [
+            frozenset(members[a:b]) for a, b in zip(self._x_bounds, self._x_bounds[1:])]
+
+        owner, inside = map(np.concatenate, zip(*y_pairs))
+        n_fac = len(instance.facilities)
+        by_owner = np.lexsort((inside, owner))
+        facs = inside[by_owner].tolist()
+        bounds = np.searchsorted(owner[by_owner], np.arange(count + 1)).tolist()
+        self.y_facilities: list[frozenset[int]] = [
+            frozenset(facs[a:b]) for a, b in zip(bounds, bounds[1:])]
+        by_fac = np.lexsort((owner, inside))
+        fbounds = np.searchsorted(inside[by_fac], np.arange(n_fac + 1)).tolist()
+        holders = id_objs[owner[by_fac]].tolist()
         self.nodes_with_fac_in_y: dict[int, list[int]] = {
-            f.id: [] for f in instance.facilities}
-        for idx, node in enumerate(nodes):
-            thr = radius(CY, node.r)
-            inside = []
-            for fac in instance.facilities:
-                chain = self.point_chain[fac.point]
-                entry = self._chain_entry(chain, node.r)
-                if entry is not None and dist(fpoint[idx], fpoint[entry]) <= thr:
-                    inside.append(fac.id)
-                    self.nodes_with_fac_in_y[fac.id].append(idx)
-            self.y_facilities.append(frozenset(inside))
+            f: holders[a:b] for f, (a, b) in enumerate(zip(fbounds, fbounds[1:]))}
+
+        # Nodes compared by (logradius, color) as one integer rank.
+        self._rank = (level * (int(color.max()) + 1) + color).tolist()
+        self._fac = fac.tolist()
 
         # Smallest client count satisfying the abundance inequality, from the
         # exact rational form of the designated cost at each scale.
@@ -100,115 +209,110 @@ class OracleView:
             math.ceil(Fraction(node.designated_cost) / Fraction(5) ** node.r)
             for node in nodes
         ]
-        self._order = sorted(range(len(nodes)), key=lambda i: nodes[i].key())
-
-    def _scan_chain(self, p: int) -> tuple[int, ...]:
-        """Bottom area of a point by linear scan over all pairs, then the
-        parent path to the root."""
-        hierarchy = self.hierarchy
-        nodes = hierarchy.nodes
-        dist = self.instance.distance
-        params = hierarchy.params
-        bottom = None
-        for r in range(params.rho_min, params.rho_max + 1):
-            thr = radius(C2, r)
-            best = None
-            for idx in hierarchy.by_level[r]:
-                d = dist(p, self._fpoint[idx])
-                if d <= thr:
-                    key = (d, nodes[idx].facility)
-                    if best is None or key < best[0]:
-                        best = (key, idx)
-            if best is not None:
-                bottom = best[1]
-                break
-        chain = [bottom]
-        while nodes[chain[-1]].parent is not None:
-            chain.append(nodes[chain[-1]].parent)
-        return tuple(chain)
-
-    def _chain_entry(self, chain: tuple[int, ...], r: int):
-        off = r - self.hierarchy.nodes[chain[0]].r
-        return chain[off] if off >= 0 else None
+        self._order = np.lexsort((fac, color, level)).tolist()
+        self._level = level.tolist()
+        self._parent = [n.parent for n in nodes]
+        self._count = count
 
     def point_in_x(self, p: int, idx: int) -> bool:
         """Whether a point's level-r area lies in the near neighborhood of a
         node: the point's chain entry at that level is one of the node's
         x-members."""
-        entry = self._chain_entry(self.point_chain[p], self.hierarchy.nodes[idx].r)
-        return entry is not None and entry in self.x_members[idx]
+        return int(self._chains[p, self._level[idx]]) in self.x_members[idx]
+
+    def x_hits(self, points: np.ndarray, idxs) -> np.ndarray:
+        """For each of ``points``, the number of nodes among ``idxs`` whose
+        near neighborhood holds it (``point_in_x`` summed over ``idxs``): one
+        membership vector per node, read at the points' chain entries."""
+        entries = self._chains[points]
+        hits = np.zeros(len(points), dtype=np.int64)
+        member = np.zeros(self._count + 1, dtype=bool)
+        bounds = self._x_bounds
+        for idx in idxs:
+            ids = self._x_ids[bounds[idx]:bounds[idx + 1]]
+            member[ids] = True
+            hits += member[entries[:, self._level[idx]]]
+            member[ids] = False
+        return hits
 
     def recompute_state(self, clients) -> StateSnapshot:
         """Evaluate every annotation, the open facility set, and all client
         assignments directly from the definitions."""
-        hierarchy = self.hierarchy
-        nodes = hierarchy.nodes
-        count = len(nodes)
+        nodes = self.hierarchy.nodes
+        count = self._count
         clients = dict(clients)
-        # Clients on one point share its chain, so each distinct point is
-        # walked once with its client count as the weight.
-        weights = Counter(clients.values())
-        n_area = [0] * count
-        for point, k in weights.items():
-            for idx in self.point_chain[point]:
-                n_area[idx] += k
+        points = np.fromiter(clients.values(), np.int64, len(clients))
+        entries = self._chains[points]
+        # Each client counts in every area of its chain (the pad id last).
+        n_area = np.bincount(entries.ravel(), minlength=count + 1)[:count]
+        # Each x-member list holds its own node, so no segment is empty.
+        n_x = np.add.reduceat(n_area[self._x_ids], self._x_bounds[:-1])
+        slack = [n - t for n, t in zip(n_x.tolist(), self._threshold)]
 
-        slack = [sum(map(n_area.__getitem__, members)) - t
-                 for members, t in zip(self.x_members, self._threshold)]
-
+        # Open bits in ascending (logradius, color, facility) order: a node's
+        # bit depends only on smaller keys, so one ordered pass reaches the
+        # fixed point.  An open node counts in the open_below of every
+        # larger-key node whose far neighborhood holds its facility.
+        rank, fac = self._rank, self._fac
         open_bits = [False] * count
         open_below = [0] * count
+        open_list = []
         for idx in self._order:
-            if slack[idx] >= 0 and open_below[idx] == 0:
+            if slack[idx] >= 0 and not open_below[idx]:
                 open_bits[idx] = True
-                key = nodes[idx].key()[:2]
-                for other in self.nodes_with_fac_in_y[nodes[idx].facility]:
-                    if nodes[other].key()[:2] > key:
+                open_list.append(idx)
+                key = rank[idx]
+                for other in self.nodes_with_fac_in_y[fac[idx]]:
+                    if rank[other] > key:
                         open_below[other] += 1
         enabled = [o or b >= 1 for o, b in zip(open_bits, open_below)]
 
-        # A point pays at its lowest enabled area.  The nodes above it on the
-        # chain count the point's clients as enabled below, and the area and
-        # every enabled node above it carry the payment; disabled nodes cost 0.
+        # A client pays at its lowest enabled area.  The nodes above that area
+        # count the area's clients as enabled below, and the area and every
+        # enabled node above it carry the payment; disabled nodes cost 0.
+        on = np.array(enabled + [False])[entries]
+        lowest = on.argmax(axis=1)
+        if not on.any(axis=1).all():
+            raise RuntimeError("no enabled area on a client's chain")
+        area_of = entries[np.arange(len(points)), lowest].tolist()
+        areas = Counter(area_of)
+        parent = self._parent
         n_enabled_below = [0] * count
         cost = [0] * count
-        area_at = {}
-        for point, k in weights.items():
-            area = None
-            for idx in self.point_chain[point]:
-                if area is not None:
-                    n_enabled_below[idx] += k
-                    if enabled[idx]:
-                        cost[idx] += paid
-                elif enabled[idx]:
-                    area = idx
-                    paid = k * nodes[idx].unit_weight
-                    cost[idx] += paid
-            area_at[point] = area
+        paying = set(areas)
+        for area, k in areas.items():
+            paid = k * nodes[area].unit_weight
+            cost[area] += paid
+            up = parent[area]
+            while up is not None:
+                n_enabled_below[up] += k
+                if enabled[up]:
+                    cost[up] += paid
+                    paying.add(up)
+                up = parent[up]
         y = [0] * count
-        for idx, node in enumerate(nodes):
-            if node.parent is not None:
-                y[node.parent] += cost[idx]
+        for idx in paying:
+            if parent[idx] is not None:
+                y[parent[idx]] += cost[idx]
 
         # open_list ascends in key, so an area's first reachable entry is the
         # smallest-key one; an assignment depends only on the area.
-        open_list = [idx for idx in self._order if open_bits[idx]]
         routed = {}
-        for area_idx in set(area_at.values()):
-            area = nodes[area_idx]
-            area_key = (area.r, area.color)
-            inside = self.y_facilities[area_idx]
-            best = next(oidx for oidx in open_list
-                        if nodes[oidx].key()[:2] <= area_key
-                        and nodes[oidx].facility in inside)
+        for area_idx in areas:
+            key, inside = rank[area_idx], self.y_facilities[area_idx]
+            for best in open_list:
+                if rank[best] <= key and fac[best] in inside:
+                    break
+            else:
+                raise RuntimeError(f"no open triplet reachable from node {area_idx}")
             routed[area_idx] = Assignment(
-                area.r, area_idx, best, nodes[best].designated_facility)
-        assignments = {cid: routed[area_at[point]] for cid, point in clients.items()}
+                nodes[area_idx].r, area_idx, best, nodes[best].designated_facility)
+        assignments = dict(zip(clients, map(routed.__getitem__, area_of)))
 
-        annotations = list(map(NodeAnnotation, open_bits, enabled, n_area, slack,
-                               open_below, n_enabled_below, cost, y))
+        annotations = list(map(NodeAnnotation, open_bits, enabled, n_area.tolist(),
+                               slack, open_below, n_enabled_below, cost, y))
         open_facs = frozenset(nodes[idx].designated_facility for idx in open_list)
-        return StateSnapshot(hierarchy, annotations, open_facs, assignments)
+        return StateSnapshot(self.hierarchy, annotations, open_facs, assignments)
 
 
 def compare_states(left: StateSnapshot, right: StateSnapshot) -> list[str]:
@@ -323,15 +427,16 @@ def logical_violations(view: OracleView, engine: Engine, assignments) -> list[st
             problems.append(f"abundant but not enabled: node {nodes[idx].key()}")
     live = list(engine.registry.items())
     open_nodes = sorted(engine.open_nodes)
-    # Open near neighborhoods holding each distinct client point.
-    hits_at: dict[int, int] = {}
-    for cid, point in live:
-        hits = hits_at.get(point)
-        if hits is None:
-            hits = hits_at[point] = sum(view.point_in_x(point, idx)
-                                        for idx in open_nodes)
-        if hits > 1:
-            problems.append(f"client {cid!r} in {hits} open neighborhoods")
+    if open_nodes:
+        # Open near neighborhoods holding each distinct client point.
+        points = np.fromiter(set(engine.registry.values()), np.int64)
+        hits = view.x_hits(points, open_nodes)
+        if hits.max(initial=0) > 1:
+            hits_at = dict(zip(points.tolist(), hits.tolist()))
+            for cid, point in live:
+                if hits_at[point] > 1:
+                    problems.append(
+                        f"client {cid!r} in {hits_at[point]} open neighborhoods")
     if live:
         if not open_nodes:
             problems.append("live clients but no open triplet")

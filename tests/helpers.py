@@ -6,7 +6,9 @@ seeded input generator and its seed-1 cases, for tests that run on its
 inputs, the engine's general update path kept as a reference for its
 steady-update shortcuts, its per-node annotation passes kept as a reference
 for its counted rebuild, the oracle's per-client assignment loop kept as a
-reference for its per-area one, seeded traces that cross the scales 5, 25 and 125, and
+reference for its per-area one, the scalar oracle view kept as the reference
+for its bulk scans and flat-array recomputation (``ReferenceOracleView``),
+seeded traces that cross the scales 5, 25 and 125, and
 the scalar references for ``cround`` and for the hierarchy's bulk point
 location (``find_area``), the reference hierarchy build over the exact
 scalar distance table (``ReferenceHierarchy``), and the entry-by-entry,
@@ -32,6 +34,7 @@ from netfloc import C1, C2, C3, C4, CX, CY, DirtyHeap, Engine, Hierarchy, Instan
 from netfloc.engine import Assignment, NodeAnnotation, UpdateStats
 from netfloc.hierarchy import TripletNode, threshold
 from netfloc.instance import _TRIANGLE_SLACK, _as_list, echo, largest_power_of_five_at_most
+from netfloc.oracle import StateSnapshot
 
 
 def reference_cround(x) -> int:
@@ -281,7 +284,8 @@ def reference_oracle_assignments(view, annotations, clients) -> dict:
     scan of every open triplet in key order for the smallest key at or below
     the area whose facility lies in the area's far neighborhood."""
     nodes = view.hierarchy.nodes
-    open_list = [idx for idx in view._order if annotations[idx].is_open]
+    order = sorted(range(len(nodes)), key=lambda i: nodes[i].key())
+    open_list = [idx for idx in order if annotations[idx].is_open]
     assignments = {}
     for cid, point in dict(clients).items():
         area_idx = next(idx for idx in view.point_chain[point]
@@ -302,6 +306,175 @@ def reference_oracle_assignments(view, annotations, clients) -> dict:
         assignments[cid] = Assignment(
             area.r, area_idx, best, nodes[best].designated_facility)
     return assignments
+
+
+class ReferenceOracleView:
+    """The scalar oracle view, the reference for ``OracleView``'s bulk scans
+    and flat-array recomputation: every scan is a loop of
+    ``Instance.distance`` calls, and a recomputation walks each distinct
+    point's chain.
+
+    Definition-level evaluator bound to one instance and hierarchy.
+
+    The constructor performs all static brute-force precomputation (point
+    chains, per-level near neighborhoods, facility membership in far
+    neighborhoods) so that repeated state recomputations stay cheap.
+    """
+
+    def __init__(self, instance: Instance, hierarchy: Hierarchy):
+        self.instance = instance
+        self.hierarchy = hierarchy
+        nodes = hierarchy.nodes
+        dist = instance.distance
+        fpoint = [instance.facilities[n.facility].point for n in nodes]
+        self._fpoint = fpoint
+
+        self.point_chain: list[tuple[int, ...]] = [
+            self._scan_chain(p) for p in range(instance.n_points)
+        ]
+
+        # Same-level node ids within the near-neighborhood radius, by a plain
+        # pairwise scan.
+        self.x_members: list[frozenset[int]] = []
+        for idx, node in enumerate(nodes):
+            thr = radius(CX, node.r)
+            self.x_members.append(frozenset(
+                other
+                for other in hierarchy.by_level[node.r]
+                if dist(fpoint[idx], fpoint[other]) <= thr
+            ))
+
+        # Facilities whose point falls in each node's far neighborhood, and
+        # the reverse index used when resolving open bits.
+        self.y_facilities: list[frozenset[int]] = []
+        self.nodes_with_fac_in_y: dict[int, list[int]] = {
+            f.id: [] for f in instance.facilities}
+        for idx, node in enumerate(nodes):
+            thr = radius(CY, node.r)
+            inside = []
+            for fac in instance.facilities:
+                chain = self.point_chain[fac.point]
+                entry = self._chain_entry(chain, node.r)
+                if entry is not None and dist(fpoint[idx], fpoint[entry]) <= thr:
+                    inside.append(fac.id)
+                    self.nodes_with_fac_in_y[fac.id].append(idx)
+            self.y_facilities.append(frozenset(inside))
+
+        # Smallest client count satisfying the abundance inequality, from the
+        # exact rational form of the designated cost at each scale.
+        self._threshold = [
+            math.ceil(Fraction(node.designated_cost) / Fraction(5) ** node.r)
+            for node in nodes
+        ]
+        self._order = sorted(range(len(nodes)), key=lambda i: nodes[i].key())
+
+    def _scan_chain(self, p: int) -> tuple[int, ...]:
+        """Bottom area of a point by linear scan over all pairs, then the
+        parent path to the root."""
+        hierarchy = self.hierarchy
+        nodes = hierarchy.nodes
+        dist = self.instance.distance
+        params = hierarchy.params
+        bottom = None
+        for r in range(params.rho_min, params.rho_max + 1):
+            thr = radius(C2, r)
+            best = None
+            for idx in hierarchy.by_level[r]:
+                d = dist(p, self._fpoint[idx])
+                if d <= thr:
+                    key = (d, nodes[idx].facility)
+                    if best is None or key < best[0]:
+                        best = (key, idx)
+            if best is not None:
+                bottom = best[1]
+                break
+        chain = [bottom]
+        while nodes[chain[-1]].parent is not None:
+            chain.append(nodes[chain[-1]].parent)
+        return tuple(chain)
+
+    def _chain_entry(self, chain: tuple[int, ...], r: int):
+        off = r - self.hierarchy.nodes[chain[0]].r
+        return chain[off] if off >= 0 else None
+
+    def point_in_x(self, p: int, idx: int) -> bool:
+        """Whether a point's level-r area lies in the near neighborhood of a
+        node: the point's chain entry at that level is one of the node's
+        x-members."""
+        entry = self._chain_entry(self.point_chain[p], self.hierarchy.nodes[idx].r)
+        return entry is not None and entry in self.x_members[idx]
+
+    def recompute_state(self, clients) -> StateSnapshot:
+        """Evaluate every annotation, the open facility set, and all client
+        assignments directly from the definitions."""
+        hierarchy = self.hierarchy
+        nodes = hierarchy.nodes
+        count = len(nodes)
+        clients = dict(clients)
+        # Clients on one point share its chain, so each distinct point is
+        # walked once with its client count as the weight.
+        weights = Counter(clients.values())
+        n_area = [0] * count
+        for point, k in weights.items():
+            for idx in self.point_chain[point]:
+                n_area[idx] += k
+
+        slack = [sum(map(n_area.__getitem__, members)) - t
+                 for members, t in zip(self.x_members, self._threshold)]
+
+        open_bits = [False] * count
+        open_below = [0] * count
+        for idx in self._order:
+            if slack[idx] >= 0 and open_below[idx] == 0:
+                open_bits[idx] = True
+                key = nodes[idx].key()[:2]
+                for other in self.nodes_with_fac_in_y[nodes[idx].facility]:
+                    if nodes[other].key()[:2] > key:
+                        open_below[other] += 1
+        enabled = [o or b >= 1 for o, b in zip(open_bits, open_below)]
+
+        # A point pays at its lowest enabled area.  The nodes above it on the
+        # chain count the point's clients as enabled below, and the area and
+        # every enabled node above it carry the payment; disabled nodes cost 0.
+        n_enabled_below = [0] * count
+        cost = [0] * count
+        area_at = {}
+        for point, k in weights.items():
+            area = None
+            for idx in self.point_chain[point]:
+                if area is not None:
+                    n_enabled_below[idx] += k
+                    if enabled[idx]:
+                        cost[idx] += paid
+                elif enabled[idx]:
+                    area = idx
+                    paid = k * nodes[idx].unit_weight
+                    cost[idx] += paid
+            area_at[point] = area
+        y = [0] * count
+        for idx, node in enumerate(nodes):
+            if node.parent is not None:
+                y[node.parent] += cost[idx]
+
+        # open_list ascends in key, so an area's first reachable entry is the
+        # smallest-key one; an assignment depends only on the area.
+        open_list = [idx for idx in self._order if open_bits[idx]]
+        routed = {}
+        for area_idx in set(area_at.values()):
+            area = nodes[area_idx]
+            area_key = (area.r, area.color)
+            inside = self.y_facilities[area_idx]
+            best = next(oidx for oidx in open_list
+                        if nodes[oidx].key()[:2] <= area_key
+                        and nodes[oidx].facility in inside)
+            routed[area_idx] = Assignment(
+                area.r, area_idx, best, nodes[best].designated_facility)
+        assignments = {cid: routed[area_at[point]] for cid, point in clients.items()}
+
+        annotations = list(map(NodeAnnotation, open_bits, enabled, n_area, slack,
+                               open_below, n_enabled_below, cost, y))
+        open_facs = frozenset(nodes[idx].designated_facility for idx in open_list)
+        return StateSnapshot(hierarchy, annotations, open_facs, assignments)
 
 
 def build(instance, n=0) -> Hierarchy:

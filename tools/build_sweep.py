@@ -19,8 +19,12 @@ live clients spread over the 2,000 client points (each rebuild finds the
 hierarchy built and refills the annotation list the engine allocated at
 construction, so it times a refill, not an allocation), and the memory of
 one more build traced by ``tracemalloc``: ``traced_peak_mb``, its peak, and
-``traced_retained_mb``, what the built hierarchy keeps.  Run from the root of
-a source checkout: the package is imported from its ``src`` directory.
+``traced_retained_mb``, what the built hierarchy keeps, and ``view_s``, the
+seconds of one ``OracleView`` over the hierarchy (its bulk scans of all
+points and of every level's facility pairs), timed after the traced build so
+that neither the peak RSS nor the traced figures include it.  Run from the
+root of a source checkout: the package is imported from its ``src``
+directory.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ def measure(n_facilities: int) -> str:
     """Build the instance of ``n_facilities`` in this process and describe
     the build in one line."""
     sys.path.insert(0, str(SRC))
-    from netfloc import Engine, Hierarchy, Instance, derive_parameters
+    from netfloc import Engine, Hierarchy, Instance, OracleView, derive_parameters
 
     rng = random.Random(f"build-sweep-{n_facilities}")
     points = [[rng.uniform(0, 1000), rng.uniform(0, 1000)]
@@ -92,10 +96,14 @@ def measure(n_facilities: int) -> str:
     traced = Hierarchy(instance, params)  # alive while its memory is read
     retained, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
+    start = time.perf_counter()
+    OracleView(instance, hierarchy)
+    view_s = time.perf_counter() - start
     return (f"F={n_facilities} diameter_s={diameter_s:.4f} table_s={table_s:.3f} "
             f"build_s={build_s:.3f} nodes={len(hierarchy.nodes)} levels={params.delta} "
             f"located_pairs={located} peak_rss_mb={peak_mb:.0f} rebuild_s={rebuild_s:.4f} "
-            f"traced_peak_mb={peak / 2**20:.1f} traced_retained_mb={retained / 2**20:.1f}")
+            f"traced_peak_mb={peak / 2**20:.1f} traced_retained_mb={retained / 2**20:.1f} "
+            f"view_s={view_s:.3f}")
 
 
 def main(argv=None) -> int:
