@@ -58,11 +58,6 @@ class NodeAnnotation:
     cost: int = 0
     y: int = 0
 
-    def clone(self) -> "NodeAnnotation":
-        return NodeAnnotation(self.is_open, self.is_enabled, self.n_area,
-                              self.slack, self.open_below,
-                              self.n_enabled_below, self.cost, self.y)
-
 
 class Assignment(NamedTuple):
     """Where a client's payment lands: its lowest enabled area, the open
@@ -205,7 +200,6 @@ class Engine:
         nodes = self.hierarchy.nodes
         area = nodes[area_idx]
         area_key = (area.r, area.color)
-        members = set(area.y_areas)
         best = None
         best_key = None
         for oidx in self.open_nodes:
@@ -213,7 +207,7 @@ class Engine:
             if (onode.r, onode.color) > area_key:
                 continue
             entry = self.hierarchy.facility_chain_at(onode.facility, area.r)
-            if entry is None or entry not in members:
+            if entry is None or entry not in area.y_areas:
                 continue
             key = (onode.r, onode.color, onode.facility)
             if best is None or key < best_key:
@@ -221,8 +215,8 @@ class Engine:
         if best is None:
             raise RuntimeError("no open triplet reachable from area "
                                f"(j={area.facility},r={area.r},s={area.color})")
-        return Assignment(area.r, area_idx, best,
-                          nodes[best].designated_facility)
+        return tuple.__new__(Assignment, (area.r, area_idx, best,
+                                          nodes[best].designated_facility))
 
     def realized_cost(self, assignments) -> float:
         """Opening costs of the open facilities plus client-to-facility

@@ -26,8 +26,8 @@ from typing import NamedTuple
 from .engine import Engine, UpdateStats
 from .hierarchy import PAYMENT_BOUND_FACTOR
 from .instance import Instance, InstanceError, NetflocError, echo
-from .oracle import OracleView, StateSnapshot, compare_states, \
-    brute_force_opt, logical_violations
+from .oracle import OracleView, brute_force_opt, compare_states, \
+    engine_snapshot, logical_violations
 
 PAYMENT_SLACK = 1e-9  # relative slack for float distance sums
 
@@ -152,11 +152,8 @@ def verify_trace(instance: Instance, trace, corruption=None) -> tuple[int, list[
         if view is None:
             view = views[engine.hierarchy] = OracleView(instance, engine.hierarchy)
         expected = view.recompute_state(engine.registry)
-        # Compared and dropped before the next event, so no copy is taken.
         try:
-            snapshot = StateSnapshot(engine.hierarchy, engine.annotations,
-                                     frozenset(engine.solution_query()),
-                                     engine.assignments())
+            snapshot = engine_snapshot(engine)
         except RuntimeError as exc:  # a live client's assignment does not resolve
             return 1, [f"event {index}: assignment: {exc}"]
         mismatches = compare_states(snapshot, expected)

@@ -11,7 +11,11 @@ distances are ``Instance.pair_distances`` values, ``distance``'s bit for
 bit, each compared with the exact ``radius`` (``_within``); abundance
 thresholds are ``Fraction`` ceilings.  A recomputation counts clients in
 numpy over the view's flat arrays and resolves status bits in one ordered
-pass over the definitions.
+pass over the definitions.  A snapshot holds each node's annotation as one
+plain tuple, a row of the ``NodeAnnotation`` fields in declaration order:
+the oracle zips its per-field lists into rows, ``engine_snapshot`` reads the
+engine's annotations into rows, and ``compare_states`` compares the two row
+lists whole, naming node and field only on a mismatch.
 
 The distance kernel itself is shared: the build also reads
 ``pair_distances``, so a fault in it would reach both sides alike and
@@ -25,6 +29,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,6 +40,10 @@ from .instance import Instance, NetflocError
 
 # Entries per block of a bulk scan (128 KiB of float distances).
 SCAN_BLOCK = 2 ** 14
+# The fields of a snapshot row, and one engine annotation read as a row.
+_FIELDS = tuple(f.name for f in fields(NodeAnnotation))
+_row = attrgetter(*_FIELDS)
+
 
 def _within(d: np.ndarray, rad) -> np.ndarray:
     """``d <= rad``, decided exactly, for float distances ``d`` and a
@@ -67,23 +76,21 @@ class HierarchyMismatch(NetflocError):
 
 @dataclass
 class StateSnapshot:
-    """Full dynamic state over one hierarchy: one annotation per triplet, the
-    open facility set, and one assignment per live client."""
+    """Full dynamic state over one hierarchy: one annotation row per
+    triplet (a plain tuple of the ``NodeAnnotation`` fields in declaration
+    order), the open facility set, and one assignment per live client."""
 
     hierarchy: Hierarchy
-    annotations: list[NodeAnnotation]
+    annotations: list[tuple]
     open_facilities: frozenset
     assignments: dict
 
 
 def engine_snapshot(engine: Engine) -> StateSnapshot:
-    """Capture the engine's current state in snapshot form."""
-    return StateSnapshot(
-        hierarchy=engine.hierarchy,
-        annotations=[a.clone() for a in engine.annotations],
-        open_facilities=frozenset(engine.solution_query()),
-        assignments=engine.assignments(),
-    )
+    """Capture the engine's current state in snapshot form.  The rows are
+    read now, so later updates do not reach the snapshot."""
+    return StateSnapshot(engine.hierarchy, list(map(_row, engine.annotations)),
+                         frozenset(engine.solution_query()), engine.assignments())
 
 
 class OracleView:
@@ -100,7 +107,8 @@ class OracleView:
       chain entry at that level or the pad id ``len(nodes)`` below its
       bottom area;
     - ``_x_ids``: every node's x-members, node by node, the members of node
-      i from ``_x_bounds[i]`` to ``_x_bounds[i + 1]``.
+      i from ``_x_bounds[i]`` to ``_x_bounds[i + 1]`` (each segment's start
+      also in the array ``_x_heads``, for ``reduceat``).
     """
 
     def __init__(self, instance: Instance, hierarchy: Hierarchy):
@@ -181,7 +189,9 @@ class OracleView:
         owner, member = map(np.concatenate, zip(*x_pairs))
         by_owner = np.argsort(owner, kind="stable")
         self._x_ids = member[by_owner]
-        self._x_bounds = np.searchsorted(owner[by_owner], np.arange(count + 1)).tolist()
+        bounds = np.searchsorted(owner[by_owner], np.arange(count + 1))
+        self._x_bounds = bounds.tolist()
+        self._x_heads = bounds[:-1]
         members = id_objs[self._x_ids].tolist()
         self.x_members: list[frozenset[int]] = [
             frozenset(members[a:b]) for a, b in zip(self._x_bounds, self._x_bounds[1:])]
@@ -246,7 +256,7 @@ class OracleView:
         # Each client counts in every area of its chain (the pad id last).
         n_area = np.bincount(entries.ravel(), minlength=count + 1)[:count]
         # Each x-member list holds its own node, so no segment is empty.
-        n_x = np.add.reduceat(n_area[self._x_ids], self._x_bounds[:-1])
+        n_x = np.add.reduceat(n_area[self._x_ids], self._x_heads)
         slack = [n - t for n, t in zip(n_x.tolist(), self._threshold)]
 
         # Open bits in ascending (logradius, color, facility) order: a node's
@@ -270,12 +280,13 @@ class OracleView:
         # A client pays at its lowest enabled area.  The nodes above that area
         # count the area's clients as enabled below, and the area and every
         # enabled node above it carry the payment; disabled nodes cost 0.
-        on = np.array(enabled + [False])[entries]
-        lowest = on.argmax(axis=1)
-        if not on.any(axis=1).all():
-            raise RuntimeError("no enabled area on a client's chain")
+        # A chain with no enabled entry yields its first entry, not enabled.
+        flags = enabled + [False]
+        lowest = np.fromiter(flags, bool, count + 1)[entries].argmax(axis=1)
         area_of = entries[np.arange(len(points)), lowest].tolist()
         areas = Counter(area_of)
+        if not all(map(flags.__getitem__, areas)):
+            raise RuntimeError("no enabled area on a client's chain")
         parent = self._parent
         n_enabled_below = [0] * count
         cost = [0] * count
@@ -305,19 +316,20 @@ class OracleView:
                     break
             else:
                 raise RuntimeError(f"no open triplet reachable from node {area_idx}")
-            routed[area_idx] = Assignment(
-                nodes[area_idx].r, area_idx, best, nodes[best].designated_facility)
+            routed[area_idx] = tuple.__new__(Assignment, (
+                nodes[area_idx].r, area_idx, best, nodes[best].designated_facility))
         assignments = dict(zip(clients, map(routed.__getitem__, area_of)))
 
-        annotations = list(map(NodeAnnotation, open_bits, enabled, n_area.tolist(),
-                               slack, open_below, n_enabled_below, cost, y))
+        annotations = list(zip(open_bits, enabled, n_area.tolist(), slack,
+                               open_below, n_enabled_below, cost, y))
         open_facs = frozenset(nodes[idx].designated_facility for idx in open_list)
         return StateSnapshot(self.hierarchy, annotations, open_facs, assignments)
 
 
 def compare_states(left: StateSnapshot, right: StateSnapshot) -> list[str]:
     """Field-by-field diff of two snapshots of one hierarchy; empty list
-    means identical."""
+    means identical.  The row lists are compared whole first; only a
+    mismatch walks them, naming each differing field by its position."""
     if left.hierarchy is not right.hierarchy:
         raise HierarchyMismatch("snapshots cover different hierarchies")
     if (left.annotations == right.annotations
@@ -329,11 +341,10 @@ def compare_states(left: StateSnapshot, right: StateSnapshot) -> list[str]:
         if la == ra:
             continue
         node = left.hierarchy.nodes[pos]
-        for field in fields(NodeAnnotation):
-            lv, rv = getattr(la, field.name), getattr(ra, field.name)
+        for name, lv, rv in zip(_FIELDS, la, ra):
             if lv != rv:
                 diffs.append(f"node (j={node.facility},r={node.r},s={node.color}): "
-                             f"{field.name} left={lv} right={rv}")
+                             f"{name} left={lv} right={rv}")
     if left.open_facilities != right.open_facilities:
         diffs.append(
             f"open facilities: left={sorted(left.open_facilities)} "
@@ -425,25 +436,25 @@ def logical_violations(view: OracleView, engine: Engine, assignments) -> list[st
             problems.append(f"open but not enabled: node {nodes[idx].key()}")
         if a.slack >= 0 and not a.is_enabled:
             problems.append(f"abundant but not enabled: node {nodes[idx].key()}")
-    live = list(engine.registry.items())
+    registry = engine.registry
     open_nodes = sorted(engine.open_nodes)
     if open_nodes:
         # Open near neighborhoods holding each distinct client point.
-        points = np.fromiter(set(engine.registry.values()), np.int64)
+        points = np.fromiter(set(registry.values()), np.int64)
         hits = view.x_hits(points, open_nodes)
         if hits.max(initial=0) > 1:
             hits_at = dict(zip(points.tolist(), hits.tolist()))
-            for cid, point in live:
+            for cid, point in registry.items():
                 if hits_at[point] > 1:
                     problems.append(
                         f"client {cid!r} in {hits_at[point]} open neighborhoods")
-    if live:
+    if registry:
         if not open_nodes:
             problems.append("live clients but no open triplet")
         if not anns[engine.hierarchy.root].is_enabled:
             problems.append("live clients but root not enabled")
         total = sum(nodes[assignments[cid].area_triplet].unit_weight
-                    for cid, _ in live)
+                    for cid in registry)
         if total != anns[engine.hierarchy.root].cost:
             problems.append(
                 f"root cost {anns[engine.hierarchy.root].cost} != "

@@ -279,17 +279,19 @@ def crossing_case(kind: str, seed: int = 1):
 
 
 def reference_oracle_assignments(view, annotations, clients) -> dict:
-    """Each client's assignment under the oracle's ``annotations``, resolved
-    client by client: its lowest enabled area on the view's chain, then a
-    scan of every open triplet in key order for the smallest key at or below
-    the area whose facility lies in the area's far neighborhood."""
+    """Each client's assignment under the oracle's ``annotations`` (snapshot
+    rows), resolved client by client: its lowest enabled area on the view's
+    chain, then a scan of every open triplet in key order for the smallest
+    key at or below the area whose facility lies in the area's far
+    neighborhood."""
     nodes = view.hierarchy.nodes
+    anns = [NodeAnnotation(*row) for row in annotations]
     order = sorted(range(len(nodes)), key=lambda i: nodes[i].key())
-    open_list = [idx for idx in order if annotations[idx].is_open]
+    open_list = [idx for idx in order if anns[idx].is_open]
     assignments = {}
     for cid, point in dict(clients).items():
         area_idx = next(idx for idx in view.point_chain[point]
-                        if annotations[idx].is_enabled)
+                        if anns[idx].is_enabled)
         area = nodes[area_idx]
         area_key = (area.r, area.color)
         best = None
@@ -471,7 +473,7 @@ class ReferenceOracleView:
                 area.r, area_idx, best, nodes[best].designated_facility)
         assignments = {cid: routed[area_at[point]] for cid, point in clients.items()}
 
-        annotations = list(map(NodeAnnotation, open_bits, enabled, n_area, slack,
+        annotations = list(zip(open_bits, enabled, n_area, slack,
                                open_below, n_enabled_below, cost, y))
         open_facs = frozenset(nodes[idx].designated_facility for idx in open_list)
         return StateSnapshot(hierarchy, annotations, open_facs, assignments)

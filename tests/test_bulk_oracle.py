@@ -8,7 +8,8 @@ to a radius above 2**53 that no float represents, and on a point equidistant
 from two nodes, where the lower facility id wins."""
 
 import random
-from operator import attrgetter
+from dataclasses import fields
+from operator import itemgetter
 
 import pytest
 
@@ -29,8 +30,9 @@ def assert_same_static(view, reference):
 
 
 def _field_types(annotations) -> dict[str, set]:
-    return {name: set(map(type, map(attrgetter(name), annotations)))
-            for name in NodeAnnotation.__slots__}
+    """The value types of each field over a snapshot's annotation rows."""
+    return {f.name: set(map(type, map(itemgetter(pos), annotations)))
+            for pos, f in enumerate(fields(NodeAnnotation))}
 
 
 def assert_same_state(view, reference, clients):

@@ -390,11 +390,19 @@ def test_dirty_heap_guards():
         heap.push((1, 0, 0), 7)
 
 
-def test_annotation_clone_is_detached():
-    a = NodeAnnotation(n_area=3, cost=7)
-    b = a.clone()
-    b.n_area = 9
-    assert a.n_area == 3 and a == NodeAnnotation(n_area=3, cost=7)
+def test_engine_snapshot_is_detached_from_later_updates(line5):
+    # A snapshot reads the engine's annotations into rows when it is taken:
+    # later updates change the engine's state but not the snapshot, which
+    # still equals the oracle's recomputation of the earlier live set.
+    eng = Engine(line5, {"c1": 3, "c2": 4})
+    live = dict(eng.registry)
+    before = engine_snapshot(eng)
+    assert all(type(row) is tuple for row in before.annotations)
+    eng.insert_client("c3", 3)
+    assert eng.hierarchy is before.hierarchy
+    assert before.annotations != engine_snapshot(eng).annotations
+    view = OracleView(line5, before.hierarchy)
+    assert compare_states(before, view.recompute_state(live)) == []
 
 
 @pytest.mark.parametrize("point, message", [

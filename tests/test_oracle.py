@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import warnings
+from dataclasses import astuple
 
 import pytest
 
@@ -15,22 +16,33 @@ from netfloc.engine import Assignment, NodeAnnotation
 def test_recompute_empty_clients(line5):
     h = helpers.build(line5)
     snap = OracleView(line5, h).recompute_state({})
-    assert all(a == NodeAnnotation(slack=-node.abundance_threshold)
-               for a, node in zip(snap.annotations, h.nodes))
+    assert all(row == astuple(NodeAnnotation(slack=-node.abundance_threshold))
+               for row, node in zip(snap.annotations, h.nodes))
     assert snap.open_facilities == frozenset() and snap.assignments == {}
 
 
 def test_recompute_one_client(line5):
     h = helpers.build(line5)
     snap = OracleView(line5, h).recompute_state({"c1": 3})
-    by_pair = {(h.nodes[i].facility, h.nodes[i].r): snap.annotations[i]
+    by_pair = {(h.nodes[i].facility, h.nodes[i].r): NodeAnnotation(*snap.annotations[i])
                for i in range(len(h.nodes))}
     assert [by_pair[(0, r)].is_open for r in (1, 2, 3)] == [False, True, False]
     assert [by_pair[(0, r)].is_enabled for r in (1, 2, 3)] == [False, True, True]
-    root_units = snap.annotations[h.root].cost
+    root_units = NodeAnnotation(*snap.annotations[h.root]).cost
     assert root_units * 5 ** h.params.rho_min == 25
     assert snap.open_facilities == frozenset({0})
     assert snap.assignments["c1"].r_area == 2
+
+
+def test_recompute_without_an_enabled_area_raises(line5):
+    # With no node abundant, nothing opens or is enabled, so a client's
+    # chain holds no enabled area: the one at its bottom level is not one.
+    h = helpers.build(line5)
+    view = OracleView(line5, h)
+    assert view.recompute_state({"c1": 3}).open_facilities == frozenset({0})
+    view._threshold = [10 ** 9] * len(h.nodes)
+    with pytest.raises(RuntimeError, match="^no enabled area on a client's chain$"):
+        view.recompute_state({"c1": 3, "c2": 0})
 
 
 def test_recompute_is_order_independent(line5):
@@ -53,8 +65,8 @@ def test_compare_states_names_node_and_field(line5):
     eng = Engine(line5)
     eng.insert_client("c1", 3)
     left = engine_snapshot(eng)
+    eng.annotations[1].slack += 1
     right = engine_snapshot(eng)
-    right.annotations[1].slack += 1
     diffs = compare_states(left, right)
     assert len(diffs) == 1
     assert "slack" in diffs[0] and "node (j=0,r=2,s=0)" in diffs[0]
