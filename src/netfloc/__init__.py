@@ -3,7 +3,7 @@ decomposition maintained under client insertions and deletions, with
 constant-time cost queries, a from-scratch reference oracle, and an exact
 small-instance optimum for differential testing."""
 
-from .engine import DirtyHeap, Engine, NodeAnnotation
+from .engine import Annotations, DirtyHeap, Engine
 from .hierarchy import C1, C2, C3, C4, CX, CY, APPROX_FACTOR, \
     ASSIGN_RADIUS_FACTOR, PAYMENT_BOUND_FACTOR, Hierarchy, \
     build_separated_sets, build_tree, radius
@@ -15,7 +15,7 @@ from .harness import TraceError, TraceEvent, bench_trace, opt_command, \
     parse_trace, parse_trace_text, run_trace, verify_trace
 
 __all__ = [
-    "DirtyHeap", "Engine", "NodeAnnotation",
+    "Annotations", "DirtyHeap", "Engine",
     "C1", "C2", "C3", "C4", "CX", "CY", "APPROX_FACTOR",
     "ASSIGN_RADIUS_FACTOR", "PAYMENT_BOUND_FACTOR", "Hierarchy",
     "build_separated_sets", "build_tree", "radius",

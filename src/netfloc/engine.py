@@ -15,14 +15,17 @@ flip, corrects the flipped nodes' root paths with a second pass of the same
 loop; and the scale is re-derived only when the live count leaves the window
 [n, 5n) of its current power of five.
 
-A level shift rebuilds the annotations from counts, in place: the engine
-keeps one annotation list per ``Params`` it has visited, allocated on the
-first visit, and each rebuild refills the new scale's list.  A ``bincount``
-of the live points' bottom areas, added up level by level, and a
-``reduceat`` over the flat x lists give n_area and n_x; the refill writes
-those and zeroes every other field; one Python pass resolves the open bits
-in key order, and the steady path's flip settle, with every enabled node a
-flip, sets the costs along the root paths of the enabled nodes.
+The state is flat: ``Annotations``, eight lists (one per field) indexed by
+node id, so an update, a snapshot or a hash reads no per-node object.  A
+level shift rebuilds them from counts, in place: the engine keeps one
+``Annotations`` per ``Params`` it has visited, its lists allocated on the
+first visit, and each rebuild refills the new scale's lists by slice
+assignment.  A ``bincount`` of the live points' bottom areas, added up level
+by level, and a ``reduceat`` over the flat x lists give n_area and n_x; the
+refill writes those (``tolist``, so plain ints) and zeroes every other field;
+one Python pass resolves the open bits in key order, and the steady path's
+flip settle, with every enabled node a flip, sets the costs along the root
+paths of the enabled nodes.
 """
 
 from __future__ import annotations
@@ -40,23 +43,24 @@ from .instance import Instance, Params, derive_parameters, \
     largest_power_of_five_at_most
 
 
-@dataclass(slots=True)
-class NodeAnnotation:
-    """Dynamic per-triplet state: status bits, client counters, cost values.
+class Annotations(NamedTuple):
+    """Dynamic state of one hierarchy's triplets, one list per field indexed
+    by node id: status bits, client counters, cost values.
 
     ``slack`` is n_x - abundance_threshold: abundant means ``slack >= 0``.
     ``cost`` and ``y`` are in units of 5**rho_min; ``y`` is the sum of the
     children's costs and ``cost`` adds the payments resolved at this node.
+    Every element is a plain ``bool`` (the bits) or ``int`` (the counts).
     """
 
-    is_open: bool = False
-    is_enabled: bool = False
-    n_area: int = 0
-    slack: int = 0
-    open_below: int = 0
-    n_enabled_below: int = 0
-    cost: int = 0
-    y: int = 0
+    is_open: list[bool]
+    is_enabled: list[bool]
+    n_area: list[int]
+    slack: list[int]
+    open_below: list[int]
+    n_enabled_below: list[int]
+    cost: list[int]
+    y: list[int]
 
 
 class Assignment(NamedTuple):
@@ -130,8 +134,8 @@ class Engine:
                                for cid, point in dict(clients).items()}
         self._set_scale(largest_power_of_five_at_most(len(self.registry)))
         self.last_update = UpdateStats()
-        # One annotation list per Params visited, refilled by each rebuild.
-        self._annotations: dict[Params, list[NodeAnnotation]] = {}
+        # One Annotations per Params visited, refilled by each rebuild.
+        self._annotations: dict[Params, Annotations] = {}
         self._rebuild(derive_parameters(instance, self.n))
 
     @classmethod
@@ -145,7 +149,7 @@ class Engine:
     def cost_query(self) -> float:
         """Total payment of the current solution (root cost), O(1); inf
         when it exceeds the float range."""
-        units = self.annotations[self.hierarchy.root].cost
+        units = self._costs[self.hierarchy.root]
         try:
             return units * self._unit_num / self._unit_den
         except OverflowError:
@@ -186,9 +190,9 @@ class Engine:
         return out
 
     def _lowest_enabled(self, point: int) -> int:
-        anns = self.annotations
+        enabled = self.annotations.is_enabled
         for idx in self.hierarchy.area_chain(point):
-            if anns[idx].is_enabled:
+            if enabled[idx]:
                 return idx
         raise RuntimeError(f"no enabled area on the chain of point {point}")
 
@@ -240,10 +244,11 @@ class Engine:
         p = self.hierarchy.params
         nodes = self.hierarchy.nodes
         h.update(repr((p.rho_min, p.rho_max, self.n)).encode())
-        for node, a in zip(nodes, self.annotations):
-            h.update(repr((node.facility, node.r, node.color, a.is_open, a.is_enabled,
-                           a.slack >= 0, a.n_area, a.slack + node.abundance_threshold,
-                           a.open_below, a.n_enabled_below, a.cost, a.y)).encode())
+        for node, is_open, is_enabled, n_area, slack, open_below, n_enabled_below, \
+                cost, y in zip(nodes, *self.annotations):
+            h.update(repr((node.facility, node.r, node.color, is_open, is_enabled,
+                           slack >= 0, n_area, slack + node.abundance_threshold,
+                           open_below, n_enabled_below, cost, y)).encode())
         # Open triplets per designated facility.
         designations = Counter(nodes[i].designated_facility for i in self.open_nodes)
         h.update(repr(sorted(designations.items())).encode())
@@ -296,8 +301,8 @@ class Engine:
         return self.hierarchy.path_x_areas[chain[0]]
 
     def _proposed_open(self, idx: int) -> bool:
-        a = self.annotations[idx]
-        return a.slack >= 0 and a.open_below == 0
+        anns = self.annotations
+        return anns.slack[idx] >= 0 and anns.open_below[idx] == 0
 
     def update_status(self, affected, delta: int) -> list[tuple[int, bool]]:
         """Adjust near-neighborhood counters, propagate open/closed flips
@@ -306,29 +311,29 @@ class Engine:
         Each triplet is in ``affected`` once and ``delta`` is +1 or -1, so a
         flip is ``slack`` landing on 0 or -1; the heap is made on the first."""
         anns = self.annotations
+        slack = anns.slack
         nodes = self.hierarchy.nodes
         edge = 0 if delta > 0 else -1
         heap = None
         for idx in affected:
-            a = anns[idx]
-            a.slack = slack = a.slack + delta
-            if slack == edge:
+            slack[idx] = s = slack[idx] + delta
+            if s == edge:
                 if heap is None:
                     heap = DirtyHeap()
                 heap.push(nodes[idx].key(), idx)
         if heap is None:
             self.last_update = UpdateStats(len(affected), 0, 0)
             return []
+        is_open, open_below = anns.is_open, anns.open_below
         pulls = 0
         flips = 0
         while heap:
             idx = heap.pop()
             pulls += 1
             proposal = self._proposed_open(idx)
-            a = anns[idx]
-            if proposal != a.is_open:
+            if proposal != is_open[idx]:
                 flips += 1
-                a.is_open = proposal
+                is_open[idx] = proposal
                 if proposal:
                     self.open_nodes.add(idx)
                     step = 1
@@ -336,13 +341,13 @@ class Engine:
                     self.open_nodes.discard(idx)
                     step = -1
                 for up in nodes[idx].neighbors_above:
-                    anns[up].open_below += step
+                    open_below[up] += step
                     heap.push(nodes[up].key(), up)
+        is_enabled = anns.is_enabled
         flipped: list[tuple[int, bool]] = []
         for idx in heap.cleaned:
-            a = anns[idx]
-            enabled = a.open_below >= 1 or a.is_open
-            if enabled != a.is_enabled:
+            enabled = open_below[idx] >= 1 or is_open[idx]
+            if enabled != is_enabled[idx]:
                 flipped.append((idx, enabled))
         self.last_update = UpdateStats(len(affected), pulls, flips)
         return flipped
@@ -353,22 +358,21 @@ class Engine:
         ``n_enabled_below`` and ``y``.  ``order`` must list node ids in
         ascending order: ids ascend with logradius, so each node's children
         in ``order`` are settled before it."""
-        anns = self.annotations
+        _, is_enabled, n_area, _, _, n_enabled_below, costs, y = self.annotations
         nodes = self.hierarchy.nodes
         for idx in order:
-            a = anns[idx]
-            a.n_area += delta
+            n_area[idx] += delta
             node = nodes[idx]
-            cost = a.y
-            if a.is_enabled:
-                cost += (a.n_area - a.n_enabled_below) * node.unit_weight
+            cost = y[idx]
+            enabled = is_enabled[idx]
+            if enabled:
+                cost += (n_area[idx] - n_enabled_below[idx]) * node.unit_weight
             parent = node.parent
             if parent is not None:
-                up = anns[parent]
-                if a.is_enabled:
-                    up.n_enabled_below += delta
-                up.y += cost - a.cost
-            a.cost = cost
+                if enabled:
+                    n_enabled_below[parent] += delta
+                y[parent] += cost - costs[idx]
+            costs[idx] = cost
 
     def update_cost(self, chain, flipped, delta: int) -> None:
         """Re-establish counters and the cost recursion along the client's
@@ -387,15 +391,14 @@ class Engine:
         ``n_enabled_below`` and sets the bit; every node whose cost the flips
         change lies on a flip's root path, so one settle pass over their
         sorted union (delta 0) finishes the recursion."""
-        anns = self.annotations
+        _, is_enabled, n_area, _, _, n_enabled_below, _, _ = self.annotations
         nodes = self.hierarchy.nodes
         paths: set[int] = set()
         for idx, enabled in flipped:
-            a = anns[idx]
             parent = nodes[idx].parent
             if parent is not None:
-                anns[parent].n_enabled_below += a.n_area * (enabled - a.is_enabled)
-            a.is_enabled = enabled
+                n_enabled_below[parent] += n_area[idx] * (enabled - is_enabled[idx])
+            is_enabled[idx] = enabled
             while idx is not None and idx not in paths:
                 paths.add(idx)
                 idx = nodes[idx].parent
@@ -421,7 +424,7 @@ class Engine:
     def _rebuild(self, params: Params) -> None:
         """Switch to the instance's hierarchy of ``params`` (built on its
         first use, then shared by every engine over the instance) and refill
-        this engine's annotation list of ``params``, allocated on its first
+        this engine's annotation lists of ``params``, allocated on its first
         visit, for the current live client set: every field is overwritten.
 
         Client counts are numpy passes over the hierarchy's static arrays;
@@ -450,26 +453,30 @@ class Engine:
         near = np.add.reduceat(counts[hierarchy.x_flat], hierarchy.x_starts)
         anns = self._annotations.get(params)
         if anns is None:
-            anns = self._annotations[params] = [NodeAnnotation() for _ in nodes]
+            anns = self._annotations[params] = Annotations(*([] for _ in range(8)))
         self.annotations = anns
-        for a, n_area, n_x, node in zip(anns, counts.tolist(), near.tolist(), nodes):
-            a.is_open = a.is_enabled = False
-            a.n_area = n_area
-            a.slack = n_x - node.abundance_threshold
-            a.open_below = a.n_enabled_below = a.cost = a.y = 0
+        is_open, is_enabled, n_area, slack, open_below, n_enabled_below, cost, y = anns
+        # cost_query's list, read without the named tuple's field lookup.
+        self._costs = cost
+        is_open[:] = is_enabled[:] = [False] * len(nodes)
+        n_area[:] = counts.tolist()
+        slack[:] = [n_x - node.abundance_threshold for n_x, node in zip(near.tolist(), nodes)]
+        open_below[:] = n_enabled_below[:] = cost[:] = y[:] = [0] * len(nodes)
 
         # Resolve open bits in ascending (logradius, color, facility) order;
         # the openness of a triplet depends only on lexicographically smaller
-        # ones, so one ordered pass reaches the fixed point.
+        # ones, so one ordered pass reaches the fixed point.  The enabled
+        # nodes are the open ones and those they count in (open_below >= 1).
         self.open_nodes: set[int] = set()
+        enabled: set[int] = set()
         for idx in hierarchy.order:
-            a = anns[idx]
-            if a.slack >= 0 and not a.open_below:
-                a.is_open = True
+            if slack[idx] >= 0 and not open_below[idx]:
+                is_open[idx] = True
                 self.open_nodes.add(idx)
-                for up in nodes[idx].neighbors_above:
-                    anns[up].open_below += 1
+                above = nodes[idx].neighbors_above
+                for up in above:
+                    open_below[up] += 1
+                enabled.update(above)
 
         # From the zeroed costs, every enabled node is a flip.
-        self._settle_flips([(idx, True) for idx, a in enumerate(anns)
-                            if a.is_open or a.open_below])
+        self._settle_flips([(idx, True) for idx in enabled | self.open_nodes])

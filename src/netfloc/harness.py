@@ -159,7 +159,7 @@ def verify_trace(instance: Instance, trace, corruption=None) -> tuple[int, list[
         mismatches = compare_states(snapshot, expected)
         if mismatches:
             return 1, [f"event {index}: {m}" for m in mismatches]
-        problems = logical_violations(view, engine, snapshot.assignments)
+        problems = logical_violations(view, engine, snapshot)
         if problems:
             return 1, [f"event {index}: {p}" for p in problems]
         realized = engine.realized_cost(snapshot.assignments)

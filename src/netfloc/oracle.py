@@ -11,11 +11,11 @@ distances are ``Instance.pair_distances`` values, ``distance``'s bit for
 bit, each compared with the exact ``radius`` (``_within``); abundance
 thresholds are ``Fraction`` ceilings.  A recomputation counts clients in
 numpy over the view's flat arrays and resolves status bits in one ordered
-pass over the definitions.  A snapshot holds each node's annotation as one
-plain tuple, a row of the ``NodeAnnotation`` fields in declaration order:
-the oracle zips its per-field lists into rows, ``engine_snapshot`` reads the
-engine's annotations into rows, and ``compare_states`` compares the two row
-lists whole, naming node and field only on a mismatch.
+pass over the definitions.  A snapshot holds the annotations as the
+engine keeps them, an ``Annotations`` of eight per-field lists: the oracle
+returns its own lists, ``engine_snapshot`` copies the engine's, and
+``compare_states`` compares the eight list pairs, walking node by node to
+name node and field only on a mismatch.
 
 The distance kernel itself is shared: the build also reads
 ``pair_distances``, so a fault in it would reach both sides alike and
@@ -27,22 +27,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 
 import numpy as np
 
-from .engine import Assignment, Engine, NodeAnnotation
+from .engine import Annotations, Assignment, Engine
 from .hierarchy import C2, CX, CY, Hierarchy, radius
 from .instance import Instance, NetflocError
 
 
 # Entries per block of a bulk scan (128 KiB of float distances).
 SCAN_BLOCK = 2 ** 14
-# The fields of a snapshot row, and one engine annotation read as a row.
-_FIELDS = tuple(f.name for f in fields(NodeAnnotation))
-_row = attrgetter(*_FIELDS)
 
 
 def _within(d: np.ndarray, rad) -> np.ndarray:
@@ -76,21 +72,22 @@ class HierarchyMismatch(NetflocError):
 
 @dataclass
 class StateSnapshot:
-    """Full dynamic state over one hierarchy: one annotation row per
-    triplet (a plain tuple of the ``NodeAnnotation`` fields in declaration
-    order), the open facility set, and one assignment per live client."""
+    """Full dynamic state over one hierarchy: the annotations (eight
+    per-field lists indexed by node id), the open facility set, and one
+    assignment per live client."""
 
     hierarchy: Hierarchy
-    annotations: list[tuple]
+    annotations: Annotations
     open_facilities: frozenset
     assignments: dict
 
 
 def engine_snapshot(engine: Engine) -> StateSnapshot:
-    """Capture the engine's current state in snapshot form.  The rows are
-    read now, so later updates do not reach the snapshot."""
-    return StateSnapshot(engine.hierarchy, list(map(_row, engine.annotations)),
-                         frozenset(engine.solution_query()), engine.assignments())
+    """Capture the engine's current state in snapshot form.  The lists are
+    copied now, so later updates do not reach the snapshot."""
+    annotations = Annotations._make(map(list.copy, engine.annotations))
+    return StateSnapshot(engine.hierarchy, annotations, frozenset(engine.solution_query()),
+                         engine.assignments())
 
 
 class OracleView:
@@ -224,16 +221,10 @@ class OracleView:
         self._parent = [n.parent for n in nodes]
         self._count = count
 
-    def point_in_x(self, p: int, idx: int) -> bool:
-        """Whether a point's level-r area lies in the near neighborhood of a
-        node: the point's chain entry at that level is one of the node's
-        x-members."""
-        return int(self._chains[p, self._level[idx]]) in self.x_members[idx]
-
     def x_hits(self, points: np.ndarray, idxs) -> np.ndarray:
         """For each of ``points``, the number of nodes among ``idxs`` whose
-        near neighborhood holds it (``point_in_x`` summed over ``idxs``): one
-        membership vector per node, read at the points' chain entries."""
+        near neighborhood holds the point's chain entry at the node's level:
+        one membership vector per node, read at the points' chain entries."""
         entries = self._chains[points]
         hits = np.zeros(len(points), dtype=np.int64)
         member = np.zeros(self._count + 1, dtype=bool)
@@ -262,20 +253,21 @@ class OracleView:
         # Open bits in ascending (logradius, color, facility) order: a node's
         # bit depends only on smaller keys, so one ordered pass reaches the
         # fixed point.  An open node counts in the open_below of every
-        # larger-key node whose far neighborhood holds its facility.
+        # larger-key node whose far neighborhood holds its facility, and
+        # enabled means open or counted in (open_below >= 1).
         rank, fac = self._rank, self._fac
-        open_bits = [False] * count
+        open_bits, enabled = [False] * count, [False] * count
         open_below = [0] * count
         open_list = []
         for idx in self._order:
             if slack[idx] >= 0 and not open_below[idx]:
-                open_bits[idx] = True
+                open_bits[idx] = enabled[idx] = True
                 open_list.append(idx)
                 key = rank[idx]
                 for other in self.nodes_with_fac_in_y[fac[idx]]:
                     if rank[other] > key:
                         open_below[other] += 1
-        enabled = [o or b >= 1 for o, b in zip(open_bits, open_below)]
+                        enabled[other] = True
 
         # A client pays at its lowest enabled area.  The nodes above that area
         # count the area's clients as enabled below, and the area and every
@@ -320,16 +312,16 @@ class OracleView:
                 nodes[area_idx].r, area_idx, best, nodes[best].designated_facility))
         assignments = dict(zip(clients, map(routed.__getitem__, area_of)))
 
-        annotations = list(zip(open_bits, enabled, n_area.tolist(), slack,
-                               open_below, n_enabled_below, cost, y))
+        annotations = Annotations(open_bits, enabled, n_area.tolist(), slack,
+                                  open_below, n_enabled_below, cost, y)
         open_facs = frozenset(nodes[idx].designated_facility for idx in open_list)
         return StateSnapshot(self.hierarchy, annotations, open_facs, assignments)
 
 
 def compare_states(left: StateSnapshot, right: StateSnapshot) -> list[str]:
     """Field-by-field diff of two snapshots of one hierarchy; empty list
-    means identical.  The row lists are compared whole first; only a
-    mismatch walks them, naming each differing field by its position."""
+    means identical.  The eight list pairs are compared whole first; only a
+    mismatch walks them node by node, naming each differing field."""
     if left.hierarchy is not right.hierarchy:
         raise HierarchyMismatch("snapshots cover different hierarchies")
     if (left.annotations == right.annotations
@@ -337,11 +329,11 @@ def compare_states(left: StateSnapshot, right: StateSnapshot) -> list[str]:
             and left.assignments == right.assignments):
         return []
     diffs: list[str] = []
-    for pos, (la, ra) in enumerate(zip(left.annotations, right.annotations)):
+    for pos, (la, ra) in enumerate(zip(zip(*left.annotations), zip(*right.annotations))):
         if la == ra:
             continue
         node = left.hierarchy.nodes[pos]
-        for name, lv, rv in zip(_FIELDS, la, ra):
+        for name, lv, rv in zip(Annotations._fields, la, ra):
             if lv != rv:
                 diffs.append(f"node (j={node.facility},r={node.r},s={node.color}): "
                              f"{name} left={lv} right={rv}")
@@ -422,19 +414,21 @@ def brute_force_opt(instance: Instance, clients) -> OptResult:
     return OptResult(best_cost, frozenset(cols), assignment)
 
 
-def logical_violations(view: OracleView, engine: Engine, assignments) -> list[str]:
+def logical_violations(view: OracleView, engine: Engine, snapshot: StateSnapshot) -> list[str]:
     """Engine-state sanity conditions that must hold after every update:
     open implies enabled, abundant implies enabled, no client sits in two
     open near neighborhoods, a non-empty client set keeps at least one
     triplet open and the root enabled, and the root cost equals the summed
-    client payments under ``assignments``, the engine's ``assignments()``."""
+    client payments.  The bits, the root cost and the assignments are read
+    from ``snapshot``, the engine's state as ``engine_snapshot`` took it; the
+    open triplets and the live clients from the engine."""
     problems: list[str] = []
     nodes = engine.hierarchy.nodes
-    anns = engine.annotations
-    for idx, a in enumerate(anns):
-        if a.is_open and not a.is_enabled:
+    anns, assignments = snapshot.annotations, snapshot.assignments
+    for idx, (is_open, enabled, slack) in enumerate(zip(*anns[:2], anns.slack)):
+        if is_open and not enabled:
             problems.append(f"open but not enabled: node {nodes[idx].key()}")
-        if a.slack >= 0 and not a.is_enabled:
+        if slack >= 0 and not enabled:
             problems.append(f"abundant but not enabled: node {nodes[idx].key()}")
     registry = engine.registry
     open_nodes = sorted(engine.open_nodes)
@@ -448,17 +442,16 @@ def logical_violations(view: OracleView, engine: Engine, assignments) -> list[st
                 if hits_at[point] > 1:
                     problems.append(
                         f"client {cid!r} in {hits_at[point]} open neighborhoods")
+    root = engine.hierarchy.root
     if registry:
         if not open_nodes:
             problems.append("live clients but no open triplet")
-        if not anns[engine.hierarchy.root].is_enabled:
+        if not anns.is_enabled[root]:
             problems.append("live clients but root not enabled")
         total = sum(nodes[assignments[cid].area_triplet].unit_weight
                     for cid in registry)
-        if total != anns[engine.hierarchy.root].cost:
-            problems.append(
-                f"root cost {anns[engine.hierarchy.root].cost} != "
-                f"summed payments {total}")
-    elif anns[engine.hierarchy.root].cost != 0:
+        if total != anns.cost[root]:
+            problems.append(f"root cost {anns.cost[root]} != summed payments {total}")
+    elif anns.cost[root] != 0:
         problems.append("no clients but nonzero root cost")
     return problems

@@ -8,6 +8,7 @@ steady-update shortcuts, its per-node annotation passes kept as a reference
 for its counted rebuild, the oracle's per-client assignment loop kept as a
 reference for its per-area one, the scalar oracle view kept as the reference
 for its bulk scans and flat-array recomputation (``ReferenceOracleView``),
+the bulk view's near-neighborhood membership test (``point_in_x``),
 seeded traces that cross the scales 5, 25 and 125, and
 the scalar references for ``cround`` and for the hierarchy's bulk point
 location (``find_area``), the reference hierarchy build over the exact
@@ -22,7 +23,7 @@ import numbers
 import os
 import random
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -31,7 +32,7 @@ import numpy as np
 
 from netfloc import C1, C2, C3, C4, CX, CY, DirtyHeap, Engine, Hierarchy, Instance, \
     InstanceError, TraceEvent, derive_parameters, parse_trace_text, radius
-from netfloc.engine import Assignment, NodeAnnotation, UpdateStats
+from netfloc.engine import Annotations, Assignment, UpdateStats
 from netfloc.hierarchy import TripletNode, threshold
 from netfloc.instance import _TRIANGLE_SLACK, _as_list, echo, largest_power_of_five_at_most
 from netfloc.oracle import StateSnapshot
@@ -148,10 +149,9 @@ class ReferenceEngine(Engine):
         nodes = self.hierarchy.nodes
         heap = DirtyHeap()
         for idx in affected:
-            a = anns[idx]
-            abundant = a.slack >= 0
-            a.slack += delta
-            if (a.slack >= 0) != abundant:
+            abundant = anns.slack[idx] >= 0
+            anns.slack[idx] += delta
+            if (anns.slack[idx] >= 0) != abundant:
                 heap.push(nodes[idx].key(), idx)
         pulls = 0
         flips = 0
@@ -159,10 +159,9 @@ class ReferenceEngine(Engine):
             idx = heap.pop()
             pulls += 1
             proposal = self._proposed_open(idx)
-            a = anns[idx]
-            if proposal != a.is_open:
+            if proposal != anns.is_open[idx]:
                 flips += 1
-                a.is_open = proposal
+                anns.is_open[idx] = proposal
                 if proposal:
                     self.open_nodes.add(idx)
                     step = 1
@@ -170,13 +169,12 @@ class ReferenceEngine(Engine):
                     self.open_nodes.discard(idx)
                     step = -1
                 for up in nodes[idx].neighbors_above:
-                    anns[up].open_below += step
+                    anns.open_below[up] += step
                     heap.push(nodes[up].key(), up)
         flipped: list[tuple[int, bool]] = []
         for idx in heap.cleaned:
-            a = anns[idx]
-            enabled = a.open_below >= 1 or a.is_open
-            if enabled != a.is_enabled:
+            enabled = anns.open_below[idx] >= 1 or anns.is_open[idx]
+            if enabled != anns.is_enabled[idx]:
                 flipped.append((idx, enabled))
         self.last_update = UpdateStats(len(affected), pulls, flips)
         return flipped
@@ -185,17 +183,15 @@ class ReferenceEngine(Engine):
         anns = self.annotations
         nodes = self.hierarchy.nodes
         for idx, enabled in flipped:
-            a = anns[idx]
             parent = nodes[idx].parent
             if parent is not None:
-                anns[parent].n_enabled_below += a.n_area * (enabled - a.is_enabled)
-            a.is_enabled = enabled
+                anns.n_enabled_below[parent] += anns.n_area[idx] * (enabled - anns.is_enabled[idx])
+            anns.is_enabled[idx] = enabled
         for idx in chain:
-            a = anns[idx]
-            a.n_area += delta
+            anns.n_area[idx] += delta
             parent = nodes[idx].parent
-            if parent is not None and a.is_enabled:
-                anns[parent].n_enabled_below += delta
+            if parent is not None and anns.is_enabled[idx]:
+                anns.n_enabled_below[parent] += delta
         affected_paths = set(chain)
         for idx, _ in flipped:
             walk = idx
@@ -204,48 +200,47 @@ class ReferenceEngine(Engine):
                 walk = nodes[walk].parent
         for idx in sorted(affected_paths):
             node = nodes[idx]
-            a = anns[idx]
-            cost = a.y
-            if a.is_enabled:
-                cost += (a.n_area - a.n_enabled_below) * node.unit_weight
-            if cost != a.cost:
+            cost = anns.y[idx]
+            if anns.is_enabled[idx]:
+                cost += (anns.n_area[idx] - anns.n_enabled_below[idx]) * node.unit_weight
+            if cost != anns.cost[idx]:
                 if node.parent is not None:
-                    anns[node.parent].y += cost - a.cost
-                a.cost = cost
+                    anns.y[node.parent] += cost - anns.cost[idx]
+                anns.cost[idx] = cost
 
 
-def reference_annotations(hierarchy, registry) -> tuple[list, set]:
+def reference_annotations(hierarchy, registry) -> tuple[Annotations, set]:
     """The annotations and open set of ``hierarchy`` for the live clients
     ``registry`` (client id -> point), built node by node: chain walks for
     the area counts, a sum over each x list for ``slack``, the ordered open
     pass, and one ascending pass over every node for the enabled bits,
     counts and costs."""
     nodes = hierarchy.nodes
-    anns = [NodeAnnotation() for _ in nodes]
+    count = len(nodes)
+    anns = Annotations([False] * count, [False] * count, *([0] * count for _ in range(6)))
     open_nodes = set()
     chains = hierarchy.point_chains
-    for point, count in Counter(registry.values()).items():
+    for point, k in Counter(registry.values()).items():
         for idx in chains[point]:
-            anns[idx].n_area += count
-    for node, a in zip(nodes, anns):
-        a.slack = sum(anns[m].n_area for m in node.x_areas) - node.abundance_threshold
+            anns.n_area[idx] += k
+    for idx, node in enumerate(nodes):
+        anns.slack[idx] = (sum(anns.n_area[m] for m in node.x_areas)
+                           - node.abundance_threshold)
     for idx in hierarchy.order:
-        a = anns[idx]
-        if a.slack >= 0 and a.open_below == 0:
-            a.is_open = True
+        if anns.slack[idx] >= 0 and anns.open_below[idx] == 0:
+            anns.is_open[idx] = True
             open_nodes.add(idx)
             for up in nodes[idx].neighbors_above:
-                anns[up].open_below += 1
-    for node, a in zip(nodes, anns):
-        a.is_enabled = a.is_open or a.open_below >= 1
-        a.cost = a.y
-        if a.is_enabled:
-            a.cost += (a.n_area - a.n_enabled_below) * node.unit_weight
+                anns.open_below[up] += 1
+    for idx, node in enumerate(nodes):
+        enabled = anns.is_enabled[idx] = anns.is_open[idx] or anns.open_below[idx] >= 1
+        anns.cost[idx] = anns.y[idx]
+        if enabled:
+            anns.cost[idx] += (anns.n_area[idx] - anns.n_enabled_below[idx]) * node.unit_weight
         if node.parent is not None:
-            up = anns[node.parent]
-            up.y += a.cost
-            if a.is_enabled:
-                up.n_enabled_below += a.n_area
+            anns.y[node.parent] += anns.cost[idx]
+            if enabled:
+                anns.n_enabled_below[node.parent] += anns.n_area[idx]
     return anns, open_nodes
 
 
@@ -279,19 +274,18 @@ def crossing_case(kind: str, seed: int = 1):
 
 
 def reference_oracle_assignments(view, annotations, clients) -> dict:
-    """Each client's assignment under the oracle's ``annotations`` (snapshot
-    rows), resolved client by client: its lowest enabled area on the view's
-    chain, then a scan of every open triplet in key order for the smallest
-    key at or below the area whose facility lies in the area's far
-    neighborhood."""
+    """Each client's assignment under the oracle's ``annotations`` (a
+    snapshot's per-field lists), resolved client by client: its lowest
+    enabled area on the view's chain, then a scan of every open triplet in
+    key order for the smallest key at or below the area whose facility lies
+    in the area's far neighborhood."""
     nodes = view.hierarchy.nodes
-    anns = [NodeAnnotation(*row) for row in annotations]
     order = sorted(range(len(nodes)), key=lambda i: nodes[i].key())
-    open_list = [idx for idx in order if anns[idx].is_open]
+    open_list = [idx for idx in order if annotations.is_open[idx]]
     assignments = {}
     for cid, point in dict(clients).items():
         area_idx = next(idx for idx in view.point_chain[point]
-                        if anns[idx].is_enabled)
+                        if annotations.is_enabled[idx])
         area = nodes[area_idx]
         area_key = (area.r, area.color)
         best = None
@@ -308,6 +302,22 @@ def reference_oracle_assignments(view, annotations, clients) -> dict:
         assignments[cid] = Assignment(
             area.r, area_idx, best, nodes[best].designated_facility)
     return assignments
+
+
+AnnotationRow = namedtuple("AnnotationRow", Annotations._fields)
+
+
+def annotation_row(annotations, idx: int) -> AnnotationRow:
+    """One node's annotation fields, read by name from the per-field lists
+    of an ``Annotations`` (the engine's or a snapshot's)."""
+    return AnnotationRow._make(values[idx] for values in annotations)
+
+
+def point_in_x(view, p: int, idx: int) -> bool:
+    """Whether a point's level-r area lies in the near neighborhood of a
+    node, on an ``OracleView``: the point's chain entry at that level is one
+    of the node's x-members."""
+    return int(view._chains[p, view._level[idx]]) in view.x_members[idx]
 
 
 class ReferenceOracleView:
@@ -473,8 +483,8 @@ class ReferenceOracleView:
                 area.r, area_idx, best, nodes[best].designated_facility)
         assignments = {cid: routed[area_at[point]] for cid, point in clients.items()}
 
-        annotations = list(zip(open_bits, enabled, n_area, slack,
-                               open_below, n_enabled_below, cost, y))
+        annotations = Annotations(open_bits, enabled, n_area, slack,
+                                  open_below, n_enabled_below, cost, y)
         open_facs = frozenset(nodes[idx].designated_facility for idx in open_list)
         return StateSnapshot(hierarchy, annotations, open_facs, assignments)
 

@@ -69,7 +69,7 @@ def fuzz_corpus() -> CorpusStats:
             mism = compare_states(snapshot, expected)
             if mism:
                 stats.mismatches.append(f"instance {k} event {i}: {mism[0]}")
-            problems = logical_violations(view, engine, snapshot.assignments)
+            problems = logical_violations(view, engine, snapshot)
             if problems:
                 stats.logical.append(f"instance {k} event {i}: {problems[0]}")
             cost = engine.cost_query()

@@ -87,20 +87,20 @@ def test_abundance_flips_exactly_on_the_slack_edge():
     candidates = []
     for p in range(instance.n_points):
         for idx in engine.find_affected_triplets(engine.hierarchy.area_chain(p)):
-            if -90 <= engine.annotations[idx].slack < 0:
-                candidates.append((engine.annotations[idx].slack, p, idx))
+            if -90 <= engine.annotations.slack[idx] < 0:
+                candidates.append((engine.annotations.slack[idx], p, idx))
     slack, point, target = min(candidates)
     assert slack <= -2 and nodes[target].abundance_threshold >= 2
 
     def step(kind, cid):
-        before = [a.slack for a in engine.annotations]
+        before = list(engine.annotations.slack)
         if kind == "insert":
             engine.insert_client(cid, point)
             edge = 0
         else:
             engine.delete_client(cid)
             edge = -1
-        after = [a.slack for a in engine.annotations]
+        after = list(engine.annotations.slack)
         flipped = {idx for idx, (b, a) in enumerate(zip(before, after))
                    if (b >= 0) != (a >= 0)}
         on_edge = {idx for idx, (b, a) in enumerate(zip(before, after))
@@ -116,4 +116,4 @@ def test_abundance_flips_exactly_on_the_slack_edge():
         assert step("insert", cid) == (slack + k, k == -slack)
     for k, cid in enumerate(reversed(walk), start=1):
         assert step("delete", cid) == (-k, k == 1)
-    assert engine.annotations[target].slack == slack
+    assert engine.annotations.slack[target] == slack

@@ -11,7 +11,6 @@ scalar's differs), and the hierarchy's client-count arrays are read-only and
 agree with its node lists.
 """
 
-import dataclasses
 import json
 import random
 from pathlib import Path
@@ -21,11 +20,10 @@ import pytest
 
 import helpers
 from helpers import default_seed, random_instance, random_trace, reference_annotations
-from netfloc import Engine, Instance
-from netfloc.engine import NodeAnnotation
+from netfloc import Annotations, Engine, Instance
 from test_reference_build import KINDS, extreme_cost_instance
 
-FIELDS = [f.name for f in dataclasses.fields(NodeAnnotation)]
+FIELDS = Annotations._fields
 
 
 def engine_at(instance, count, rng):
@@ -36,19 +34,18 @@ def engine_at(instance, count, rng):
 
 def assert_counted_rebuild(engine):
     anns, open_nodes = reference_annotations(engine.hierarchy, engine.registry)
-    assert len(engine.annotations) == len(anns)
-    for idx, (got, want) in enumerate(zip(engine.annotations, anns)):
-        for name in FIELDS:
-            value, expected = getattr(got, name), getattr(want, name)
+    for name, got, want in zip(FIELDS, engine.annotations, anns):
+        assert len(got) == len(want), name
+        for idx, (value, expected) in enumerate(zip(got, want)):
             assert (value, type(value)) == (expected, type(expected)), (idx, name)
     assert engine.open_nodes == open_nodes
 
 
 def assert_plain_fields(engine):
-    for idx, a in enumerate(engine.annotations):
-        assert type(a.is_open) is bool and type(a.is_enabled) is bool, idx
-        for name in FIELDS[2:]:
-            assert type(getattr(a, name)) is int, (idx, name)
+    for name, values in zip(FIELDS, engine.annotations):
+        kind = bool if name in ("is_open", "is_enabled") else int
+        for idx, value in enumerate(values):
+            assert type(value) is kind, (idx, name)
 
 
 @pytest.mark.parametrize("workload, counts", [
@@ -78,7 +75,7 @@ def test_extreme_cost_instance():
     instance = extreme_cost_instance(0)
     engine = engine_at(instance, 30, random.Random(f"rebuild-extreme-{default_seed()}"))
     assert len(engine.hierarchy.by_level) > 800
-    assert max(a.cost for a in engine.annotations).bit_length() > 64
+    assert max(engine.annotations.cost).bit_length() > 64
     assert_counted_rebuild(engine)
 
 
@@ -86,14 +83,15 @@ def test_empty_registry():
     engine = Engine(random_instance(random.Random(f"rebuild-empty-{default_seed()}")))
     assert engine.registry == {}
     assert_counted_rebuild(engine)
-    assert all(a.n_area == 0 and a.cost == 0 for a in engine.annotations)
+    assert all(n_area == 0 and cost == 0 for n_area, cost
+               in zip(engine.annotations.n_area, engine.annotations.cost))
 
 
 def test_clients_stacked_on_one_point():
     instance = random_instance(random.Random(f"rebuild-stacked-{default_seed()}"))
     engine = Engine.from_clients(instance, {f"c{i}": 11 for i in range(50)})
     assert_counted_rebuild(engine)
-    assert engine.annotations[engine.hierarchy.root].n_area == 50
+    assert engine.annotations.n_area[engine.hierarchy.root] == 50
 
 
 def flap_case():

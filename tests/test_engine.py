@@ -9,8 +9,7 @@ import helpers
 import netfloc.engine as engine_mod
 from helpers import random_instance, random_trace
 from netfloc import (ASSIGN_RADIUS_FACTOR, DirtyHeap, Engine, Hierarchy, Instance,
-                     InstanceError,
-                     NodeAnnotation, OracleView,
+                     InstanceError, OracleView,
                      compare_states, engine_snapshot, radius)
 
 
@@ -19,7 +18,7 @@ def node_id(engine, j, r):
 
 
 def ann(engine, j, r):
-    return engine.annotations[node_id(engine, j, r)]
+    return helpers.annotation_row(engine.annotations, node_id(engine, j, r))
 
 
 def test_first_insert_opens_middle_level(line5):
@@ -122,7 +121,7 @@ def test_delete_matches_fresh_build(line5):
 def test_check_status_branch_table(line5):
     eng = Engine(line5)
     idx = node_id(eng, 0, 2)
-    a = eng.annotations[idx]
+    anns = eng.annotations
     # (is_open, slack, open_below) -> proposed open bit, every state:
     # abundant means slack >= 0.
     table = [((False, -1, 0), False), ((False, -1, 1), False),
@@ -130,7 +129,7 @@ def test_check_status_branch_table(line5):
              ((True, -1, 0), False), ((True, -4, 1), False),
              ((True, 0, 0), True), ((True, 0, 2), False)]
     for state, expected in table:
-        a.is_open, a.slack, a.open_below = state
+        anns.is_open[idx], anns.slack[idx], anns.open_below[idx] = state
         assert eng._proposed_open(idx) is expected, state
 
 
@@ -146,7 +145,7 @@ def test_find_affected_equals_membership_scan():
             chain = tuple(eng.hierarchy.area_chain(p))
             affected = set(eng.find_affected_triplets(chain))
             expected = {idx for idx in range(len(eng.hierarchy.nodes))
-                        if view.point_in_x(p, idx)}
+                        if helpers.point_in_x(view, p, idx)}
             assert affected == expected
 
 
@@ -168,7 +167,7 @@ def test_cost_query_is_the_exact_cost_rounded(cost_a, cost_b, n_clients):
     inst = Instance("euclidean-L2", points=[[0, 0], [3, 4]],
                     facilities=[(0, cost_a), (1, cost_b)])
     eng = Engine(inst, {f"c{i}": i % 2 for i in range(n_clients)})
-    units = eng.annotations[eng.hierarchy.root].cost
+    units = eng.annotations.cost[eng.hierarchy.root]
     exact = Fraction(units) * Fraction(5) ** eng.hierarchy.params.rho_min
     assert eng.cost_query() == float(exact)
 
@@ -243,7 +242,7 @@ def test_assignment_radius_and_open_area_properties():
             assert inst.distance(p, fac_point) <= radius(
                 ASSIGN_RADIUS_FACTOR, a.r_area)
             for oidx in eng.open_nodes:
-                if view.point_in_x(p, oidx):
+                if helpers.point_in_x(view, p, oidx):
                     assert a.r_area == eng.hierarchy.nodes[oidx].r
 
 
@@ -391,13 +390,14 @@ def test_dirty_heap_guards():
 
 
 def test_engine_snapshot_is_detached_from_later_updates(line5):
-    # A snapshot reads the engine's annotations into rows when it is taken:
+    # A snapshot copies the engine's annotation lists when it is taken:
     # later updates change the engine's state but not the snapshot, which
     # still equals the oracle's recomputation of the earlier live set.
     eng = Engine(line5, {"c1": 3, "c2": 4})
     live = dict(eng.registry)
     before = engine_snapshot(eng)
-    assert all(type(row) is tuple for row in before.annotations)
+    assert before.annotations == eng.annotations
+    assert all(ours is not theirs for ours, theirs in zip(before.annotations, eng.annotations))
     eng.insert_client("c3", 3)
     assert eng.hierarchy is before.hierarchy
     assert before.annotations != engine_snapshot(eng).annotations

@@ -5,12 +5,13 @@ exit 2 and one ``error:`` line, and a cost beyond the float range, which is
 no failure."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from netfloc import Engine, OracleView, harness, logical_violations, parse_trace, \
-    verify_trace
+from netfloc import Engine, OracleView, engine_snapshot, harness, logical_violations, \
+    parse_trace, verify_trace
 from netfloc.harness import main
 
 LINE5_CLIENTS = [("c1", 3), ("c2", 4), ("c3", 3)]
@@ -26,12 +27,12 @@ def _line5_engine(line5, clients=LINE5_CLIENTS):
 
 
 def _disable_open_node(engine):
-    engine.annotations[0].is_enabled = False
-    engine.annotations[0].slack = -1
+    engine.annotations.is_enabled[0] = False
+    engine.annotations.slack[0] = -1
 
 
 def _disable_abundant_node(engine):
-    engine.annotations[1].is_enabled = False
+    engine.annotations.is_enabled[1] = False
 
 
 def _open_whole_chain(engine):
@@ -43,13 +44,13 @@ def _close_everything(engine):
 
 
 def _disable_root(engine):
-    root = engine.annotations[engine.hierarchy.root]
-    root.is_enabled = False
-    root.slack = -1
+    root = engine.hierarchy.root
+    engine.annotations.is_enabled[root] = False
+    engine.annotations.slack[root] = -1
 
 
 def _raise_root_cost(engine):
-    engine.annotations[engine.hierarchy.root].cost += 1
+    engine.annotations.cost[engine.hierarchy.root] += 1
 
 
 @pytest.mark.parametrize("corrupt, expected", [
@@ -64,18 +65,22 @@ def _raise_root_cost(engine):
 def test_logical_violations_name_each_corruption(line5, corrupt, expected):
     engine = _line5_engine(line5)
     view = OracleView(line5, engine.hierarchy)
-    assignments = engine.assignments()
-    assert logical_violations(view, engine, assignments) == []
+    snapshot = engine_snapshot(engine)
+    assert logical_violations(view, engine, snapshot) == []
     corrupt(engine)
-    assert logical_violations(view, engine, assignments) == expected
+    # The corrupted lists, with the assignments taken before the corruption.
+    snapshot = replace(snapshot, annotations=engine.annotations)
+    assert logical_violations(view, engine, snapshot) == expected
 
 
 def test_logical_violations_without_clients_need_a_zero_root_cost(line5):
     engine = Engine(line5)
     view = OracleView(line5, engine.hierarchy)
-    assert logical_violations(view, engine, {}) == []
-    engine.annotations[engine.hierarchy.root].cost = 1
-    assert logical_violations(view, engine, {}) == ["no clients but nonzero root cost"]
+    snapshot = engine_snapshot(engine)
+    assert logical_violations(view, engine, snapshot) == []
+    engine.annotations.cost[engine.hierarchy.root] = 1
+    snapshot = engine_snapshot(engine)
+    assert logical_violations(view, engine, snapshot) == ["no clients but nonzero root cost"]
 
 
 def test_verify_trace_reports_an_update_that_raises(line5, data_dir):
@@ -93,8 +98,8 @@ def test_verify_trace_reports_an_update_that_raises(line5, data_dir):
 def test_verify_trace_reports_a_logical_violation(monkeypatch, line5, data_dir):
     real = harness.logical_violations
 
-    def violated_at_event_4(view, engine, assignments):
-        problems = real(view, engine, assignments)
+    def violated_at_event_4(view, engine, snapshot):
+        problems = real(view, engine, snapshot)
         assert problems == []
         return ["injected problem"] if len(engine.registry) == 3 else problems
 
@@ -121,7 +126,7 @@ def test_verify_trace_accepts_a_realized_cost_at_the_bound(monkeypatch, line5, d
 def test_assign_client_without_an_enabled_area(line5):
     engine = _line5_engine(line5)
     for idx in engine.hierarchy.area_chain(3):
-        engine.annotations[idx].is_enabled = False
+        engine.annotations.is_enabled[idx] = False
     with pytest.raises(RuntimeError, match="^no enabled area on the chain of point 3$"):
         engine.assign_client("c1")
 

@@ -253,7 +253,7 @@ def test_verify_trace_clean(line5, data_dir):
 def test_verify_trace_detects_corruption(line5, data_dir):
     def corrupt(engine, index):
         if index == 2:
-            engine.annotations[1].slack += 1
+            engine.annotations.slack[1] += 1
 
     code, lines = verify_trace(line5, parse_trace(data_dir / "line5.trace"),
                                corruption=corrupt)
@@ -264,7 +264,7 @@ def test_verify_trace_detects_corruption(line5, data_dir):
 def test_verify_trace_detects_bit_corruption(line5, data_dir):
     def corrupt(engine, index):
         if index == 3:
-            engine.annotations[2].is_enabled = not engine.annotations[2].is_enabled
+            engine.annotations.is_enabled[2] = not engine.annotations.is_enabled[2]
 
     code, lines = verify_trace(line5, parse_trace(data_dir / "line5.trace"),
                                corruption=corrupt)
@@ -293,9 +293,9 @@ def test_verify_trace_routes_each_area_once_per_mutation(monkeypatch):
         return real_route(self, area_idx)
 
     def start_event(engine, index):
-        anns = engine.annotations
+        enabled = engine.annotations.is_enabled
         areas = {next(idx for idx in engine.hierarchy.area_chain(point)
-                      if anns[idx].is_enabled)
+                      if enabled[idx])
                  for point in engine.registry.values()}
         per_event.append((trace[index], areas, Counter()))
 
@@ -315,11 +315,11 @@ def _drop_first_clients_open_triplet(engine):
 
 
 def _disable_first_clients_area(engine):
-    anns = engine.annotations
+    enabled = engine.annotations.is_enabled
     point = next(iter(engine.registry.values()))
     area = next(idx for idx in engine.hierarchy.area_chain(point)
-                if anns[idx].is_enabled)
-    anns[area].is_enabled = False
+                if enabled[idx])
+    enabled[area] = False
 
 
 @pytest.mark.parametrize("corrupt, named", [

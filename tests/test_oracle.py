@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 import warnings
-from dataclasses import astuple
 
 import pytest
 
@@ -10,25 +9,27 @@ import helpers
 from helpers import random_instance
 from netfloc import (CX, Engine, HierarchyMismatch, Instance, OracleView,
                      brute_force_opt, compare_states, engine_snapshot, radius)
-from netfloc.engine import Assignment, NodeAnnotation
+from netfloc.engine import Annotations, Assignment
 
 
 def test_recompute_empty_clients(line5):
     h = helpers.build(line5)
     snap = OracleView(line5, h).recompute_state({})
-    assert all(row == astuple(NodeAnnotation(slack=-node.abundance_threshold))
-               for row, node in zip(snap.annotations, h.nodes))
+    zero = [0] * len(h.nodes)
+    assert snap.annotations == Annotations(
+        zero, zero, zero, [-node.abundance_threshold for node in h.nodes],
+        zero, zero, zero, zero)
     assert snap.open_facilities == frozenset() and snap.assignments == {}
 
 
 def test_recompute_one_client(line5):
     h = helpers.build(line5)
     snap = OracleView(line5, h).recompute_state({"c1": 3})
-    by_pair = {(h.nodes[i].facility, h.nodes[i].r): NodeAnnotation(*snap.annotations[i])
+    by_pair = {(h.nodes[i].facility, h.nodes[i].r): helpers.annotation_row(snap.annotations, i)
                for i in range(len(h.nodes))}
     assert [by_pair[(0, r)].is_open for r in (1, 2, 3)] == [False, True, False]
     assert [by_pair[(0, r)].is_enabled for r in (1, 2, 3)] == [False, True, True]
-    root_units = NodeAnnotation(*snap.annotations[h.root]).cost
+    root_units = helpers.annotation_row(snap.annotations, h.root).cost
     assert root_units * 5 ** h.params.rho_min == 25
     assert snap.open_facilities == frozenset({0})
     assert snap.assignments["c1"].r_area == 2
@@ -65,7 +66,7 @@ def test_compare_states_names_node_and_field(line5):
     eng = Engine(line5)
     eng.insert_client("c1", 3)
     left = engine_snapshot(eng)
-    eng.annotations[1].slack += 1
+    eng.annotations.slack[1] += 1
     right = engine_snapshot(eng)
     diffs = compare_states(left, right)
     assert len(diffs) == 1
@@ -241,7 +242,7 @@ def test_point_in_x_equals_the_distance_test(kind):
                     off = node.r - nodes[chain[0]].r
                     expected = off >= 0 and dist(
                         fpoint[idx], fpoint[chain[off]]) <= radius(CX, node.r)
-                    assert view.point_in_x(p, idx) == expected, (n, p, idx)
+                    assert helpers.point_in_x(view, p, idx) == expected, (n, p, idx)
 
 
 @pytest.mark.parametrize("case", ["line5", "L2"])

@@ -1,43 +1,42 @@
-"""Snapshot annotation rows in the verified replay: ``verify_trace`` builds no
-``NodeAnnotation`` per mutation, and a corruption of any single annotation
-field is named by node and field in the position-based row diff."""
-
-from dataclasses import fields
+"""Snapshot annotation lists in the verified replay: ``verify_trace``
+allocates the engine's annotation lists only on a first visit to a scale,
+and a corruption of any single annotation field is named by node and field
+in the node-by-node diff."""
 
 import pytest
 
-from netfloc import NodeAnnotation, verify_trace
+import netfloc.engine as engine_mod
+from netfloc import Annotations, verify_trace
 from test_harness import _matrix_benchmark_case
 
-FIELDS = [f.name for f in fields(NodeAnnotation)]
+FIELDS = Annotations._fields
 
 
 def test_verify_trace_builds_annotations_only_on_first_visits(monkeypatch):
-    # The engine allocates one annotation per node on its first visit to a
-    # scale; neither the oracle nor the snapshot builds any per mutation.
+    # The engine allocates its eight annotation lists on its first visit to
+    # a scale; later updates and revisits refill them, whatever the checks
+    # between the events do.
     instance, trace = _matrix_benchmark_case()
     built = [0]
-    real_init = NodeAnnotation.__init__
 
-    def counting_init(self, *args, **kwargs):
-        built[0] += 1
-        real_init(self, *args, **kwargs)
+    def counting(*lists):
+        built[0] += len(lists)
+        return Annotations(*lists)
 
     seen = {"visited": set(), "at_hook": 0}
 
     def watch(engine, index):
         # Between two hooks lie the previous event's checks and this event.
         new = set(engine._annotations) - seen["visited"]
-        allocated = sum(len(instance.hierarchy(p).nodes) for p in new)
-        assert built[0] - seen["at_hook"] == allocated, index
+        assert built[0] - seen["at_hook"] == len(FIELDS) * len(new), index
         seen["at_hook"] = built[0]
         seen["visited"] |= new
 
-    monkeypatch.setattr(NodeAnnotation, "__init__", counting_init)
+    monkeypatch.setattr(engine_mod, "Annotations", counting)
     assert verify_trace(instance, trace, corruption=watch)[0] == 0
     assert built[0] == seen["at_hook"]   # the last event's checks built none
     assert len(seen["visited"]) >= 2
-    assert built[0] == sum(len(instance.hierarchy(p).nodes) for p in seen["visited"])
+    assert built[0] == len(FIELDS) * len(seen["visited"])
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -50,9 +49,9 @@ def test_verify_trace_names_each_corrupted_field(name):
         if index == at:
             point = next(iter(engine.registry.values()))
             idx = engine.hierarchy.area_chain(point)[0]
-            a = engine.annotations[idx]
-            value = getattr(a, name)
-            setattr(a, name, not value if type(value) is bool else value + 1)
+            values = getattr(engine.annotations, name)
+            value = values[idx]
+            values[idx] = not value if type(value) is bool else value + 1
             node = engine.hierarchy.nodes[idx]
             where.append(f"node (j={node.facility},r={node.r},s={node.color}): ")
 

@@ -255,18 +255,18 @@ def test_poisoned_engine_refuses_updates_inside_the_window(line5, monkeypatch):
 
 @pytest.mark.parametrize("name", ["line", "L2", "Linf"])
 def test_level_shift_returns_refill_the_visited_list(name, monkeypatch):
-    """A level shift allocates annotations on the first visit to a scale only;
-    a return refills the list the engine used there, and the state still
-    matches a from-scratch construction after every mutation."""
+    """A level shift allocates annotation lists on the first visit to a scale
+    only; a return refills the lists the engine used there, and the state
+    still matches a from-scratch construction after every mutation."""
     instance = shift_instances()[name]
     built = {"annotations": 0}
-    real = engine_mod.NodeAnnotation
+    real = engine_mod.Annotations
 
-    def counting(*args):
-        built["annotations"] += 1
-        return real(*args)
+    def counting(*lists):
+        built["annotations"] += len(lists)
+        return real(*lists)
 
-    monkeypatch.setattr(engine_mod, "NodeAnnotation", counting)
+    monkeypatch.setattr(engine_mod, "Annotations", counting)
     eng = Engine(instance)
     lists = {eng.hierarchy.params: eng.annotations}
     rng = random.Random(f"refill-{name}")
@@ -287,7 +287,7 @@ def test_level_shift_returns_refill_the_visited_list(name, monkeypatch):
             returns += 1
             assert built["annotations"] == 0, where
         else:
-            assert built["annotations"] == len(eng.hierarchy.nodes), where
+            assert built["annotations"] == len(real._fields), where
         assert lists.setdefault(params, eng.annotations) is eng.annotations, where
         assert eng.state_hash() == Engine.from_clients(instance, eng.registry).state_hash(), where
     assert returns >= 2

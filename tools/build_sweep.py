@@ -16,7 +16,7 @@ hands to ``Instance.pair_distances`` after the table is built (the size of
 each call's broadcast index arrays), the process's peak RSS after the build,
 ``rebuild_s``, the best of 5 ``Engine._rebuild`` calls of an engine with n
 live clients spread over the 2,000 client points (each rebuild finds the
-hierarchy built and refills the annotation list the engine allocated at
+hierarchy built and refills the annotation lists the engine allocated at
 construction, so it times a refill, not an allocation), and the memory of
 one more build traced by ``tracemalloc``: ``traced_peak_mb``, its peak, and
 ``traced_retained_mb``, what the built hierarchy keeps, and ``view_s``, the
