@@ -2,15 +2,20 @@
 opening costs, live clients, and the derived scale parameters that size the
 net hierarchy.
 
+An instance keeps its metric once, as the read-only float array built at
+load: the distance matrix, or one row of coordinates per point.  The scalar
+``Instance.distance`` and the bulk path, ``pair_distances``, both read it.
+
 An L2 distance is ``math.sqrt`` of the squared coordinate differences summed
 one dimension at a time, with ``math.dist`` only where that sum is infinite
 or below _L2_TINY.  Those are correctly rounded IEEE-754 operations in numpy
-and in Python alike, so the bulk path, ``pair_distances``, performs the same
-operations and gives ``Instance.distance``'s value bit for bit; it hands the
-pairs of the other kind to it.  Matrix entries and L-infinity distances are
-exact in bulk too.  The F x F ``facility_distances`` table, computed once on
-first use, is ``pair_distances``' values.  The hierarchy's nodes and lists
-read nothing else of the metric.
+and in Python alike, so ``pair_distances`` performs the same operations and
+gives ``distance``'s value bit for bit; for the pairs of the other kind it
+takes ``math.dist`` of the same coordinate rows, as ``distance`` does.
+Matrix entries and L-infinity distances are exact in bulk too.  The F x F
+``facility_distances`` table, computed once on first use, is
+``pair_distances``' values.  The hierarchy's nodes and lists read nothing
+else of the metric.
 
 The diameter is the largest ``distance``, bit for bit, for every kind: the
 largest matrix entry, the largest coordinate range under L-infinity, and
@@ -185,9 +190,11 @@ class Instance:
 
     ``kind`` selects the metric: an explicit symmetric distance matrix, or
     Euclidean coordinates under the L2 or L-infinity norm.  All facility
-    opening costs must be positive.  Its data is fixed at load and its
-    caches fill on first use; concurrent first uses may build twice, with
-    equal results.
+    opening costs must be positive.  The validated metric is kept only as
+    ``array``, read-only: the n x n distance matrix, or one row of
+    coordinates per point.  Its data is fixed at load and its caches fill
+    on first use; concurrent first uses may build twice, with equal
+    results.
     """
 
     def __init__(self, kind, points=None, matrix=None, facilities=(), kappa=None):
@@ -201,26 +208,27 @@ class Instance:
             if points is not None or matrix is None:
                 raise InstanceError("explicit-matrix instances take a matrix, not points")
             rows = [_as_list(row, "matrix row") for row in _as_list(matrix, "matrix")]
-            self._matrix = [_finite_floats(row) for row in rows]
-            if None in self._matrix:  # report the first bad entry in row-major order
-                p = self._matrix.index(None)
+            floats = [_finite_floats(row) for row in rows]
+            if None in floats:  # report the first bad entry in row-major order
+                p = floats.index(None)
                 q, x = next((q, x) for q, x in enumerate(rows[p]) if not _is_finite_number(x))
                 raise InstanceError(f"non-numeric, NaN or infinite distance "
                                     f"for pair ({p}, {q}): {echo(x)}")
-            self._points = None
-            self._validate_matrix()
-            self.n_points = len(self._matrix)
+            if any(len(row) != len(floats) for row in floats):
+                raise InstanceError("distance matrix must be square")
         else:
             if matrix is not None or points is None:
                 raise InstanceError("euclidean instances take points, not a matrix")
-            self._points = [self._coerce_point(p) for p in _as_list(points, "points")]
-            self._matrix = None
-            self.n_points = len(self._points)
-            dims = {len(p) for p in self._points}
-            if len(dims) > 1:
+            floats = [self._coerce_point(p) for p in _as_list(points, "points")]
+            if len({len(p) for p in floats}) > 1:
                 raise InstanceError("points must share one dimension")
+        self.array = np.array(floats, dtype=float)
+        self.array.flags.writeable = False
+        self.n_points = len(self.array)
         if self.n_points == 0:
             raise InstanceError("instance needs at least one point")
+        if kind == "explicit-matrix":
+            self._validate_matrix()
 
         self.facilities: list[Facility] = []
         for fid, (point, cost) in enumerate(facilities):
@@ -264,11 +272,7 @@ class Instance:
         reported is the first of a pair-by-pair scan: by row p, the
         self-distance of p before the pairs (p, q) with q > p in order of q,
         asymmetry before sign; then ``_check_triangles``."""
-        m = self._matrix
-        n = len(m)
-        if any(len(row) != n for row in m):
-            raise InstanceError("distance matrix must be square")
-        arr = self.array.reshape(n, n)
+        arr, n = self.array, self.n_points
         # A failing pair below the diagonal has a failing mirror in an
         # earlier row, so the first failure in row-major order is the scan's.
         bad = (arr != arr.T) | (arr < 0)
@@ -310,23 +314,17 @@ class Instance:
                     raise InstanceError(
                         f"triangle inequality fails for ({p}, {q}) via {x}")
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The metric's floats as a read-only array, built once: the distance
-        matrix, or one row of coordinates per point."""
-        arr = np.array(self._points if self._matrix is None else self._matrix, dtype=float)
-        arr.flags.writeable = False
-        return arr
-
     def pair_distances(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """``distance`` of each pair of valid point indices in ``ps``, ``qs``,
         arrays that broadcast against each other, bit for bit, as an array
         of their broadcast shape, computed in bulk: a matrix gather, the
         L-infinity metric's subtractions, abs and max, or the L2 sum of
         squares, one dimension at a time, and its sqrt.  L2 pairs whose sum
-        is infinite or below _L2_TINY go to ``distance``."""
+        is infinite or below _L2_TINY take the ``math.dist`` of their
+        coordinate rows (0 where the coordinates are equal), which is
+        ``distance``'s value for exactly those pairs."""
         arr = self.array
-        if self._matrix is not None:
+        if self.kind == "explicit-matrix":
             return arr[ps, qs]
         if self.kind == "euclidean-Linf":
             cols = arr.T
@@ -340,7 +338,7 @@ class Instance:
         d = np.sqrt(s, out=s)
         if odd.any():
             ps, qs = np.broadcast_arrays(ps, qs)
-            d[odd] = self._scalar_distances(ps[odd], qs[odd])
+            d[odd] = list(map(math.dist, arr[ps[odd]].tolist(), arr[qs[odd]].tolist()))
         return d
 
     def distance(self, p: int, q: int) -> float:
@@ -350,9 +348,9 @@ class Instance:
         below _L2_TINY."""
         if not (0 <= p < self.n_points and 0 <= q < self.n_points):
             raise InstanceError(f"point index out of range: ({p}, {q})")
-        if self._matrix is not None:
-            return self._matrix[p][q]
-        a, b = self._points[p], self._points[q]
+        if self.kind == "explicit-matrix":
+            return float(self.array[p, q])
+        a, b = self.array[p].tolist(), self.array[q].tolist()
         if self.kind != "euclidean-L2":
             return max(abs(x - y) for x, y in zip(a, b))
         if len(a) == 2:
@@ -370,8 +368,8 @@ class Instance:
         """The largest pairwise distance over the declared point universe,
         bit for bit (see the module docstring); an input error when it
         overflows to infinity."""
-        if self._matrix is not None:
-            diameter = max(max(row) for row in self._matrix)
+        if self.kind == "explicit-matrix":
+            diameter = float(self.array.max())
         elif self.kind == "euclidean-L2":
             # Each unordered pair once, a block of rows at a time.  The
             # largest sum's root is the farthest pair's ``distance`` unless
@@ -419,14 +417,6 @@ class Instance:
             from .hierarchy import Hierarchy  # hierarchy.py imports this module
             hierarchy = self._hierarchies[params] = Hierarchy(self, params)
         return hierarchy
-
-    def _scalar_distances(self, ps: np.ndarray, qs: np.ndarray) -> list[float]:
-        """``distance`` of each pair of points in ``ps``, ``qs``, or 0 where
-        their coordinates are equal."""
-        arr = self.array
-        same = (arr[ps] == arr[qs]).all(axis=1).tolist()
-        return [0.0 if eq else self.distance(p, q)
-                for p, q, eq in zip(ps.tolist(), qs.tolist(), same)]
 
     @classmethod
     def from_dict(cls, data) -> "Instance":

@@ -155,14 +155,6 @@ class OracleView:
             cur = parent[cur]
             rows, cur = rows[cur < count], cur[cur < count]
         self._chains = chains
-        # One int object per node id, shared by every id tuple, set and list
-        # below instead of a fresh int per entry.
-        id_objs = np.array(range(count), dtype=object)
-        # One chain tuple per bottom area, shared by the points in it.
-        areas, first = np.unique(bottom, return_index=True)
-        shared = {b: tuple(id_objs[row[row < count]].tolist())
-                  for b, row in zip(areas.tolist(), chains[first])}
-        self.point_chain: list[tuple[int, ...]] = [shared[b] for b in bottom.tolist()]
 
         # Same-level node ids within the near-neighborhood radius, and the
         # facilities whose level-r chain entry lies within the far radius,
@@ -189,9 +181,6 @@ class OracleView:
         bounds = np.searchsorted(owner[by_owner], np.arange(count + 1))
         self._x_bounds = bounds.tolist()
         self._x_heads = bounds[:-1]
-        members = id_objs[self._x_ids].tolist()
-        self.x_members: list[frozenset[int]] = [
-            frozenset(members[a:b]) for a, b in zip(self._x_bounds, self._x_bounds[1:])]
 
         owner, inside = map(np.concatenate, zip(*y_pairs))
         n_fac = len(instance.facilities)
@@ -202,7 +191,7 @@ class OracleView:
             frozenset(facs[a:b]) for a, b in zip(bounds, bounds[1:])]
         by_fac = np.lexsort((owner, inside))
         fbounds = np.searchsorted(inside[by_fac], np.arange(n_fac + 1)).tolist()
-        holders = id_objs[owner[by_fac]].tolist()
+        holders = owner[by_fac].tolist()
         self.nodes_with_fac_in_y: dict[int, list[int]] = {
             f: holders[a:b] for f, (a, b) in enumerate(zip(fbounds, fbounds[1:]))}
 

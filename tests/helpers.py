@@ -282,9 +282,10 @@ def reference_oracle_assignments(view, annotations, clients) -> dict:
     nodes = view.hierarchy.nodes
     order = sorted(range(len(nodes)), key=lambda i: nodes[i].key())
     open_list = [idx for idx in order if annotations.is_open[idx]]
+    point_chain = view_point_chain(view)
     assignments = {}
     for cid, point in dict(clients).items():
-        area_idx = next(idx for idx in view.point_chain[point]
+        area_idx = next(idx for idx in point_chain[point]
                         if annotations.is_enabled[idx])
         area = nodes[area_idx]
         area_key = (area.r, area.color)
@@ -313,11 +314,26 @@ def annotation_row(annotations, idx: int) -> AnnotationRow:
     return AnnotationRow._make(values[idx] for values in annotations)
 
 
+def view_point_chain(view) -> list[tuple[int, ...]]:
+    """Each point's chain on an ``OracleView``, bottom area first: the
+    entries of its ``_chains`` row, level by level, that are not the pad
+    id."""
+    return [tuple(idx for idx in row if idx < view._count) for row in view._chains.tolist()]
+
+
+def view_x_members(view) -> list[frozenset[int]]:
+    """Each node's x-members on an ``OracleView``: its segment of
+    ``_x_ids``."""
+    bounds = view._x_bounds
+    return [frozenset(view._x_ids[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+
+
 def point_in_x(view, p: int, idx: int) -> bool:
     """Whether a point's level-r area lies in the near neighborhood of a
     node, on an ``OracleView``: the point's chain entry at that level is one
-    of the node's x-members."""
-    return int(view._chains[p, view._level[idx]]) in view.x_members[idx]
+    of the node's x-members, its segment of ``_x_ids``."""
+    members = view._x_ids[view._x_bounds[idx]:view._x_bounds[idx + 1]]
+    return int(view._chains[p, view._level[idx]]) in members.tolist()
 
 
 class ReferenceOracleView:

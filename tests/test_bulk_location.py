@@ -197,7 +197,9 @@ def test_pair_distances_equal_the_scalar_distance(kind, scale, points, copies):
     inst = Instance(kind, facilities=[(p, 1) for p in range(n)], **metric)
     idx = np.arange(n)
     ps, qs = np.repeat(idx, n), np.tile(idx, n)
-    scalar = np.array([inst.distance(p, q) for p, q in zip(ps.tolist(), qs.tolist())])
+    scalar = [inst.distance(p, q) for p, q in zip(ps.tolist(), qs.tolist())]
+    assert {type(d) for d in scalar} == {float}
+    scalar = np.array(scalar)
     assert inst.pair_distances(ps, qs).tobytes() == scalar.tobytes()
     # Index arrays that broadcast give the same values in the broadcast
     # shape: a column of every row, or of every other row, against a row.

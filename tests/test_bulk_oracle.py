@@ -1,11 +1,12 @@
 """The oracle's bulk view against ``helpers.ReferenceOracleView``, the scalar
-view it replaced: point chains, x-member sets, far-neighborhood facility sets
-and their reverse index must be identical, types included, and so must every
-recomputed state.  On seeded traces over the instance kinds of
-``test_reference_build`` (seeded by ``NETFLOC_SEED``), on matrices whose
-entries equal a threshold ``radius(c, r)``: exactly, or as the float nearest
-to a radius above 2**53 that no float represents, and on a point equidistant
-from two nodes, where the lower facility id wins."""
+view it replaced: point chains and x-member sets (derived from the bulk
+view's flat arrays), far-neighborhood facility sets and their reverse index
+must be identical, types included, and so must every recomputed state.  On
+seeded traces over the instance kinds of ``test_reference_build`` (seeded by
+``NETFLOC_SEED``), on matrices whose entries equal a threshold
+``radius(c, r)``: exactly, or as the float nearest to a radius above 2**53
+that no float represents, and on a point equidistant from two nodes, where
+the lower facility id wins."""
 
 import random
 import pytest
@@ -16,12 +17,16 @@ from netfloc import C2, CX, CY, Engine, Instance, OracleView, \
     compare_states, derive_parameters, radius
 from test_reference_build import KINDS, extreme_cost_instance
 
-STATIC = ("point_chain", "x_members", "y_facilities", "nodes_with_fac_in_y")
-
 
 def assert_same_static(view, reference):
-    for attr in STATIC:
-        ours, ref = getattr(view, attr), getattr(reference, attr)
+    # The bulk view keeps point chains and x-members only as flat arrays,
+    # from which the helpers derive them.
+    static = {"point_chain": helpers.view_point_chain(view),
+              "x_members": helpers.view_x_members(view),
+              "y_facilities": view.y_facilities,
+              "nodes_with_fac_in_y": view.nodes_with_fac_in_y}
+    for attr, ours in static.items():
+        ref = getattr(reference, attr)
         assert ours == ref, attr
         assert helpers._types(ours) == helpers._types(ref), attr
 
@@ -100,13 +105,14 @@ def test_entries_equal_to_a_threshold(c, r):
     if c == C2:
         # The second point's area is the first facility's node at the lowest
         # level whose C2 ball holds it.
-        assert hierarchy.nodes[view.point_chain[1][0]].r == (r if inside else r + 1)
+        assert hierarchy.nodes[helpers.view_point_chain(view)[1][0]].r == \
+            (r if inside else r + 1)
         return
     # Both facilities are separated at level r (C1 < CX < CY), so both have a
     # node there; the tie decides whether they are neighbours.
     own, other = hierarchy.node_of[(0, r)], hierarchy.node_of[(1, r)]
     if c == CX:
-        assert (other in view.x_members[own]) == inside
+        assert (other in helpers.view_x_members(view)[own]) == inside
     else:
         assert (1 in view.y_facilities[own]) == inside
 
@@ -121,4 +127,4 @@ def test_a_point_equidistant_from_two_nodes_takes_the_lower_facility_id():
     hierarchy = instance.hierarchy(derive_parameters(instance, 0))
     view = OracleView(instance, hierarchy)
     assert_same_static(view, ReferenceOracleView(instance, hierarchy))
-    assert view.point_chain[2][0] == hierarchy.node_of[(0, -1)]
+    assert helpers.view_point_chain(view)[2][0] == hierarchy.node_of[(0, -1)]

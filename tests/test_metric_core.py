@@ -1,5 +1,8 @@
+import gc
+import json
 import math
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -397,3 +400,26 @@ def test_instance_caches_fill_once(kind, monkeypatch):
                 far.diameter
         with pytest.raises(InstanceError, match="diameter overflows"):
             derive_parameters(far, 0)
+
+
+def test_a_loaded_matrix_is_kept_only_as_its_array():
+    # A 200-point matrix loaded from JSON text: once the parsed data is
+    # collected, the instance holds its metric as the array's 320 KB of
+    # floats, not a second copy of Python floats beside it.
+    rng = random.Random(5)
+    points = [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(200)]
+    text = json.dumps({
+        "metric": {"kind": "explicit-matrix",
+                   "matrix": [[math.dist(p, q) for q in points] for p in points]},
+        "facilities": [{"point": i, "cost": rng.randint(1, 500)} for i in range(40)],
+    })
+    gc.collect()
+    tracemalloc.start()
+    try:
+        inst = Instance.from_dict(json.loads(text))
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.n_points == 200
+    assert retained <= 1.5 * inst.array.nbytes

@@ -236,8 +236,9 @@ def test_point_in_x_equals_the_distance_test(kind):
             nodes = hierarchy.nodes
             fpoint = [instance.facilities[node.facility].point for node in nodes]
             view = OracleView(instance, hierarchy)
+            point_chain = helpers.view_point_chain(view)
             for p in range(instance.n_points):
-                chain = view.point_chain[p]
+                chain = point_chain[p]
                 for idx, node in enumerate(nodes):
                     off = node.r - nodes[chain[0]].r
                     expected = off >= 0 and dist(

@@ -6,9 +6,10 @@ For each facility count F, a fresh process builds one seeded instance: F
 facility points and 2,000 client points with float coordinates drawn
 uniformly from [0, 1000]^2 under L2, integer opening costs in [1, 500], and
 the hierarchy of the client-count scale n = 5**6.  It prints one line per F:
-``diameter_s``, the seconds of the first ``Instance.diameter`` (the points'
-array and one blocked pass over the sums of squares of all F + 2,000 points'
-pairs, before ``derive_parameters`` reads the cached value), the facility
+``diameter_s``, the seconds of the first ``Instance.diameter`` (one blocked
+pass over the sums of squares of all F + 2,000 points' pairs, over the
+points' array built at load, before ``derive_parameters`` reads the cached
+value), the facility
 table's seconds, the rest of the build's seconds (the first
 ``Instance.hierarchy`` call, which builds the hierarchy and keeps it), the
 node and level counts, ``located_pairs``, the (point, node) pairs the build

@@ -9,16 +9,22 @@ costs in [1, 500].  It prints one line per n: ``loads_s``, the seconds of
 ``json.loads`` on the instance text; ``load_s``, the seconds of
 ``Instance.from_dict`` on the parsed data; and, within that load,
 ``entries_s``, the numeric checks of the matrix rows and the costs,
-``axioms_s``, the square, diagonal, symmetry and sign checks, and
-``triangle_s``, the triangle inequality; then the process's peak RSS after
-the load.  The three parts are timed by wrapping the functions the load
-calls, so they are those calls' wall-clock seconds.  Run from the root of a
-source checkout: the package is imported from its ``src`` directory.
+``axioms_s``, the diagonal, symmetry and sign checks, and ``triangle_s``,
+the triangle inequality; then the process's peak RSS after the load, and
+``retained_mb``, the MiB that a second load of the text (``json.loads`` and
+``Instance.from_dict``, traced by ``tracemalloc`` outside the timed one)
+still holds after ``gc.collect()``: the instance, whose metric is its array
+of n * n floats.  The three parts are timed by wrapping the functions the
+load calls, so they are those calls' wall-clock seconds; the square check
+and building the array precede ``axioms_s`` and count only in ``load_s``.
+Run from the root of a source checkout: the package is imported from its
+``src`` directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import random
@@ -26,6 +32,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -73,10 +80,18 @@ def measure(n: int) -> str:
     load_s = time.perf_counter() - start
     assert instance.n_points == n
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return (f"n={n} loads_s={loads_s:.4f} load_s={load_s:.4f} "
+    line = (f"n={n} loads_s={loads_s:.4f} load_s={load_s:.4f} "
             f"entries_s={spent['entries']:.4f} "
             f"axioms_s={spent['validate'] - spent['triangle']:.4f} "
             f"triangle_s={spent['triangle']:.4f} peak_rss_mb={peak_mb:.0f}")
+    del data, instance
+    gc.collect()
+    tracemalloc.start()
+    instance = Instance.from_dict(json.loads(text))
+    gc.collect()
+    retained_mb = tracemalloc.get_traced_memory()[0] / 2 ** 20
+    tracemalloc.stop()
+    return f"{line} retained_mb={retained_mb:.2f}"
 
 
 def main(argv=None) -> int:
