@@ -9,16 +9,15 @@ largest float not above it, so every test equals the exact test of the
 scalar distance against the exact threshold.  Separated sets are mask passes
 over the table; a parent is a row minimum, the lowest facility id on ties.
 Per level, one ``flatnonzero`` of the block within C4*5**r yields the
-coloring, x and y lists and designations; ``neighbors_above`` joins y lists
-along root paths, and abundance thresholds are integer ceilings.
+coloring, x and y lists and designations, and abundance thresholds are
+integer ceilings; ``neighbors_above`` is derived from the y lists on read.
 
 The build also locates every point of the instance, facility and client
 points alike: a point's bottom area is the closest node, by (distance,
 facility id), of the lowest level of its C2 ball.  One descent per block of
 points walks the tree level by level over numpy arrays of (point, candidate
 node) pairs, with the exact distances of ``Instance.pair_distances``.  Each
-node's root path is one tuple, shared by the chains of all points in its
-area.
+bottom area's root path is one tuple, shared by the chains of its points.
 
 Everything here is immutable once built, the numpy arrays the engine counts
 clients over too.  ``Instance.hierarchy`` builds each ``Params``' hierarchy
@@ -86,16 +85,14 @@ class TripletNode:
     """One (facility, logradius, color) node of the dependency tree.
 
     ``x_areas``/``y_areas`` list the same-level node ids whose areas compose
-    this node's near/far neighborhood; ``neighbors_above`` lists the
-    lexicographically larger triplets whose far neighborhood contains this
-    node's facility.
+    this node's near/far neighborhood.  ``_chain`` (the node's facility's
+    area chain) and ``_nodes`` (the node list) serve ``neighbors_above``.
     """
 
     __slots__ = (
         "idx", "facility", "r", "color", "parent", "children",
-        "x_areas", "y_areas", "neighbors_above",
-        "designated_facility", "designated_cost",
-        "abundance_threshold", "unit_weight",
+        "x_areas", "y_areas", "designated_facility",
+        "abundance_threshold", "unit_weight", "_chain", "_nodes",
     )
 
     def __init__(self, idx: int, facility: int, r: int):
@@ -107,14 +104,28 @@ class TripletNode:
         self.children: list[int] = []
         self.x_areas: list[int] = []
         self.y_areas: list[int] = []
-        self.neighbors_above: list[int] = []
         self.designated_facility = -1
-        self.designated_cost = 0.0
         self.abundance_threshold = 1
         self.unit_weight = 1
 
     def key(self) -> tuple[int, int, int]:
         return (self.r, self.color, self.facility)
+
+    @property
+    def neighbors_above(self) -> list[int]:
+        """The nodes u with key(self) < key(u) whose far neighborhood holds
+        this node's facility, as a new list on each read.  At level r those
+        are the y areas of the facility's level-r chain entry e (the far
+        relation is symmetric), so the list is e's y areas of a higher color
+        than this node, then the y lists of e's ancestors: the rest of the
+        chain."""
+        nodes, chain = self._nodes, self._chain
+        off = self.r - nodes[chain[0]].r
+        color = self.color
+        out = [u for u in nodes[chain[off]].y_areas if nodes[u].color > color]
+        for p in chain[off + 1:]:
+            out += nodes[p].y_areas
+        return out
 
 
 def abundance_threshold(cost: float, r: int) -> int:
@@ -202,15 +213,20 @@ class Hierarchy:
             self.nodes[pidx].children.append(idx)
         self.root = self.by_level[params.rho_max][0]
 
-        # Root paths, parents first: node ids ascend with logradius.
-        paths: list[tuple[int, ...]] = [()] * len(self.nodes)
-        for node in reversed(self.nodes):
-            up = () if node.parent is None else paths[node.parent]
-            paths[node.idx] = (node.idx,) + up
-        # Point -> bottom area and area chain, the root path of that area.
+        # Point -> bottom area and area chain, the root path of that area:
+        # one tuple per distinct bottom area, shared by all its points.
         self.point_area = self._locate()
-        self.point_chains = [paths[a] for a in self.point_area.tolist()]
-        del paths  # O(nodes x levels) ids: most of a deep build's peak memory
+        areas = self.point_area.tolist()
+        paths = {}
+        for a in set(areas):
+            path = [a]
+            while (p := self.nodes[path[-1]].parent) is not None:
+                path.append(p)
+            paths[a] = tuple(path)
+        self.point_chains = [paths[a] for a in areas]
+        for node in self.nodes:
+            node._chain = self.point_chains[self._fac_point[node.facility]]
+            node._nodes = self.nodes
         self.parent_ids = np.array([-1 if node.parent is None else node.parent
                                     for node in self.nodes], dtype=np.int64)
         self._build_levels()
@@ -326,7 +342,7 @@ class Hierarchy:
 
     def _build_levels(self) -> None:
         """Colors, x/y lists (the x lists also flat, ``x_flat`` from each node's
-        ``x_starts`` on), designations, ``neighbors_above``, ``path_x_areas``.
+        ``x_starts`` on), designations, ``path_x_areas``.
 
         Each level, from the bottom, reads the positions of its block of
         distances within C4*5**r, in row-major order; the near (CX) and far
@@ -401,25 +417,12 @@ class Hierarchy:
                 raise AssertionError("area lost its own facility")
             for node, fid in zip(level, by_cost[first].tolist()):
                 node.designated_facility = fid
-                node.designated_cost = cost = facs[fid].opening_cost
                 # Smallest client count in the near neighborhood that pays
                 # the designated cost at this scale, as an exact integer.
-                node.abundance_threshold = abundance_threshold(cost, r)
+                node.abundance_threshold = abundance_threshold(facs[fid].opening_cost, r)
 
         self.x_flat = np.concatenate(x_flat)
         self.x_starts = np.searchsorted(np.concatenate(x_owner), np.arange(len(nodes)))
-        # neighbors_above: the nodes u with key(v) < key(u) whose far
-        # neighborhood holds v's facility.  At level r those are the y areas
-        # of the facility's level-r chain entry e (the far relation is
-        # symmetric), so v's list is e's y areas of a higher color than v,
-        # then the y lists of e's ancestors, joined into one exact-size list.
-        for node in nodes:
-            e = nodes[self.facility_chain_at(node.facility, node.r)]
-            up, p = [], e.parent
-            while p is not None:
-                up += nodes[p].y_areas
-                p = nodes[p].parent
-            node.neighbors_above = [u for u in e.y_areas if nodes[u].color > node.color] + up
         # Each bottom area's affected triplets, the x areas along its root
         # path: a tuple of a list, as tuple() of a generator fragments the heap.
         self.path_x_areas = {c[0]: tuple([m for i in c for m in nodes[i].x_areas])
@@ -430,12 +433,13 @@ class Hierarchy:
     def dump(self) -> str:
         """Indented one-line-per-node rendering of the dependency tree."""
         nodes = self.nodes
+        facs = self.instance.facilities
         lines: list[str] = []
 
         def render(idx: int, depth: int) -> None:
             node = nodes[idx]
             parent = "-" if node.parent is None else str(nodes[node.parent].facility)
-            cost = node.designated_cost
+            cost = facs[node.designated_facility].opening_cost
             cost_s = str(int(cost)) if float(cost).is_integer() else repr(cost)
             lines.append(
                 "  " * depth

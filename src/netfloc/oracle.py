@@ -202,7 +202,8 @@ class OracleView:
         # Smallest client count satisfying the abundance inequality, from the
         # exact rational form of the designated cost at each scale.
         self._threshold = [
-            math.ceil(Fraction(node.designated_cost) / Fraction(5) ** node.r)
+            math.ceil(Fraction(instance.facilities[node.designated_facility].opening_cost)
+                      / Fraction(5) ** node.r)
             for node in nodes
         ]
         self._order = np.lexsort((fac, color, level)).tolist()

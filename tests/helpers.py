@@ -391,7 +391,8 @@ class ReferenceOracleView:
         # Smallest client count satisfying the abundance inequality, from the
         # exact rational form of the designated cost at each scale.
         self._threshold = [
-            math.ceil(Fraction(node.designated_cost) / Fraction(5) ** node.r)
+            math.ceil(Fraction(instance.facilities[node.designated_facility].opening_cost)
+                      / Fraction(5) ** node.r)
             for node in nodes
         ]
         self._order = sorted(range(len(nodes)), key=lambda i: nodes[i].key())
@@ -638,10 +639,9 @@ def structural_problems(instance, hierarchy) -> list[str]:
         members = set(node.x_areas)
         eligible = [f for f in facs if entry(f.point, node.r) in members]
         best = min(eligible, key=lambda f: (f.opening_cost, f.id))
-        if (best.opening_cost, best.id) != (node.designated_cost,
-                                            node.designated_facility):
+        if best.id != node.designated_facility:
             problems.append(f"wrong designation at node {node.idx}")
-        if node.designated_cost > facs[node.facility].opening_cost:
+        if facs[node.designated_facility].opening_cost > facs[node.facility].opening_cost:
             problems.append(f"designated cost above own cost at node {node.idx}")
 
     return problems
@@ -660,8 +660,9 @@ class ReferenceHierarchy(Hierarchy):
 
     Separated sets and parents are mask and argmin passes over the exact
     table; colors, x/y lists and designations are per-node ``flatnonzero``
-    passes; abundance thresholds are ``Fraction`` ceilings; and
-    ``neighbors_above`` compares each candidate pair's keys at every level.
+    passes; abundance thresholds are ``Fraction`` ceilings; and the
+    ``neighbors_above`` lists, kept in the reference's own list of that name
+    (node id -> list), compare each candidate pair's keys at every level.
     Point chains come from ``Hierarchy._locate`` (checked against the scalar
     descent by test_bulk_location.py).
     """
@@ -763,8 +764,8 @@ class ReferenceHierarchy(Hierarchy):
             for idx, fid in zip(ids, order[hits.argmax(axis=1)].tolist()):
                 node = nodes[idx]
                 node.designated_facility = fid
-                node.designated_cost = cost = facs[fid].opening_cost
-                node.abundance_threshold = math.ceil(Fraction(cost) / Fraction(5) ** r)
+                node.abundance_threshold = math.ceil(
+                    Fraction(facs[fid].opening_cost) / Fraction(5) ** r)
             reached = np.flatnonzero(entries[:, off] >= 0)
             ups, fids = np.nonzero(far[:, entries[reached, off] - start])
             fids = reached[fids]
@@ -774,8 +775,7 @@ class ReferenceHierarchy(Hierarchy):
         pairs.sort()
         bounds = np.searchsorted(pairs, np.arange(n_nodes + 1) * n_nodes).tolist()
         above = id_objs[pairs % n_nodes].tolist()
-        for node in nodes:
-            node.neighbors_above = above[bounds[node.idx]:bounds[node.idx + 1]]
+        self.neighbors_above = [above[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _types(value):
@@ -793,8 +793,10 @@ def _types(value):
 
 
 def build_differences(hierarchy, reference) -> list[str]:
-    """Every node slot, level set, point chain and ordering in which
-    ``hierarchy`` differs from ``reference``, types included."""
+    """Every node slot, derived ``neighbors_above`` list, level set, point
+    chain and ordering in which ``hierarchy`` differs from ``reference``,
+    types included.  The slots that refer back to the hierarchy (``_chain``,
+    ``_nodes``) are skipped; the point chains and node lists cover them."""
 
     def same(a, b):
         return a == b and _types(a) == _types(b)
@@ -806,8 +808,11 @@ def build_differences(hierarchy, reference) -> list[str]:
         return problems + ["node count"]
     for node, ref in zip(hierarchy.nodes, reference.nodes):
         for slot in TripletNode.__slots__:
-            if not same(getattr(node, slot), getattr(ref, slot)):
+            if slot not in ("_chain", "_nodes") and \
+                    not same(getattr(node, slot), getattr(ref, slot)):
                 problems.append(f"node {ref.idx} ({ref.facility}, {ref.r}): {slot}")
+        if not same(node.neighbors_above, reference.neighbors_above[ref.idx]):
+            problems.append(f"node {ref.idx} ({ref.facility}, {ref.r}): neighbors_above")
     return problems
 
 

@@ -245,13 +245,15 @@ def test_xy_and_designation_line5(line5):
     h = helpers.build(line5)
     n1 = h.nodes[h.node_of[(0, 1)]]
     assert n1.x_areas == [n1.idx]
-    assert n1.designated_cost == 10 and n1.designated_facility == 0
+    assert n1.designated_facility == 0
+    assert line5.facilities[n1.designated_facility].opening_cost == 10
 
 
 def test_designation_prefers_cheaper_facility(line5_cheap_f1):
     h = helpers.build(line5_cheap_f1)
     n1 = h.nodes[h.node_of[(0, 1)]]
-    assert n1.designated_facility == 1 and n1.designated_cost == 9
+    assert n1.designated_facility == 1
+    assert line5_cheap_f1.facilities[n1.designated_facility].opening_cost == 9
 
 
 def test_self_in_x_and_x_subset_y(line5):

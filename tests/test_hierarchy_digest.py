@@ -23,6 +23,15 @@ SCALES = (0, 5, 125, 3125)
 # range and the scale n; this stand-in repeats that repr.
 RecordedParams = namedtuple("Params", "w f_max f_min n rho_min rho_max delta")
 
+# The node fields as they were recorded: ``neighbors_above`` is now derived on
+# read, and ``designated_cost`` is the designated facility's opening cost.
+RECORDED_FIELDS = (
+    "idx", "facility", "r", "color", "parent", "children",
+    "x_areas", "y_areas", "neighbors_above",
+    "designated_facility", "designated_cost",
+    "abundance_threshold", "unit_weight",
+)
+
 
 def _points(rng, n, dims, integer, hi=1000):
     if integer:
@@ -112,7 +121,11 @@ def hierarchy_digest(instance: Instance) -> str:
         h.update(repr((recorded, hier.root, sorted(hier.level_sets.items()),
                        sorted(hier.by_level.items()))).encode())
         for node in hier.nodes:
-            h.update(repr(tuple(getattr(node, slot) for slot in node.__slots__)).encode())
+            fields = tuple(
+                instance.facilities[node.designated_facility].opening_cost
+                if name == "designated_cost" else getattr(node, name)
+                for name in RECORDED_FIELDS)
+            h.update(repr(fields).encode())
         for p in range(instance.n_points):
             h.update(repr(hier.area_chain(p)).encode())
     return h.hexdigest()

@@ -61,7 +61,7 @@ def test_colocated_facilities_differential():
         if node.facility == 0:
             entry = engine.hierarchy.facility_chain_at(1, node.r)
             if entry is not None and entry in node.x_areas:
-                assert node.designated_cost <= 20
+                assert inst.facilities[node.designated_facility].opening_cost <= 20
 
 
 def test_fractional_costs_differential():

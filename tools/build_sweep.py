@@ -18,14 +18,16 @@ each call's broadcast index arrays), the process's peak RSS after the build,
 ``rebuild_s``, the best of 5 ``Engine._rebuild`` calls of an engine with n
 live clients spread over the 2,000 client points (each rebuild finds the
 hierarchy built and refills the annotation lists the engine allocated at
-construction, so it times a refill, not an allocation), and the memory of
-one more build traced by ``tracemalloc``: ``traced_peak_mb``, its peak, and
-``traced_retained_mb``, what the built hierarchy keeps, and ``view_s``, the
-seconds of one ``OracleView`` over the hierarchy (its bulk scans of all
-points and of every level's facility pairs), timed after the traced build so
-that neither the peak RSS nor the traced figures include it.  Run from the
-root of a source checkout: the package is imported from its ``src``
-directory.
+construction, so it times a refill, not an allocation), ``gc_ms``, the
+milliseconds of one full ``gc.collect()`` while the built hierarchy and the
+engine are alive (every GC-tracked object the hierarchy keeps is traversed),
+and the memory of one more build traced by ``tracemalloc``:
+``traced_peak_mb``, its peak, and ``traced_retained_mb``, what the built
+hierarchy keeps, and ``view_s``, the seconds of one ``OracleView`` over the
+hierarchy (its bulk scans of all points and of every level's facility
+pairs), timed after the traced build so that neither the peak RSS nor the
+traced figures include it.  Run from the root of a source checkout: the
+package is imported from its ``src`` directory.
 """
 
 from __future__ import annotations
@@ -92,7 +94,9 @@ def measure(n_facilities: int) -> str:
     # The table is cached by now, so the traced build holds the hierarchy
     # only; a full collection first empties the interpreter's free lists,
     # whose reuse would otherwise hide allocations from the trace.
+    start = time.perf_counter()
     gc.collect()
+    gc_ms = (time.perf_counter() - start) * 1e3
     tracemalloc.start()
     traced = Hierarchy(instance, params)  # alive while its memory is read
     retained, peak = tracemalloc.get_traced_memory()
@@ -103,6 +107,7 @@ def measure(n_facilities: int) -> str:
     return (f"F={n_facilities} diameter_s={diameter_s:.4f} table_s={table_s:.3f} "
             f"build_s={build_s:.3f} nodes={len(hierarchy.nodes)} levels={params.delta} "
             f"located_pairs={located} peak_rss_mb={peak_mb:.0f} rebuild_s={rebuild_s:.4f} "
+            f"gc_ms={gc_ms:.1f} "
             f"traced_peak_mb={peak / 2**20:.1f} traced_retained_mb={retained / 2**20:.1f} "
             f"view_s={view_s:.3f}")
 
