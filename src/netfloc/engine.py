@@ -165,7 +165,8 @@ class Engine:
         """Resolve a live client to its lowest enabled area and open facility."""
         if cid not in self.registry:
             raise ValueError(f"unknown client id: {cid!r}")
-        return self._route(self._lowest_enabled(self.registry[cid]))
+        return self._route(self._lowest_enabled(
+            self.registry[cid], self.hierarchy.point_chains, self.annotations.is_enabled))
 
     def assignments(self) -> dict:
         """Every live client's ``assign_client`` result, in one pass over the
@@ -173,7 +174,7 @@ class Engine:
         area, which depends only on its bottom area, so each distinct bottom
         area is resolved once and each distinct lowest enabled area is
         routed once."""
-        chains = self.hierarchy.point_chains
+        chains, enabled = self.hierarchy.point_chains, self.annotations.is_enabled
         routed: dict[int, Assignment] = {}
         at_bottom: dict[int, Assignment] = {}
         out = {}
@@ -181,7 +182,7 @@ class Engine:
             bottom = chains[point][0]
             assignment = at_bottom.get(bottom)
             if assignment is None:
-                area_idx = self._lowest_enabled(point)
+                area_idx = self._lowest_enabled(point, chains, enabled)
                 assignment = routed.get(area_idx)
                 if assignment is None:
                     assignment = routed[area_idx] = self._route(area_idx)
@@ -189,9 +190,10 @@ class Engine:
             out[cid] = assignment
         return out
 
-    def _lowest_enabled(self, point: int) -> int:
-        enabled = self.annotations.is_enabled
-        for idx in self.hierarchy.area_chain(point):
+    @staticmethod
+    def _lowest_enabled(point: int, chains, enabled) -> int:
+        """The first enabled area on the chain ``chains[point]``."""
+        for idx in chains[point]:
             if enabled[idx]:
                 return idx
         raise RuntimeError(f"no enabled area on the chain of point {point}")

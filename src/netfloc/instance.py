@@ -17,10 +17,20 @@ Matrix entries and L-infinity distances are exact in bulk too.  The F x F
 ``pair_distances``' values.  The hierarchy's nodes and lists read nothing
 else of the metric.
 
-The diameter is the largest ``distance``, bit for bit, for every kind: the
-largest matrix entry, the largest coordinate range under L-infinity, and
-under L2 the square root of the largest sum of squares when that sum is
-finite and at least _L2_TINY, else the largest of ``pair_distances``.
+The diameter is the largest ``distance``, bit for bit: the largest matrix
+entry, the largest coordinate range under L-infinity (subtraction is
+monotone), and under L2 the root of the largest sum of squares if finite
+and at least _L2_TINY, else the largest ``pair_distances``, either scanned
+only over the possible ends of the farthest pair.  p's reach is max(fl(x_k
+- lo_k), fl(hi_k - x_k)) per coordinate range [lo_k, hi_k]; subtraction,
+squaring and addition are monotone, so p's sum with any q is at most the
+kernel's over p's reach, exactly.  ``pair_distances``' bound, fl(M·(1 + (d +
+12)·2^-52)) + 2^-1022 with M the reach's ``math.dist`` from the origin, holds
+too: a pair's value (a root of d squares summing to >= _L2_TINY, or
+``math.dist``, CPython's vector norm of the rounded differences, under 1
+ulp off since 3.10) is <= (1 + (d/2 + 2)·2^-52)·(N + 2^-1074), N the
+reach's exact norm, and N <= (1 + 2^-51)·(M + 2^-1074); the relative slack
+covers that product at or above 2^-1022, the added 2^-1022 below.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ import numbers
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -363,30 +373,42 @@ class Instance:
                 s += t * t
         return math.sqrt(s) if _L2_TINY <= s < math.inf else math.dist(a, b)
 
+    def _largest(self, value, bound: np.ndarray) -> float:
+        """The largest ``value`` (a symmetric kernel over broadcasting index
+        arrays) of a pair of points, given bound[p] >= value(p, q) for all q:
+        both ends of that pair reach the floor, the largest value in two
+        rows, so only pairs of the points that reach it are scanned, in row
+        blocks, each pair once."""
+        idx = np.arange(self.n_points)
+        floor = value(int(value(int(bound.argmax()), idx).argmax()), idx).max()
+        if floor == math.inf:
+            return floor
+        keep = idx[bound >= floor]
+        rows = max(1, _BLOCK_ELEMENTS // len(keep))
+        return max(float(value(keep[start:start + rows, None], keep[start:]).max())
+                   for start in range(0, len(keep), rows))
+
     @cached_property
     def diameter(self) -> float:
         """The largest pairwise distance over the declared point universe,
-        bit for bit (see the module docstring); an input error when it
-        overflows to infinity."""
+        bit for bit, with L2's scan cut to the possible ends of the farthest
+        pair (see the module docstring); an input error when it overflows."""
         if self.kind == "explicit-matrix":
             diameter = float(self.array.max())
         elif self.kind == "euclidean-L2":
-            # Each unordered pair once, a block of rows at a time.  The
-            # largest sum's root is the farthest pair's ``distance`` unless
-            # that sum is infinite or below _L2_TINY, where the odd pairs'
-            # distances are ``math.dist``'s.
-            idx = np.arange(self.n_points)
-            rows = max(1, _BLOCK_ELEMENTS // self.n_points)
-            blocks = [(idx[start:start + rows, None], idx[start:])
-                      for start in range(0, self.n_points, rows)]
-            best = max(float(_squared_sums(self.array, ps, qs).max()) for ps, qs in blocks)
-            if _L2_TINY <= best < math.inf:
-                diameter = math.sqrt(best)
-            else:
-                diameter = max(float(self.pair_distances(ps, qs).max()) for ps, qs in blocks)
+            arr, n, d = self.array, self.n_points, self.array.shape[1]
+            reach = np.zeros((n + 1, d))  # each point's reach, then the origin
+            with np.errstate(over="ignore"):
+                np.maximum(arr - arr.min(axis=0), arr.max(axis=0) - arr, out=reach[:n])
+                best = self._largest(partial(_squared_sums, arr),
+                                     _squared_sums(reach, np.arange(n), n))
+                if _L2_TINY <= best < math.inf:
+                    diameter = math.sqrt(best)
+                else:
+                    slack = 1 + (d + 12) * 2.0 ** -52
+                    norms = np.array(list(map(math.dist, reach[:n].tolist(), [[0.0] * d] * n)))
+                    diameter = self._largest(self.pair_distances, norms * slack + 2.0 ** -1022)
         else:
-            # Float subtraction is monotone in each operand, so the
-            # largest |p_k - q_k| over all pairs is fl(max_k - min_k).
             arr = self.array
             with np.errstate(over="ignore"):
                 diameter = float((arr.max(axis=0) - arr.min(axis=0)).max())

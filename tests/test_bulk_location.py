@@ -211,28 +211,22 @@ def test_pair_distances_equal_the_scalar_distance(kind, scale, points, copies):
     assert inst.facility_distances.tobytes() == table.tobytes()
 
 
-def test_a_churn_sized_l2_instance_needs_few_scalar_distances():
+def test_a_churn_sized_l2_instance_needs_few_scalar_distances(monkeypatch):
     # The benchmark's churn-l2 instance (400 facilities, 2,400 integer grid
     # points) at the 3,125 scale: the scalar descent makes ~2 * 10**5
     # distance calls to locate every point, an exact facility table 160,000,
-    # and the bulk build none: no sum of squares overflows, and the ones
-    # below _L2_TINY are those of equal coordinates.
+    # and the bulk build no ``Instance.distance`` call.  Its ``pair_distances``
+    # take ``math.dist`` only for sums below _L2_TINY, and no sum of squares
+    # overflows, so every ``math.dist`` call is a pair of equal coordinates.
     instance_text = helpers.benchmark_inputs("churn-l2", 1).instance_text
     inst = Instance.from_dict(json.loads(instance_text))
     params = derive_parameters(inst, 3125)
-    calls = 0
-    original = inst.distance
-
-    def counting(p, q):
-        nonlocal calls
-        calls += 1
-        return original(p, q)
-
-    inst.distance = counting
-    try:
-        h = Hierarchy(inst, params)
-    finally:
-        del inst.distance
-    assert calls == 0
+    pairs = []
+    dist = math.dist
+    monkeypatch.setattr(math, "dist", lambda p, q: pairs.append((p, q)) or dist(p, q))
+    monkeypatch.setattr(inst, "distance", lambda p, q: pytest.fail("scalar distance"))
+    h = Hierarchy(inst, params)
+    monkeypatch.undo()
+    assert pairs and all(p == q for p, q in pairs)
     for p in range(inst.n_points):
         assert h.area_chain(p) == helpers.scalar_chain(h, p)

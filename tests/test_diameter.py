@@ -2,7 +2,9 @@
 which sums each pair's squared differences one dimension at a time, as
 Instance.distance does: every value must be equal bit for bit.  A property
 test pins the definition itself: the diameter is the largest distance, also
-when a square overflows or every square underflows."""
+when a square overflows or every square underflows.  Pair counts pin the L2
+prune: few kernel pairs where few points can end the farthest pair, every
+pair where all of them can."""
 
 import json
 import math
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import netfloc.instance as instance_mod
 from netfloc import Instance, InstanceError
 
 from helpers import benchmark_inputs
@@ -106,11 +109,71 @@ def test_diameter_equals_row_scan_across_many_blocks(d):
         assert_matches_reference(points, kind)
 
 
+def _sphere(n: int, d: int) -> np.ndarray:
+    x = np.random.default_rng(n + d).normal(size=(n, d))
+    norm2 = x[:, 0] ** 2
+    for k in range(1, d):
+        norm2 += x[:, k] ** 2
+    return x / np.sqrt(norm2)[:, None]
+
+
+def _scanned_pairs(monkeypatch, points) -> int:
+    """The pairs the L2 diameter hands to ``_squared_sums``, after checking
+    the diameter against the row scan."""
+    pairs = 0
+    squared_sums = instance_mod._squared_sums
+
+    def counting(arr, ps, qs):
+        nonlocal pairs
+        pairs += np.broadcast(ps, qs).size
+        return squared_sums(arr, ps, qs)
+
+    monkeypatch.setattr(instance_mod, "_squared_sums", counting)
+    assert_matches_reference(points, "euclidean-L2")
+    return pairs
+
+
+@pytest.mark.parametrize("d", (2, 9))
+def test_diameter_of_points_on_a_sphere_scans_every_pair(monkeypatch, d):
+    # Every point's bound reaches the floor, so each unordered pair is
+    # scanned, over several row blocks, after the bounds and the floor's two
+    # rows (3 * n pairs).
+    n = 1500
+    assert _scanned_pairs(monkeypatch, _sphere(n, d).tolist()) >= 3 * n + n * (n + 1) // 2
+
+
+def test_diameter_of_uniform_points_scans_few_pairs(monkeypatch):
+    n = 1500
+    points = (np.random.default_rng(7).random((n, 3)) * 1000).tolist()
+    assert _scanned_pairs(monkeypatch, points) < 4 * n
+
+
+def test_diameter_of_copies_of_one_point_scans_every_pair(monkeypatch):
+    # The floor is 0, which every bound reaches; the diameter is 0.
+    n = 500
+    assert _scanned_pairs(monkeypatch, [[3.5, -2.0, 1e-3]] * n) >= 3 * n + n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("d", (1, 2, 5))
+def test_diameter_of_points_near_1e200_takes_the_fallback(d):
+    # Most sums of squares overflow, so the diameter is the largest
+    # ``math.dist``, over the points that the fallback's bound keeps.
+    points = (np.random.default_rng(d).random((500, d)) - 0.5) * 2e200
+    assert_matches_reference(points.tolist(), "euclidean-L2")
+
+
 @pytest.mark.parametrize("workload", ("churn-l2", "flap-625"))
 def test_diameter_of_benchmark_instances_equals_row_scan(workload):
     data = json.loads(benchmark_inputs(workload, 1).instance_text)
     for kind in KINDS:
         assert_matches_reference(data["metric"]["points"], kind)
+
+
+@pytest.mark.parametrize("workload", ("churn-l2", "flap-625"))
+def test_diameter_of_benchmark_instances_scans_few_pairs(monkeypatch, workload):
+    # An all-pairs scan would hand the kernel ~n**2 / 2 pairs.
+    points = json.loads(benchmark_inputs(workload, 1).instance_text)["metric"]["points"]
+    assert _scanned_pairs(monkeypatch, points) < 4 * len(points)
 
 
 def test_linf_overflow_is_an_input_error():

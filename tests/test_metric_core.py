@@ -389,7 +389,9 @@ def test_instance_caches_fill_once(kind, monkeypatch):
     diameter = 8.0 if kind == "euclidean-Linf" else 10.0
     assert inst.diameter == diameter
     first = len(calls)
-    assert first == (kind == "euclidean-L2")
+    # L2: the reach rows' bounds, two rows for the floor, one block of the
+    # points whose bound reaches it.
+    assert first == (4 if kind == "euclidean-L2" else 0)
     assert inst.diameter == diameter
     assert len(calls) == first
     if kind != "explicit-matrix":

@@ -6,18 +6,19 @@ For each facility count F, a fresh process builds one seeded instance: F
 facility points and 2,000 client points with float coordinates drawn
 uniformly from [0, 1000]^2 under L2, integer opening costs in [1, 500], and
 the hierarchy of the client-count scale n = 5**6.  It prints one line per F:
-``diameter_s``, the seconds of the first ``Instance.diameter`` (one blocked
-pass over the sums of squares of all F + 2,000 points' pairs, over the
-points' array built at load, before ``derive_parameters`` reads the cached
-value), the facility
-table's seconds, the rest of the build's seconds (the first
-``Instance.hierarchy`` call, which builds the hierarchy and keeps it), the
-node and level counts, ``located_pairs``, the (point, node) pairs the build
-hands to ``Instance.pair_distances`` after the table is built (the size of
-each call's broadcast index arrays), the process's peak RSS after the build,
-``rebuild_s``, the best of 5 ``Engine._rebuild`` calls of an engine with n
-live clients spread over the 2,000 client points (each rebuild finds the
-hierarchy built and refills the annotation lists the engine allocated at
+``diameter_s``, the seconds of the first ``Instance.diameter`` (the kernel
+over each point's reach, the floor's two rows and the pairs of the points
+whose bound reaches the floor, over the points' array built at load, before
+``derive_parameters`` reads the cached value), ``diameter_pairs``, the pairs
+that diameter hands to the kernel ``_squared_sums`` (the size of each call's
+broadcast index arrays), the facility table's seconds, the rest of the
+build's seconds (the first ``Instance.hierarchy`` call, which builds the
+hierarchy and keeps it), the node and level counts, ``located_pairs``, the
+(point, node) pairs the build hands to ``Instance.pair_distances`` after the
+table is built (counted the same way), the process's peak RSS after the
+build, ``rebuild_s``, the best of 5 ``Engine._rebuild`` calls of an engine
+with n live clients spread over the 2,000 client points (each rebuild finds
+the hierarchy built and refills the annotation lists the engine allocated at
 construction, so it times a refill, not an allocation), ``gc_ms``, the
 milliseconds of one full ``gc.collect()`` while the built hierarchy and the
 engine are alive (every GC-tracked object the hierarchy keeps is traversed),
@@ -26,8 +27,9 @@ and the memory of one more build traced by ``tracemalloc``:
 hierarchy keeps, and ``view_s``, the seconds of one ``OracleView`` over the
 hierarchy (its bulk scans of all points and of every level's facility
 pairs), timed after the traced build so that neither the peak RSS nor the
-traced figures include it.  Run from the root of a source checkout: the
-package is imported from its ``src`` directory.
+traced figures include it.  A last line gives ``diameter_s`` and
+``diameter_pairs`` of 20,000 such points alone.  Run from the root of a
+source checkout: the package is imported from its ``src`` directory.
 """
 
 from __future__ import annotations
@@ -48,6 +50,41 @@ import numpy as np
 SRC = Path(__file__).resolve().parent.parent / "src"
 CLIENT_POINTS = 2000
 SCALE = 5 ** 6
+DIAMETER_POINTS = 20000
+
+
+def first_diameter(instance) -> tuple[float, int]:
+    """The seconds of ``instance``'s first diameter and the pairs it hands
+    to ``_squared_sums``."""
+    from netfloc import instance as instance_mod
+
+    pairs = 0
+    kernel = instance_mod._squared_sums
+
+    def counting(arr, ps, qs):
+        nonlocal pairs
+        pairs += np.broadcast(ps, qs).size
+        return kernel(arr, ps, qs)
+
+    instance_mod._squared_sums = counting
+    try:
+        start = time.perf_counter()
+        instance.diameter
+        return time.perf_counter() - start, pairs
+    finally:
+        instance_mod._squared_sums = kernel
+
+
+def measure_diameter(n_points: int) -> str:
+    """Time the diameter of ``n_points`` uniform points in one line."""
+    sys.path.insert(0, str(SRC))
+    from netfloc import Instance
+
+    rng = random.Random(f"build-sweep-diameter-{n_points}")
+    points = [[rng.uniform(0, 1000), rng.uniform(0, 1000)] for _ in range(n_points)]
+    diameter_s, pairs = first_diameter(Instance("euclidean-L2", points=points,
+                                                facilities=[(0, 1)]))
+    return f"points={n_points} diameter_s={diameter_s:.4f} diameter_pairs={pairs}"
 
 
 def measure(n_facilities: int) -> str:
@@ -61,9 +98,7 @@ def measure(n_facilities: int) -> str:
               for _ in range(n_facilities + CLIENT_POINTS)]
     instance = Instance("euclidean-L2", points=points,
                         facilities=[(i, rng.randint(1, 500)) for i in range(n_facilities)])
-    start = time.perf_counter()
-    instance.diameter
-    diameter_s = time.perf_counter() - start
+    diameter_s, diameter_pairs = first_diameter(instance)
     params = derive_parameters(instance, SCALE)
     start = time.perf_counter()
     instance.facility_distances
@@ -104,7 +139,8 @@ def measure(n_facilities: int) -> str:
     start = time.perf_counter()
     OracleView(instance, hierarchy)
     view_s = time.perf_counter() - start
-    return (f"F={n_facilities} diameter_s={diameter_s:.4f} table_s={table_s:.3f} "
+    return (f"F={n_facilities} diameter_s={diameter_s:.4f} diameter_pairs={diameter_pairs} "
+            f"table_s={table_s:.3f} "
             f"build_s={build_s:.3f} nodes={len(hierarchy.nodes)} levels={params.delta} "
             f"located_pairs={located} peak_rss_mb={peak_mb:.0f} rebuild_s={rebuild_s:.4f} "
             f"gc_ms={gc_ms:.1f} "
@@ -125,6 +161,7 @@ def main(argv=None) -> int:
         result = subprocess.run([sys.executable, __file__, "--one", str(n)])
         if result.returncode:
             return result.returncode
+    print(measure_diameter(DIAMETER_POINTS))
     return 0
 
 
