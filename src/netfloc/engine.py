@@ -26,6 +26,13 @@ refill writes those (``tolist``, so plain ints) and zeroes every other field;
 one Python pass resolves the open bits in key order, and the steady path's
 flip settle, with every enabled node a flip, sets the costs along the root
 paths of the enabled nodes.
+
+A cost query with no write since the previous one reads one attribute: the
+float of the root's cost, computed by the first query after a write and kept
+until the next.  Every writer of the ``cost`` list (``_settle``, the only
+one during updates, and the rebuild's refill) drops it, so an update pays
+one attribute store and never the division.  Concurrent first queries may
+compute it twice, with equal results, as the ``Instance`` caches may.
 """
 
 from __future__ import annotations
@@ -148,12 +155,19 @@ class Engine:
 
     def cost_query(self) -> float:
         """Total payment of the current solution (root cost), O(1); inf
-        when it exceeds the float range."""
-        units = self._costs[self.hierarchy.root]
-        try:
-            return units * self._unit_num / self._unit_den
-        except OverflowError:
-            return math.inf
+        when it exceeds the float range.  The float is computed by the first
+        query after a write, as the exact integer division, and kept until
+        the next write; concurrent first queries may compute it twice, with
+        equal results."""
+        cost = self._cost
+        if cost is None:
+            units = self.annotations.cost[self.hierarchy.root]
+            try:
+                cost = units * self._unit_num / self._unit_den
+            except OverflowError:
+                cost = math.inf
+            self._cost = cost
+        return cost
 
     def solution_query(self) -> list[int]:
         """Designated facilities of the currently open triplets, sorted;
@@ -362,6 +376,7 @@ class Engine:
         in ``order`` are settled before it."""
         _, is_enabled, n_area, _, _, n_enabled_below, costs, y = self.annotations
         nodes = self.hierarchy.nodes
+        self._cost = None
         for idx in order:
             n_area[idx] += delta
             node = nodes[idx]
@@ -458,8 +473,7 @@ class Engine:
             anns = self._annotations[params] = Annotations(*([] for _ in range(8)))
         self.annotations = anns
         is_open, is_enabled, n_area, slack, open_below, n_enabled_below, cost, y = anns
-        # cost_query's list, read without the named tuple's field lookup.
-        self._costs = cost
+        self._cost = None
         is_open[:] = is_enabled[:] = [False] * len(nodes)
         n_area[:] = counts.tolist()
         slack[:] = [n_x - node.abundance_threshold for n_x, node in zip(near.tolist(), nodes)]

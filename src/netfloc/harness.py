@@ -128,6 +128,16 @@ def run_trace(instance: Instance, trace) -> list[str]:
     return outputs
 
 
+def _units_as_float(units: int, rho_min: int) -> float:
+    """``units`` multiples of 5**rho_min, correctly rounded by one integer
+    division; inf beyond the float range."""
+    num, den = (units * 5 ** rho_min, 1) if rho_min >= 0 else (units, 5 ** -rho_min)
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
 def verify_trace(instance: Instance, trace, corruption=None) -> tuple[int, list[str]]:
     """Verified replay plus the per-state invariant suite.
 
@@ -159,11 +169,17 @@ def verify_trace(instance: Instance, trace, corruption=None) -> tuple[int, list[
         mismatches = compare_states(snapshot, expected)
         if mismatches:
             return 1, [f"event {index}: {m}" for m in mismatches]
+        cost = engine.cost_query()
+        hierarchy = expected.hierarchy
+        root_cost = _units_as_float(expected.annotations.cost[hierarchy.root],
+                                    hierarchy.params.rho_min)
+        if cost != root_cost:
+            return 1, [f"event {index}: cost_query {cost} != oracle root cost {root_cost}"]
         problems = logical_violations(view, engine, snapshot)
         if problems:
             return 1, [f"event {index}: {p}" for p in problems]
         realized = engine.realized_cost(snapshot.assignments)
-        bound = PAYMENT_BOUND_FACTOR * engine.cost_query()
+        bound = PAYMENT_BOUND_FACTOR * cost
         if realized > bound * (1 + PAYMENT_SLACK):
             return 1, [f"event {index}: realized cost {realized} above {bound}"]
     return 0, outputs

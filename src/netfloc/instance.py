@@ -41,7 +41,7 @@ import numbers
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -254,6 +254,10 @@ class Instance:
             raise InstanceError("instance needs at least one facility")
         self._params = {}
         self._hierarchies = {}
+        # First-use caches, plain attributes: a functools.cached_property
+        # stores through __dict__, and on CPython 3.11 and 3.12 reading
+        # __dict__ slows every later attribute read on the object.
+        self._diameter = self._facility_distances = None
 
     def point_index(self, point) -> int:
         """``point`` as an index into the point universe; an input error
@@ -298,23 +302,31 @@ class Instance:
 
     @staticmethod
     def _check_triangles(arr: np.ndarray):
-        """The triangle inequality on a square matrix of finite nonnegative
-        floats, with relative slack _TRIANGLE_SLACK; a failure is reported
-        as the first of a scan by pivot x, (p, q) in row-major order within
-        a pivot.
+        """The triangle inequality on a symmetric square matrix of finite
+        nonnegative floats, with relative slack _TRIANGLE_SLACK; a failure
+        is reported as the first of a scan by pivot x, (p, q) in row-major
+        order within a pivot.
 
         (p, q) fails via x when arr[p, q] > g(v), with v = arr[p, x] +
         arr[x, q] and g(v) = fl(v + fl(_TRIANGLE_SLACK * v)).  g is
         monotone, so some pivot fails exactly when g of the least such sum
-        does: one min-plus pass over two n x n buffers decides, and only a
-        failure rescans pivot by pivot to name the first."""
+        does: one min-plus pass decides, and only a failure rescans pivot by
+        pivot to name the first.  The matrix is symmetric, and so are its
+        least sums, so the pass covers only the pairs on and above the
+        diagonal, in row blocks [a, b) x [a, n) of at most _BLOCK_ELEMENTS
+        entries (or one row); column x of a block is row x's entries."""
         n = len(arr)
+        rows = max(1, _BLOCK_ELEMENTS // n)
         with np.errstate(over="ignore"):  # an infinite sum never fails the test
-            low, via = np.full((n, n), math.inf), np.empty((n, n))
-            for x in range(n):
-                np.add(arr[:, x, None], arr[x], out=via)
-                np.minimum(low, via, out=low)
-            if not (arr > low + _TRIANGLE_SLACK * low).any():
+            for a in range(0, n, rows):
+                block = arr[a:a + rows, a:]
+                low, via = np.full(block.shape, math.inf), np.empty(block.shape)
+                for x in range(n):
+                    np.add(arr[x, a:a + rows, None], arr[x, a:], out=via)
+                    np.minimum(low, via, out=low)
+                if (block > low + _TRIANGLE_SLACK * low).any():
+                    break
+            else:
                 return
             for x in range(n):
                 via = arr[:, x, None] + arr[x]     # via[p, q] = m[p][x] + m[x][q]
@@ -388,11 +400,17 @@ class Instance:
         return max(float(value(keep[start:start + rows, None], keep[start:]).max())
                    for start in range(0, len(keep), rows))
 
-    @cached_property
+    @property
     def diameter(self) -> float:
         """The largest pairwise distance over the declared point universe,
         bit for bit, with L2's scan cut to the possible ends of the farthest
-        pair (see the module docstring); an input error when it overflows."""
+        pair (see the module docstring); an input error when it overflows.
+        Computed on first use and kept; a failed computation keeps nothing."""
+        if self._diameter is None:
+            self._diameter = self._compute_diameter()
+        return self._diameter
+
+    def _compute_diameter(self) -> float:
         if self.kind == "explicit-matrix":
             diameter = float(self.array.max())
         elif self.kind == "euclidean-L2":
@@ -416,19 +434,21 @@ class Instance:
             raise InstanceError("points too far apart: the diameter overflows to inf")
         return diameter
 
-    @cached_property
+    @property
     def facility_distances(self) -> np.ndarray:
         """Read-only F x F table of distances between facility points, by
-        facility id, computed on first use: entry [i, j] is
+        facility id, computed on first use and kept: entry [i, j] is
         ``pair_distances``' value, and so ``distance``'s, for the two
         facilities' points, built a block of at most _BLOCK_ELEMENTS entries
         (or one row) at a time.  Like the metric, the table is symmetric."""
-        fps = np.array([f.point for f in self.facilities])
-        rows = max(1, _BLOCK_ELEMENTS // len(fps))
-        table = np.concatenate([self.pair_distances(fps[start:start + rows, None], fps)
-                                for start in range(0, len(fps), rows)])
-        table.flags.writeable = False
-        return table
+        if self._facility_distances is None:
+            fps = np.array([f.point for f in self.facilities])
+            rows = max(1, _BLOCK_ELEMENTS // len(fps))
+            table = np.concatenate([self.pair_distances(fps[start:start + rows, None], fps)
+                                    for start in range(0, len(fps), rows)])
+            table.flags.writeable = False
+            self._facility_distances = table
+        return self._facility_distances
 
     def hierarchy(self, params: Params):
         """The net hierarchy of ``params``, built on first use and kept for

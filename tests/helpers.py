@@ -182,6 +182,7 @@ class ReferenceEngine(Engine):
     def update_cost(self, chain, flipped, delta: int) -> None:
         anns = self.annotations
         nodes = self.hierarchy.nodes
+        self._cost = None  # cost_query's kept float, stale once costs move
         for idx, enabled in flipped:
             parent = nodes[idx].parent
             if parent is not None:

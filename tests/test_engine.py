@@ -9,8 +9,9 @@ import helpers
 import netfloc.engine as engine_mod
 from helpers import random_instance, random_trace
 from netfloc import (ASSIGN_RADIUS_FACTOR, DirtyHeap, Engine, Hierarchy, Instance,
-                     InstanceError, OracleView,
-                     compare_states, engine_snapshot, radius)
+                     InstanceError, OracleView, TraceEvent,
+                     compare_states, derive_parameters, engine_snapshot, radius)
+from test_reference_build import extreme_cost_instance
 
 
 def node_id(engine, j, r):
@@ -159,6 +160,19 @@ def test_cost_query_examples(line5):
     assert eng.cost_query() == 15.0
 
 
+def assert_cost_query_exact(eng, where=None):
+    """Two queries in a row, the first after any write, both answer the
+    root's units times 5**rho_min rounded once (inf past the float range),
+    computed here without the engine's cached value."""
+    units = eng.annotations.cost[eng.hierarchy.root]
+    exact = Fraction(units) * Fraction(5) ** eng.hierarchy.params.rho_min
+    try:
+        expected = float(exact)
+    except OverflowError:
+        expected = math.inf
+    assert eng.cost_query() == eng.cost_query() == expected, where
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(5e-324, 1e300), st.floats(5e-324, 1e300), st.integers(1, 7))
 def test_cost_query_is_the_exact_cost_rounded(cost_a, cost_b, n_clients):
@@ -167,9 +181,50 @@ def test_cost_query_is_the_exact_cost_rounded(cost_a, cost_b, n_clients):
     inst = Instance("euclidean-L2", points=[[0, 0], [3, 4]],
                     facilities=[(0, cost_a), (1, cost_b)])
     eng = Engine(inst, {f"c{i}": i % 2 for i in range(n_clients)})
-    units = eng.annotations.cost[eng.hierarchy.root]
-    exact = Fraction(units) * Fraction(5) ** eng.hierarchy.params.rho_min
-    assert eng.cost_query() == float(exact)
+    assert_cost_query_exact(eng)
+    for cid in sorted(eng.registry):
+        eng.delete_client(cid)
+        assert_cost_query_exact(eng, cid)
+
+
+def _cost_cache_case(case):
+    """An instance and its insert/delete trace: a crossing case (line5 and
+    one of each metric kind, past 5, 25 and 125 clients), an extreme-cost
+    draw climbing past 5 and 25 and back, a bottom logradius below -463, or
+    a cost that leaves the float range and comes back."""
+    if case in helpers.CROSSING_KINDS:
+        return helpers.crossing_case(case)
+    if case.startswith("extreme-"):
+        instance = extreme_cost_instance(int(case[-1]))
+    elif case == "tiny-units":
+        instance = Instance("euclidean-L2", points=[[0, 0], [3, 4]],
+                            facilities=[(0, 5e-324), (1, 7)])
+        assert derive_parameters(instance, 25).rho_min < -463
+    else:  # "beyond-float": 1e308 and the largest float, both opened
+        instance = Instance("euclidean-L2", points=[[0], [1]],
+                            facilities=[(0, 1e308), (1, 1.7976931348623157e308)])
+    rng = random.Random(f"cost-cache-{case}")
+    inserts = [TraceEvent("insert", f"c{i}", rng.randrange(instance.n_points))
+               for i in range(26)]
+    return instance, inserts + [TraceEvent("delete", e.cid) for e in inserts]
+
+
+@pytest.mark.parametrize("case", [*helpers.CROSSING_KINDS, "extreme-0", "extreme-1",
+                                  "extreme-2", "tiny-units", "beyond-float"])
+def test_cost_query_is_exact_after_every_mutation(case):
+    instance, trace = _cost_cache_case(case)
+    eng = Engine(instance)
+    assert eng.cost_query() == 0.0
+    answers = set()
+    for event in trace:
+        if event.kind == "insert":
+            eng.insert_client(event.cid, event.point)
+        else:
+            eng.delete_client(event.cid)
+        assert_cost_query_exact(eng, event)
+        answers.add(eng.cost_query())
+    if case == "beyond-float":
+        assert math.inf in answers and eng.cost_query() == 0.0
 
 
 def test_solution_query_examples(line5, line5_cheap_f1):

@@ -123,6 +123,17 @@ def test_verify_trace_accepts_a_realized_cost_at_the_bound(monkeypatch, line5, d
     assert (code, lines) == (0, ["25", "F0", "15", "F0"])
 
 
+def test_verify_trace_reports_a_stale_cost_query(monkeypatch, line5, data_dir):
+    # A cost that no write invalidates keeps its first answer, 25, until the
+    # oracle's root cost moves away from it at event 3.
+    real = Engine.cost_query
+    first = {}
+    monkeypatch.setattr(Engine, "cost_query",
+                        lambda self: first.setdefault(id(self), real(self)))
+    code, lines = verify_trace(line5, parse_trace(data_dir / "line5.trace"))
+    assert (code, lines) == (1, ["event 3: cost_query 25.0 != oracle root cost 10.0"])
+
+
 def test_assign_client_without_an_enabled_area(line5):
     engine = _line5_engine(line5)
     for idx in engine.hierarchy.area_chain(3):

@@ -231,10 +231,10 @@ def _slack_case(outside: bool):
     return [[0, 1, d], [1, 0, 1], [d, 1, 0]]
 
 
-def _line_case(changes):
-    """Six points on a line at 0..5, with the symmetric entries in
+def _line_case(changes, n=6):
+    """``n`` points on a line at 0..n-1, with the symmetric entries in
     ``changes`` ({(p, q): distance}) replaced."""
-    matrix = [[abs(p - q) for q in range(6)] for p in range(6)]
+    matrix = [[abs(p - q) for q in range(n)] for p in range(n)]
     for (p, q), d in changes.items():
         matrix[p][q] = matrix[q][p] = d
     return matrix
@@ -280,6 +280,8 @@ MATRIX_CORPUS = {
     "int-rounding": [[0, 2 ** 53 + 1], [2 ** 53 + 1, 0]],
     "numpy-and-fraction": [[np.float64(0), Fraction(1, 3)], [np.int64(0) + Fraction(1, 3), 0]],
     "line": _line_case({}),
+    # 200 points: the min-plus pass's second row block starts at row 163.
+    "later-row-block": _line_case({(180, 199): 30}, n=200),
 }
 
 
@@ -302,6 +304,8 @@ def test_matrix_corpus_fails_where_expected():
     assert outcomes["several-pivots"] == "triangle inequality fails for (0, 5) via 1"
     assert outcomes["pivot-before-row"] == "triangle inequality fails for (4, 5) via 0"
     assert outcomes["only-the-last-pivot"] == "triangle inequality fails for (0, 1) via 5"
+    assert 180 >= instance_mod._BLOCK_ELEMENTS // 200
+    assert outcomes["later-row-block"] == "triangle inequality fails for (180, 199) via 175"
     assert outcomes["negative-before-asymmetric"] == "negative distance for pair (0, 1)"
     assert outcomes["diagonal-before-asymmetric"] == "nonzero self-distance at point 1"
     assert outcomes["asymmetric-before-diagonal"] == "asymmetric distances for pair (0, 2)"

@@ -46,6 +46,7 @@ def assert_same_state(eng, ref, where):
     assert eng.annotations == ref.annotations, where
     assert eng.open_nodes == ref.open_nodes, where
     assert eng.last_update == ref.last_update, where
+    assert eng.cost_query() == ref.cost_query(), where
 
 
 def run_side_by_side(instance, prefill, mutations) -> Counter:
