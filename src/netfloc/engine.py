@@ -27,6 +27,16 @@ one Python pass resolves the open bits in key order, and the steady path's
 flip settle, with every enabled node a flip, sets the costs along the root
 paths of the enabled nodes.
 
+A shift between two related scales counts only the levels it adds.  When
+``Hierarchy.shared_offset`` finds the deeper hierarchy to be the shallower
+one plus k bottom node ids, with equal point chains above them, the shared
+nodes' n_area and slack are copied by slice from the outgoing scale's lists:
+all of them going down, and all but the ids below k, which alone are
+counted, going up.  The copy is exact: those counts read only the shared
+levels and chains, and the outgoing lists already hold the mutation that
+triggered the shift.  Construction, a refill of the current hierarchy and an
+unrelated pair count every node.
+
 A cost query with no write since the previous one reads one attribute: the
 float of the root's cost, computed by the first query after a write and kept
 until the next.  Every writer of the ``cost`` list (``_settle``, the only
@@ -143,6 +153,7 @@ class Engine:
         self.last_update = UpdateStats()
         # One Annotations per Params visited, refilled by each rebuild.
         self._annotations: dict[Params, Annotations] = {}
+        self.hierarchy = self.annotations = None
         self._rebuild(derive_parameters(instance, self.n))
 
     @classmethod
@@ -444,12 +455,23 @@ class Engine:
         this engine's annotation lists of ``params``, allocated on its first
         visit, for the current live client set: every field is overwritten.
 
+        A shift between two scales whose hierarchies are related
+        (``Hierarchy.shared_offset``: the deeper one is the shallower plus k
+        bottom node ids, with equal point chains above them) copies the
+        shared nodes' ``n_area`` and ``slack`` from the outgoing lists by
+        slice, all of them going down, and counts only ids below k going
+        up.  The copy is exact: the shared nodes' counts read only the
+        shared levels and chains, and ``_apply`` has already applied the
+        triggering mutation to the outgoing lists.  Construction, a refill
+        of the current hierarchy and an unrelated pair count every node.
+
         Client counts are numpy passes over the hierarchy's static arrays;
         slack, open bits and costs are Python ints (thresholds and unit
         weights may exceed int64), and every field a plain int or bool.
         The costs come from ``_settle_flips``, not the public
         ``update_cost``, so a rebuild is never counted as an update.
         """
+        old, old_anns = self.hierarchy, self.annotations
         self.hierarchy = hierarchy = self.instance.hierarchy(params)
         rho_min = params.rho_min
         # cost_query divides integers, which rounds correctly and stays
@@ -458,16 +480,6 @@ class Engine:
         self._unit_num, self._unit_den = ((5 ** rho_min, 1) if rho_min >= 0
                                           else (1, 5 ** -rho_min))
         nodes = hierarchy.nodes
-
-        # Each live point counts in its bottom area, and each level below the
-        # root adds its counts into its parents (ids ascend with logradius).
-        points = np.fromiter(self.registry.values(), np.int64, len(self.registry))
-        counts = np.bincount(hierarchy.point_area[points], minlength=len(nodes))
-        for r in range(params.rho_min, params.rho_max):
-            level = slice(hierarchy.by_level[r][0], hierarchy.by_level[r][-1] + 1)
-            np.add.at(counts, hierarchy.parent_ids[level], counts[level])
-        # Near counts: each x list holds its own node, so no segment is empty.
-        near = np.add.reduceat(counts[hierarchy.x_flat], hierarchy.x_starts)
         anns = self._annotations.get(params)
         if anns is None:
             anns = self._annotations[params] = Annotations(*([] for _ in range(8)))
@@ -475,8 +487,17 @@ class Engine:
         is_open, is_enabled, n_area, slack, open_below, n_enabled_below, cost, y = anns
         self._cost = None
         is_open[:] = is_enabled[:] = [False] * len(nodes)
-        n_area[:] = counts.tolist()
-        slack[:] = [n_x - node.abundance_threshold for n_x, node in zip(near.tolist(), nodes)]
+        # Levels the new scale adds below the outgoing one (< 0 going down).
+        added = 0 if old is None else old.params.rho_min - rho_min
+        if added < 0 and (k := old.shared_offset(hierarchy)) is not None:
+            n_area[:] = old_anns.n_area[k:]
+            slack[:] = old_anns.slack[k:]
+        elif added > 0 and (k := hierarchy.shared_offset(old)) is not None:
+            low_n_area, low_slack = self._count_clients(k)
+            n_area[:] = low_n_area + old_anns.n_area
+            slack[:] = low_slack + old_anns.slack
+        else:
+            n_area[:], slack[:] = self._count_clients(len(nodes))
         open_below[:] = n_enabled_below[:] = cost[:] = y[:] = [0] * len(nodes)
 
         # Resolve open bits in ascending (logradius, color, facility) order;
@@ -496,3 +517,28 @@ class Engine:
 
         # From the zeroed costs, every enabled node is a flip.
         self._settle_flips([(idx, True) for idx in enabled | self.open_nodes])
+
+    def _count_clients(self, k: int) -> tuple[list[int], list[int]]:
+        """``n_area`` and ``slack`` of the current hierarchy's node ids below
+        k, the first id of a level or the node count, for the live clients.
+
+        Each live point counts in its bottom area, and each level whose
+        parents lie below k adds its counts into them (ids ascend with
+        logradius).  Near counts are one ``reduceat`` over the x lists of the
+        ids below k: each holds same-level ids and its own node, so no
+        segment is empty."""
+        hierarchy = self.hierarchy
+        by_level, params = hierarchy.by_level, hierarchy.params
+        points = np.fromiter(self.registry.values(), np.int64, len(self.registry))
+        areas = hierarchy.point_area[points]
+        counts = np.bincount(areas[areas < k], minlength=k)
+        for r in range(params.rho_min, params.rho_max):
+            if by_level[r + 1][0] >= k:
+                break
+            level = slice(by_level[r][0], by_level[r + 1][0])
+            np.add.at(counts, hierarchy.parent_ids[level], counts[level])
+        starts = hierarchy.x_starts[:k]
+        end = hierarchy.x_starts[k] if k < len(hierarchy.nodes) else None
+        near = np.add.reduceat(counts[hierarchy.x_flat[:end]], starts)
+        return counts.tolist(), [n_x - node.abundance_threshold
+                                 for n_x, node in zip(near.tolist(), hierarchy.nodes)]

@@ -22,6 +22,15 @@ bottom area's root path is one tuple, shared by the chains of its points.
 Everything here is immutable once built, the numpy arrays the engine counts
 clients over too.  ``Instance.hierarchy`` builds each ``Params``' hierarchy
 once and keeps it for the instance's lifetime.
+
+Neighbouring scales usually share every level: ``shared_offset`` relates a
+deeper hierarchy to a shallower one of the same instance when the shallower
+is the deeper without its k bottom node ids (the same level sets above them,
+so the same facilities and logradii, and the same parents, x areas and
+abundance thresholds under the id shift) and no point's chain above them
+moves.  Then the client counts of the shared nodes are equal at both scales,
+and the engine copies them across a shift.  The relation is checked once per
+pair with numpy over the static arrays and memoised on the deeper hierarchy.
 """
 
 from __future__ import annotations
@@ -235,6 +244,53 @@ class Hierarchy:
         # Node ids in (logradius, color, facility) order, the order in which
         # open bits resolve.
         self.order = sorted(range(len(self.nodes)), key=lambda i: self.nodes[i].key())
+        self._shared_offsets: dict[Hierarchy, int | None] = {}
+
+    # -- relations between scales --------------------------------------------
+
+    def shared_offset(self, other: Hierarchy) -> int | None:
+        """k when ``other``, a hierarchy of the same instance, is this one
+        without its k bottom node ids, else None (memoised per ``other``).
+
+        Every node i of ``other`` must be node i + k here: the same facility
+        and logradius, the same x areas shifted by k, the same parent shifted
+        by k and the same abundance threshold.  Every point's chain in
+        ``other`` must equal its chain here above the k added nodes.  Then
+        the client counts of the shared nodes (``n_area``, and n_x for
+        ``slack``) are equal in both for any live set.  Designations read the
+        facilities' chains and a deeper level can move a chain, so this is
+        checked, not assumed."""
+        memo = self._shared_offsets
+        if other not in memo:
+            memo[other] = self._find_shared_offset(other)
+        return memo[other]
+
+    def _find_shared_offset(self, other: Hierarchy) -> int | None:
+        k = len(self.nodes) - len(other.nodes)
+        if (other.instance is not self.instance or k < 0
+                or other.params.rho_max != self.params.rho_max
+                or other.params.rho_min < self.params.rho_min):
+            return None
+        # Ids ascend level by level in facility order, so equal level sets
+        # from other's bottom level up put node i of other at i + k here.
+        if any(self.level_sets[r] != ids for r, ids in other.level_sets.items()):
+            return None
+        x_start = self.x_starts[k]
+        if not (np.array_equal(self.parent_ids[k:-1], other.parent_ids[:-1] + k)
+                and np.array_equal(self.x_starts[k:], other.x_starts + x_start)
+                and np.array_equal(self.x_flat[x_start:], other.x_flat + k)):
+            return None
+        if ([node.abundance_threshold for node in self.nodes[k:]]
+                != [node.abundance_threshold for node in other.nodes]):
+            return None
+        # Each point's first chain entry at or above id k; the shared parents
+        # agree, so equal entries mean equal chains from there up.
+        entry = self.point_area.copy()
+        low = entry < k
+        while low.any():
+            entry[low] = self.parent_ids[entry[low]]
+            low = entry < k
+        return k if np.array_equal(entry, other.point_area + k) else None
 
     # -- point lookups ----------------------------------------------------
 

@@ -27,7 +27,13 @@ and the memory of one more build traced by ``tracemalloc``:
 hierarchy keeps, and ``view_s``, the seconds of one ``OracleView`` over the
 hierarchy (its bulk scans of all points and of every level's facility
 pairs), timed after the traced build so that neither the peak RSS nor the
-traced figures include it.  A last line gives ``diameter_s`` and
+traced figures include it.  Last, after every figure above, the process
+builds the hierarchy of the scale 5**7 and prints ``shared_offset``, its
+``Hierarchy.shared_offset`` relation to the 5**6 hierarchy (the number of
+node ids it adds below the shared levels, or None), and ``shift_s``, the
+best of 5 round trips of the engine's ``_rebuild`` down to 5**6 and back up
+to 5**7 (the lists of both scales allocated before the first; a related
+pair copies the shared nodes' counts).  A last line gives ``diameter_s`` and
 ``diameter_pairs`` of 20,000 such points alone.  Run from the root of a
 source checkout: the package is imported from its ``src`` directory.
 """
@@ -50,6 +56,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parent.parent / "src"
 CLIENT_POINTS = 2000
 SCALE = 5 ** 6
+DEEPER_SCALE = 5 ** 7
 DIAMETER_POINTS = 20000
 
 
@@ -139,13 +146,22 @@ def measure(n_facilities: int) -> str:
     start = time.perf_counter()
     OracleView(instance, hierarchy)
     view_s = time.perf_counter() - start
+    deeper_params = derive_parameters(instance, DEEPER_SCALE)
+    shared_offset = instance.hierarchy(deeper_params).shared_offset(hierarchy)
+    engine._rebuild(deeper_params)
+    shift_s = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        engine._rebuild(params)
+        engine._rebuild(deeper_params)
+        shift_s = min(shift_s, time.perf_counter() - start)
     return (f"F={n_facilities} diameter_s={diameter_s:.4f} diameter_pairs={diameter_pairs} "
             f"table_s={table_s:.3f} "
             f"build_s={build_s:.3f} nodes={len(hierarchy.nodes)} levels={params.delta} "
             f"located_pairs={located} peak_rss_mb={peak_mb:.0f} rebuild_s={rebuild_s:.4f} "
             f"gc_ms={gc_ms:.1f} "
             f"traced_peak_mb={peak / 2**20:.1f} traced_retained_mb={retained / 2**20:.1f} "
-            f"view_s={view_s:.3f}")
+            f"view_s={view_s:.3f} shared_offset={shared_offset} shift_s={shift_s:.4f}")
 
 
 def main(argv=None) -> int:
