@@ -17,15 +17,13 @@ loop; and the scale is re-derived only when the live count leaves the window
 
 The state is flat: ``Annotations``, eight lists (one per field) indexed by
 node id, so an update, a snapshot or a hash reads no per-node object.  A
-level shift rebuilds them from counts, in place: the engine keeps one
-``Annotations`` per ``Params`` it has visited, its lists allocated on the
-first visit, and each rebuild refills the new scale's lists by slice
-assignment.  A ``bincount`` of the live points' bottom areas, added up level
-by level, and a ``reduceat`` over the flat x lists give n_area and n_x; the
-refill writes those (``tolist``, so plain ints) and zeroes every other field;
-one Python pass resolves the open bits in key order, and the steady path's
-flip settle, with every enabled node a flip, sets the costs along the root
-paths of the enabled nodes.
+level shift builds one fresh ``Annotations`` from counts and keeps no state
+of the scale it leaves.  A ``bincount`` of the live points' bottom areas,
+added up level by level, and a ``reduceat`` over the flat x lists give
+n_area and n_x (``tolist``, so plain ints); every other field starts as a
+new list of ``False`` or ``0``; one Python pass resolves the open bits in
+key order, and the steady path's flip settle, with every enabled node a
+flip, sets the costs along the root paths of the enabled nodes.
 
 A shift between two related scales counts only the levels it adds.  When
 ``Hierarchy.shared_offset`` finds the deeper hierarchy to be the shallower
@@ -34,13 +32,13 @@ nodes' n_area and slack are copied by slice from the outgoing scale's lists:
 all of them going down, and all but the ids below k, which alone are
 counted, going up.  The copy is exact: those counts read only the shared
 levels and chains, and the outgoing lists already hold the mutation that
-triggered the shift.  Construction, a refill of the current hierarchy and an
+triggered the shift.  Construction, a rebuild of the current hierarchy and an
 unrelated pair count every node.
 
 A cost query with no write since the previous one reads one attribute: the
 float of the root's cost, computed by the first query after a write and kept
 until the next.  Every writer of the ``cost`` list (``_settle``, the only
-one during updates, and the rebuild's refill) drops it, so an update pays
+one during updates, and the rebuild) drops it, so an update pays
 one attribute store and never the division.  Concurrent first queries may
 compute it twice, with equal results, as the ``Instance`` caches may.
 """
@@ -151,8 +149,6 @@ class Engine:
                                for cid, point in dict(clients).items()}
         self._set_scale(largest_power_of_five_at_most(len(self.registry)))
         self.last_update = UpdateStats()
-        # One Annotations per Params visited, refilled by each rebuild.
-        self._annotations: dict[Params, Annotations] = {}
         self.hierarchy = self.annotations = None
         self._rebuild(derive_parameters(instance, self.n))
 
@@ -451,9 +447,8 @@ class Engine:
 
     def _rebuild(self, params: Params) -> None:
         """Switch to the instance's hierarchy of ``params`` (built on its
-        first use, then shared by every engine over the instance) and refill
-        this engine's annotation lists of ``params``, allocated on its first
-        visit, for the current live client set: every field is overwritten.
+        first use, then shared by every engine over the instance) and build
+        one fresh ``Annotations`` for the current live client set.
 
         A shift between two scales whose hierarchies are related
         (``Hierarchy.shared_offset``: the deeper one is the shallower plus k
@@ -462,7 +457,7 @@ class Engine:
         slice, all of them going down, and counts only ids below k going
         up.  The copy is exact: the shared nodes' counts read only the
         shared levels and chains, and ``_apply`` has already applied the
-        triggering mutation to the outgoing lists.  Construction, a refill
+        triggering mutation to the outgoing lists.  Construction, a rebuild
         of the current hierarchy and an unrelated pair count every node.
 
         Client counts are numpy passes over the hierarchy's static arrays;
@@ -480,25 +475,21 @@ class Engine:
         self._unit_num, self._unit_den = ((5 ** rho_min, 1) if rho_min >= 0
                                           else (1, 5 ** -rho_min))
         nodes = hierarchy.nodes
-        anns = self._annotations.get(params)
-        if anns is None:
-            anns = self._annotations[params] = Annotations(*([] for _ in range(8)))
-        self.annotations = anns
-        is_open, is_enabled, n_area, slack, open_below, n_enabled_below, cost, y = anns
-        self._cost = None
-        is_open[:] = is_enabled[:] = [False] * len(nodes)
+        size = len(nodes)
         # Levels the new scale adds below the outgoing one (< 0 going down).
         added = 0 if old is None else old.params.rho_min - rho_min
         if added < 0 and (k := old.shared_offset(hierarchy)) is not None:
-            n_area[:] = old_anns.n_area[k:]
-            slack[:] = old_anns.slack[k:]
+            n_area, slack = old_anns.n_area[k:], old_anns.slack[k:]
         elif added > 0 and (k := hierarchy.shared_offset(old)) is not None:
-            low_n_area, low_slack = self._count_clients(k)
-            n_area[:] = low_n_area + old_anns.n_area
-            slack[:] = low_slack + old_anns.slack
+            n_area, slack = self._count_clients(k)
+            n_area += old_anns.n_area
+            slack += old_anns.slack
         else:
-            n_area[:], slack[:] = self._count_clients(len(nodes))
-        open_below[:] = n_enabled_below[:] = cost[:] = y[:] = [0] * len(nodes)
+            n_area, slack = self._count_clients(size)
+        self.annotations = Annotations([False] * size, [False] * size, n_area, slack,
+                                       [0] * size, [0] * size, [0] * size, [0] * size)
+        is_open, open_below = self.annotations.is_open, self.annotations.open_below
+        self._cost = None
 
         # Resolve open bits in ascending (logradius, color, facility) order;
         # the openness of a triplet depends only on lexicographically smaller

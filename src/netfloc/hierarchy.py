@@ -24,13 +24,14 @@ clients over too.  ``Instance.hierarchy`` builds each ``Params``' hierarchy
 once and keeps it for the instance's lifetime.
 
 Neighbouring scales usually share every level: ``shared_offset`` relates a
-deeper hierarchy to a shallower one of the same instance when the shallower
-is the deeper without its k bottom node ids (the same level sets above them,
-so the same facilities and logradii, and the same parents, x areas and
-abundance thresholds under the id shift) and no point's chain above them
-moves.  Then the client counts of the shared nodes are equal at both scales,
-and the engine copies them across a shift.  The relation is checked once per
-pair with numpy over the static arrays and memoised on the deeper hierarchy.
+deeper hierarchy to a shallower one of the same instance when no point's
+chain above the deeper one's extra bottom levels moves.  Every level-r
+decision of the build but the designations reads only r, as in a net-tree,
+so the shared levels agree by construction; the designations read the
+facility points' chains, which the chain walk covers.  Then the client
+counts of the shared nodes are equal at both scales, and the engine copies
+them across a shift.  The chain walk runs once per pair with numpy over the
+static arrays and is memoised on the deeper hierarchy.
 """
 
 from __future__ import annotations
@@ -252,14 +253,18 @@ class Hierarchy:
         """k when ``other``, a hierarchy of the same instance, is this one
         without its k bottom node ids, else None (memoised per ``other``).
 
-        Every node i of ``other`` must be node i + k here: the same facility
-        and logradius, the same x areas shifted by k, the same parent shifted
-        by k and the same abundance threshold.  Every point's chain in
-        ``other`` must equal its chain here above the k added nodes.  Then
-        the client counts of the shared nodes (``n_area``, and n_x for
-        ``slack``) are equal in both for any live set.  Designations read the
-        facilities' chains and a deeper level can move a chain, so this is
-        checked, not assumed."""
+        With the same ``rho_max`` and ``other``'s bottom level at or above
+        this one's, every level of ``other`` is a level here.  Its level
+        set, parents, colors and x/y lists read only the facility table and
+        r, so they are equal here, and ids ascend level by level in facility
+        order: node i of ``other`` is node i + k here.  Only a point's bottom
+        area can differ, since a deeper level can move it, so the check is
+        that every point's chain in ``other`` equals its chain here above
+        the k added nodes.  The designations, and so the abundance
+        thresholds, read the level-r x lists and the facility points' level-r
+        chain entries, which that check covers.  Then the client counts of the shared
+        nodes (``n_area``, and n_x for ``slack``) are equal in both for any
+        live set."""
         memo = self._shared_offsets
         if other not in memo:
             memo[other] = self._find_shared_offset(other)
@@ -270,18 +275,6 @@ class Hierarchy:
         if (other.instance is not self.instance or k < 0
                 or other.params.rho_max != self.params.rho_max
                 or other.params.rho_min < self.params.rho_min):
-            return None
-        # Ids ascend level by level in facility order, so equal level sets
-        # from other's bottom level up put node i of other at i + k here.
-        if any(self.level_sets[r] != ids for r, ids in other.level_sets.items()):
-            return None
-        x_start = self.x_starts[k]
-        if not (np.array_equal(self.parent_ids[k:-1], other.parent_ids[:-1] + k)
-                and np.array_equal(self.x_starts[k:], other.x_starts + x_start)
-                and np.array_equal(self.x_flat[x_start:], other.x_flat + k)):
-            return None
-        if ([node.abundance_threshold for node in self.nodes[k:]]
-                != [node.abundance_threshold for node in other.nodes]):
             return None
         # Each point's first chain entry at or above id k; the shared parents
         # agree, so equal entries mean equal chains from there up.

@@ -108,21 +108,25 @@ def line5_case():
 def test_refilled_rebuild_after_a_return_with_another_live_set(case):
     """b - 1 -> b -> b - 1 -> b across a power of five b, deleting other
     clients than the one inserted, then every first client replaced by one
-    on the last point on the way back to b: each return to a scale refills
-    the list it left there, holding the annotations of another live set,
-    and must match the reference.  The replacement moves the open set, so a
-    refill that keeps a stale open bit fails too."""
+    on the last point on the way back to b: each return to a scale builds
+    new lists, none held before, for another live set than the one it left
+    there, and must match the reference.  The replacement moves the open
+    set, so a rebuild that kept a stale open bit fails too."""
     rng = random.Random(f"rebuild-return-{case.__name__}-{default_seed()}")
     instance, prefill, b = case()
     engine = Engine.from_clients(instance, prefill)
     assert engine.n == b // 5 and len(prefill) == b - 1
-    lists = {engine.n: engine.annotations}
+    held = [engine.annotations]
+    scales = {engine.n}
     old = sorted(prefill)
     rng.shuffle(old)
 
     def check(where):
         assert engine.last_update.rebuilt, where
-        assert lists.setdefault(engine.n, engine.annotations) is engine.annotations, where
+        lists = set(map(id, engine.annotations))
+        assert all(lists.isdisjoint(map(id, anns)) for anns in held), where
+        held.append(engine.annotations)
+        scales.add(engine.n)
         assert_counted_rebuild(engine)
         return set(engine.open_nodes)
 
@@ -137,7 +141,7 @@ def test_refilled_rebuild_after_a_return_with_another_live_set(case):
     for i in range(b - len(engine.registry)):
         engine.insert_client(f"new{i}", instance.n_points - 1)
     assert check("up to b with the first clients replaced") != first_open
-    assert engine.n == b and len(lists) == 2
+    assert engine.n == b and len(scales) == 2
 
 
 def test_fields_stay_plain_ints_and_bools():

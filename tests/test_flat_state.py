@@ -1,12 +1,12 @@
-"""The engine's flat state: one ``Annotations`` of eight per-field lists per
-visited scale.
+"""The engine's flat state: one ``Annotations`` of eight per-field lists,
+built fresh by every rebuild.
 
 Every element stays a plain ``bool`` (the bits) or ``int`` (the counts)
-after a first-visit rebuild, a revisit refill and steady updates:
-``state_hash`` hashes their ``repr``, and numpy's scalars repr as
-``np.False_`` or ``np.int64(3)``.  Each visited scale owns its eight lists,
-no list is shared between scales or engines, a revisit refills them in
-place, and a snapshot's lists are copies.  On L2, L-infinity and matrix
+after a rebuild on a first visit to a scale, on a revisit and after steady
+updates: ``state_hash`` hashes their ``repr``, and numpy's scalars repr as
+``np.False_`` or ``np.int64(3)``.  Every rebuild, a revisit too, makes eight
+new lists, no list is shared between engines or with the scale left behind,
+a steady update keeps the lists, and a snapshot's lists are copies.  On L2, L-infinity and matrix
 instances with tiny and with huge costs, seeded by ``NETFLOC_SEED``."""
 
 import random
@@ -38,9 +38,9 @@ def flat_instance(kind: str, costs: str) -> Instance:
 def walk(engine, rng, serial=0):
     """``count_walk``'s inserts and deletes on ``engine``, yielding after
     each update the stage it took: a rebuild on a first visit to a scale, a
-    refill on a revisit, or a steady update."""
+    rebuild on a revisit, or a steady update."""
+    visited = {engine.hierarchy.params}
     for move in count_walk():
-        visited = set(engine._annotations)
         if move > 0:
             serial += 1
             engine.insert_client(f"c{serial}", rng.randrange(engine.instance.n_points))
@@ -49,7 +49,9 @@ def walk(engine, rng, serial=0):
         if not engine.last_update.rebuilt:
             yield "steady"
         else:
-            yield "revisit" if engine.hierarchy.params in visited else "first visit"
+            params = engine.hierarchy.params
+            yield "revisit" if params in visited else "first visit"
+            visited.add(params)
 
 
 def assert_plain(annotations, where):
@@ -79,23 +81,31 @@ def test_every_element_is_a_plain_bool_or_int(kind, costs):
 
 @pytest.mark.parametrize("kind", ["L2", "Linf", "matrix"])
 def test_each_scale_owns_its_lists_and_a_revisit_keeps_them(kind):
+    """Every rebuild, a revisit to a scale too, gives the engine eight new
+    lists: none is a list that either engine held before, at this scale or
+    another, and none is the other engine's.  A steady update keeps them.
+    Every ``Annotations`` the engines held stays referenced here, so two of
+    their lists share an ``id`` only when they are one list."""
     instance = flat_instance(kind, "tiny")
     engines = (Engine(instance), Engine(instance))
     rng = random.Random(f"owned-{kind}-{default_seed()}")
-    owned = [{} for _ in engines]          # per engine: Params -> its eight lists
+    held = [eng.annotations for eng in engines]    # every one either engine had
+    current = list(held)
     walks = [walk(eng, rng, serial=1000 * k) for k, eng in enumerate(engines)]
-    revisits = 0
+    rebuilds = Counter()
     for step, stages in enumerate(zip(*walks)):
-        for eng, lists, stage in zip(engines, owned, stages):
-            mine = lists.setdefault(eng.hierarchy.params, tuple(eng.annotations))
-            # A revisit refills the lists of the scale in place.
-            assert all(a is b for a, b in zip(mine, eng.annotations)), (step, stage)
-            revisits += stage == "revisit"
-        every = [values for lists in owned for anns in lists.values() for values in anns]
+        for k, (eng, stage) in enumerate(zip(engines, stages)):
+            if stage == "steady":
+                assert eng.annotations is current[k], step
+                continue
+            assert all(eng.annotations is not anns for anns in held), (step, stage)
+            rebuilds[k, stage] += 1
+            held.append(eng.annotations)
+            current[k] = eng.annotations
+        every = [values for anns in held for values in anns]
         assert len(set(map(id, every))) == len(every), step
-    assert revisits >= 2 and all(len(lists) >= 2 for lists in owned)
-    for eng, lists in zip(engines, owned):
-        assert set(eng._annotations) == set(lists)
+    assert all(rebuilds[k, "first visit"] >= 1 for k in range(2))
+    assert rebuilds[0, "revisit"] + rebuilds[1, "revisit"] >= 2
 
 
 @pytest.mark.parametrize("kind", ["L2", "Linf", "matrix"])

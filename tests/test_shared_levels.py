@@ -14,11 +14,19 @@ instances, must leave every list equal to ``helpers.reference_annotations``,
 types included, and ``state_hash`` equal to ``Engine.from_clients``'.  The
 relation is pinned on the benchmark instances, and a clustered L2 instance
 whose deeper level moves a point chain takes the full count.
+
+The relation's check walks only the point chains: every other level-r
+decision of the build shares the level by construction.  Over a fixed
+census corpus, related and unrelated neighbouring pairs alike, every shared
+level must hold the same level set, parents, colors and x/y lists under the
+id shift, the relation must hold exactly when no point chain moves, and a
+related pair must also share the abundance thresholds and designations.
 """
 
 import json
 import random
 
+import numpy as np
 import pytest
 
 import helpers
@@ -193,3 +201,73 @@ def test_unrelated_shift_counts_in_full():
     assert engine.counted == [len(shallower.nodes)]
     assert_counted_rebuild(engine)
     assert engine.state_hash() == Engine.from_clients(instance, engine.registry).state_hash()
+
+
+# -- the shared levels, by construction ------------------------------------------
+
+CENSUS = ([f"{kind}-{draw}" for kind in sorted(KINDS) for draw in range(12)]
+          + [f"extreme-{draw}" for draw in range(3)]
+          + ["churn-l2", "flap-625", "verify-matrix"])
+
+
+def census_instance(name):
+    """The census corpus: 12 draws of every ``test_reference_build`` kind,
+    seeded ``census-<kind>-<draw>``, the three extreme-cost draws and the
+    three benchmark instances."""
+    kind, _, draw = name.rpartition("-")
+    if kind in KINDS:
+        return KINDS[kind](random.Random(f"census-{name}"))
+    if kind == "extreme":
+        return extreme_cost_instance(int(draw))
+    return benchmark_instance(name)
+
+
+def neighbouring_pairs(instance):
+    """(shallower, deeper) hierarchies of every two neighbouring distinct
+    ``Params`` among the scales 5**0 .. 5**7."""
+    params = []
+    for j in range(8):
+        p = derive_parameters(instance, 5 ** j)
+        if p not in params:
+            params.append(p)
+    return [(instance.hierarchy(a), instance.hierarchy(b)) for a, b in zip(params, params[1:])]
+
+
+def assert_shared_levels(shallower, deeper):
+    """Every level of ``shallower`` is the deeper one's under the id shift k;
+    the relation holds exactly when no point chain moves, and then the
+    thresholds and designations agree too.  Whether the pair is related."""
+    k = len(deeper.nodes) - len(shallower.nodes)
+    assert deeper.params.rho_max == shallower.params.rho_max
+    assert deeper.params.rho_min < shallower.params.rho_min
+    for r, ids in shallower.level_sets.items():
+        assert deeper.level_sets[r] == ids, r
+    assert k == sum(len(deeper.by_level[r]) for r in range(deeper.params.rho_min,
+                                                            shallower.params.rho_min))
+    shared = deeper.nodes[k:]
+    assert [(n.facility, n.r, n.color) for n in shared] == \
+        [(n.facility, n.r, n.color) for n in shallower.nodes]
+    assert [[u - k for u in n.y_areas] for n in shared] == [n.y_areas for n in shallower.nodes]
+    assert deeper.parent_ids[-1] == shallower.parent_ids[-1] == -1
+    assert np.array_equal(deeper.parent_ids[k:-1], shallower.parent_ids[:-1] + k)
+    x_start = deeper.x_starts[k]
+    assert np.array_equal(deeper.x_starts[k:], shallower.x_starts + x_start)
+    assert np.array_equal(deeper.x_flat[x_start:], shallower.x_flat + k)
+    moved = [p for p, (deep, shallow) in enumerate(zip(deeper.point_chains,
+                                                        shallower.point_chains))
+             if tuple(i - k for i in deep if i >= k) != shallow]
+    offset = deeper.shared_offset(shallower)
+    assert offset == (None if moved else k)
+    if offset is not None:
+        assert [(n.abundance_threshold, n.designated_facility) for n in shared] == \
+            [(n.abundance_threshold, n.designated_facility) for n in shallower.nodes]
+    return offset is not None
+
+
+@pytest.mark.parametrize("name", CENSUS)
+def test_census_levels_agree_under_the_shift(name):
+    pairs = neighbouring_pairs(census_instance(name))
+    assert pairs
+    related = [assert_shared_levels(*pair) for pair in pairs]
+    # The one census pair whose deeper level moves a chain (moved_chain_case).
+    assert related.count(False) == (name == "l2-clustered-10"), related

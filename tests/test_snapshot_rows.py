@@ -1,5 +1,5 @@
 """Snapshot annotation lists in the verified replay: ``verify_trace``
-allocates the engine's annotation lists only on a first visit to a scale,
+allocates one ``Annotations`` per engine rebuild and none for its checks,
 and a corruption of any single annotation field is named by node and field
 in the node-by-node diff."""
 
@@ -13,30 +13,32 @@ FIELDS = Annotations._fields
 
 
 def test_verify_trace_builds_annotations_only_on_first_visits(monkeypatch):
-    # The engine allocates its eight annotation lists on its first visit to
-    # a scale; later updates and revisits refill them, whatever the checks
-    # between the events do.
+    # The engine allocates one Annotations per rebuild, its construction
+    # and every level shift; steady updates allocate none, and neither do
+    # the checks between the events.
     instance, trace = _matrix_benchmark_case()
     built = [0]
 
     def counting(*lists):
-        built[0] += len(lists)
+        built[0] += 1
         return Annotations(*lists)
 
-    seen = {"visited": set(), "at_hook": 0}
+    seen = {"annotations": [], "at_hook": 0}
 
     def watch(engine, index):
         # Between two hooks lie the previous event's checks and this event.
-        new = set(engine._annotations) - seen["visited"]
-        assert built[0] - seen["at_hook"] == len(FIELDS) * len(new), index
+        held = seen["annotations"]
+        rebuilt = not held or engine.annotations is not held[-1]
+        assert built[0] - seen["at_hook"] == rebuilt, index
         seen["at_hook"] = built[0]
-        seen["visited"] |= new
+        if rebuilt:
+            held.append(engine.annotations)
 
     monkeypatch.setattr(engine_mod, "Annotations", counting)
     assert verify_trace(instance, trace, corruption=watch)[0] == 0
     assert built[0] == seen["at_hook"]   # the last event's checks built none
-    assert len(seen["visited"]) >= 2
-    assert built[0] == len(FIELDS) * len(seen["visited"])
+    held = seen["annotations"]
+    assert len(held) >= 3 and len({id(values) for anns in held for values in anns}) == 8 * len(held)
 
 
 @pytest.mark.parametrize("name", FIELDS)

@@ -252,29 +252,32 @@ def test_poisoned_engine_refuses_updates_inside_the_window(line5, monkeypatch):
             update()
 
 
-# -- annotation lists per scale ------------------------------------------------
+# -- annotation lists per rebuild -----------------------------------------------
 
 @pytest.mark.parametrize("name", ["line", "L2", "Linf"])
 def test_level_shift_returns_refill_the_visited_list(name, monkeypatch):
-    """A level shift allocates annotation lists on the first visit to a scale
-    only; a return refills the lists the engine used there, and the state
-    still matches a from-scratch construction after every mutation."""
+    """A level shift, a return to a visited scale too, allocates exactly one
+    ``Annotations`` whose lists are new (none is the outgoing scale's), a
+    steady update allocates none and keeps the lists, and the state matches
+    a from-scratch construction after every mutation."""
     instance = shift_instances()[name]
     built = {"annotations": 0}
     real = engine_mod.Annotations
 
     def counting(*lists):
-        built["annotations"] += len(lists)
+        built["annotations"] += 1
         return real(*lists)
 
     monkeypatch.setattr(engine_mod, "Annotations", counting)
     eng = Engine(instance)
-    lists = {eng.hierarchy.params: eng.annotations}
+    assert built["annotations"] == 1
+    visited = {eng.hierarchy.params}
     rng = random.Random(f"refill-{name}")
     serial = 0
     returns = 0
     for step, move in enumerate(count_walk()):
         built["annotations"] = 0
+        before = eng.annotations
         if move > 0:
             serial += 1
             eng.insert_client(f"c{serial}", rng.randrange(instance.n_points))
@@ -284,12 +287,12 @@ def test_level_shift_returns_refill_the_visited_list(name, monkeypatch):
         params = eng.hierarchy.params
         if not eng.last_update.rebuilt:
             assert built["annotations"] == 0, where
-        elif params in lists:
-            returns += 1
-            assert built["annotations"] == 0, where
+            assert eng.annotations is before, where
         else:
-            assert built["annotations"] == len(real._fields), where
-        assert lists.setdefault(params, eng.annotations) is eng.annotations, where
+            returns += params in visited
+            visited.add(params)
+            assert built["annotations"] == 1, where
+            assert set(map(id, eng.annotations)).isdisjoint(map(id, before)), where
         assert eng.state_hash() == Engine.from_clients(instance, eng.registry).state_hash(), where
     assert returns >= 2
 
@@ -314,7 +317,6 @@ def test_engines_over_one_instance_share_no_annotation(name):
             rebuilds += eng.last_update.rebuilt
             assert eng.state_hash() == \
                 Engine.from_clients(instance, eng.registry).state_hash(), step
-        owned = [{id(a) for anns in eng._annotations.values() for a in anns}
-                 for eng in engines]
+        owned = [set(map(id, eng.annotations)) for eng in engines]
         assert owned[0].isdisjoint(owned[1]), step
     assert rebuilds >= 4
