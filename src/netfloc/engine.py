@@ -528,8 +528,7 @@ class Engine:
                 break
             level = slice(by_level[r][0], by_level[r + 1][0])
             np.add.at(counts, hierarchy.parent_ids[level], counts[level])
-        starts = hierarchy.x_starts[:k]
-        end = hierarchy.x_starts[k] if k < len(hierarchy.nodes) else None
-        near = np.add.reduceat(counts[hierarchy.x_flat[:end]], starts)
+        starts = hierarchy.x_starts
+        near = np.add.reduceat(counts[hierarchy.x_flat[:starts[k]]], starts[:k])
         return counts.tolist(), [n_x - node.abundance_threshold
                                  for n_x, node in zip(near.tolist(), hierarchy.nodes)]

@@ -10,7 +10,11 @@ scalar distance against the exact threshold.  Separated sets are mask passes
 over the table; a parent is a row minimum, the lowest facility id on ties.
 Per level, one ``flatnonzero`` of the block within C4*5**r yields the
 coloring, x and y lists and designations, and abundance thresholds are
-integer ceilings; ``neighbors_above`` is derived from the y lists on read.
+integer ceilings.  Each relation is stored once, in the form a library
+path reads: the level sets (the build), ``parent`` beside ``parent_ids``
+(the engine's settle and its numpy count), the y lists (routing), the flat x
+lists (the count) and ``path_x_areas`` (every update).  ``TripletNode``
+derives ``children``, ``x_areas`` and ``neighbors_above`` from them on read.
 
 The build also locates every point of the instance, facility and client
 points alike: a point's bottom area is the closest node, by (distance,
@@ -94,15 +98,17 @@ def _split_rows(values: list, rows: np.ndarray, n_rows: int) -> list[list]:
 class TripletNode:
     """One (facility, logradius, color) node of the dependency tree.
 
-    ``x_areas``/``y_areas`` list the same-level node ids whose areas compose
-    this node's near/far neighborhood.  ``_chain`` (the node's facility's
-    area chain) and ``_nodes`` (the node list) serve ``neighbors_above``.
+    Stored: ``parent`` (walked by the engine's settle, beside the hierarchy's
+    ``parent_ids`` for its count) and ``y_areas``, the far neighborhood's
+    same-level node ids (tested by routing, joined by ``neighbors_above``).
+    Derived on each read through ``_hierarchy``, as new lists of plain ints:
+    ``children`` from ``parent_ids``, ``x_areas`` (the near neighborhood)
+    from the flat x lists, ``neighbors_above`` from the y lists and ``_chain``.
     """
 
     __slots__ = (
-        "idx", "facility", "r", "color", "parent", "children",
-        "x_areas", "y_areas", "designated_facility",
-        "abundance_threshold", "unit_weight", "_chain", "_nodes",
+        "idx", "facility", "r", "color", "parent", "y_areas", "designated_facility",
+        "abundance_threshold", "unit_weight", "_chain", "_hierarchy",
     )
 
     def __init__(self, idx: int, facility: int, r: int):
@@ -111,15 +117,23 @@ class TripletNode:
         self.r = r
         self.color = 0
         self.parent: int | None = None
-        self.children: list[int] = []
-        self.x_areas: list[int] = []
-        self.y_areas: list[int] = []
         self.designated_facility = -1
         self.abundance_threshold = 1
         self.unit_weight = 1
 
     def key(self) -> tuple[int, int, int]:
         return (self.r, self.color, self.facility)
+
+    @property
+    def children(self) -> list[int]:
+        """The ids whose parent is this node, ascending."""
+        return np.flatnonzero(self._hierarchy.parent_ids == self.idx).tolist()
+
+    @property
+    def x_areas(self) -> list[int]:
+        """This node's segment of the flat x lists."""
+        h, i = self._hierarchy, self.idx
+        return h.x_flat[h.x_starts[i]:h.x_starts[i + 1]].tolist()
 
     @property
     def neighbors_above(self) -> list[int]:
@@ -129,7 +143,7 @@ class TripletNode:
         relation is symmetric), so the list is e's y areas of a higher color
         than this node, then the y lists of e's ancestors: the rest of the
         chain."""
-        nodes, chain = self._nodes, self._chain
+        nodes, chain = self._hierarchy.nodes, self._chain
         off = self.r - nodes[chain[0]].r
         color = self.color
         out = [u for u in nodes[chain[off]].y_areas if nodes[u].color > color]
@@ -200,27 +214,20 @@ class Hierarchy:
 
         self.nodes: list[TripletNode] = []
         self.by_level: dict[int, list[int]] = {}
-        self.node_of: dict[tuple[int, int], int] = {}
         self._fac_point: list[int] = [f.point for f in instance.facilities]
+        id_of: dict[tuple[int, int], int] = {}  # (facility, r) -> node id
         for r in range(params.rho_min, params.rho_max + 1):
-            ids = []
+            ids = self.by_level[r] = []
             for j in self.level_sets[r]:
-                idx = len(self.nodes)
-                node = TripletNode(idx, j, r)
+                node = TripletNode(len(self.nodes), j, r)
                 node.unit_weight = 5 ** (r - params.rho_min)
                 self.nodes.append(node)
-                self.node_of[(j, r)] = idx
-                ids.append(idx)
-            self.by_level[r] = ids
-
-        # build_tree lists each level's pairs in ascending facility id, so
-        # every children list comes out in facility order.
-        parents = build_tree(instance, params, self.level_sets)
-        for (j, r), (pj, pr) in parents.items():
-            idx = self.node_of[(j, r)]
-            pidx = self.node_of[(pj, pr)]
-            self.nodes[idx].parent = pidx
-            self.nodes[pidx].children.append(idx)
+                id_of[(j, r)] = node.idx
+                ids.append(node.idx)
+        for pair, up in build_tree(instance, params, self.level_sets).items():
+            self.nodes[id_of[pair]].parent = id_of[up]
+        self.parent_ids = np.array([-1 if node.parent is None else node.parent
+                                    for node in self.nodes], dtype=np.int64)
         self.root = self.by_level[params.rho_max][0]
 
         # Point -> bottom area and area chain, the root path of that area:
@@ -236,9 +243,7 @@ class Hierarchy:
         self.point_chains = [paths[a] for a in areas]
         for node in self.nodes:
             node._chain = self.point_chains[self._fac_point[node.facility]]
-            node._nodes = self.nodes
-        self.parent_ids = np.array([-1 if node.parent is None else node.parent
-                                    for node in self.nodes], dtype=np.int64)
+            node._hierarchy = self
         self._build_levels()
         for a in (self.point_area, self.parent_ids, self.x_flat, self.x_starts):
             a.flags.writeable = False
@@ -346,9 +351,10 @@ class Hierarchy:
         node_point = np.array([self._fac_point[node.facility] for node in nodes],
                               dtype=np.int64)
         node_fac = np.array([node.facility for node in nodes], dtype=np.int64)
-        n_kids = np.array([len(node.children) for node in nodes], dtype=np.int64)
+        # Child ids grouped by parent: ``parent_ids`` sorted, less the root.
+        kids = np.argsort(self.parent_ids, kind="stable")[1:]
+        n_kids = np.bincount(self.parent_ids[kids], minlength=len(nodes))
         first_kid = np.cumsum(n_kids) - n_kids
-        kids = np.array([c for node in nodes for c in node.children], dtype=np.int64)
         area = np.empty(inst.n_points, dtype=np.int64)
 
         def closest(pt, nd, d) -> None:
@@ -390,8 +396,8 @@ class Hierarchy:
         return area
 
     def _build_levels(self) -> None:
-        """Colors, x/y lists (the x lists also flat, ``x_flat`` from each node's
-        ``x_starts`` on), designations, ``path_x_areas``.
+        """Colors, y lists, the flat x lists (node i's is ``x_flat[x_starts[i]:
+        x_starts[i + 1]]``), designations, ``path_x_areas``.
 
         Each level, from the bottom, reads the positions of its block of
         distances within C4*5**r, in row-major order; the near (CX) and far
@@ -446,10 +452,8 @@ class Hierarchy:
             far = dist <= threshold(CY, r)
             x_flat.append(start + col[near])
             x_owner.append(start + row[near])
-            x_lists = _split_rows(id_objs[x_flat[-1]].tolist(), row[near], k)
             y_lists = _split_rows(id_objs[start + col[far]].tolist(), row[far], k)
-            for node, x_areas, y_areas in zip(level, x_lists, y_lists):
-                node.x_areas = x_areas
+            for node, y_areas in zip(level, y_lists):
                 node.y_areas = y_areas
 
             # Designation: the first facility in (cost, id) order whose
@@ -471,10 +475,11 @@ class Hierarchy:
                 node.abundance_threshold = abundance_threshold(facs[fid].opening_cost, r)
 
         self.x_flat = np.concatenate(x_flat)
-        self.x_starts = np.searchsorted(np.concatenate(x_owner), np.arange(len(nodes)))
+        self.x_starts = np.searchsorted(np.concatenate(x_owner), np.arange(len(nodes) + 1))
         # Each bottom area's affected triplets, the x areas along its root
         # path: a tuple of a list, as tuple() of a generator fragments the heap.
-        self.path_x_areas = {c[0]: tuple([m for i in c for m in nodes[i].x_areas])
+        xs, cut = id_objs[self.x_flat].tolist(), self.x_starts.tolist()
+        self.path_x_areas = {c[0]: tuple([m for i in c for m in xs[cut[i]:cut[i + 1]]])
                              for c in set(self.point_chains)}
 
     # -- debug output -------------------------------------------------------

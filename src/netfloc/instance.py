@@ -375,14 +375,10 @@ class Instance:
         a, b = self.array[p].tolist(), self.array[q].tolist()
         if self.kind != "euclidean-L2":
             return max(abs(x - y) for x, y in zip(a, b))
-        if len(a) == 2:
-            dx, dy = a[0] - b[0], a[1] - b[1]
-            s = dx * dx + dy * dy
-        else:
-            s = 0.0
-            for x, y in zip(a, b):
-                t = x - y
-                s += t * t
+        s = 0.0
+        for x, y in zip(a, b):
+            t = x - y
+            s += t * t
         return math.sqrt(s) if _L2_TINY <= s < math.inf else math.dist(a, b)
 
     def _largest(self, value, bound: np.ndarray) -> float:

@@ -511,6 +511,12 @@ def build(instance, n=0) -> Hierarchy:
     return Hierarchy(instance, derive_parameters(instance, n))
 
 
+def node_id(hierarchy, facility: int, r: int) -> int:
+    """The id of the node (facility, r): ids ascend level by level, in the
+    level set's (facility id) order."""
+    return hierarchy.by_level[r][hierarchy.level_sets[r].index(facility)]
+
+
 def find_area(hierarchy, p):
     """Node id of the smallest-logradius area containing p, by the scalar
     ``find_balls`` descent: the closest node, by (distance, facility id),
@@ -655,17 +661,32 @@ def exact_facility_table(instance) -> np.ndarray:
     return np.array([[instance.distance(p, q) for q in fps] for p in fps])
 
 
+class ReferenceNode(TripletNode):
+    """A node that keeps its own ``children`` and ``x_areas`` lists, which
+    shadow the derived ones of ``TripletNode``."""
+
+    __slots__ = ("children", "x_areas")
+
+    def __init__(self, idx, facility, r):
+        super().__init__(idx, facility, r)
+        self.children = []
+        self.x_areas = []
+
+
 class ReferenceHierarchy(Hierarchy):
     """The hierarchy build over the exact scalar distance table, with lists
     built node by node: the reference for the bulk build.
 
     Separated sets and parents are mask and argmin passes over the exact
-    table; colors, x/y lists and designations are per-node ``flatnonzero``
-    passes; abundance thresholds are ``Fraction`` ceilings; and the
-    ``neighbors_above`` lists, kept in the reference's own list of that name
-    (node id -> list), compare each candidate pair's keys at every level.
-    Point chains come from ``Hierarchy._locate`` (checked against the scalar
-    descent by test_bulk_location.py).
+    table; children lists are appended per parent link; colors, x/y lists
+    and designations are per-node ``flatnonzero`` passes; abundance
+    thresholds are ``Fraction`` ceilings; and the ``neighbors_above`` lists,
+    kept in the reference's own list of that name (node id -> list), compare
+    each candidate pair's keys at every level.  The nodes are
+    ``ReferenceNode``s, which store the lists the built nodes derive.  Point
+    chains come from ``Hierarchy._locate`` (checked against the scalar
+    descent by test_bulk_location.py), over ``parent_ids`` taken from the
+    reference's own parent links.
     """
 
     def __init__(self, instance, params):
@@ -675,23 +696,25 @@ class ReferenceHierarchy(Hierarchy):
         self.level_sets = self._separated_sets(table)
         self.nodes = []
         self.by_level = {}
-        self.node_of = {}
+        node_of = {}
         self._fac_point = [f.point for f in instance.facilities]
         for r in range(params.rho_min, params.rho_max + 1):
             ids = []
             for j in self.level_sets[r]:
                 idx = len(self.nodes)
-                node = TripletNode(idx, j, r)
+                node = ReferenceNode(idx, j, r)
                 node.unit_weight = 5 ** (r - params.rho_min)
                 self.nodes.append(node)
-                self.node_of[(j, r)] = idx
+                node_of[(j, r)] = idx
                 ids.append(idx)
             self.by_level[r] = ids
         for (j, r), (pj, pr) in self._tree(table).items():
-            idx = self.node_of[(j, r)]
-            pidx = self.node_of[(pj, pr)]
+            idx = node_of[(j, r)]
+            pidx = node_of[(pj, pr)]
             self.nodes[idx].parent = pidx
             self.nodes[pidx].children.append(idx)
+        self.parent_ids = np.array([-1 if node.parent is None else node.parent
+                                    for node in self.nodes], dtype=np.int64)
         self.root = self.by_level[params.rho_max][0]
         paths = [()] * len(self.nodes)
         for node in reversed(self.nodes):
@@ -794,24 +817,26 @@ def _types(value):
 
 
 def build_differences(hierarchy, reference) -> list[str]:
-    """Every node slot, derived ``neighbors_above`` list, level set, point
-    chain and ordering in which ``hierarchy`` differs from ``reference``,
-    types included.  The slots that refer back to the hierarchy (``_chain``,
-    ``_nodes``) are skipped; the point chains and node lists cover them."""
+    """Every node slot, derived ``children``, ``x_areas`` and
+    ``neighbors_above`` list, level set, point chain and ordering in which
+    ``hierarchy`` differs from ``reference``, types and order included: each
+    derived list against the reference's own.  The slots that refer back to
+    the hierarchy (``_chain``, ``_hierarchy``) are skipped; the point chains
+    and the derived lists cover them."""
 
     def same(a, b):
         return a == b and _types(a) == _types(b)
 
-    problems = [attr for attr in ("level_sets", "by_level", "node_of", "root", "order",
-                                  "point_chains")
+    problems = [attr for attr in ("level_sets", "by_level", "root", "order", "point_chains")
                 if not same(getattr(hierarchy, attr), getattr(reference, attr))]
     if len(hierarchy.nodes) != len(reference.nodes):
         return problems + ["node count"]
+    fields = [slot for slot in TripletNode.__slots__ if slot not in ("_chain", "_hierarchy")]
+    fields += ["children", "x_areas"]
     for node, ref in zip(hierarchy.nodes, reference.nodes):
-        for slot in TripletNode.__slots__:
-            if slot not in ("_chain", "_nodes") and \
-                    not same(getattr(node, slot), getattr(ref, slot)):
-                problems.append(f"node {ref.idx} ({ref.facility}, {ref.r}): {slot}")
+        for field in fields:
+            if not same(getattr(node, field), getattr(ref, field)):
+                problems.append(f"node {ref.idx} ({ref.facility}, {ref.r}): {field}")
         if not same(node.neighbors_above, reference.neighbors_above[ref.idx]):
             problems.append(f"node {ref.idx} ({ref.facility}, {ref.r}): neighbors_above")
     return problems

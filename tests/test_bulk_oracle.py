@@ -110,7 +110,7 @@ def test_entries_equal_to_a_threshold(c, r):
         return
     # Both facilities are separated at level r (C1 < CX < CY), so both have a
     # node there; the tie decides whether they are neighbours.
-    own, other = hierarchy.node_of[(0, r)], hierarchy.node_of[(1, r)]
+    own, other = helpers.node_id(hierarchy, 0, r), helpers.node_id(hierarchy, 1, r)
     if c == CX:
         assert (other in helpers.view_x_members(view)[own]) == inside
     else:
@@ -127,4 +127,4 @@ def test_a_point_equidistant_from_two_nodes_takes_the_lower_facility_id():
     hierarchy = instance.hierarchy(derive_parameters(instance, 0))
     view = OracleView(instance, hierarchy)
     assert_same_static(view, ReferenceOracleView(instance, hierarchy))
-    assert helpers.view_point_chain(view)[2][0] == hierarchy.node_of[(0, -1)]
+    assert helpers.view_point_chain(view)[2][0] == helpers.node_id(hierarchy, 0, -1)

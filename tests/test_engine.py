@@ -15,7 +15,7 @@ from test_reference_build import extreme_cost_instance
 
 
 def node_id(engine, j, r):
-    return engine.hierarchy.node_of[(j, r)]
+    return helpers.node_id(engine.hierarchy, j, r)
 
 
 def ann(engine, j, r):
@@ -37,7 +37,7 @@ def test_update_status_reports_enabled_flips(line5):
     eng = Engine(line5)
     chain = tuple(eng.hierarchy.area_chain(3))
     affected = eng.find_affected_triplets(chain)
-    assert sorted(affected) == sorted(eng.hierarchy.node_of.values())
+    assert sorted(affected) == list(range(len(eng.hierarchy.nodes)))
     flipped = eng.update_status(affected, +1)
     assert dict(flipped) == {node_id(eng, 0, 2): True, node_id(eng, 0, 3): True}
     eng.update_cost(chain, flipped, +1)

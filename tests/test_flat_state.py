@@ -80,7 +80,7 @@ def test_every_element_is_a_plain_bool_or_int(kind, costs):
 
 
 @pytest.mark.parametrize("kind", ["L2", "Linf", "matrix"])
-def test_each_scale_owns_its_lists_and_a_revisit_keeps_them(kind):
+def test_every_rebuild_gives_new_lists_and_a_steady_update_keeps_them(kind):
     """Every rebuild, a revisit to a scale too, gives the engine eight new
     lists: none is a list that either engine held before, at this scale or
     another, and none is the other engine's.  A steady update keeps them.

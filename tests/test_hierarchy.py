@@ -62,9 +62,9 @@ def test_covering_and_separating_random():
 
 def test_tree_line5_chain(line5):
     h = helpers.build(line5)
-    n1 = h.node_of[(0, 1)]
-    n2 = h.node_of[(0, 2)]
-    n3 = h.node_of[(0, 3)]
+    n1 = helpers.node_id(h, 0, 1)
+    n2 = helpers.node_id(h, 0, 2)
+    n3 = helpers.node_id(h, 0, 3)
     assert h.nodes[n1].parent == n2 and h.nodes[n2].parent == n3
     assert h.nodes[n3].parent is None and h.root == n3
 
@@ -94,7 +94,7 @@ def test_find_balls_contains_root_at_own_point(line5):
 
 def test_find_balls_line5_p3(line5):
     h = helpers.build(line5)
-    assert sorted(h.find_balls(3, C2)) == sorted(h.node_of.values())
+    assert sorted(h.find_balls(3, C2)) == list(range(len(h.nodes)))
 
 
 def test_find_balls_matches_bruteforce_random():
@@ -142,7 +142,7 @@ def test_find_balls_rejects_small_factor(line5):
 
 def test_find_area_line5(line5):
     h = helpers.build(line5)
-    assert helpers.find_area(h, 3) == h.node_of[(0, 1)]
+    assert helpers.find_area(h, 3) == helpers.node_id(h, 0, 1)
 
 
 def test_find_area_own_facility_point(line5):
@@ -189,7 +189,7 @@ def test_order_is_node_key_order(line5):
 
 def test_area_chain_line5(line5):
     h = helpers.build(line5)
-    assert h.area_chain(3) == tuple(h.node_of[(0, r)] for r in (1, 2, 3))
+    assert h.area_chain(3) == tuple(helpers.node_id(h, 0, r) for r in (1, 2, 3))
 
 
 def test_area_chain_length_property():
@@ -243,7 +243,7 @@ def test_coloring_conflict_freedom_random():
 
 def test_xy_and_designation_line5(line5):
     h = helpers.build(line5)
-    n1 = h.nodes[h.node_of[(0, 1)]]
+    n1 = h.nodes[helpers.node_id(h, 0, 1)]
     assert n1.x_areas == [n1.idx]
     assert n1.designated_facility == 0
     assert line5.facilities[n1.designated_facility].opening_cost == 10
@@ -251,7 +251,7 @@ def test_xy_and_designation_line5(line5):
 
 def test_designation_prefers_cheaper_facility(line5_cheap_f1):
     h = helpers.build(line5_cheap_f1)
-    n1 = h.nodes[h.node_of[(0, 1)]]
+    n1 = h.nodes[helpers.node_id(h, 0, 1)]
     assert n1.designated_facility == 1
     assert line5_cheap_f1.facilities[n1.designated_facility].opening_cost == 9
 
@@ -267,9 +267,9 @@ def test_self_in_x_and_x_subset_y(line5):
 
 def test_neighbors_above_line5(line5):
     h = helpers.build(line5)
-    n1 = h.node_of[(0, 1)]
+    n1 = helpers.node_id(h, 0, 1)
     assert sorted(h.nodes[n1].neighbors_above) == \
-        sorted([h.node_of[(0, 2)], h.node_of[(0, 3)]])
+        sorted([helpers.node_id(h, 0, 2), helpers.node_id(h, 0, 3)])
     assert h.nodes[h.root].neighbors_above == []
 
 

@@ -1,7 +1,8 @@
 """The bulk hierarchy build against ``helpers.ReferenceHierarchy``, the build
 over the exact scalar distance table with its lists made node by node: every
-node slot, level set and point chain must be identical, types included.  On
-the benchmark's instances, on seeded random instances of every metric kind
+node slot, derived list, level set and point chain must be identical, types
+included, and the debug dump must equal the reference's.  On the benchmark's
+instances, on seeded random instances of every metric kind
 (seeded by ``NETFLOC_SEED``), and on two searched cases where numpy's L2
 value and ``math.dist``'s fall on opposite sides of a threshold or order two
 parents differently (there ``Instance.distance`` decides)."""
@@ -122,6 +123,24 @@ def test_random_instances(kind, draw):
     assert_reference_build(KINDS[kind](rng), scales=(0, 125))
 
 
+@pytest.mark.parametrize("kind", ["l2-floats", "linf", "matrix"])
+def test_dump_follows_the_reference_children(kind):
+    # The reference's nodes keep their own children lists, so its inherited
+    # dump walks those, while the build's walks the ones derived from
+    # parent_ids.  The seeded draws branch, so the order of siblings shows.
+    rng = random.Random(f"dump-{kind}-{default_seed()}")
+    instance = KINDS[kind](rng)
+    params = derive_parameters(instance, 125)
+    reference = ReferenceHierarchy(instance, params)
+    assert max(len(node.children) for node in reference.nodes) >= 2
+    expected = reference.dump().splitlines()
+    assert len(expected) == len(reference.nodes)
+    lines = Hierarchy(instance, params).dump().splitlines()
+    for k, (line, ref_line) in enumerate(zip(lines, expected)):
+        assert line == ref_line, k
+    assert len(lines) == len(expected)
+
+
 def extreme_cost_instance(draw):
     # A cost of 1e-300 puts the bottom level near logradius -430 and one of
     # 1e308 the top near 441: ~870 levels, so the instance stays small.
@@ -191,4 +210,4 @@ def test_parent_where_numpy_and_math_dist_order_differently():
     h = Hierarchy(inst, derive_parameters(inst, 0))
     assert h.level_sets[1] == [0, 1, 2] and h.level_sets[2] == [0, 1]
     closer_a = (inst.distance(2, 0), 0) < (inst.distance(2, 1), 1)
-    assert h.nodes[h.nodes[h.node_of[(2, 1)]].parent].facility == (0 if closer_a else 1)
+    assert h.nodes[h.nodes[helpers.node_id(h, 2, 1)].parent].facility == (0 if closer_a else 1)

@@ -12,7 +12,7 @@ from test_harness import _matrix_benchmark_case
 FIELDS = Annotations._fields
 
 
-def test_verify_trace_builds_annotations_only_on_first_visits(monkeypatch):
+def test_verify_trace_builds_annotations_only_on_rebuilds(monkeypatch):
     # The engine allocates one Annotations per rebuild, its construction
     # and every level shift; steady updates allocate none, and neither do
     # the checks between the events.

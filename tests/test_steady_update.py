@@ -255,7 +255,7 @@ def test_poisoned_engine_refuses_updates_inside_the_window(line5, monkeypatch):
 # -- annotation lists per rebuild -----------------------------------------------
 
 @pytest.mark.parametrize("name", ["line", "L2", "Linf"])
-def test_level_shift_returns_refill_the_visited_list(name, monkeypatch):
+def test_each_level_shift_allocates_one_annotations_of_new_lists(name, monkeypatch):
     """A level shift, a return to a visited scale too, allocates exactly one
     ``Annotations`` whose lists are new (none is the outgoing scale's), a
     steady update allocates none and keeps the lists, and the state matches

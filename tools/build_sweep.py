@@ -18,8 +18,9 @@ hierarchy and keeps it), the node and level counts, ``located_pairs``, the
 table is built (counted the same way), the process's peak RSS after the
 build, ``rebuild_s``, the best of 5 ``Engine._rebuild`` calls of an engine
 with n live clients spread over the 2,000 client points (each rebuild finds
-the hierarchy built and refills the annotation lists the engine allocated at
-construction, so it times a refill, not an allocation), ``gc_ms``, the
+the hierarchy built, counts the clients of every node and builds one fresh
+``Annotations``, so it times the count and the new lists, not a hierarchy
+build), ``gc_ms``, the
 milliseconds of one full ``gc.collect()`` while the built hierarchy and the
 engine are alive (every GC-tracked object the hierarchy keeps is traversed),
 and the memory of one more build traced by ``tracemalloc``:
@@ -32,8 +33,8 @@ builds the hierarchy of the scale 5**7 and prints ``shared_offset``, its
 ``Hierarchy.shared_offset`` relation to the 5**6 hierarchy (the number of
 node ids it adds below the shared levels, or None), and ``shift_s``, the
 best of 5 round trips of the engine's ``_rebuild`` down to 5**6 and back up
-to 5**7 (the lists of both scales allocated before the first; a related
-pair copies the shared nodes' counts).  A last line gives ``diameter_s`` and
+to 5**7 (both hierarchies built before the first; each rebuild builds one
+fresh ``Annotations``, and a related pair copies the shared nodes' counts).  A last line gives ``diameter_s`` and
 ``diameter_pairs`` of 20,000 such points alone.  Run from the root of a
 source checkout: the package is imported from its ``src`` directory.
 """
