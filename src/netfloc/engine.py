@@ -17,13 +17,12 @@ loop; and the scale is re-derived only when the live count leaves the window
 
 The state is flat: ``Annotations``, eight lists (one per field) indexed by
 node id, so an update, a snapshot or a hash reads no per-node object.  A
-level shift builds one fresh ``Annotations`` from counts and keeps no state
-of the scale it leaves.  A ``bincount`` of the live points' bottom areas,
-added up level by level, and a ``reduceat`` over the flat x lists give
-n_area and n_x (``tolist``, so plain ints); every other field starts as a
-new list of ``False`` or ``0``; one Python pass resolves the open bits in
-key order, and the steady path's flip settle, with every enabled node a
-flip, sets the costs along the root paths of the enabled nodes.
+level shift builds one fresh ``Annotations`` and keeps no state of the scale
+it leaves: ``Hierarchy.counts`` gives the live points' n_area and slack as
+plain ints; every other field starts as a new list of ``False`` or ``0``;
+one Python pass resolves the open bits in key order, and the steady path's
+flip settle, with every enabled node a flip, sets the costs along the root
+paths of the enabled nodes.
 
 A shift between two related scales counts only the levels it adds.  When
 ``Hierarchy.shared_offset`` finds the deeper hierarchy to be the shallower
@@ -451,20 +450,16 @@ class Engine:
         one fresh ``Annotations`` for the current live client set.
 
         A shift between two scales whose hierarchies are related
-        (``Hierarchy.shared_offset``: the deeper one is the shallower plus k
-        bottom node ids, with equal point chains above them) copies the
-        shared nodes' ``n_area`` and ``slack`` from the outgoing lists by
-        slice, all of them going down, and counts only ids below k going
-        up.  The copy is exact: the shared nodes' counts read only the
-        shared levels and chains, and ``_apply`` has already applied the
-        triggering mutation to the outgoing lists.  Construction, a rebuild
-        of the current hierarchy and an unrelated pair count every node.
+        (``Hierarchy.shared_offset``) copies the shared nodes' ``n_area``
+        and ``slack`` from the outgoing lists by slice, all of them going
+        down, and counts (``Hierarchy.counts``) only ids below k going up;
+        ``_apply`` has already applied the triggering mutation to the
+        outgoing lists.  Construction, a rebuild of the current hierarchy
+        and an unrelated pair count every node.
 
-        Client counts are numpy passes over the hierarchy's static arrays;
-        slack, open bits and costs are Python ints (thresholds and unit
-        weights may exceed int64), and every field a plain int or bool.
-        The costs come from ``_settle_flips``, not the public
-        ``update_cost``, so a rebuild is never counted as an update.
+        Every field is a plain int or bool (thresholds and unit weights may
+        exceed int64).  The costs come from ``_settle_flips``, not the
+        public ``update_cost``, so a rebuild is never counted as an update.
         """
         old, old_anns = self.hierarchy, self.annotations
         self.hierarchy = hierarchy = self.instance.hierarchy(params)
@@ -481,11 +476,11 @@ class Engine:
         if added < 0 and (k := old.shared_offset(hierarchy)) is not None:
             n_area, slack = old_anns.n_area[k:], old_anns.slack[k:]
         elif added > 0 and (k := hierarchy.shared_offset(old)) is not None:
-            n_area, slack = self._count_clients(k)
+            n_area, slack = hierarchy.counts(self.registry.values(), k)
             n_area += old_anns.n_area
             slack += old_anns.slack
         else:
-            n_area, slack = self._count_clients(size)
+            n_area, slack = hierarchy.counts(self.registry.values(), size)
         self.annotations = Annotations([False] * size, [False] * size, n_area, slack,
                                        [0] * size, [0] * size, [0] * size, [0] * size)
         is_open, open_below = self.annotations.is_open, self.annotations.open_below
@@ -508,27 +503,3 @@ class Engine:
 
         # From the zeroed costs, every enabled node is a flip.
         self._settle_flips([(idx, True) for idx in enabled | self.open_nodes])
-
-    def _count_clients(self, k: int) -> tuple[list[int], list[int]]:
-        """``n_area`` and ``slack`` of the current hierarchy's node ids below
-        k, the first id of a level or the node count, for the live clients.
-
-        Each live point counts in its bottom area, and each level whose
-        parents lie below k adds its counts into them (ids ascend with
-        logradius).  Near counts are one ``reduceat`` over the x lists of the
-        ids below k: each holds same-level ids and its own node, so no
-        segment is empty."""
-        hierarchy = self.hierarchy
-        by_level, params = hierarchy.by_level, hierarchy.params
-        points = np.fromiter(self.registry.values(), np.int64, len(self.registry))
-        areas = hierarchy.point_area[points]
-        counts = np.bincount(areas[areas < k], minlength=k)
-        for r in range(params.rho_min, params.rho_max):
-            if by_level[r + 1][0] >= k:
-                break
-            level = slice(by_level[r][0], by_level[r + 1][0])
-            np.add.at(counts, hierarchy.parent_ids[level], counts[level])
-        starts = hierarchy.x_starts
-        near = np.add.reduceat(counts[hierarchy.x_flat[:starts[k]]], starts[:k])
-        return counts.tolist(), [n_x - node.abundance_threshold
-                                 for n_x, node in zip(near.tolist(), hierarchy.nodes)]

@@ -10,11 +10,17 @@ scalar distance against the exact threshold.  Separated sets are mask passes
 over the table; a parent is a row minimum, the lowest facility id on ties.
 Per level, one ``flatnonzero`` of the block within C4*5**r yields the
 coloring, x and y lists and designations, and abundance thresholds are
-integer ceilings.  Each relation is stored once, in the form a library
-path reads: the level sets (the build), ``parent`` beside ``parent_ids``
-(the engine's settle and its numpy count), the y lists (routing), the flat x
-lists (the count) and ``path_x_areas`` (every update).  ``TripletNode``
-derives ``children``, ``x_areas`` and ``neighbors_above`` from them on read.
+integer ceilings.
+
+Node ids ascend level by level, each level in facility order, so a level is
+the ``range`` ``by_level[r]``; the level sets live only in the build.  Each
+fact is stored once: the per-node facts in ``TripletNode`` (the engine and
+the oracle read them); ``parent_ids``, ``point_area`` and the flat x lists
+``x_flat``/``x_starts``, numpy arrays read only here (by ``counts``,
+``shared_offset`` and the derived node lists); and for the engine the point
+chains, ``path_x_areas`` (every update) and ``order`` (its open pass).  Every
+node id kept is the node's own ``idx`` object.  ``counts`` gives the engine
+a live set's client counts, so no other module knows this id layout.
 
 The build also locates every point of the instance, facility and client
 points alike: a point's bottom area is the closest node, by (distance,
@@ -22,10 +28,8 @@ facility id), of the lowest level of its C2 ball.  One descent per block of
 points walks the tree level by level over numpy arrays of (point, candidate
 node) pairs, with the exact distances of ``Instance.pair_distances``.  Each
 bottom area's root path is one tuple, shared by the chains of its points.
-
-Everything here is immutable once built, the numpy arrays the engine counts
-clients over too.  ``Instance.hierarchy`` builds each ``Params``' hierarchy
-once and keeps it for the instance's lifetime.
+Everything here is immutable once built, and ``Instance.hierarchy`` builds
+each ``Params``' hierarchy once and keeps it for the instance's lifetime.
 
 Neighbouring scales usually share every level: ``shared_offset`` relates a
 deeper hierarchy to a shallower one of the same instance when no point's
@@ -98,12 +102,14 @@ def _split_rows(values: list, rows: np.ndarray, n_rows: int) -> list[list]:
 class TripletNode:
     """One (facility, logradius, color) node of the dependency tree.
 
-    Stored: ``parent`` (walked by the engine's settle, beside the hierarchy's
-    ``parent_ids`` for its count) and ``y_areas``, the far neighborhood's
-    same-level node ids (tested by routing, joined by ``neighbors_above``).
-    Derived on each read through ``_hierarchy``, as new lists of plain ints:
-    ``children`` from ``parent_ids``, ``x_areas`` (the near neighborhood)
-    from the flat x lists, ``neighbors_above`` from the y lists and ``_chain``.
+    Stored: ``idx``, ``facility``, ``r``, ``color``; ``parent``, the parent's
+    ``idx`` object (walked by the engine's settle and the oracle); ``y_areas``,
+    the far neighborhood's same-level ids (routing); ``designated_facility``
+    and its exact ``abundance_threshold``; and ``unit_weight``, 5**(r -
+    rho_min), one int object shared by the level's nodes.  Derived on each
+    read through ``_hierarchy``, as new lists of plain ints: ``children``
+    from ``parent_ids``, ``x_areas`` (the near neighborhood) from the flat x
+    lists, ``neighbors_above`` from the y lists and ``_chain``.
     """
 
     __slots__ = (
@@ -111,15 +117,12 @@ class TripletNode:
         "abundance_threshold", "unit_weight", "_chain", "_hierarchy",
     )
 
-    def __init__(self, idx: int, facility: int, r: int):
+    def __init__(self, idx: int, facility: int, r: int, unit_weight: int):
         self.idx = idx
         self.facility = facility
         self.r = r
-        self.color = 0
         self.parent: int | None = None
-        self.designated_facility = -1
-        self.abundance_threshold = 1
-        self.unit_weight = 1
+        self.unit_weight = unit_weight
 
     def key(self) -> tuple[int, int, int]:
         return (self.r, self.color, self.facility)
@@ -180,25 +183,25 @@ def build_separated_sets(instance: Instance, params: Params) -> dict[int, list[i
 
 
 def build_tree(instance: Instance, params: Params,
-               sets: dict[int, list[int]]) -> dict[tuple[int, int], tuple[int, int]]:
-    """Parent map: each (facility, r) pair points at the closest level-(r+1)
-    facility, ties broken by ascending facility id.
+               sets: dict[int, list[int]]) -> dict[int, np.ndarray]:
+    """Parent positions: for each level r below the top, the position in
+    ``sets[r + 1]`` of each level-r facility's parent, the closest
+    level-(r+1) facility, ties broken by ascending facility id.
 
     A facility of both levels is its own parent, since the other level-(r+1)
-    facilities are more than C1*5**(r+1) > 0 away; at the lower levels that
-    is most facilities, whose rows the block below leaves out.
+    facilities are more than C1*5**(r+1) > 0 away; level sets ascend by
+    facility id, so it finds itself by ``searchsorted``.  At the lower levels
+    that is most facilities, whose rows the block below leaves out.
     """
     table = instance.facility_distances
-    parents: dict[tuple[int, int], tuple[int, int]] = {}
+    parents: dict[int, np.ndarray] = {}
     for r in range(params.rho_min, params.rho_max):
-        uppers = np.array(sets[r + 1])
-        best = np.array(sets[r])
-        moved = ~np.isin(best, uppers)
-        block = table[np.ix_(best[moved], uppers)]
+        uppers, lowers = np.array(sets[r + 1]), np.array(sets[r])
+        pos = np.searchsorted(uppers, lowers)
+        moved = uppers[np.minimum(pos, len(uppers) - 1)] != lowers
         # argmin keeps the first of equal distances: the lowest upper id.
-        best[moved] = uppers[block.argmin(axis=1)]
-        for j, u in zip(sets[r], best.tolist()):
-            parents[(j, r)] = (u, r + 1)
+        pos[moved] = table[np.ix_(lowers[moved], uppers)].argmin(axis=1)
+        parents[r] = pos
     return parents
 
 
@@ -206,34 +209,35 @@ class Hierarchy:
     """The full static decomposition for one parameter setting."""
 
     def __init__(self, instance: Instance, params: Params):
-        self.instance = instance
-        self.params = params
-        self.level_sets = build_separated_sets(instance, params)
-        if len(self.level_sets[params.rho_max]) != 1:
+        self.instance, self.params = instance, params
+        sets = build_separated_sets(instance, params)
+        if len(sets[params.rho_max]) != 1:
             raise AssertionError("top level must hold a single facility")
 
+        # Node ids ascend level by level, in each level set's facility order.
         self.nodes: list[TripletNode] = []
-        self.by_level: dict[int, list[int]] = {}
-        self._fac_point: list[int] = [f.point for f in instance.facilities]
-        id_of: dict[tuple[int, int], int] = {}  # (facility, r) -> node id
+        self.by_level: dict[int, range] = {}
         for r in range(params.rho_min, params.rho_max + 1):
-            ids = self.by_level[r] = []
-            for j in self.level_sets[r]:
-                node = TripletNode(len(self.nodes), j, r)
-                node.unit_weight = 5 ** (r - params.rho_min)
-                self.nodes.append(node)
-                id_of[(j, r)] = node.idx
-                ids.append(node.idx)
-        for pair, up in build_tree(instance, params, self.level_sets).items():
-            self.nodes[id_of[pair]].parent = id_of[up]
-        self.parent_ids = np.array([-1 if node.parent is None else node.parent
-                                    for node in self.nodes], dtype=np.int64)
-        self.root = self.by_level[params.rho_max][0]
+            start = len(self.nodes)
+            ids = self.by_level[r] = range(start, start + len(sets[r]))
+            unit_weight = 5 ** (r - params.rho_min)
+            self.nodes += [TripletNode(idx, j, r, unit_weight) for idx, j in zip(ids, sets[r])]
+        # One int object per node id, shared by every id the hierarchy keeps
+        # (root, parents, chains, y lists, ``order``, ``path_x_areas``).
+        id_objs = np.array([node.idx for node in self.nodes], dtype=object)
+        tree = build_tree(instance, params, sets)
+        self.parent_ids = np.concatenate([pos + self.by_level[r + 1].start
+                                          for r, pos in tree.items()] + [[-1]])
+        for node, parent in zip(self.nodes, id_objs[self.parent_ids[:-1]].tolist()):
+            node.parent = parent
+        self.root = id_objs[-1]
+        self._fac_point: list[int] = [f.point for f in instance.facilities]
+        fac = np.concatenate([sets[r] for r in self.by_level])
 
         # Point -> bottom area and area chain, the root path of that area:
         # one tuple per distinct bottom area, shared by all its points.
-        self.point_area = self._locate()
-        areas = self.point_area.tolist()
+        self.point_area = self._locate(fac)
+        areas = id_objs[self.point_area].tolist()
         paths = {}
         for a in set(areas):
             path = [a]
@@ -244,12 +248,13 @@ class Hierarchy:
         for node in self.nodes:
             node._chain = self.point_chains[self._fac_point[node.facility]]
             node._hierarchy = self
-        self._build_levels()
+        colors = self._build_levels(sets, id_objs)
         for a in (self.point_area, self.parent_ids, self.x_flat, self.x_starts):
             a.flags.writeable = False
         # Node ids in (logradius, color, facility) order, the order in which
         # open bits resolve.
-        self.order = sorted(range(len(self.nodes)), key=lambda i: self.nodes[i].key())
+        level = np.repeat(np.arange(len(sets)), [len(ids) for ids in self.by_level.values()])
+        self.order = id_objs[np.lexsort((fac, colors, level))].tolist()
         self._shared_offsets: dict[Hierarchy, int | None] = {}
 
     # -- relations between scales --------------------------------------------
@@ -289,6 +294,31 @@ class Hierarchy:
             entry[low] = self.parent_ids[entry[low]]
             low = entry < k
         return k if np.array_equal(entry, other.point_area + k) else None
+
+    # -- client counts -----------------------------------------------------
+
+    def counts(self, points, k: int) -> tuple[list[int], list[int]]:
+        """``n_area`` and ``slack`` of the node ids below k, the first id of
+        a level or the node count, for one client on each of ``points``, a
+        sized iterable of point indices, as lists of plain ints.
+
+        Each point counts in its bottom area, and each level whose parents
+        lie below k adds its counts into them (ids ascend with logradius).
+        Near counts are one ``reduceat`` over the x lists of the ids below
+        k: each holds same-level ids and its own node, so no segment is
+        empty."""
+        by_level, params = self.by_level, self.params
+        areas = self.point_area[np.fromiter(points, np.int64, len(points))]
+        counts = np.bincount(areas[areas < k], minlength=k)
+        for r in range(params.rho_min, params.rho_max):
+            level, up = by_level[r], by_level[r + 1].start
+            if up >= k:
+                break
+            np.add.at(counts, self.parent_ids[level.start:up], counts[level.start:up])
+        starts = self.x_starts
+        near = np.add.reduceat(counts[self.x_flat[:starts[k]]], starts[:k])
+        return counts.tolist(), [n_x - node.abundance_threshold
+                                 for n_x, node in zip(near.tolist(), self.nodes)]
 
     # -- point lookups ----------------------------------------------------
 
@@ -336,11 +366,11 @@ class Hierarchy:
 
     # -- build stages ------------------------------------------------------
 
-    def _locate(self) -> np.ndarray:
-        """Bottom area node id of every point: the closest node, by
-        (distance, facility id), of the lowest level the point's C2 ball
-        reaches.  The root's ball holds every point, since every distance is
-        at most the diameter, which is at most 5**rho_max.
+    def _locate(self, node_fac: np.ndarray) -> np.ndarray:
+        """Bottom area node id of every point, given each node's facility:
+        the closest node, by (distance, facility id), of the lowest level
+        the point's C2 ball reaches.  The root's ball holds every point,
+        since every distance is at most the diameter, at most 5**rho_max.
 
         Each block of points descends from the root; the candidates at level
         r are the children of the point's level-(r+1) survivors, and a
@@ -348,9 +378,7 @@ class Hierarchy:
         Pair arrays stay grouped by point in ascending order throughout.
         """
         inst, nodes, params = self.instance, self.nodes, self.params
-        node_point = np.array([self._fac_point[node.facility] for node in nodes],
-                              dtype=np.int64)
-        node_fac = np.array([node.facility for node in nodes], dtype=np.int64)
+        node_point = np.array(self._fac_point, dtype=np.int64)[node_fac]
         # Child ids grouped by parent: ``parent_ids`` sorted, less the root.
         kids = np.argsort(self.parent_ids, kind="stable")[1:]
         n_kids = np.bincount(self.parent_ids[kids], minlength=len(nodes))
@@ -395,9 +423,9 @@ class Hierarchy:
                 closest(*prev)
         return area
 
-    def _build_levels(self) -> None:
-        """Colors, y lists, the flat x lists (node i's is ``x_flat[x_starts[i]:
-        x_starts[i + 1]]``), designations, ``path_x_areas``.
+    def _build_levels(self, sets: dict[int, list[int]], id_objs: np.ndarray) -> list[int]:
+        """Colors (returned in id order), y lists, the flat x lists (node i's
+        is ``x_flat[x_starts[i]:x_starts[i + 1]]``), designations, ``path_x_areas``.
 
         Each level, from the bottom, reads the positions of its block of
         distances within C4*5**r, in row-major order; the near (CX) and far
@@ -418,16 +446,14 @@ class Hierarchy:
             chain = self.point_chains[f.point]
             entries[fid, nodes[chain[0]].r - params.rho_min:] = chain
 
-        # One int object per node id, shared by every id list (as appending
-        # node.idx would), instead of a fresh int per list entry.
-        id_objs = np.array([node.idx for node in nodes], dtype=object)
+        colors: list[int] = []
         # Every x list as one flat id array, with each node's id per entry.
         x_flat, x_owner = [], []
 
         for r, ids in self.by_level.items():
             off = r - params.rho_min
-            start, k = ids[0], len(ids)
-            members = self.level_sets[r]
+            start, k = ids.start, len(ids)
+            members = sets[r]
             block = table if k == n_fac else table[np.ix_(members, members)]
             pos = np.flatnonzero(block <= threshold(C4, r))
             dist = block.reshape(-1)[pos]
@@ -439,9 +465,8 @@ class Hierarchy:
             # Greedy coloring: same-level nodes within C4*5**r get distinct
             # colors; lower facility ids are colored first.
             lower = col < row
-            colors: list[int] = []
             for node, clashes in zip(level, _split_rows(col[lower].tolist(), row[lower], k)):
-                taken = {colors[c] for c in clashes}
+                taken = {colors[start + c] for c in clashes}
                 color = 0
                 while color in taken:
                     color += 1
@@ -481,6 +506,7 @@ class Hierarchy:
         xs, cut = id_objs[self.x_flat].tolist(), self.x_starts.tolist()
         self.path_x_areas = {c[0]: tuple([m for i in c for m in xs[cut[i]:cut[i + 1]]])
                              for c in set(self.point_chains)}
+        return colors
 
     # -- debug output -------------------------------------------------------
 

@@ -511,10 +511,17 @@ def build(instance, n=0) -> Hierarchy:
     return Hierarchy(instance, derive_parameters(instance, n))
 
 
+def level_sets(hierarchy) -> dict[int, list[int]]:
+    """Each level's facility ids, in node id order, read from ``by_level``
+    and the nodes' ``facility``."""
+    nodes = hierarchy.nodes
+    return {r: [nodes[i].facility for i in ids] for r, ids in hierarchy.by_level.items()}
+
+
 def node_id(hierarchy, facility: int, r: int) -> int:
     """The id of the node (facility, r): ids ascend level by level, in the
     level set's (facility id) order."""
-    return hierarchy.by_level[r][hierarchy.level_sets[r].index(facility)]
+    return hierarchy.by_level[r][level_sets(hierarchy)[r].index(facility)]
 
 
 def find_area(hierarchy, p):
@@ -567,7 +574,7 @@ def structural_problems(instance, hierarchy) -> list[str]:
     nodes = hierarchy.nodes
 
     # Separation within each level, and coverage of every facility.
-    for r, members in hierarchy.level_sets.items():
+    for r, members in level_sets(hierarchy).items():
         thr = radius(C1, r)
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
@@ -667,8 +674,8 @@ class ReferenceNode(TripletNode):
 
     __slots__ = ("children", "x_areas")
 
-    def __init__(self, idx, facility, r):
-        super().__init__(idx, facility, r)
+    def __init__(self, idx, facility, r, unit_weight):
+        super().__init__(idx, facility, r, unit_weight)
         self.children = []
         self.x_areas = []
 
@@ -702,8 +709,7 @@ class ReferenceHierarchy(Hierarchy):
             ids = []
             for j in self.level_sets[r]:
                 idx = len(self.nodes)
-                node = ReferenceNode(idx, j, r)
-                node.unit_weight = 5 ** (r - params.rho_min)
+                node = ReferenceNode(idx, j, r, 5 ** (r - params.rho_min))
                 self.nodes.append(node)
                 node_of[(j, r)] = idx
                 ids.append(idx)
@@ -720,7 +726,8 @@ class ReferenceHierarchy(Hierarchy):
         for node in reversed(self.nodes):
             up = () if node.parent is None else paths[node.parent]
             paths[node.idx] = (node.idx,) + up
-        self.point_chains = [paths[a] for a in self._locate().tolist()]
+        fac = np.array([node.facility for node in self.nodes], dtype=np.int64)
+        self.point_chains = [paths[a] for a in self._locate(fac).tolist()]
         self._levels(table)
         self.order = sorted(range(len(self.nodes)), key=lambda i: self.nodes[i].key())
 
@@ -818,17 +825,24 @@ def _types(value):
 
 def build_differences(hierarchy, reference) -> list[str]:
     """Every node slot, derived ``children``, ``x_areas`` and
-    ``neighbors_above`` list, level set, point chain and ordering in which
-    ``hierarchy`` differs from ``reference``, types and order included: each
-    derived list against the reference's own.  The slots that refer back to
-    the hierarchy (``_chain``, ``_hierarchy``) are skipped; the point chains
-    and the derived lists cover them."""
+    ``neighbors_above`` list, level's id list, derived level set, parent
+    id, point chain and ordering in which ``hierarchy`` differs from
+    ``reference``, types and order included: each derived list against the
+    reference's own.  The slots that refer back to the hierarchy
+    (``_chain``, ``_hierarchy``) are skipped; the point chains and the
+    derived lists cover them."""
 
     def same(a, b):
         return a == b and _types(a) == _types(b)
 
-    problems = [attr for attr in ("level_sets", "by_level", "root", "order", "point_chains")
+    problems = [attr for attr in ("root", "order", "point_chains")
                 if not same(getattr(hierarchy, attr), getattr(reference, attr))]
+    if not same({r: list(ids) for r, ids in hierarchy.by_level.items()}, reference.by_level):
+        problems.append("by_level")
+    if not same(level_sets(hierarchy), reference.level_sets):
+        problems.append("level_sets")
+    if not same(hierarchy.parent_ids.tolist(), reference.parent_ids.tolist()):
+        problems.append("parent_ids")
     if len(hierarchy.nodes) != len(reference.nodes):
         return problems + ["node count"]
     fields = [slot for slot in TripletNode.__slots__ if slot not in ("_chain", "_hierarchy")]

@@ -50,7 +50,7 @@ def test_covering_and_separating_random():
         inst = random_instance(rng, n_facilities=rng.randint(2, 30),
                                n_pool_points=5)
         h = helpers.build(inst)
-        for r, members in h.level_sets.items():
+        for r, members in helpers.level_sets(h).items():
             thr = radius(C1, r)
             pts = [inst.facilities[m].point for m in members]
             for a in range(len(pts)):
@@ -82,8 +82,10 @@ def test_tree_parent_tie_breaks_to_lower_id():
     params = derive_parameters(inst, 0)
     sets = build_separated_sets(inst, params)
     assert 2 in sets[1] and sets[2] == [0, 1]
+    # Facility 2 is equidistant from the level-2 facilities 0 and 1; its
+    # parent position in sets[2] names facility 0.
     parents = build_tree(inst, params, sets)
-    assert parents[(2, 1)] == (0, 2)
+    assert sets[2][parents[1][sets[1].index(2)]] == 0
 
 
 def test_find_balls_contains_root_at_own_point(line5):
@@ -382,5 +384,6 @@ def test_separation_at_a_threshold_float_rounds_above():
     inst = Instance("euclidean-L2", points=[[0], [float(C1 * 5 ** 24)]],
                     facilities=[(0, 1), (1, 1)])
     h = helpers.build(inst)
-    assert h.level_sets[24] == [0, 1]
-    assert h.level_sets[25] == [0]
+    sets = helpers.level_sets(h)
+    assert sets[24] == [0, 1]
+    assert sets[25] == [0]

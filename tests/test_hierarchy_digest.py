@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import pytest
 
-from helpers import random_instance
+from helpers import level_sets, random_instance
 from netfloc import Hierarchy, Instance, derive_parameters
 
 SCALES = (0, 5, 125, 3125)
@@ -118,8 +118,8 @@ def hierarchy_digest(instance: Instance) -> str:
         p = hier.params
         recorded = RecordedParams(instance.diameter, max(costs), min(costs), n,
                                   p.rho_min, p.rho_max, p.delta)
-        h.update(repr((recorded, hier.root, sorted(hier.level_sets.items()),
-                       sorted(hier.by_level.items()))).encode())
+        h.update(repr((recorded, hier.root, sorted(level_sets(hier).items()),
+                       sorted((r, list(ids)) for r, ids in hier.by_level.items()))).encode())
         for node in hier.nodes:
             fields = tuple(
                 instance.facilities[node.designated_facility].opening_cost

@@ -5,7 +5,9 @@ included, and the debug dump must equal the reference's.  On the benchmark's
 instances, on seeded random instances of every metric kind
 (seeded by ``NETFLOC_SEED``), and on two searched cases where numpy's L2
 value and ``math.dist``'s fall on opposite sides of a threshold or order two
-parents differently (there ``Instance.distance`` decides)."""
+parents differently (there ``Instance.distance`` decides).  Within every
+level of the seeded kinds and the extreme-cost draws, the nodes share one
+``unit_weight`` object."""
 
 import json
 import math
@@ -157,6 +159,28 @@ def test_extreme_costs(draw):
     assert_reference_build(extreme_cost_instance(draw), scales=(0,))
 
 
+def assert_shared_unit_weights(instance, scales):
+    """Within every level, each node's ``unit_weight`` is one int object,
+    5**(r - rho_min), shared by the level's nodes."""
+    for n in scales:
+        h = Hierarchy(instance, derive_parameters(instance, n))
+        for r, ids in h.by_level.items():
+            shared = h.nodes[ids[0]].unit_weight
+            assert type(shared) is int and shared == 5 ** (r - h.params.rho_min), (n, r)
+            assert all(h.nodes[i].unit_weight is shared for i in ids), (n, r)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_unit_weight_is_one_object_per_level(kind):
+    rng = random.Random(f"unit-weight-{kind}-{default_seed()}")
+    assert_shared_unit_weights(KINDS[kind](rng), scales=(0, 125))
+
+
+@pytest.mark.parametrize("draw", range(3))
+def test_extreme_cost_unit_weight_is_one_object_per_level(draw):
+    assert_shared_unit_weights(extreme_cost_instance(draw), scales=(0,))
+
+
 def _l2_approx(p, q) -> float:
     """numpy's L2 value for a 2-D pair as the facility table computes it:
     squared differences summed in dimension order, then sqrt (the same IEEE
@@ -185,7 +209,7 @@ def test_separation_where_numpy_and_math_dist_straddle_a_threshold():
     assert_reference_build(inst, scales=(0,))
     h = Hierarchy(inst, derive_parameters(inst, 0))
     assert h.params.rho_min == 0
-    assert h.level_sets[0] == ([0] if inst.distance(1, 0) <= C1 else [0, 1])
+    assert helpers.level_sets(h)[0] == ([0] if inst.distance(1, 0) <= C1 else [0, 1])
 
 
 def test_parent_where_numpy_and_math_dist_order_differently():
@@ -208,6 +232,7 @@ def test_parent_where_numpy_and_math_dist_order_differently():
                     facilities=[(0, 1), (1, 1), (2, 1)])
     assert_reference_build(inst, scales=(0,))
     h = Hierarchy(inst, derive_parameters(inst, 0))
-    assert h.level_sets[1] == [0, 1, 2] and h.level_sets[2] == [0, 1]
+    sets = helpers.level_sets(h)
+    assert sets[1] == [0, 1, 2] and sets[2] == [0, 1]
     closer_a = (inst.distance(2, 0), 0) < (inst.distance(2, 1), 1)
     assert h.nodes[h.nodes[helpers.node_id(h, 2, 1)].parent].facility == (0 if closer_a else 1)

@@ -31,7 +31,7 @@ import pytest
 
 import helpers
 from helpers import default_seed, reference_annotations
-from netfloc import Engine, Instance, derive_parameters
+from netfloc import Engine, Hierarchy, Instance, derive_parameters
 from test_counted_rebuild import assert_counted_rebuild
 from test_reference_build import KINDS, extreme_cost_instance
 
@@ -39,15 +39,25 @@ POWERS = tuple(5 ** j for j in range(1, 6))
 
 
 class CountingEngine(Engine):
-    """The engine, recording the id bound of every client count."""
+    """The engine, recording the id bound of every client count its
+    rebuilds ask of ``Hierarchy.counts``."""
 
     def __init__(self, instance, clients=()):
         self.counted = []
         super().__init__(instance, clients)
 
-    def _count_clients(self, k):
-        self.counted.append(k)
-        return super()._count_clients(k)
+    def _rebuild(self, params):
+        counts = Hierarchy.counts
+
+        def counting(hierarchy, points, k):
+            self.counted.append(k)
+            return counts(hierarchy, points, k)
+
+        Hierarchy.counts = counting
+        try:
+            super()._rebuild(params)
+        finally:
+            Hierarchy.counts = counts
 
 
 def benchmark_instance(workload):
@@ -172,7 +182,8 @@ def test_a_moved_chain_breaks_the_relation():
     instance, shallower, deeper, k, moved = moved_chain_case()
     assert deeper.params.rho_min == shallower.params.rho_min - 1
     # Every level set matches under the offset; only a chain differs.
-    assert all(deeper.level_sets[r] == ids for r, ids in shallower.level_sets.items())
+    deeper_sets = helpers.level_sets(deeper)
+    assert all(deeper_sets[r] == ids for r, ids in helpers.level_sets(shallower).items())
     assert len(moved) == 1 and instance.n_points == 50
     assert deeper.shared_offset(shallower) is None
     # A copy would be wrong: with a client on the moved point, the shared
@@ -240,8 +251,9 @@ def assert_shared_levels(shallower, deeper):
     k = len(deeper.nodes) - len(shallower.nodes)
     assert deeper.params.rho_max == shallower.params.rho_max
     assert deeper.params.rho_min < shallower.params.rho_min
-    for r, ids in shallower.level_sets.items():
-        assert deeper.level_sets[r] == ids, r
+    deeper_sets = helpers.level_sets(deeper)
+    for r, ids in helpers.level_sets(shallower).items():
+        assert deeper_sets[r] == ids, r
     assert k == sum(len(deeper.by_level[r]) for r in range(deeper.params.rho_min,
                                                             shallower.params.rho_min))
     shared = deeper.nodes[k:]

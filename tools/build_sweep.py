@@ -34,9 +34,17 @@ builds the hierarchy of the scale 5**7 and prints ``shared_offset``, its
 node ids it adds below the shared levels, or None), and ``shift_s``, the
 best of 5 round trips of the engine's ``_rebuild`` down to 5**6 and back up
 to 5**7 (both hierarchies built before the first; each rebuild builds one
-fresh ``Annotations``, and a related pair copies the shared nodes' counts).  A last line gives ``diameter_s`` and
-``diameter_pairs`` of 20,000 such points alone.  Run from the root of a
-source checkout: the package is imported from its ``src`` directory.
+fresh ``Annotations``, and a related pair copies the shared nodes' counts).
+
+Two last lines follow.  ``deep`` describes the build of a seeded many-level
+instance: 12 uniform points under L2 and 8 facilities with integer costs in
+[1, 500] but for one of 1e-300 and one of 1e308, at the scale n = 0, about
+870 levels of few nodes each.  It gives ``levels``, ``nodes``, ``build_s``
+(the first ``Instance.hierarchy`` call, after the facility table) and
+``traced_retained_mb``, what a second, traced build keeps.  Then
+``diameter_s`` and ``diameter_pairs`` of 20,000 such uniform points alone.
+Run from the root of a source checkout: the package is imported from its
+``src`` directory.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ CLIENT_POINTS = 2000
 SCALE = 5 ** 6
 DEEPER_SCALE = 5 ** 7
 DIAMETER_POINTS = 20000
+DEEP_FACILITIES = 8
 
 
 def first_diameter(instance) -> tuple[float, int]:
@@ -93,6 +102,30 @@ def measure_diameter(n_points: int) -> str:
     diameter_s, pairs = first_diameter(Instance("euclidean-L2", points=points,
                                                 facilities=[(0, 1)]))
     return f"points={n_points} diameter_s={diameter_s:.4f} diameter_pairs={pairs}"
+
+
+def measure_deep() -> str:
+    """Describe the build of the seeded many-level instance in one line."""
+    sys.path.insert(0, str(SRC))
+    from netfloc import Hierarchy, Instance, derive_parameters
+
+    rng = random.Random("build-sweep-deep")
+    points = [[rng.uniform(0, 1000), rng.uniform(0, 1000)] for _ in range(12)]
+    costs = [rng.randint(1, 500) for _ in range(DEEP_FACILITIES)]
+    costs[1], costs[5] = 1e-300, 1e308
+    instance = Instance("euclidean-L2", points=points, facilities=list(enumerate(costs)))
+    params = derive_parameters(instance, 0)
+    instance.facility_distances
+    start = time.perf_counter()
+    hierarchy = instance.hierarchy(params)
+    build_s = time.perf_counter() - start
+    gc.collect()
+    tracemalloc.start()
+    traced = Hierarchy(instance, params)  # alive while its memory is read
+    retained, _ = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return (f"deep levels={params.delta} nodes={len(hierarchy.nodes)} build_s={build_s:.3f} "
+            f"traced_retained_mb={retained / 2**20:.1f}")
 
 
 def measure(n_facilities: int) -> str:
@@ -178,6 +211,7 @@ def main(argv=None) -> int:
         result = subprocess.run([sys.executable, __file__, "--one", str(n)])
         if result.returncode:
             return result.returncode
+    print(measure_deep())
     print(measure_diameter(DIAMETER_POINTS))
     return 0
 
