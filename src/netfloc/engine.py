@@ -20,9 +20,12 @@ node id, so an update, a snapshot or a hash reads no per-node object.  A
 level shift builds one fresh ``Annotations`` and keeps no state of the scale
 it leaves: ``Hierarchy.counts`` gives the live points' n_area and slack as
 plain ints; every other field starts as a new list of ``False`` or ``0``;
-one Python pass resolves the open bits in key order, and the steady path's
-flip settle, with every enabled node a flip, sets the costs along the root
-paths of the enabled nodes.
+then one Python pass over the nodes in (logradius, color, facility) order
+sets every bit and cost.  A node's open bit reads only smaller keys and its
+children sit one level lower, so the pass finds each node's ``open_below``,
+``n_enabled_below`` and ``y`` final, sets its bits and cost, and adds into
+its parent's.  A node that is not abundant, counts no open node below it
+and holds no cost is skipped after three list reads.
 
 A shift between two related scales counts only the levels it adds.  When
 ``Hierarchy.shared_offset`` finds the deeper hierarchy to be the shallower
@@ -408,7 +411,8 @@ class Engine:
             self._settle_flips(flipped)
 
     def _settle_flips(self, flipped) -> None:
-        """Apply ``(idx, enabled)`` enabled-bit flips to settled counts.
+        """Apply a steady update's ``(idx, enabled)`` enabled-bit flips to
+        settled counts (a rebuild sets the bits in its own pass).
 
         Each flip moves its node's count into or out of its parent's
         ``n_enabled_below`` and sets the bit; every node whose cost the flips
@@ -457,9 +461,12 @@ class Engine:
         outgoing lists.  Construction, a rebuild of the current hierarchy
         and an unrelated pair count every node.
 
-        Every field is a plain int or bool (thresholds and unit weights may
-        exceed int64).  The costs come from ``_settle_flips``, not the
-        public ``update_cost``, so a rebuild is never counted as an update.
+        Then one pass in ``hierarchy.order`` sets every bit and cost, each
+        node's ``open_below``, ``n_enabled_below`` and ``y`` being final when
+        the pass reaches it, and reads ``nodes[idx]`` only for a node that
+        is enabled or carries a cost.  Every field is a plain int or bool
+        (thresholds and unit weights may exceed int64).  The pass calls no
+        public update method, so a rebuild is never counted as an update.
         """
         old, old_anns = self.hierarchy, self.annotations
         self.hierarchy = hierarchy = self.instance.hierarchy(params)
@@ -481,25 +488,26 @@ class Engine:
             slack += old_anns.slack
         else:
             n_area, slack = hierarchy.counts(self.registry.values(), size)
-        self.annotations = Annotations([False] * size, [False] * size, n_area, slack,
-                                       [0] * size, [0] * size, [0] * size, [0] * size)
-        is_open, open_below = self.annotations.is_open, self.annotations.open_below
+        self.annotations = anns = Annotations([False] * size, [False] * size, n_area, slack,
+                                              [0] * size, [0] * size, [0] * size, [0] * size)
+        is_open, is_enabled, _, _, open_below, n_enabled_below, costs, y = anns
         self._cost = None
-
-        # Resolve open bits in ascending (logradius, color, facility) order;
-        # the openness of a triplet depends only on lexicographically smaller
-        # ones, so one ordered pass reaches the fixed point.  The enabled
-        # nodes are the open ones and those they count in (open_below >= 1).
-        self.open_nodes: set[int] = set()
-        enabled: set[int] = set()
+        self.open_nodes = open_nodes = set()
         for idx in hierarchy.order:
-            if slack[idx] >= 0 and not open_below[idx]:
+            if not open_below[idx]:
+                if slack[idx] < 0:
+                    if cost := y[idx]:
+                        costs[idx] = cost
+                        if (parent := nodes[idx].parent) is not None:
+                            y[parent] += cost
+                    continue
                 is_open[idx] = True
-                self.open_nodes.add(idx)
-                above = nodes[idx].neighbors_above
-                for up in above:
+                open_nodes.add(idx)
+                for up in nodes[idx].neighbors_above:
                     open_below[up] += 1
-                enabled.update(above)
-
-        # From the zeroed costs, every enabled node is a flip.
-        self._settle_flips([(idx, True) for idx in enabled | self.open_nodes])
+            node = nodes[idx]
+            is_enabled[idx] = True
+            costs[idx] = cost = y[idx] + (n_area[idx] - n_enabled_below[idx]) * node.unit_weight
+            if (parent := node.parent) is not None:
+                n_enabled_below[parent] += n_area[idx]
+                y[parent] += cost

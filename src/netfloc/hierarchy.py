@@ -18,9 +18,10 @@ fact is stored once: the per-node facts in ``TripletNode`` (the engine and
 the oracle read them); ``parent_ids``, ``point_area`` and the flat x lists
 ``x_flat``/``x_starts``, numpy arrays read only here (by ``counts``,
 ``shared_offset`` and the derived node lists); and for the engine the point
-chains, ``path_x_areas`` (every update) and ``order`` (its open pass).  Every
-node id kept is the node's own ``idx`` object.  ``counts`` gives the engine
-a live set's client counts, so no other module knows this id layout.
+chains, ``path_x_areas`` (every update) and ``order`` (its rebuild pass).
+Every node id kept is the node's own ``idx`` object, and every facility id
+one int object per id.  ``counts`` gives the engine a live set's client
+counts, so no other module knows this id layout.
 
 The build also locates every point of the instance, facility and client
 points alike: a point's bottom area is the closest node, by (distance,
@@ -105,7 +106,8 @@ class TripletNode:
     Stored: ``idx``, ``facility``, ``r``, ``color``; ``parent``, the parent's
     ``idx`` object (walked by the engine's settle and the oracle); ``y_areas``,
     the far neighborhood's same-level ids (routing); ``designated_facility``
-    and its exact ``abundance_threshold``; and ``unit_weight``, 5**(r -
+    (like ``facility``, the hierarchy's one int object for that id) and its
+    exact ``abundance_threshold``; and ``unit_weight``, 5**(r -
     rho_min), one int object shared by the level's nodes.  Derived on each
     read through ``_hierarchy``, as new lists of plain ints: ``children``
     from ``parent_ids``, ``x_areas`` (the near neighborhood) from the flat x
@@ -214,6 +216,8 @@ class Hierarchy:
         if len(sets[params.rho_max]) != 1:
             raise AssertionError("top level must hold a single facility")
 
+        # One int object per facility id, for ``facility`` and designations.
+        fac_objs = np.array(range(len(instance.facilities)), dtype=object)
         # Node ids ascend level by level, in each level set's facility order.
         self.nodes: list[TripletNode] = []
         self.by_level: dict[int, range] = {}
@@ -221,7 +225,8 @@ class Hierarchy:
             start = len(self.nodes)
             ids = self.by_level[r] = range(start, start + len(sets[r]))
             unit_weight = 5 ** (r - params.rho_min)
-            self.nodes += [TripletNode(idx, j, r, unit_weight) for idx, j in zip(ids, sets[r])]
+            self.nodes += [TripletNode(idx, j, r, unit_weight)
+                           for idx, j in zip(ids, fac_objs[sets[r]].tolist())]
         # One int object per node id, shared by every id the hierarchy keeps
         # (root, parents, chains, y lists, ``order``, ``path_x_areas``).
         id_objs = np.array([node.idx for node in self.nodes], dtype=object)
@@ -248,7 +253,7 @@ class Hierarchy:
         for node in self.nodes:
             node._chain = self.point_chains[self._fac_point[node.facility]]
             node._hierarchy = self
-        colors = self._build_levels(sets, id_objs)
+        colors = self._build_levels(sets, id_objs, fac_objs)
         for a in (self.point_area, self.parent_ids, self.x_flat, self.x_starts):
             a.flags.writeable = False
         # Node ids in (logradius, color, facility) order, the order in which
@@ -423,7 +428,8 @@ class Hierarchy:
                 closest(*prev)
         return area
 
-    def _build_levels(self, sets: dict[int, list[int]], id_objs: np.ndarray) -> list[int]:
+    def _build_levels(self, sets: dict[int, list[int]], id_objs: np.ndarray,
+                      fac_objs: np.ndarray) -> list[int]:
         """Colors (returned in id order), y lists, the flat x lists (node i's
         is ``x_flat[x_starts[i]:x_starts[i + 1]]``), designations, ``path_x_areas``.
 
@@ -493,7 +499,7 @@ class Hierarchy:
                                         np.searchsorted(row[near], np.arange(k)))
             if (first == n_fac).any():
                 raise AssertionError("area lost its own facility")
-            for node, fid in zip(level, by_cost[first].tolist()):
+            for node, fid in zip(level, fac_objs[by_cost[first]].tolist()):
                 node.designated_facility = fid
                 # Smallest client count in the near neighborhood that pays
                 # the designated cost at this scale, as an exact integer.
@@ -511,12 +517,16 @@ class Hierarchy:
     # -- debug output -------------------------------------------------------
 
     def dump(self) -> str:
-        """Indented one-line-per-node rendering of the dependency tree."""
+        """Indented one-line-per-node rendering of the dependency tree, depth
+        first from the root, each node's children in ascending id order."""
         nodes = self.nodes
         facs = self.instance.facilities
+        kids = np.argsort(self.parent_ids, kind="stable")[1:]  # as in ``_locate``
+        children = _split_rows(kids.tolist(), self.parent_ids[kids], len(nodes))
         lines: list[str] = []
-
-        def render(idx: int, depth: int) -> None:
+        stack = [(self.root, 0)]
+        while stack:
+            idx, depth = stack.pop()
             node = nodes[idx]
             parent = "-" if node.parent is None else str(nodes[node.parent].facility)
             cost = facs[node.designated_facility].opening_cost
@@ -526,8 +536,5 @@ class Hierarchy:
                 + f"r={node.r} s={node.color} j={node.facility} "
                 + f"parent={parent} f*={cost_s} j*={node.designated_facility}"
             )
-            for child in node.children:
-                render(child, depth + 1)
-
-        render(self.root, 0)
+            stack += [(child, depth + 1) for child in reversed(children[idx])]
         return "\n".join(lines)

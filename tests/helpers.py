@@ -12,7 +12,8 @@ the bulk view's near-neighborhood membership test (``point_in_x``),
 seeded traces that cross the scales 5, 25 and 125, and
 the scalar references for ``cround`` and for the hierarchy's bulk point
 location (``find_area``), the reference hierarchy build over the exact
-scalar distance table (``ReferenceHierarchy``), and the entry-by-entry,
+scalar distance table (``ReferenceHierarchy``), the debug dump rendered with
+each node's own ``children`` (``reference_dump``), and the entry-by-entry,
 pivot-by-pivot explicit-matrix validation kept as the reference for the
 instance's bulk checks (``reference_matrix``)."""
 
@@ -509,6 +510,26 @@ class ReferenceOracleView:
 
 def build(instance, n=0) -> Hierarchy:
     return Hierarchy(instance, derive_parameters(instance, n))
+
+
+def reference_dump(hierarchy) -> str:
+    """``Hierarchy.dump`` rendered node by node, each node's ``children``
+    read from the node (a scan of ``parent_ids`` per read): depth first
+    from the root, children in ascending id order."""
+    nodes = hierarchy.nodes
+    facs = hierarchy.instance.facilities
+    lines = []
+    stack = [(hierarchy.root, 0)]
+    while stack:
+        idx, depth = stack.pop()
+        node = nodes[idx]
+        parent = "-" if node.parent is None else str(nodes[node.parent].facility)
+        cost = facs[node.designated_facility].opening_cost
+        cost_s = str(int(cost)) if float(cost).is_integer() else repr(cost)
+        lines.append("  " * depth + f"r={node.r} s={node.color} j={node.facility} "
+                     f"parent={parent} f*={cost_s} j*={node.designated_facility}")
+        stack += [(child, depth + 1) for child in reversed(node.children)]
+    return "\n".join(lines)
 
 
 def level_sets(hierarchy) -> dict[int, list[int]]:

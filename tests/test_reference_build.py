@@ -7,11 +7,13 @@ instances, on seeded random instances of every metric kind
 value and ``math.dist``'s fall on opposite sides of a threshold or order two
 parents differently (there ``Instance.distance`` decides).  Within every
 level of the seeded kinds and the extreme-cost draws, the nodes share one
-``unit_weight`` object."""
+``unit_weight`` object, and on churn-l2 every node slot holding a facility
+id holds the hierarchy's one object for that id."""
 
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -179,6 +181,28 @@ def test_unit_weight_is_one_object_per_level(kind):
 @pytest.mark.parametrize("draw", range(3))
 def test_extreme_cost_unit_weight_is_one_object_per_level(draw):
     assert_shared_unit_weights(extreme_cost_instance(draw), scales=(0,))
+
+
+def assert_shared_facility_ids(hierarchy) -> int:
+    """Every node's ``facility`` and ``designated_facility`` is the one int
+    object the hierarchy keeps for that id; the number of ids above 256,
+    which CPython does not cache, held by more than one slot."""
+    objs: dict[int, int] = {}
+    slots = Counter()
+    for node in hierarchy.nodes:
+        for fid in (node.facility, node.designated_facility):
+            assert type(fid) is int
+            assert objs.setdefault(fid, fid) is fid, (node.idx, fid)
+            slots[fid] += 1
+    return sum(fid > 256 and count > 1 for fid, count in slots.items())
+
+
+@pytest.mark.parametrize("n", [625, 3125])
+def test_facility_ids_are_one_object_per_id(n):
+    """On churn-l2's 400 facilities, whose ids above 256 CPython does not
+    cache (at 3,125 facility 300 alone is 4 nodes' ``facility``)."""
+    instance = Instance.from_dict(json.loads(helpers.benchmark_inputs("churn-l2", 1).instance_text))
+    assert assert_shared_facility_ids(Hierarchy(instance, derive_parameters(instance, n))) > 0
 
 
 def _l2_approx(p, q) -> float:
