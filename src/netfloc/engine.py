@@ -43,6 +43,12 @@ until the next.  Every writer of the ``cost`` list (``_settle``, the only
 one during updates, and the rebuild) drops it, so an update pays
 one attribute store and never the division.  Concurrent first queries may
 compute it twice, with equal results, as the ``Instance`` caches may.
+
+``assignments()`` keeps its maps across calls under the key (hierarchy, open
+set), taken on each call.  It is exact: on one hierarchy the enabled bits,
+which count open nodes only, and ``_route``, which reads only ``open_nodes``
+and static lists, are functions of the open set.  Concurrent calls may fill
+the maps twice, with equal values.
 """
 
 from __future__ import annotations
@@ -152,6 +158,7 @@ class Engine:
         self._set_scale(largest_power_of_five_at_most(len(self.registry)))
         self.last_update = UpdateStats()
         self.hierarchy = self.annotations = None
+        self._routes = (None, {}, {})  # assignments()'s key and maps
         self._rebuild(derive_parameters(instance, self.n))
 
     @classmethod
@@ -196,10 +203,13 @@ class Engine:
         registry: an assignment depends only on the client's lowest enabled
         area, which depends only on its bottom area, so each distinct bottom
         area is resolved once and each distinct lowest enabled area is
-        routed once."""
+        routed once, per key (hierarchy, open set) of the kept maps."""
         chains, enabled = self.hierarchy.point_chains, self.annotations.is_enabled
-        routed: dict[int, Assignment] = {}
-        at_bottom: dict[int, Assignment] = {}
+        key = (self.hierarchy, frozenset(self.open_nodes))
+        memo = self._routes
+        if memo[0] != key:
+            memo = self._routes = (key, {}, {})
+        _, at_bottom, routed = memo
         out = {}
         for cid, point in self.registry.items():
             bottom = chains[point][0]

@@ -17,6 +17,12 @@ returns its own lists, ``engine_snapshot`` copies the engine's, and
 ``compare_states`` compares the eight list pairs, walking node by node to
 name node and field only on a mismatch.
 
+A view keeps two results per open set, both exact functions of it and its
+static data: ``recompute_state``'s route of each area, keyed by the open ids
+in key order, and the near-neighborhood hits of every point that
+``logical_violations`` reads, keyed by the engine's sorted open ids.
+Concurrent calls may compute them twice, with equal values.
+
 The distance kernel itself is shared: the build also reads
 ``pair_distances``, so a fault in it would reach both sides alike and
 ``verify`` would not see it.  Only the tests check that kernel against the
@@ -210,6 +216,8 @@ class OracleView:
         self._level = level.tolist()
         self._parent = [n.parent for n in nodes]
         self._count = count
+        # recompute_state's routes and logical_violations' hits, per open set.
+        self._routed, self._open_hits = (None, {}), (None, None)
 
     def x_hits(self, points: np.ndarray, idxs) -> np.ndarray:
         """For each of ``points``, the number of nodes among ``idxs`` whose
@@ -228,7 +236,7 @@ class OracleView:
 
     def recompute_state(self, clients) -> StateSnapshot:
         """Evaluate every annotation, the open facility set, and all client
-        assignments directly from the definitions."""
+        assignments directly from the definitions; routes are kept per open set."""
         nodes = self.hierarchy.nodes
         count = self._count
         clients = dict(clients)
@@ -289,9 +297,14 @@ class OracleView:
                 y[parent[idx]] += cost[idx]
 
         # open_list ascends in key, so an area's first reachable entry is the
-        # smallest-key one; an assignment depends only on the area.
-        routed = {}
+        # smallest-key one; an assignment depends only on the area and open_list.
+        memo = self._routed
+        if memo[0] != open_list:
+            memo = self._routed = (open_list, {})
+        routed = memo[1]
         for area_idx in areas:
+            if area_idx in routed:
+                continue
             key, inside = rank[area_idx], self.y_facilities[area_idx]
             for best in open_list:
                 if rank[best] <= key and fac[best] in inside:
@@ -423,15 +436,15 @@ def logical_violations(view: OracleView, engine: Engine, snapshot: StateSnapshot
     registry = engine.registry
     open_nodes = sorted(engine.open_nodes)
     if open_nodes:
-        # Open near neighborhoods holding each distinct client point.
-        points = np.fromiter(set(registry.values()), np.int64)
-        hits = view.x_hits(points, open_nodes)
-        if hits.max(initial=0) > 1:
-            hits_at = dict(zip(points.tolist(), hits.tolist()))
-            for cid, point in registry.items():
-                if hits_at[point] > 1:
-                    problems.append(
-                        f"client {cid!r} in {hits_at[point]} open neighborhoods")
+        # Open near neighborhoods holding each point, kept per open set.
+        memo = view._open_hits
+        if memo[0] != open_nodes:
+            memo = view._open_hits = (open_nodes, view.x_hits(
+                np.arange(view.instance.n_points), open_nodes).tolist())
+        hits = memo[1]
+        for cid, point in registry.items():
+            if hits[point] > 1:
+                problems.append(f"client {cid!r} in {hits[point]} open neighborhoods")
     root = engine.hierarchy.root
     if registry:
         if not open_nodes:

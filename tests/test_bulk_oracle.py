@@ -9,12 +9,14 @@ that no float represents, and on a point equidistant from two nodes, where
 the lower facility id wins."""
 
 import random
+
+import numpy as np
 import pytest
 
 import helpers
 from helpers import ReferenceOracleView, default_seed
 from netfloc import C2, CX, CY, Engine, Instance, OracleView, \
-    compare_states, derive_parameters, radius
+    compare_states, derive_parameters, engine_snapshot, logical_violations, radius
 from test_reference_build import KINDS, extreme_cost_instance
 
 
@@ -128,3 +130,48 @@ def test_a_point_equidistant_from_two_nodes_takes_the_lower_facility_id():
     view = OracleView(instance, hierarchy)
     assert_same_static(view, ReferenceOracleView(instance, hierarchy))
     assert helpers.view_point_chain(view)[2][0] == helpers.node_id(hierarchy, 0, -1)
+
+
+@pytest.mark.parametrize("kind", ["l2-line-boundaries", "shared-points"])
+def test_kept_routes_and_hits_equal_fresh_ones(kind):
+    """One view over a seeded trace at one scale, 40 clients moving in turn
+    to a few hot points, so the open set changes now and then and the view
+    keeps its routes and open-neighborhood hits in between: every
+    recomputed state must equal the reference view's, with the assignments
+    resolved client by client, and the kept hits of ``logical_violations``
+    must equal ``x_hits`` of the live points computed directly.  Both
+    memos must have been reused, and replaced."""
+    rng = random.Random(f"kept-routes-{kind}-{default_seed()}")
+    instance = KINDS[kind](rng)
+    engine = Engine.from_clients(
+        instance, {f"p{i}": rng.randrange(instance.n_points) for i in range(40)})
+    hierarchy = engine.hierarchy
+    view, reference = OracleView(instance, hierarchy), ReferenceOracleView(instance, hierarchy)
+    open_sets = set()
+    route_hits = hit_reuses = 0
+    for serial in range(120):
+        if serial % 30 == 0:
+            hot = rng.randrange(instance.n_points)
+        if serial % 2:
+            engine.delete_client(next(iter(engine.registry)))
+        else:
+            engine.insert_client(f"c{serial}", hot)
+        assert engine.hierarchy is hierarchy
+        open_nodes = sorted(engine.open_nodes)
+        open_sets.add(tuple(open_nodes))
+        routes, hits = view._routed, view._open_hits
+        ours = view.recompute_state(engine.registry)
+        assert compare_states(ours, reference.recompute_state(engine.registry)) == []
+        assert ours.assignments == helpers.reference_oracle_assignments(
+            view, ours.annotations, engine.registry)
+        if view._routed is routes:
+            route_hits += len(routes[1].keys() & {a.area_triplet for a in ours.assignments.values()})
+        snapshot = engine_snapshot(engine)
+        assert compare_states(snapshot, ours) == []
+        assert logical_violations(view, engine, snapshot) == []
+        points = sorted(set(engine.registry.values()))
+        assert view._open_hits[0] == open_nodes
+        assert [view._open_hits[1][p] for p in points] == \
+            view.x_hits(np.array(points), open_nodes).tolist()
+        hit_reuses += view._open_hits is hits
+    assert len(open_sets) > 1 and route_hits and hit_reuses

@@ -274,6 +274,45 @@ def test_assignments_equal_assign_client_after_every_mutation(kind):
     assert shifts >= 2
 
 
+@pytest.mark.parametrize("case", [*helpers.CROSSING_KINDS, "extreme-0", "extreme-1",
+                                  "extreme-2", "flap-625"])
+def test_kept_assignments_equal_fresh_ones(case):
+    """``assignments()`` keeps its maps while (hierarchy, open set) holds, so
+    it is called only after every second mutation: a level shift and its
+    return under an unchanged open set then reuse the kept entries, as on
+    flap-625's 624 <-> 625 cycle, where every call after the first does.
+    Each result must equal the per-client ``assign_client`` and a fresh
+    engine's ``assignments()`` over the live set."""
+    if case == "flap-625":
+        instance, prefill, mutations = helpers.benchmark_case(case)
+        trace = [TraceEvent(*m) for m in mutations[:40]]
+    else:
+        instance, trace = _cost_cache_case(case)
+        prefill = {}
+    eng = Engine(instance, prefill)
+    kept, hierarchies = eng._routes, set()
+    calls = reuses = reuses_over_a_shift = 0
+    for count, event in enumerate(trace, 1):
+        if event.kind == "insert":
+            eng.insert_client(event.cid, event.point)
+        else:
+            eng.delete_client(event.cid)
+        hierarchies.add(eng.hierarchy)
+        if count % 2:
+            continue
+        got = eng.assignments()
+        assert got == {cid: eng.assign_client(cid) for cid in eng.registry}, event
+        assert got == Engine.from_clients(instance, eng.registry).assignments(), event
+        calls += 1
+        if eng._routes is kept:
+            reuses += 1
+            reuses_over_a_shift += len(hierarchies) > 1
+        kept, hierarchies = eng._routes, {eng.hierarchy}
+    assert reuses
+    if case == "flap-625":
+        assert reuses_over_a_shift == calls - 1 > 0
+
+
 def test_assignment_radius_and_open_area_properties():
     # A client covered by an open triplet's near neighborhood is assigned at
     # exactly that scale, and always lands within the stated radius.
