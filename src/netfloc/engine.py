@@ -15,9 +15,17 @@ flip, corrects the flipped nodes' root paths with a second pass of the same
 loop; and the scale is re-derived only when the live count leaves the window
 [n, 5n) of its current power of five.
 
-The state is flat: ``Annotations``, eight lists (one per field) indexed by
-node id, so an update, a snapshot or a hash reads no per-node object.  A
-level shift builds one fresh ``Annotations`` and keeps no state of the scale
+The state is flat: eight lists (one per field) indexed by node id, kept as
+a plain tuple that the update paths unpack, and shown as ``annotations``, an
+``Annotations`` of the same list objects, which only the rebuild assigns.
+The per-node facts an update reads, each node's parent and unit weight, are
+the hierarchy's ``parents`` and ``unit_weights`` lists.  So an update reads
+no per-node object but the keys of the nodes it pushes on its heap and the
+``neighbors_above`` of those it flips, and one that flips no slack edge reads
+none.  Each update records its counters as a plain tuple, and
+``last_update`` builds the ``UpdateStats`` when read, so an update allocates
+none.  A
+level shift builds one fresh set of lists and keeps no state of the scale
 it leaves: ``Hierarchy.counts`` gives the live points' n_area and slack as
 plain ints; every other field starts as a new list of ``False`` or ``0``;
 then one Python pass over the nodes in (logradius, color, facility) order
@@ -156,10 +164,20 @@ class Engine:
         self.registry: dict = {cid: instance.point_index(point)
                                for cid, point in dict(clients).items()}
         self._set_scale(largest_power_of_five_at_most(len(self.registry)))
-        self.last_update = UpdateStats()
+        self._stats = (0, 0, 0, False)  # last_update's fields
         self.hierarchy = self.annotations = None
         self._routes = (None, {}, {})  # assignments()'s key and maps
         self._rebuild(derive_parameters(instance, self.n))
+
+    @property
+    def last_update(self) -> UpdateStats:
+        """The last update's counters, as a new ``UpdateStats`` on each
+        read; assigning one records its fields."""
+        return UpdateStats(*self._stats)
+
+    @last_update.setter
+    def last_update(self, stats: UpdateStats) -> None:
+        self._stats = (stats.affected, stats.heap_pulls, stats.flips, stats.rebuilt)
 
     @classmethod
     def from_clients(cls, instance: Instance, clients) -> "Engine":
@@ -345,8 +363,7 @@ class Engine:
 
         Each triplet is in ``affected`` once and ``delta`` is +1 or -1, so a
         flip is ``slack`` landing on 0 or -1; the heap is made on the first."""
-        anns = self.annotations
-        slack = anns.slack
+        is_open, is_enabled, _, slack, open_below, _, _, _ = self._lists
         nodes = self.hierarchy.nodes
         edge = 0 if delta > 0 else -1
         heap = None
@@ -357,9 +374,8 @@ class Engine:
                     heap = DirtyHeap()
                 heap.push(nodes[idx].key(), idx)
         if heap is None:
-            self.last_update = UpdateStats(len(affected), 0, 0)
+            self._stats = (len(affected), 0, 0, False)
             return []
-        is_open, open_below = anns.is_open, anns.open_below
         pulls = 0
         flips = 0
         while heap:
@@ -378,13 +394,12 @@ class Engine:
                 for up in nodes[idx].neighbors_above:
                     open_below[up] += step
                     heap.push(nodes[up].key(), up)
-        is_enabled = anns.is_enabled
         flipped: list[tuple[int, bool]] = []
         for idx in heap.cleaned:
             enabled = open_below[idx] >= 1 or is_open[idx]
             if enabled != is_enabled[idx]:
                 flipped.append((idx, enabled))
-        self.last_update = UpdateStats(len(affected), pulls, flips)
+        self._stats = (len(affected), pulls, flips, False)
         return flipped
 
     def _settle(self, order, delta: int) -> None:
@@ -393,17 +408,17 @@ class Engine:
         ``n_enabled_below`` and ``y``.  ``order`` must list node ids in
         ascending order: ids ascend with logradius, so each node's children
         in ``order`` are settled before it."""
-        _, is_enabled, n_area, _, _, n_enabled_below, costs, y = self.annotations
-        nodes = self.hierarchy.nodes
+        _, is_enabled, n_area, _, _, n_enabled_below, costs, y = self._lists
+        hierarchy = self.hierarchy
+        parents, unit_weights = hierarchy.parents, hierarchy.unit_weights
         self._cost = None
         for idx in order:
-            n_area[idx] += delta
-            node = nodes[idx]
+            n_area[idx] = n = n_area[idx] + delta
             cost = y[idx]
             enabled = is_enabled[idx]
             if enabled:
-                cost += (n_area[idx] - n_enabled_below[idx]) * node.unit_weight
-            parent = node.parent
+                cost += (n - n_enabled_below[idx]) * unit_weights[idx]
+            parent = parents[idx]
             if parent is not None:
                 if enabled:
                     n_enabled_below[parent] += delta
@@ -428,17 +443,17 @@ class Engine:
         ``n_enabled_below`` and sets the bit; every node whose cost the flips
         change lies on a flip's root path, so one settle pass over their
         sorted union (delta 0) finishes the recursion."""
-        _, is_enabled, n_area, _, _, n_enabled_below, _, _ = self.annotations
-        nodes = self.hierarchy.nodes
+        _, is_enabled, n_area, _, _, n_enabled_below, _, _ = self._lists
+        parents = self.hierarchy.parents
         paths: set[int] = set()
         for idx, enabled in flipped:
-            parent = nodes[idx].parent
+            parent = parents[idx]
             if parent is not None:
                 n_enabled_below[parent] += n_area[idx] * (enabled - is_enabled[idx])
             is_enabled[idx] = enabled
             while idx is not None and idx not in paths:
                 paths.add(idx)
-                idx = nodes[idx].parent
+                idx = parents[idx]
         self._settle(sorted(paths), 0)
 
     # -- level maintenance ------------------------------------------------------
@@ -456,7 +471,7 @@ class Engine:
         params = derive_parameters(self.instance, self.n)
         if params != self.hierarchy.params:
             self._rebuild(params)
-            self.last_update.rebuilt = True
+            self._stats = self._stats[:3] + (True,)
 
     def _rebuild(self, params: Params) -> None:
         """Switch to the instance's hierarchy of ``params`` (built on its
@@ -473,8 +488,9 @@ class Engine:
 
         Then one pass in ``hierarchy.order`` sets every bit and cost, each
         node's ``open_below``, ``n_enabled_below`` and ``y`` being final when
-        the pass reaches it, and reads ``nodes[idx]`` only for a node that
-        is enabled or carries a cost.  Every field is a plain int or bool
+        the pass reaches it; it reads the hierarchy's ``parents`` and
+        ``unit_weights`` lists, and ``nodes[idx]`` only for an open node's
+        ``neighbors_above``.  Every field is a plain int or bool
         (thresholds and unit weights may exceed int64).  The pass calls no
         public update method, so a rebuild is never counted as an update.
         """
@@ -498,9 +514,11 @@ class Engine:
             slack += old_anns.slack
         else:
             n_area, slack = hierarchy.counts(self.registry.values(), size)
-        self.annotations = anns = Annotations([False] * size, [False] * size, n_area, slack,
-                                              [0] * size, [0] * size, [0] * size, [0] * size)
-        is_open, is_enabled, _, _, open_below, n_enabled_below, costs, y = anns
+        self._lists = lists = ([False] * size, [False] * size, n_area, slack,
+                               [0] * size, [0] * size, [0] * size, [0] * size)
+        self.annotations = Annotations(*lists)
+        is_open, is_enabled, _, _, open_below, n_enabled_below, costs, y = lists
+        parents, unit_weights = hierarchy.parents, hierarchy.unit_weights
         self._cost = None
         self.open_nodes = open_nodes = set()
         for idx in hierarchy.order:
@@ -508,16 +526,15 @@ class Engine:
                 if slack[idx] < 0:
                     if cost := y[idx]:
                         costs[idx] = cost
-                        if (parent := nodes[idx].parent) is not None:
+                        if (parent := parents[idx]) is not None:
                             y[parent] += cost
                     continue
                 is_open[idx] = True
                 open_nodes.add(idx)
                 for up in nodes[idx].neighbors_above:
                     open_below[up] += 1
-            node = nodes[idx]
             is_enabled[idx] = True
-            costs[idx] = cost = y[idx] + (n_area[idx] - n_enabled_below[idx]) * node.unit_weight
-            if (parent := node.parent) is not None:
+            costs[idx] = cost = y[idx] + (n_area[idx] - n_enabled_below[idx]) * unit_weights[idx]
+            if (parent := parents[idx]) is not None:
                 n_enabled_below[parent] += n_area[idx]
                 y[parent] += cost

@@ -14,14 +14,18 @@ integer ceilings.
 
 Node ids ascend level by level, each level in facility order, so a level is
 the ``range`` ``by_level[r]``; the level sets live only in the build.  Each
-fact is stored once: the per-node facts in ``TripletNode`` (the engine and
-the oracle read them); ``parent_ids``, ``point_area`` and the flat x lists
-``x_flat``/``x_starts``, numpy arrays read only here (by ``counts``,
-``shared_offset`` and the derived node lists); and for the engine the point
-chains, ``path_x_areas`` (every update) and ``order`` (its rebuild pass).
-Every node id kept is the node's own ``idx`` object, and every facility id
-one int object per id.  ``counts`` gives the engine a live set's client
-counts, so no other module knows this id layout.
+fact is stored once but the parent relation, which is kept twice.  The numpy
+arrays ``parent_ids``, ``point_area`` and the flat x lists
+``x_flat``/``x_starts`` are read only here (by ``counts``, ``shared_offset``,
+``find_balls`` and the derived node lists).  For the engine, two per-node
+lists are read by every update and rebuild: ``parents``, the parent relation
+again as id objects (a numpy read per node would cost more than the step it
+serves), and ``unit_weights``; then come the point chains, ``path_x_areas``
+(every update) and ``order`` (its rebuild pass).  The other per-node facts
+live in ``TripletNode``, whose ``parent`` and ``unit_weight`` read the two
+lists.  Every node id kept is the node's own ``idx`` object, and every
+facility id one int object per id.  ``counts`` gives the engine a live set's
+client counts, so no other module knows this id layout.
 
 The build also locates every point of the instance, facility and client
 points alike: a point's bottom area is the closest node, by (distance,
@@ -103,31 +107,39 @@ def _split_rows(values: list, rows: np.ndarray, n_rows: int) -> list[list]:
 class TripletNode:
     """One (facility, logradius, color) node of the dependency tree.
 
-    Stored: ``idx``, ``facility``, ``r``, ``color``; ``parent``, the parent's
-    ``idx`` object (walked by the engine's settle and the oracle); ``y_areas``,
-    the far neighborhood's same-level ids (routing); ``designated_facility``
+    Stored: ``idx``, ``facility``, ``r``, ``color``; ``y_areas``, the far
+    neighborhood's same-level ids (routing); and ``designated_facility``
     (like ``facility``, the hierarchy's one int object for that id) and its
-    exact ``abundance_threshold``; and ``unit_weight``, 5**(r -
-    rho_min), one int object shared by the level's nodes.  Derived on each
-    read through ``_hierarchy``, as new lists of plain ints: ``children``
+    exact ``abundance_threshold``.  Read from the hierarchy's per-node lists
+    through ``_hierarchy``: ``parent``, the parent's ``idx`` object, and
+    ``unit_weight``, 5**(r - rho_min), one int object shared by the level's
+    nodes.  Derived on each read, as new lists of plain ints: ``children``
     from ``parent_ids``, ``x_areas`` (the near neighborhood) from the flat x
     lists, ``neighbors_above`` from the y lists and ``_chain``.
     """
 
     __slots__ = (
-        "idx", "facility", "r", "color", "parent", "y_areas", "designated_facility",
-        "abundance_threshold", "unit_weight", "_chain", "_hierarchy",
+        "idx", "facility", "r", "color", "y_areas", "designated_facility",
+        "abundance_threshold", "_chain", "_hierarchy",
     )
 
-    def __init__(self, idx: int, facility: int, r: int, unit_weight: int):
+    def __init__(self, idx: int, facility: int, r: int):
         self.idx = idx
         self.facility = facility
         self.r = r
-        self.parent: int | None = None
-        self.unit_weight = unit_weight
 
     def key(self) -> tuple[int, int, int]:
         return (self.r, self.color, self.facility)
+
+    @property
+    def parent(self) -> int | None:
+        """The parent's id, None at the root: ``Hierarchy.parents``."""
+        return self._hierarchy.parents[self.idx]
+
+    @property
+    def unit_weight(self) -> int:
+        """5**(r - rho_min): ``Hierarchy.unit_weights``."""
+        return self._hierarchy.unit_weights[self.idx]
 
     @property
     def children(self) -> list[int]:
@@ -220,21 +232,23 @@ class Hierarchy:
         fac_objs = np.array(range(len(instance.facilities)), dtype=object)
         # Node ids ascend level by level, in each level set's facility order.
         self.nodes: list[TripletNode] = []
+        # Each node's 5**(r - rho_min), one int object per level.
+        self.unit_weights: list[int] = []
         self.by_level: dict[int, range] = {}
         for r in range(params.rho_min, params.rho_max + 1):
             start = len(self.nodes)
             ids = self.by_level[r] = range(start, start + len(sets[r]))
-            unit_weight = 5 ** (r - params.rho_min)
-            self.nodes += [TripletNode(idx, j, r, unit_weight)
+            self.nodes += [TripletNode(idx, j, r)
                            for idx, j in zip(ids, fac_objs[sets[r]].tolist())]
+            self.unit_weights += [5 ** (r - params.rho_min)] * len(ids)
         # One int object per node id, shared by every id the hierarchy keeps
         # (root, parents, chains, y lists, ``order``, ``path_x_areas``).
         id_objs = np.array([node.idx for node in self.nodes], dtype=object)
         tree = build_tree(instance, params, sets)
         self.parent_ids = np.concatenate([pos + self.by_level[r + 1].start
                                           for r, pos in tree.items()] + [[-1]])
-        for node, parent in zip(self.nodes, id_objs[self.parent_ids[:-1]].tolist()):
-            node.parent = parent
+        # Each node's parent id, None at the root.
+        self.parents: list[int | None] = id_objs[self.parent_ids[:-1]].tolist() + [None]
         self.root = id_objs[-1]
         self._fac_point: list[int] = [f.point for f in instance.facilities]
         fac = np.concatenate([sets[r] for r in self.by_level])
@@ -246,7 +260,7 @@ class Hierarchy:
         paths = {}
         for a in set(areas):
             path = [a]
-            while (p := self.nodes[path[-1]].parent) is not None:
+            while (p := self.parents[path[-1]]) is not None:
                 path.append(p)
             paths[a] = tuple(path)
         self.point_chains = [paths[a] for a in areas]
@@ -332,6 +346,7 @@ class Hierarchy:
 
         Top-down traversal expanding only the children of surviving nodes;
         the separated-set structure guarantees no qualifying node is missed.
+        The children are grouped once per call.
         """
         if cstar < MIN_BALL_FACTOR:
             raise ValueError(f"ball scale factor must be >= {MIN_BALL_FACTOR}")
@@ -339,6 +354,11 @@ class Hierarchy:
         fp = self._fac_point
         nodes = self.nodes
         params = self.params
+        # Child ids grouped by parent, as in ``_locate``: node i's children
+        # are kids[cuts[i]:cuts[i + 1]].
+        kids = np.argsort(self.parent_ids, kind="stable")[1:]
+        cuts = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.parent_ids[kids], minlength=len(nodes)), out=cuts[1:])
         out: list[int] = []
         frontier = [self.root] if dist(p, fp[nodes[self.root].facility]) <= radius(
             cstar, params.rho_max) else []
@@ -351,7 +371,7 @@ class Hierarchy:
             frontier = [
                 c
                 for idx in frontier
-                for c in nodes[idx].children
+                for c in kids[cuts[idx]:cuts[idx + 1]].tolist()
                 if dist(p, fp[nodes[c].facility]) <= thr
             ]
             r -= 1

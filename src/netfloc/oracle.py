@@ -102,9 +102,10 @@ class OracleView:
     The constructor performs all static precomputation, in bulk scans over
     ``Instance.pair_distances`` (point chains, per-level near and far
     neighborhoods, facility membership in far neighborhoods), so that
-    repeated state recomputations stay cheap.  It reads the tree's nodes
-    (logradius, color, facility, parent, designation) and none of the
-    hierarchy's lists.  Its flat arrays:
+    repeated state recomputations stay cheap.  It reads each node's
+    logradius, color, facility, parent and designation through
+    ``TripletNode``, names none of the hierarchy's lists, and derives each
+    node's unit weight, 5**(r - rho_min), from r.  Its flat arrays:
 
     - ``_chains``: one row per point, one column per level, the point's
       chain entry at that level or the pad id ``len(nodes)`` below its
@@ -214,6 +215,10 @@ class OracleView:
         ]
         self._order = np.lexsort((fac, color, level)).tolist()
         self._level = level.tolist()
+        # Each node's payment per client, 5**(r - rho_min), by definition:
+        # one int object per level.
+        weights = [5 ** j for j in range(n_levels)]
+        self._weight = [weights[j] for j in self._level]
         self._parent = [n.parent for n in nodes]
         self._count = count
         # recompute_state's routes and logical_violations' hits, per open set.
@@ -277,12 +282,12 @@ class OracleView:
         areas = Counter(area_of)
         if not all(map(flags.__getitem__, areas)):
             raise RuntimeError("no enabled area on a client's chain")
-        parent = self._parent
+        parent, weight = self._parent, self._weight
         n_enabled_below = [0] * count
         cost = [0] * count
         paying = set(areas)
         for area, k in areas.items():
-            paid = k * nodes[area].unit_weight
+            paid = k * weight[area]
             cost[area] += paid
             up = parent[area]
             while up is not None:
@@ -451,8 +456,8 @@ def logical_violations(view: OracleView, engine: Engine, snapshot: StateSnapshot
             problems.append("live clients but no open triplet")
         if not anns.is_enabled[root]:
             problems.append("live clients but root not enabled")
-        total = sum(nodes[assignments[cid].area_triplet].unit_weight
-                    for cid in registry)
+        weight = view._weight
+        total = sum(weight[assignments[cid].area_triplet] for cid in registry)
         if total != anns.cost[root]:
             problems.append(f"root cost {anns.cost[root]} != summed payments {total}")
     elif anns.cost[root] != 0:

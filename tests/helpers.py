@@ -690,13 +690,16 @@ def exact_facility_table(instance) -> np.ndarray:
 
 
 class ReferenceNode(TripletNode):
-    """A node that keeps its own ``children`` and ``x_areas`` lists, which
-    shadow the derived ones of ``TripletNode``."""
+    """A node that keeps its own ``parent``, ``unit_weight``, ``children``
+    and ``x_areas``, which shadow those ``TripletNode`` reads from its
+    hierarchy."""
 
-    __slots__ = ("children", "x_areas")
+    __slots__ = ("parent", "unit_weight", "children", "x_areas")
 
     def __init__(self, idx, facility, r, unit_weight):
-        super().__init__(idx, facility, r, unit_weight)
+        super().__init__(idx, facility, r)
+        self.parent = None
+        self.unit_weight = unit_weight
         self.children = []
         self.x_areas = []
 
@@ -845,7 +848,8 @@ def _types(value):
 
 
 def build_differences(hierarchy, reference) -> list[str]:
-    """Every node slot, derived ``children``, ``x_areas`` and
+    """Every node slot, ``parent`` and ``unit_weight`` read from the
+    hierarchy's lists, derived ``children``, ``x_areas`` and
     ``neighbors_above`` list, level's id list, derived level set, parent
     id, point chain and ordering in which ``hierarchy`` differs from
     ``reference``, types and order included: each derived list against the
@@ -867,7 +871,7 @@ def build_differences(hierarchy, reference) -> list[str]:
     if len(hierarchy.nodes) != len(reference.nodes):
         return problems + ["node count"]
     fields = [slot for slot in TripletNode.__slots__ if slot not in ("_chain", "_hierarchy")]
-    fields += ["children", "x_areas"]
+    fields += ["parent", "unit_weight", "children", "x_areas"]
     for node, ref in zip(hierarchy.nodes, reference.nodes):
         for field in fields:
             if not same(getattr(node, field), getattr(ref, field)):

@@ -56,6 +56,26 @@ def test_update_status_records_all_work_counters(line5):
         eng.find_affected_triplets(eng.hierarchy.area_chain(4)))
 
 
+def test_last_update_is_a_fresh_stats_object_on_every_read(line5):
+    # line5 shifts at 25 live clients; a read copies the counters, so
+    # mutating it reaches neither the engine nor the next read.
+    eng = Engine(line5, {f"c{i}": 3 for i in range(24)})
+    assert eng.last_update == engine_mod.UpdateStats()
+    eng.insert_client("up", 3)
+    first, second = eng.last_update, eng.last_update
+    assert first.rebuilt and first.affected > 0
+    assert first == second and first is not second
+    first.affected, first.rebuilt = -1, False
+    assert eng.last_update == second
+    eng.insert_client("steady", 4)
+    steady = eng.last_update
+    assert not steady.rebuilt and steady.affected == len(
+        eng.find_affected_triplets(eng.hierarchy.area_chain(4)))
+    eng.delete_client("steady")
+    eng.delete_client("up")
+    assert eng.last_update.rebuilt and eng.last_update is not eng.last_update
+
+
 def test_no_status_flips_gives_empty_set(line5):
     eng = Engine(line5)
     for cid, p in (("a", 3), ("b", 4), ("c", 3)):

@@ -11,6 +11,8 @@ up to b, and its designated facility is the cheapest, whose threshold is at
 most b (a shift only happens at b above the facility count), so a node of
 the added bottom level opens; going back down, the same node is one of the
 removed level.  The test asserts that it does, so it cannot pass vacuously.
+After construction and every shift, ``annotations`` must show the very
+eight lists that the update paths unpack.
 With half of the clients spread, every point pays, and the first
 extreme-cost draw reaches costs beyond 64 bits.
 
@@ -47,6 +49,12 @@ def carriers(engine) -> int:
                for enabled, cost, node in zip(anns.is_enabled, anns.cost, nodes))
 
 
+def assert_one_set_of_lists(engine) -> None:
+    """``annotations`` shows the very eight lists the update paths unpack."""
+    assert len(engine._lists) == 8 and type(engine._lists) is tuple
+    assert all(shown is kept for shown, kept in zip(engine.annotations, engine._lists))
+
+
 def cross_shifts(instance, stacked_only: bool) -> tuple[int, int]:
     """Cross every shift b of ``instance`` up, with one more client on the
     cheapest point, and back down, deleting a stacked client; each side
@@ -59,14 +67,17 @@ def cross_shifts(instance, stacked_only: bool) -> tuple[int, int]:
         engine = Engine(instance, {
             f"p{i}": hot if stacked_only or i % 2 == 0 else i % instance.n_points
             for i in range(b - 1)})
+        assert_one_set_of_lists(engine)
         engine.insert_client("up", hot)
         deeper = engine.hierarchy
         assert engine.last_update.rebuilt and engine.n == b
+        assert_one_set_of_lists(engine)
         assert_counted_rebuild(engine)
         seams += not engine.open_nodes.isdisjoint(deeper.by_level[deeper.params.rho_min])
         bits = max(bits, max(engine.annotations.cost).bit_length())
         engine.delete_client("p0")
         assert engine.last_update.rebuilt and engine.hierarchy is not deeper
+        assert_one_set_of_lists(engine)
         assert_counted_rebuild(engine)
         assert carriers(engine) == 0
     return seams, bits

@@ -104,16 +104,23 @@ def measure_diameter(n_points: int) -> str:
     return f"points={n_points} diameter_s={diameter_s:.4f} diameter_pairs={pairs}"
 
 
-def measure_deep() -> str:
-    """Describe the build of the seeded many-level instance in one line."""
+def deep_instance():
+    """The seeded many-level instance, ~870 levels at the scale n = 0."""
     sys.path.insert(0, str(SRC))
-    from netfloc import Hierarchy, Instance, derive_parameters
+    from netfloc import Instance
 
     rng = random.Random("build-sweep-deep")
     points = [[rng.uniform(0, 1000), rng.uniform(0, 1000)] for _ in range(12)]
     costs = [rng.randint(1, 500) for _ in range(DEEP_FACILITIES)]
     costs[1], costs[5] = 1e-300, 1e308
-    instance = Instance("euclidean-L2", points=points, facilities=list(enumerate(costs)))
+    return Instance("euclidean-L2", points=points, facilities=list(enumerate(costs)))
+
+
+def measure_deep() -> str:
+    """Describe the build of the seeded many-level instance in one line."""
+    instance = deep_instance()
+    from netfloc import Hierarchy, derive_parameters
+
     params = derive_parameters(instance, 0)
     instance.facility_distances
     start = time.perf_counter()
