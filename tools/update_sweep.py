@@ -92,8 +92,11 @@ def sweep(name: str, engine, mutations, builds: Builds) -> str:
     return f"{name} " + " ".join(fields)
 
 
-def cycle_case(generators, workload: str, Engine, Instance, parse_trace_text):
+def cycle_case(generators, workload: str):
     """The workload's seed-1 engine after its prefill, and one cycle."""
+    from netfloc import Engine, Instance
+    from netfloc.harness import parse_trace_text
+
     inputs = generators[workload](1)
     instance = Instance.from_dict(json.loads(inputs.instance_text))
     events = parse_trace_text(inputs.trace_text)
@@ -106,13 +109,11 @@ def cycle_case(generators, workload: str, Engine, Instance, parse_trace_text):
 def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     from netfloc import Engine, Instance
-    from netfloc.harness import parse_trace_text
 
     generators = load_inputs()
     builds = Builds(Instance)
     for workload in ("churn-l2", "flap-625"):
-        engine, mutations = cycle_case(generators, workload, Engine, Instance,
-                                       parse_trace_text)
+        engine, mutations = cycle_case(generators, workload)
         print(sweep(workload, engine, mutations, builds), flush=True)
     instance = Instance.from_dict(json.loads(generators["churn-l2"](1).instance_text))
     rng = random.Random("update-sweep-ramp")
