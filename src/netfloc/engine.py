@@ -1,9 +1,17 @@
 """The live data structure: an annotated dependency tree maintained under
 client insertions and deletions, with constant-time cost queries.
 
-Costs are kept internally as integers counting multiples of 5**rho_min, so
-incremental updates and from-scratch recomputations agree bit for bit even
-when the bottom scale is fractional.
+Costs are kept internally as integers counting multiples of 5**base, where
+``base`` is the deepest ``rho_min`` the engine has visited, so incremental
+updates and from-scratch recomputations agree bit for bit even when the
+bottom scale is fractional, and a shift back to a shallower scale rescales
+nothing.  The engine keeps its own unit weights, 5**(r - base), one list
+per hierarchy, cached until ``base`` moves; ``Hierarchy.unit_weights`` stay
+5**(r - rho_min).  Readers see units of 5**rho_min: ``annotations``,
+``state_hash`` and ``annotation_copies`` divide ``cost`` and ``y`` exactly
+by 5**(rho_min - base), since every unit weight at or above ``rho_min`` is a
+multiple of it, and ``cost_query`` divides by 5**base in one exact integer
+division.
 
 A steady update does only the work that can change state.  Its affected
 triplets are one tuple per bottom area, precomputed by the hierarchy, and
@@ -16,39 +24,41 @@ loop; and the scale is re-derived only when the live count leaves the window
 [n, 5n) of its current power of five.
 
 The state is flat: eight lists (one per field) indexed by node id, kept as
-a plain tuple that the update paths unpack, and shown as ``annotations``, an
-``Annotations`` of the same list objects, which only the rebuild assigns.
-The per-node facts an update reads, each node's parent and unit weight, are
-the hierarchy's ``parents`` and ``unit_weights`` lists.  So an update reads
-no per-node object but the keys of the nodes it pushes on its heap and the
-``neighbors_above`` of those it flips, and one that flips no slack edge reads
-none.  Each update records its counters as a plain tuple, and
-``last_update`` builds the ``UpdateStats`` when read, so an update allocates
-none.  A
-level shift builds one fresh set of lists and keeps no state of the scale
-it leaves: ``Hierarchy.counts`` gives the live points' n_area and slack as
-plain ints; every other field starts as a new list of ``False`` or ``0``;
-then one Python pass over the nodes in (logradius, color, facility) order
-sets every bit and cost.  A node's open bit reads only smaller keys and its
-children sit one level lower, so the pass finds each node's ``open_below``,
-``n_enabled_below`` and ``y`` final, sets its bits and cost, and adds into
-its parent's.  A node that is not abundant, counts no open node below it
-and holds no cost is skipped after three list reads.
+a plain tuple that the update paths unpack.  ``annotations`` shows them as
+one ``Annotations`` of the same list objects, made once per shift, when
+base == rho_min, and otherwise as an ``Annotations`` whose ``cost`` and
+``y`` are converted copies.  The per-node facts an update reads, each
+node's parent and unit weight, are the hierarchy's ``parents`` list and the
+engine's weight list.  So an update reads no per-node object but the keys
+of the nodes it pushes on its heap and the ``neighbors_above`` of those it
+flips, and one that flips no slack edge reads none.  Each update records
+its counters as a plain tuple, and ``last_update`` builds the
+``UpdateStats`` when read, so an update allocates none.
 
-A shift between two related scales counts only the levels it adds.  When
-``Hierarchy.shared_offset`` finds the deeper hierarchy to be the shallower
-one plus k bottom node ids, with equal point chains above them, the shared
-nodes' n_area and slack are copied by slice from the outgoing scale's lists:
-all of them going down, and all but the ids below k, which alone are
-counted, going up.  The copy is exact: those counts read only the shared
-levels and chains, and the outgoing lists already hold the mutation that
-triggered the shift.  Construction, a rebuild of the current hierarchy and an
-unrelated pair count every node.
+A level shift keeps no state of the scale it leaves.  A shift between two
+related scales, when ``Hierarchy.shared_offset`` finds the deeper
+hierarchy to be the shallower one plus k bottom node ids with equal point
+chains above them, carries the state: going down, when no removed id is
+open, it slices the eight lists at k; going up, no deeper than ``base``,
+when no added id is abundant, it prepends the k counted ids as closed,
+disabled and costless.  Either way ``open_nodes`` shifts by k.  Every other
+shift builds one fresh set of lists: the shared nodes' n_area and slack are
+copied by slice from the outgoing lists (all of them going down, all but
+the ids below k, which alone are counted, going up), an unrelated pair and
+a rebuild of the current hierarchy count every node with
+``Hierarchy.counts``, every other field starts as a new list of ``False``
+or ``0``, and one Python pass over the nodes in (logradius, color,
+facility) order sets every bit and cost.  A node's open bit reads only
+smaller keys and its children sit one level lower, so the pass finds each
+node's ``open_below``, ``n_enabled_below`` and ``y`` final, sets its bits
+and cost, and adds into its parent's.  A node that is not abundant, counts
+no open node below it and holds no cost is skipped after three list reads.
+The outgoing lists already hold the mutation that triggered the shift.
 
 A cost query with no write since the previous one reads one attribute: the
 float of the root's cost, computed by the first query after a write and kept
 until the next.  Every writer of the ``cost`` list (``_settle``, the only
-one during updates, and the rebuild) drops it, so an update pays
+one during updates, and the shift) drops it, so an update pays
 one attribute store and never the division.  Concurrent first queries may
 compute it twice, with equal results, as the ``Instance`` caches may.
 
@@ -79,9 +89,11 @@ class Annotations(NamedTuple):
     by node id: status bits, client counters, cost values.
 
     ``slack`` is n_x - abundance_threshold: abundant means ``slack >= 0``.
-    ``cost`` and ``y`` are in units of 5**rho_min; ``y`` is the sum of the
-    children's costs and ``cost`` adds the payments resolved at this node.
-    Every element is a plain ``bool`` (the bits) or ``int`` (the counts).
+    ``y`` is the sum of the children's costs and ``cost`` adds the payments
+    resolved at this node.  ``Engine.annotations`` shows ``cost`` and ``y``
+    in units of 5**rho_min; the engine keeps them in units of 5**base, its
+    deepest ``rho_min``.  Every element is a plain ``bool`` (the bits) or
+    ``int`` (the counts).
     """
 
     is_open: list[bool]
@@ -107,7 +119,8 @@ class Assignment(NamedTuple):
 @dataclass
 class UpdateStats:
     """Per-update work counters (affected triplets, heap pulls, status
-    flips), and whether the update's scale shift rebuilt the annotations."""
+    flips), and whether the update shifted the scale (a carry or a full
+    pass of the annotations)."""
 
     affected: int = 0
     heap_pulls: int = 0
@@ -165,7 +178,7 @@ class Engine:
                                for cid, point in dict(clients).items()}
         self._set_scale(largest_power_of_five_at_most(len(self.registry)))
         self._stats = (0, 0, 0, False)  # last_update's fields
-        self.hierarchy = self.annotations = None
+        self.hierarchy = self._lists = self._base = None
         self._routes = (None, {}, {})  # assignments()'s key and maps
         self._rebuild(derive_parameters(instance, self.n))
 
@@ -178,6 +191,27 @@ class Engine:
     @last_update.setter
     def last_update(self, stats: UpdateStats) -> None:
         self._stats = (stats.affected, stats.heap_pulls, stats.flips, stats.rebuilt)
+
+    @property
+    def annotations(self) -> Annotations:
+        """The state, ``cost`` and ``y`` in units of 5**rho_min: when
+        base == rho_min the one ``Annotations`` of the engine's own lists,
+        made at the last shift; else, on each read, one whose ``cost`` and
+        ``y`` are exactly divided copies."""
+        view, ratio = self._view, self._ratio
+        if ratio == 1:
+            return view
+        return view._replace(cost=[c // ratio for c in view.cost],
+                             y=[v // ratio for v in view.y])
+
+    def annotation_copies(self) -> tuple[list, ...]:
+        """Copies of the eight lists ``annotations`` shows, in its field
+        order, each made once (for snapshots)."""
+        ratio = self._ratio
+        if ratio == 1:
+            return tuple(map(list.copy, self._lists))
+        *kept, costs, y = self._lists
+        return (*map(list.copy, kept), [c // ratio for c in costs], [v // ratio for v in y])
 
     @classmethod
     def from_clients(cls, instance: Instance, clients) -> "Engine":
@@ -195,7 +229,7 @@ class Engine:
         equal results."""
         cost = self._cost
         if cost is None:
-            units = self.annotations.cost[self.hierarchy.root]
+            units = self._lists[6][self.hierarchy.root]
             try:
                 cost = units * self._unit_num / self._unit_den
             except OverflowError:
@@ -214,7 +248,7 @@ class Engine:
         if cid not in self.registry:
             raise ValueError(f"unknown client id: {cid!r}")
         return self._route(self._lowest_enabled(
-            self.registry[cid], self.hierarchy.point_chains, self.annotations.is_enabled))
+            self.registry[cid], self.hierarchy.point_chains, self._lists[1]))
 
     def assignments(self) -> dict:
         """Every live client's ``assign_client`` result, in one pass over the
@@ -222,7 +256,7 @@ class Engine:
         area, which depends only on its bottom area, so each distinct bottom
         area is resolved once and each distinct lowest enabled area is
         routed once, per key (hierarchy, open set) of the kept maps."""
-        chains, enabled = self.hierarchy.point_chains, self.annotations.is_enabled
+        chains, enabled = self.hierarchy.point_chains, self._lists[1]
         key = (self.hierarchy, frozenset(self.open_nodes))
         memo = self._routes
         if memo[0] != key:
@@ -354,8 +388,8 @@ class Engine:
         return self.hierarchy.path_x_areas[chain[0]]
 
     def _proposed_open(self, idx: int) -> bool:
-        anns = self.annotations
-        return anns.slack[idx] >= 0 and anns.open_below[idx] == 0
+        _, _, _, slack, open_below, _, _, _ = self._lists
+        return slack[idx] >= 0 and open_below[idx] == 0
 
     def update_status(self, affected, delta: int) -> list[tuple[int, bool]]:
         """Adjust near-neighborhood counters, propagate open/closed flips
@@ -409,8 +443,7 @@ class Engine:
         ascending order: ids ascend with logradius, so each node's children
         in ``order`` are settled before it."""
         _, is_enabled, n_area, _, _, n_enabled_below, costs, y = self._lists
-        hierarchy = self.hierarchy
-        parents, unit_weights = hierarchy.parents, hierarchy.unit_weights
+        parents, unit_weights = self.hierarchy.parents, self._weights
         self._cost = None
         for idx in order:
             n_area[idx] = n = n_area[idx] + delta
@@ -466,8 +499,8 @@ class Engine:
 
     def adjust_levels(self) -> None:
         """React to a shift of the client-count scale: switch hierarchies and
-        rebuild all dynamic state when the bottom logradius moves, marking
-        ``last_update.rebuilt``; else keep the structure untouched."""
+        carry or rebuild all dynamic state when the bottom logradius moves,
+        marking ``last_update.rebuilt``; else keep the structure untouched."""
         params = derive_parameters(self.instance, self.n)
         if params != self.hierarchy.params:
             self._rebuild(params)
@@ -475,51 +508,125 @@ class Engine:
 
     def _rebuild(self, params: Params) -> None:
         """Switch to the instance's hierarchy of ``params`` (built on its
-        first use, then shared by every engine over the instance) and build
-        one fresh ``Annotations`` for the current live client set.
+        first use, then shared by every engine over the instance) and set
+        the state of the current live client set: by ``_carry`` when the
+        shift allows it, else by ``_full_pass`` over one fresh set of lists.
 
-        A shift between two scales whose hierarchies are related
-        (``Hierarchy.shared_offset``) copies the shared nodes' ``n_area``
-        and ``slack`` from the outgoing lists by slice, all of them going
-        down, and counts (``Hierarchy.counts``) only ids below k going up;
-        ``_apply`` has already applied the triggering mutation to the
-        outgoing lists.  Construction, a rebuild of the current hierarchy
-        and an unrelated pair count every node.
+        A first visit below ``base`` moves ``base`` there, drops the cached
+        weight lists and takes the full pass, which computes every cost in
+        the new units.  A shift between two scales whose hierarchies are
+        related (``Hierarchy.shared_offset``) copies the shared nodes'
+        ``n_area`` and ``slack`` from the outgoing lists by slice, all of
+        them going down, and counts (``Hierarchy.counts``) only ids below k
+        going up; ``_apply`` has already applied the triggering mutation to
+        the outgoing lists.  Construction, a rebuild of the current
+        hierarchy and an unrelated pair count every node.
+        """
+        old, old_lists = self.hierarchy, self._lists
+        self.hierarchy = hierarchy = self.instance.hierarchy(params)
+        rho_min = params.rho_min
+        deeper = self._base is None or rho_min < self._base
+        if deeper:
+            self._base = rho_min
+            self._weight_lists = {}
+            # cost_query divides integers, which rounds correctly and stays
+            # finite whenever the cost is: a float 5.0**base underflows to 0
+            # below base = -463, and converting units first can overflow.
+            self._unit_num, self._unit_den = ((5 ** rho_min, 1) if rho_min >= 0
+                                              else (1, 5 ** -rho_min))
+        cached = self._weight_lists.get(hierarchy)
+        if cached is None:
+            # 5**(r - base) per node, one int per level, and 5**(rho_min - base).
+            ratio = 5 ** (rho_min - self._base)
+            weights = hierarchy.unit_weights
+            if ratio != 1:
+                scaled = {w: w * ratio for w in set(weights)}
+                weights = [scaled[w] for w in weights]
+            cached = self._weight_lists[hierarchy] = (weights, ratio)
+        self._weights, self._ratio = cached
+        self._cost = None
+        # Levels the new scale adds below the outgoing one (< 0 going down).
+        added = 0 if old is None else old.params.rho_min - rho_min
+        if added < 0 and (k := old.shared_offset(hierarchy)) is not None:
+            if not deeper and self._carry(old_lists, -k):
+                return
+            n_area, slack = old_lists[2][k:], old_lists[3][k:]
+        elif added > 0 and (k := hierarchy.shared_offset(old)) is not None:
+            n_area, slack = hierarchy.counts(self.registry.values(), k)
+            if not deeper and self._carry(old_lists, k, n_area, slack):
+                return
+            n_area += old_lists[2]
+            slack += old_lists[3]
+        else:
+            n_area, slack = hierarchy.counts(self.registry.values(), len(hierarchy.nodes))
+        self._full_pass(n_area, slack)
 
-        Then one pass in ``hierarchy.order`` sets every bit and cost, each
-        node's ``open_below``, ``n_enabled_below`` and ``y`` being final when
-        the pass reaches it; it reads the hierarchy's ``parents`` and
-        ``unit_weights`` lists, and ``nodes[idx]`` only for an open node's
+    def _carry(self, lists, added: int, n_area=None, slack=None) -> bool:
+        """Carry the outgoing scale's ``lists`` across a related shift that
+        adds ``added`` bottom ids (removes -``added`` when negative), whose
+        ``n_area`` and ``slack`` going up are the counted ids' values; False,
+        touching nothing, when the shift needs the full pass.
+
+        Going down it needs no open id below k = -``added``, and slices the
+        eight lists at k; going up, to a scale no deeper than ``base``, it
+        needs no abundant id among the k counted ones, and prepends them
+        closed, disabled and costless.  ``open_nodes`` shifts by ``added``.
+
+        The carried state equals the full pass's.  The shared nodes' counts
+        are equal at both scales (``shared_offset``), and so is each shared
+        node's ``neighbors_above``.  That list points only to larger keys,
+        and every added or removed node has a smaller logradius than every
+        shared one, so the shared nodes' open bits resolve in the same key
+        order at both scales; a closed added or removed node feeds no
+        ``open_below``, so they read the same counts and come out the same.
+        An added or removed node is then disabled too: it is closed, and its
+        ``open_below`` counts only open nodes of smaller keys, all of them
+        added or removed as well.  So it holds no ``n_enabled_below`` share
+        in its parent, and by induction from the bottom no cost and no ``y``
+        share.  Every shared node keeps its ``n_enabled_below`` and ``y``,
+        and its unit weight relative to ``base`` is the same at both scales,
+        so its cost, in units of 5**base, is unchanged.
+        """
+        open_nodes = self.open_nodes
+        if added < 0:
+            k = -added
+            if open_nodes and min(open_nodes) < k:
+                return False
+            lists = tuple([values[k:] for values in lists])
+        else:
+            if max(slack) >= 0:
+                return False
+            falses, zeros = [False] * added, [0] * added
+            is_open, is_enabled, shared_n, shared_slack, open_below, \
+                n_enabled_below, costs, y = lists
+            lists = (falses + is_open, falses + is_enabled, n_area + shared_n,
+                     slack + shared_slack, zeros + open_below, zeros + n_enabled_below,
+                     zeros + costs, zeros + y)
+        self._lists = lists
+        self._view = Annotations(*lists)
+        self.open_nodes = {idx + added for idx in open_nodes}
+        return True
+
+    def _full_pass(self, n_area: list[int], slack: list[int]) -> None:
+        """Build the current hierarchy's state from its counts: one fresh
+        ``Annotations`` whose other fields start as ``False`` or ``0``, then
+        one pass in ``hierarchy.order`` that sets every bit and cost.
+
+        Each node's ``open_below``, ``n_enabled_below`` and ``y`` are final
+        when the pass reaches it; it reads the hierarchy's ``parents`` list,
+        the engine's weight list, and ``nodes[idx]`` only for an open node's
         ``neighbors_above``.  Every field is a plain int or bool
         (thresholds and unit weights may exceed int64).  The pass calls no
         public update method, so a rebuild is never counted as an update.
         """
-        old, old_anns = self.hierarchy, self.annotations
-        self.hierarchy = hierarchy = self.instance.hierarchy(params)
-        rho_min = params.rho_min
-        # cost_query divides integers, which rounds correctly and stays
-        # finite whenever the cost is: a float 5.0**rho_min underflows to 0
-        # below rho_min = -463, and converting units first can overflow.
-        self._unit_num, self._unit_den = ((5 ** rho_min, 1) if rho_min >= 0
-                                          else (1, 5 ** -rho_min))
+        hierarchy = self.hierarchy
         nodes = hierarchy.nodes
         size = len(nodes)
-        # Levels the new scale adds below the outgoing one (< 0 going down).
-        added = 0 if old is None else old.params.rho_min - rho_min
-        if added < 0 and (k := old.shared_offset(hierarchy)) is not None:
-            n_area, slack = old_anns.n_area[k:], old_anns.slack[k:]
-        elif added > 0 and (k := hierarchy.shared_offset(old)) is not None:
-            n_area, slack = hierarchy.counts(self.registry.values(), k)
-            n_area += old_anns.n_area
-            slack += old_anns.slack
-        else:
-            n_area, slack = hierarchy.counts(self.registry.values(), size)
         self._lists = lists = ([False] * size, [False] * size, n_area, slack,
                                [0] * size, [0] * size, [0] * size, [0] * size)
-        self.annotations = Annotations(*lists)
+        self._view = Annotations(*lists)
         is_open, is_enabled, _, _, open_below, n_enabled_below, costs, y = lists
-        parents, unit_weights = hierarchy.parents, hierarchy.unit_weights
-        self._cost = None
+        parents, unit_weights = hierarchy.parents, self._weights
         self.open_nodes = open_nodes = set()
         for idx in hierarchy.order:
             if not open_below[idx]:

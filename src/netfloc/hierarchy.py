@@ -18,10 +18,11 @@ fact is stored once but the parent relation, which is kept twice.  The numpy
 arrays ``parent_ids``, ``point_area`` and the flat x lists
 ``x_flat``/``x_starts`` are read only here (by ``counts``, ``shared_offset``,
 ``find_balls`` and the derived node lists).  For the engine, two per-node
-lists are read by every update and rebuild: ``parents``, the parent relation
+lists serve every update and rebuild: ``parents``, the parent relation
 again as id objects (a numpy read per node would cost more than the step it
-serves), and ``unit_weights``; then come the point chains, ``path_x_areas``
-(every update) and ``order`` (its rebuild pass).  The other per-node facts
+serves), and ``unit_weights``, which the engine reads, or scales to its own
+cost unit once per hierarchy; then come the point chains, ``path_x_areas``
+(every update) and ``order`` (its full pass).  The other per-node facts
 live in ``TripletNode``, whose ``parent`` and ``unit_weight`` read the two
 lists.  Every node id kept is the node's own ``idx`` object, and every
 facility id one int object per id.  ``counts`` gives the engine a live set's

@@ -12,8 +12,9 @@ bit, each compared with the exact ``radius`` (``_within``); abundance
 thresholds are ``Fraction`` ceilings.  A recomputation counts clients in
 numpy over the view's flat arrays and resolves status bits in one ordered
 pass over the definitions.  A snapshot holds the annotations as the
-engine keeps them, an ``Annotations`` of eight per-field lists: the oracle
-returns its own lists, ``engine_snapshot`` copies the engine's, and
+engine shows them, an ``Annotations`` of eight per-field lists with costs
+in units of 5**rho_min: the oracle returns its own lists,
+``engine_snapshot`` copies the engine's, and
 ``compare_states`` compares the eight list pairs, walking node by node to
 name node and field only on a mismatch.
 
@@ -90,9 +91,10 @@ class StateSnapshot:
 
 def engine_snapshot(engine: Engine) -> StateSnapshot:
     """Capture the engine's current state in snapshot form.  The lists are
-    copied now, so later updates do not reach the snapshot."""
-    annotations = Annotations._make(map(list.copy, engine.annotations))
-    return StateSnapshot(engine.hierarchy, annotations, frozenset(engine.solution_query()),
+    copied now (``Engine.annotation_copies``, in units of 5**rho_min), so
+    later updates do not reach the snapshot."""
+    return StateSnapshot(engine.hierarchy, Annotations._make(engine.annotation_copies()),
+                         frozenset(engine.solution_query()),
                          engine.assignments())
 
 

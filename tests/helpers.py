@@ -134,7 +134,14 @@ class ReferenceEngine(Engine):
     per update, abundance compared before and after (not the engine's slack
     edge rule), the client's counts and the cost recursion in two passes over
     the sorted union of touched root paths, and the scale re-derived after
-    every mutation."""
+    every mutation.  Every level shift takes the engine's full pass with
+    base == rho_min (no carry), so ``annotations`` is always the engine's own
+    lists, in units of 5**rho_min, and the hierarchy's unit weights are the
+    engine's."""
+
+    def _rebuild(self, params) -> None:
+        self._base = None  # as at construction: base moves to rho_min
+        super()._rebuild(params)
 
     def _apply(self, chain, delta: int) -> None:
         affected = self.find_affected_triplets(chain)

@@ -50,9 +50,19 @@ def carriers(engine) -> int:
 
 
 def assert_one_set_of_lists(engine) -> None:
-    """``annotations`` shows the very eight lists the update paths unpack."""
-    assert len(engine._lists) == 8 and type(engine._lists) is tuple
-    assert all(shown is kept for shown, kept in zip(engine.annotations, engine._lists))
+    """``annotations`` shows the very eight lists the update paths unpack
+    when the engine's cost unit is the scale's, 5**rho_min; below it, those
+    lists with ``cost`` and ``y`` exactly divided by 5**(rho_min - base)."""
+    lists = engine._lists
+    assert len(lists) == 8 and type(lists) is tuple
+    ratio = 5 ** (engine.hierarchy.params.rho_min - engine._base)
+    if ratio == 1:
+        assert all(shown is kept for shown, kept in zip(engine.annotations, lists))
+        return
+    *kept, costs, y = lists
+    assert all(c % ratio == 0 for c in costs + y)
+    assert tuple(engine.annotations) == (*kept, [c // ratio for c in costs],
+                                         [v // ratio for v in y])
 
 
 def cross_shifts(instance, stacked_only: bool) -> tuple[int, int]:

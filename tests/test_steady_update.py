@@ -317,6 +317,6 @@ def test_engines_over_one_instance_share_no_annotation(name):
             rebuilds += eng.last_update.rebuilt
             assert eng.state_hash() == \
                 Engine.from_clients(instance, eng.registry).state_hash(), step
-        owned = [set(map(id, eng.annotations)) for eng in engines]
+        owned = [set(map(id, eng._lists)) for eng in engines]
         assert owned[0].isdisjoint(owned[1]), step
     assert rebuilds >= 4

@@ -13,7 +13,10 @@ seed-1 inputs of ``perfbench/inputs.py``:
   ``random.Random("update-sweep-ramp")``, crossing every scale from 0 up.
 
 Each prints one line: ``updates``, the updates made, and ``rebuilt``, those
-whose ``last_update.rebuilt`` is set; for each of ``affected``,
+whose ``last_update.rebuilt`` is set (the scale shifted); ``carried``, the
+shifts whose state ``Engine._carry`` carried over, and ``pass_nodes``, the
+nodes that full passes (``Engine._full_pass``) visited during the updates,
+both counted by wrappers in this tool; for each of ``affected``,
 ``heap_pulls`` and ``flips`` of ``last_update``, the sum over the updates
 and the maximum, with ``@`` the live client count after the first update
 that reaches it; and ``builds``, the hierarchies built during the updates
@@ -45,6 +48,27 @@ def load_inputs():
     return module.GENERATORS
 
 
+class Shifts:
+    """Counts the carried shifts and the nodes of the full passes that an
+    ``Engine`` class runs while ``counting`` is set."""
+
+    def __init__(self, engine_cls):
+        self.counting = False
+        self.carried = self.pass_nodes = 0
+        carry, full_pass = engine_cls._carry, engine_cls._full_pass
+
+        def counted_carry(engine, *args):
+            done = carry(engine, *args)
+            self.carried += self.counting and done
+            return done
+
+        def counted_pass(engine, *args):
+            full_pass(engine, *args)
+            self.pass_nodes += self.counting and len(engine.hierarchy.nodes)
+
+        engine_cls._carry, engine_cls._full_pass = counted_carry, counted_pass
+
+
 class Builds:
     """Counts the hierarchies that ``Instance.hierarchy`` returns for the
     first time while ``counting`` is set."""
@@ -65,13 +89,14 @@ class Builds:
         instance_cls.hierarchy = hierarchy
 
 
-def sweep(name: str, engine, mutations, builds: Builds) -> str:
+def sweep(name: str, engine, mutations, builds: Builds, shifts: Shifts) -> str:
     """Apply ``mutations``, (kind, cid, point) triples, to ``engine`` and
     describe their counters in one line."""
     sums = dict.fromkeys(COUNTERS, 0)
     peaks = {c: (-1, 0) for c in COUNTERS}
     rebuilt = 0
     builds.counting, builds.built = True, 0
+    shifts.counting, shifts.carried, shifts.pass_nodes = True, 0, 0
     for kind, cid, point in mutations:
         if kind == "insert":
             engine.insert_client(cid, point)
@@ -84,8 +109,9 @@ def sweep(name: str, engine, mutations, builds: Builds) -> str:
             sums[c] += value
             if value > peaks[c][0]:
                 peaks[c] = (value, len(engine.registry))
-    builds.counting = False
-    fields = [f"updates={len(mutations)}", f"rebuilt={rebuilt}"]
+    builds.counting = shifts.counting = False
+    fields = [f"updates={len(mutations)}", f"rebuilt={rebuilt}",
+              f"carried={shifts.carried}", f"pass_nodes={shifts.pass_nodes}"]
     for c in COUNTERS:
         fields.append(f"{c}_sum={sums[c]} {c}_max={peaks[c][0]}@{peaks[c][1]}")
     fields.append(f"builds={builds.built}")
@@ -111,15 +137,15 @@ def main() -> None:
     from netfloc import Engine, Instance
 
     generators = load_inputs()
-    builds = Builds(Instance)
+    builds, shifts = Builds(Instance), Shifts(Engine)
     for workload in ("churn-l2", "flap-625"):
         engine, mutations = cycle_case(generators, workload)
-        print(sweep(workload, engine, mutations, builds), flush=True)
+        print(sweep(workload, engine, mutations, builds, shifts), flush=True)
     instance = Instance.from_dict(json.loads(generators["churn-l2"](1).instance_text))
     rng = random.Random("update-sweep-ramp")
     mutations = [("insert", f"r{i}", rng.randrange(instance.n_points))
                  for i in range(RAMP_INSERTS)]
-    print(sweep("ramp", Engine(instance), mutations, builds), flush=True)
+    print(sweep("ramp", Engine(instance), mutations, builds, shifts), flush=True)
 
 
 if __name__ == "__main__":
