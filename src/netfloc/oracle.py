@@ -196,11 +196,16 @@ class OracleView:
         by_owner = np.lexsort((inside, owner))
         facs = inside[by_owner].tolist()
         bounds = np.searchsorted(owner[by_owner], np.arange(count + 1)).tolist()
+        # Equal sets are one object: the upper levels' far neighborhoods
+        # mostly hold every facility.
+        kept: dict[frozenset[int], frozenset[int]] = {}
         self.y_facilities: list[frozenset[int]] = [
-            frozenset(facs[a:b]) for a, b in zip(bounds, bounds[1:])]
+            kept.setdefault(s, s)
+            for s in (frozenset(facs[a:b]) for a, b in zip(bounds, bounds[1:]))]
         by_fac = np.lexsort((owner, inside))
         fbounds = np.searchsorted(inside[by_fac], np.arange(n_fac + 1)).tolist()
-        holders = owner[by_fac].tolist()
+        ids = list(range(count))    # one int object per node id
+        holders = [ids[i] for i in owner[by_fac].tolist()]
         self.nodes_with_fac_in_y: dict[int, list[int]] = {
             f: holders[a:b] for f, (a, b) in enumerate(zip(fbounds, fbounds[1:]))}
 
